@@ -1,62 +1,3 @@
 """Fault and timing-anomaly injection lab for an AES-128-ECB pipeline."""
 
-from .bench import BenchRecord, measure_run, peak_memory_mb, sweep
-from .cipher import (
-    DEFAULT_KEY_HEX,
-    KAT_VECTORS,
-    BlockRecord,
-    KatResult,
-    Key128,
-    PipelineError,
-    aes128_encrypt_block,
-    encrypt_timed,
-    run_known_answer_suite,
-    run_pipeline,
-)
-from .detect_forest import (
-    ByteSource,
-    FeatureVector,
-    ForestHyperparams,
-    ForestModel,
-    ModelFormatError,
-    Split,
-    SplitResult,
-    TreeNode,
-    best_split,
-    build_dataset,
-    fit_forest,
-    fit_tree,
-    gini,
-    load_model,
-    predict,
-    predict_all,
-    save_model,
-    split_train_test,
-)
-from .metrics_report import (
-    BlockRow,
-    ComparisonReport,
-    ConfusionCounts,
-    DetectionReport,
-    compare,
-    export_csv,
-    read_blocks_csv,
-    rows_to_vectors,
-    run_id,
-    score,
-)
-from .detect_threshold import ThresholdModel, classify_threshold, fit_threshold
-from .workload import (
-    AnomalyKind,
-    AnomalyTag,
-    InputDistribution,
-    Mode,
-    PlainBlock,
-    RunConfig,
-    apply_fault,
-    assign_anomalies,
-    generate_blocks,
-    normalize_block,
-)
-
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ command-line values win over the environment.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -59,60 +60,28 @@ def _env_default(name: str, fallback):
     return os.environ.get(ENV_PREFIX + name, fallback)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be at least 1")
-    return value
+def _bounded(kind: type, low: float, high: float = math.inf, *, strict: bool = False):
+    """argparse type: a finite int or float in [low, high], or in (low, high) if strict."""
+    noun = "an integer" if kind is int else "a number"
+    span = f"({low:g}, {high:g})" if strict else f"[{low:g}, {high:g}]"
 
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+        inside = low < value < high if strict else low <= value <= high
+        if not inside or (kind is float and not math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"expected {noun} in {span}, got {text!r}")
+        return value
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("value must not be negative")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not value > 0:
-        raise argparse.ArgumentTypeError("value must be positive")
-    return value
-
-
-def _percentage(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not 0.0 <= value <= 100.0:
-        raise argparse.ArgumentTypeError("percentage must be within [0, 100]")
-    return value
-
-
-def _fraction(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError("fraction must lie strictly between 0 and 1")
-    return value
+    return parse
 
 
 def _depth(text: str) -> Optional[int]:
     if text.lower() == "none":
         return None
-    return _nonneg_int(text)
+    return _bounded(int, 0)(text)
 
 
 def _count_list(text: str) -> List[int]:
@@ -133,51 +102,51 @@ def _key(text: str) -> Key128:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _parse_enum(enum_cls, raw, parser: argparse.ArgumentParser, flag: str):
-    # values arriving via environment variables bypass argparse choices
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        parser.error(f"{flag}: invalid choice {raw!r}")
-
-
-def _add_workload_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--blocks", type=_positive_int, default=_env_default("BLOCKS", 1024),
-                   help="blocks per run (default 1024)")
-    p.add_argument("--inject-pct", type=_percentage, default=_env_default("INJECT_PCT", 20.0),
-                   help="percentage of blocks tagged anomalous (default 20)")
-    p.add_argument("--workers", type=_positive_int, default=_env_default("WORKERS", 1),
-                   help="worker processes (default 1)")
-    p.add_argument("--seed", type=_nonneg_int, default=_env_default("SEED", 1),
+def _add_input_flags(p: argparse.ArgumentParser, inject_pct: float) -> None:
+    """Flags of every command that generates and encrypts blocks."""
+    p.add_argument("--inject-pct", type=_bounded(float, 0.0, 100.0),
+                   default=_env_default("INJECT_PCT", inject_pct),
+                   help=f"percentage of blocks tagged anomalous (default {inject_pct:g})")
+    p.add_argument("--seed", type=_bounded(int, 0), default=_env_default("SEED", 1),
                    help="run seed (default 1)")
-    p.add_argument("--mode", choices=["real", "simulated"], default=_env_default("MODE", "real"),
-                   help="timing source: measured wall clock or seeded model (default real)")
-    p.add_argument("--delay-min-us", type=_positive_float,
-                   default=_env_default("DELAY_MIN_US", 5000.0),
-                   help="minimum injected delay in microseconds (default 5000)")
-    p.add_argument("--delay-max-us", type=_positive_float,
-                   default=_env_default("DELAY_MAX_US", 20000.0),
-                   help="maximum injected delay in microseconds (default 20000)")
-    p.add_argument("--input-dist", choices=["uniform", "ascii"],
+    p.add_argument("--input-dist", type=InputDistribution,
                    default=_env_default("INPUT_DIST", "ascii"),
-                   help="plaintext byte distribution (default ascii)")
-    p.add_argument("--work-amp", type=_positive_int, default=_env_default("WORK_AMP", 1),
+                   help="plaintext byte distribution: uniform or ascii (default ascii)")
+    p.add_argument("--work-amp", type=_bounded(int, 1), default=_env_default("WORK_AMP", 1),
                    help="encryption passes per block in real mode (default 1)")
     p.add_argument("--key-hex", type=_key, default=_env_default("KEY_HEX", DEFAULT_KEY_HEX),
                    help="AES-128 key as 32 hex digits")
 
 
+def _add_workload_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--blocks", type=_bounded(int, 1), default=_env_default("BLOCKS", 1024),
+                   help="blocks per run (default 1024)")
+    p.add_argument("--workers", type=_bounded(int, 1), default=_env_default("WORKERS", 1),
+                   help="worker processes (default 1)")
+    p.add_argument("--mode", type=Mode, default=_env_default("MODE", "real"),
+                   help="timing source: real (measured wall clock) or simulated "
+                        "(seeded model) (default real)")
+    p.add_argument("--delay-min-us", type=_bounded(float, 0.0, strict=True),
+                   default=_env_default("DELAY_MIN_US", 5000.0),
+                   help="minimum injected delay in microseconds (default 5000)")
+    p.add_argument("--delay-max-us", type=_bounded(float, 0.0, strict=True),
+                   default=_env_default("DELAY_MAX_US", 20000.0),
+                   help="maximum injected delay in microseconds (default 20000)")
+    _add_input_flags(p, inject_pct=20.0)
+
+
 def _add_forest_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trees", type=_positive_int, default=_env_default("TREES", 101),
+    p.add_argument("--trees", type=_bounded(int, 1), default=_env_default("TREES", 101),
                    help="trees in the forest (default 101)")
     p.add_argument("--max-depth", type=_depth, default=_env_default("MAX_DEPTH", 16),
                    help="tree depth limit, or 'none' (default 16)")
-    p.add_argument("--train-fraction", type=_fraction,
+    p.add_argument("--train-fraction", type=_bounded(float, 0.0, 1.0, strict=True),
                    default=_env_default("TRAIN_FRACTION", 0.7),
                    help="stratified train share (default 0.7)")
-    p.add_argument("--byte-source", choices=["plaintext", "ciphertext"],
+    p.add_argument("--byte-source", type=ByteSource,
                    default=_env_default("BYTE_SOURCE", "plaintext"),
-                   help="which bytes feed the 16 byte features (default plaintext)")
+                   help="which bytes feed the 16 byte features: plaintext or ciphertext "
+                        "(default plaintext)")
 
 
 def _add_out_dir_flag(p: argparse.ArgumentParser) -> None:
@@ -208,20 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--worker-counts", type=_count_list,
                          default=_env_default("WORKER_COUNTS", [1, 2, 4]),
                          help="comma-separated worker counts (default 1,2,4)")
-    p_bench.add_argument("--inject-pct", type=_percentage,
-                         default=_env_default("INJECT_PCT", 0.0),
-                         help="injection percentage during benchmarks (default 0)")
-    p_bench.add_argument("--seed", type=_nonneg_int, default=_env_default("SEED", 1),
-                         help="run seed (default 1)")
-    p_bench.add_argument("--input-dist", choices=["uniform", "ascii"],
-                         default=_env_default("INPUT_DIST", "ascii"),
-                         help="plaintext byte distribution (default ascii)")
-    p_bench.add_argument("--work-amp", type=_positive_int,
-                         default=_env_default("WORK_AMP", 1),
-                         help="encryption passes per block (default 1)")
-    p_bench.add_argument("--key-hex", type=_key,
-                         default=_env_default("KEY_HEX", DEFAULT_KEY_HEX),
-                         help="AES-128 key as 32 hex digits")
+    _add_input_flags(p_bench, inject_pct=0.0)
     _add_out_dir_flag(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
@@ -254,12 +210,23 @@ def _build_run_config(args, cp: argparse.ArgumentParser) -> RunConfig:
         inject_pct=args.inject_pct,
         workers=args.workers,
         seed=args.seed,
-        mode=_parse_enum(Mode, args.mode, cp, "--mode"),
+        mode=args.mode,
         delay_min_us=args.delay_min_us,
         delay_max_us=args.delay_max_us,
-        input_dist=_parse_enum(InputDistribution, args.input_dist, cp, "--input-dist"),
+        input_dist=args.input_dist,
         work_amplification=args.work_amp,
     )
+
+
+def _build_hyper(args) -> ForestHyperparams:
+    hyper = ForestHyperparams(
+        n_trees=args.trees,
+        max_depth=args.max_depth,
+        seed=args.seed,
+        train_fraction=args.train_fraction,
+    )
+    hyper.validate()
+    return hyper
 
 
 def _print_report(report: DetectionReport) -> None:
@@ -272,20 +239,12 @@ def _print_report(report: DetectionReport) -> None:
 
 
 def cmd_run(args) -> int:
-    cp = args.command_parser
-    cfg = _build_run_config(args, cp)
-    byte_source = _parse_enum(ByteSource, args.byte_source, cp, "--byte-source")
-    hyper = ForestHyperparams(
-        n_trees=args.trees,
-        max_depth=args.max_depth,
-        seed=args.seed,
-        train_fraction=args.train_fraction,
-    )
-    hyper.validate()
+    cfg = _build_run_config(args, args.command_parser)
+    hyper = _build_hyper(args)
 
     records = run_pipeline(cfg, args.key_hex)
-    vectors = build_dataset(records, byte_source)
-    split = split_train_test(vectors, hyper.train_fraction, cfg.seed)
+    data = build_dataset(records, args.byte_source)
+    split = split_train_test(data, hyper.train_fraction, cfg.seed)
 
     if args.threshold_fit == "train":
         fit_times = [records[i].time_us for i in split.train_indices]
@@ -295,9 +254,9 @@ def cmd_run(args) -> int:
     threshold_preds = classify_threshold(records, threshold_model)
 
     forest_model = fit_forest(split.train, hyper)
-    forest_preds = predict_all(forest_model, vectors)
+    forest_preds = predict_all(forest_model, data.X)
 
-    truths = [vectors[i].label for i in split.test_indices]
+    truths = split.test.y.tolist()
     report_t = score([threshold_preds[i] for i in split.test_indices], truths, "threshold")
     report_f = score([forest_preds[i] for i in split.test_indices], truths, "forest")
     comparison = compare(report_t, report_f)
@@ -305,7 +264,7 @@ def cmd_run(args) -> int:
     blocks_path, summary_path = export_csv(
         records, [report_t, report_f], comparison, args.out_dir,
         predictions={"threshold": threshold_preds, "forest": forest_preds},
-        cfg=cfg, byte_source=byte_source,
+        cfg=cfg, byte_source=args.byte_source,
         threshold_fit=args.threshold_fit, threshold_us=threshold_model.threshold_us,
     )
 
@@ -323,12 +282,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cp = args.command_parser
     base = RunConfig(
         inject_pct=args.inject_pct,
         seed=args.seed,
         mode=Mode.REAL,
-        input_dist=_parse_enum(InputDistribution, args.input_dist, cp, "--input-dist"),
+        input_dist=args.input_dist,
         work_amplification=args.work_amp,
     )
     out_dir = Path(args.out_dir)
@@ -360,29 +318,19 @@ def cmd_kat(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cp = args.command_parser
-    hyper = ForestHyperparams(
-        n_trees=args.trees,
-        max_depth=args.max_depth,
-        seed=args.seed,
-        train_fraction=args.train_fraction,
-    )
-    hyper.validate()
+    hyper = _build_hyper(args)
     if args.from_csv is not None:
-        rows = read_blocks_csv(args.from_csv)
-        vectors, has_labels = rows_to_vectors(rows)
+        data, has_labels = rows_to_vectors(read_blocks_csv(args.from_csv))
         if not has_labels:
             print("error: training input needs a truth_label column", file=sys.stderr)
             return 1
     else:
-        cfg = _build_run_config(args, cp)
-        byte_source = _parse_enum(ByteSource, args.byte_source, cp, "--byte-source")
-        records = run_pipeline(cfg, args.key_hex)
-        vectors = build_dataset(records, byte_source)
-    model = fit_forest(vectors, hyper)
+        cfg = _build_run_config(args, args.command_parser)
+        data = build_dataset(run_pipeline(cfg, args.key_hex), args.byte_source)
+    model = fit_forest(data, hyper)
     save_model(model, args.model_out)
-    report = score(predict_all(model, vectors), [v.label for v in vectors], "forest")
-    print(f"trained {hyper.n_trees} trees on {len(vectors)} samples")
+    report = score(predict_all(model, data.X), data.y.tolist(), "forest")
+    print(f"trained {hyper.n_trees} trees on {len(data)} samples")
     _print_report(report)
     print(f"wrote {args.model_out}")
     return 0
@@ -391,13 +339,13 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     rows = read_blocks_csv(args.csv)
-    vectors, has_labels = rows_to_vectors(rows)
-    preds = predict_all(model, vectors)
+    data, has_labels = rows_to_vectors(rows)
+    preds = predict_all(model, data.X)
     print("index,predicted")
     for row, pred in zip(rows, preds):
         print(f"{row.index},{'true' if pred else 'false'}")
     if has_labels:
-        report = score(preds, [v.label for v in vectors], "forest")
+        report = score(preds, data.y.tolist(), "forest")
         _print_report(report)
     return 0
 

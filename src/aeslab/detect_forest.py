@@ -1,12 +1,13 @@
 """Random-forest detector built from CART trees with Gini impurity.
 
-Feature vectors have 17 entries: the block latency in microseconds followed
-by the 16 bytes the pipeline saw (post-fault plaintext by default, or
-ciphertext). Trees grow greedily: at each node a without-replacement sample
-of candidate features is scored over midpoint thresholds between
-consecutive distinct sorted values, and the split with the highest Gini
-gain wins. Ties resolve to the lowest feature index, then the lowest
-threshold; a node with no strictly positive gain becomes a leaf.
+The detector's input is one feature table: a Dataset whose matrix X has 17
+columns per block, the latency in microseconds followed by the 16 bytes the
+pipeline saw (post-fault plaintext by default, or ciphertext), and whose
+vector y holds the boolean truth labels. Trees grow greedily: at each node a
+without-replacement sample of candidate features is scored over midpoint
+thresholds between consecutive distinct sorted values, and the split with
+the highest Gini gain wins. Ties resolve to the lowest feature index, then
+the lowest threshold; a node with no strictly positive gain becomes a leaf.
 
 Everything is deterministic given (hyperparams, training data): each tree
 draws its bootstrap sample and feature subsets from a generator derived
@@ -33,11 +34,28 @@ class ByteSource(enum.Enum):
     PLAINTEXT = "plaintext"
     CIPHERTEXT = "ciphertext"
 
+    def of(self, record: BlockRecord) -> bytes:
+        """The 16 bytes of record this source feeds to the detector."""
+        return record.plaintext if self is ByteSource.PLAINTEXT else record.ciphertext
+
 
 @dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
-    label: bool
+class Dataset:
+    """Feature matrix X (float64, one row per block) and labels y (bool)."""
+
+    X: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "X", np.asarray(self.X, dtype=np.float64))
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=bool))
+        if self.X.ndim != 2:
+            raise ValueError(f"feature matrix must be 2-D, got shape {self.X.shape}")
+        if self.y.shape != (self.X.shape[0],):
+            raise ValueError(f"{self.y.shape} labels for {self.X.shape[0]} feature rows")
+
+    def __len__(self) -> int:
+        return self.X.shape[0]
 
 
 @dataclass(frozen=True)
@@ -86,71 +104,70 @@ class ForestModel:
     n_features: int
 
 
+def feature_dataset(
+    times_us: Sequence[float], payloads: Sequence[bytes], labels: Sequence[bool]
+) -> Dataset:
+    """The 17-column table: latency, then the 16 payload bytes of each block."""
+    X = np.empty((len(times_us), N_FEATURES), dtype=np.float64)
+    X[:, 0] = times_us
+    X[:, 1:] = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(-1, N_FEATURES - 1)
+    return Dataset(X, labels)
+
+
 def build_dataset(
     records: Sequence[BlockRecord],
     byte_source: ByteSource = ByteSource.PLAINTEXT,
-) -> List[FeatureVector]:
-    """One 17-entry vector per record, ordered by block index."""
+) -> Dataset:
+    """One feature row per record, ordered by block index."""
     if not records:
         raise ValueError("cannot build features from an empty run")
-    vectors: List[FeatureVector] = []
-    for rec in sorted(records, key=lambda r: r.index):
-        payload = rec.plaintext if byte_source is ByteSource.PLAINTEXT else rec.ciphertext
-        values = np.empty(N_FEATURES, dtype=np.float64)
-        values[0] = rec.time_us
-        values[1:] = np.frombuffer(payload, dtype=np.uint8)
-        vectors.append(FeatureVector(values, rec.truth_label))
-    return vectors
+    ordered = sorted(records, key=lambda r: r.index)
+    return feature_dataset(
+        [r.time_us for r in ordered],
+        [byte_source.of(r) for r in ordered],
+        [r.truth_label for r in ordered],
+    )
 
 
 @dataclass(frozen=True)
 class SplitResult:
-    """Stratified partition; iterates as (train, test) and keeps source indices."""
+    """Stratified partition with the source row indices of each side (ascending)."""
 
-    train: List[FeatureVector]
-    test: List[FeatureVector]
-    train_indices: List[int]
-    test_indices: List[int]
-
-    def __iter__(self) -> Iterator[List[FeatureVector]]:
-        yield self.train
-        yield self.test
+    train: Dataset
+    test: Dataset
+    train_indices: np.ndarray
+    test_indices: np.ndarray
 
 
-def split_train_test(
-    data: Sequence[FeatureVector], train_fraction: float, seed: int
-) -> SplitResult:
+def split_train_test(data: Dataset, train_fraction: float, seed: int) -> SplitResult:
     """Shuffle each class separately and cut it at round(fraction * count).
 
     The per-class train count is clamped to [1, count - 1] so every class
     present lands in both partitions. A class with fewer than 2 samples
     cannot be stratified and raises.
     """
-    if not data:
+    if not len(data):
         raise ValueError("cannot split an empty dataset")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie strictly between 0 and 1")
-    by_class = {False: [], True: []}
-    for i, vec in enumerate(data):
-        by_class[bool(vec.label)].append(i)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_STREAM_SPLIT,)))
-    train_idx: List[int] = []
-    test_idx: List[int] = []
+    train_parts = []
+    test_parts = []
     for cls in (False, True):
-        idx = by_class[cls]
-        if not idx:
+        idx = np.flatnonzero(data.y == cls)
+        if not idx.size:
             continue
-        if len(idx) < 2:
+        if idx.size < 2:
             raise ValueError(f"stratified split needs at least 2 samples of class {cls}")
-        perm = rng.permutation(np.asarray(idx, dtype=np.int64))
-        n_train = min(max(round(train_fraction * len(idx)), 1), len(idx) - 1)
-        train_idx.extend(int(j) for j in perm[:n_train])
-        test_idx.extend(int(j) for j in perm[n_train:])
-    train_idx.sort()
-    test_idx.sort()
+        perm = rng.permutation(idx)
+        n_train = min(max(round(train_fraction * idx.size), 1), idx.size - 1)
+        train_parts.append(perm[:n_train])
+        test_parts.append(perm[n_train:])
+    train_idx = np.sort(np.concatenate(train_parts))
+    test_idx = np.sort(np.concatenate(test_parts))
     return SplitResult(
-        [data[i] for i in train_idx],
-        [data[i] for i in test_idx],
+        Dataset(data.X[train_idx], data.y[train_idx]),
+        Dataset(data.X[test_idx], data.y[test_idx]),
         train_idx,
         test_idx,
     )
@@ -180,13 +197,26 @@ def _gini_vec(c0: np.ndarray, c1: np.ndarray, total: np.ndarray) -> np.ndarray:
     return 1.0 - (p0 * p0 + p1 * p1)
 
 
-def _best_split_arrays(X: np.ndarray, y: np.ndarray, features: Sequence[int]) -> Optional[Split]:
+def best_split(X: np.ndarray, y: np.ndarray, features: Sequence[int]) -> Optional[Split]:
+    """Highest-gain (feature, threshold) over the candidate features, or None.
+
+    y holds one 0/1 label per row of X. Ties break to the lowest feature
+    index, then the lowest threshold. Returns None when no candidate split
+    has gain strictly above zero.
+    """
     n = y.size
+    if n == 0:
+        raise ValueError("cannot split an empty sample set")
+    feats = sorted({int(f) for f in features})
+    if not feats:
+        raise ValueError("candidate features must not be empty")
+    if feats[0] < 0 or feats[-1] >= X.shape[1]:
+        raise ValueError("candidate feature index out of range")
     total1 = int(y.sum())
     total0 = n - total1
     parent = gini((total0, total1))
     best: Optional[Split] = None
-    for f in features:
+    for f in feats:
         col = X[:, f]
         order = np.argsort(col, kind="stable")
         v = col[order]
@@ -203,7 +233,7 @@ def _best_split_arrays(X: np.ndarray, y: np.ndarray, features: Sequence[int]) ->
             continue
         mids = mids[keep]
         n_left = n_left[keep]
-        cum1 = np.cumsum(lab)
+        cum1 = np.cumsum(lab, dtype=np.int64)
         left1 = cum1[n_left - 1]
         left0 = n_left - left1
         right1 = total1 - left1
@@ -214,39 +244,22 @@ def _best_split_arrays(X: np.ndarray, y: np.ndarray, features: Sequence[int]) ->
         pick = int(np.argmax(gains))
         gain = float(gains[pick])
         if best is None or gain > best.gain:
-            best = Split(int(f), float(mids[pick]), gain)
+            best = Split(f, float(mids[pick]), gain)
     if best is None or not best.gain > 0.0:
         return None
     return best
 
 
-def best_split(
-    samples: Sequence[FeatureVector], candidate_features: Sequence[int]
-) -> Optional[Split]:
-    """Highest-gain (feature, threshold) over the candidates, or None.
-
-    Ties break to the lowest feature index, then the lowest threshold.
-    Returns None when no candidate split has gain strictly above zero.
-    """
-    if not samples:
-        raise ValueError("cannot split an empty sample set")
-    X = np.asarray([s.values for s in samples], dtype=np.float64)
-    y = np.asarray([s.label for s in samples], dtype=np.int64)
-    feats = sorted({int(f) for f in candidate_features})
-    if not feats:
-        raise ValueError("candidate_features must not be empty")
-    if feats[0] < 0 or feats[-1] >= X.shape[1]:
-        raise ValueError("candidate feature index out of range")
-    return _best_split_arrays(X, y, feats)
-
-
-def _grow(
+def fit_tree(
     X: np.ndarray,
     y: np.ndarray,
     hyper: ForestHyperparams,
     rng: np.random.Generator,
-    depth: int,
+    depth: int = 0,
 ) -> TreeNode:
+    """Grow one CART tree (rooted at depth) on (X, y), drawing features from rng."""
+    if y.size == 0:
+        raise ValueError("cannot fit a tree on an empty sample set")
     c1 = int(y.sum())
     c0 = y.size - c1
     if (
@@ -258,54 +271,36 @@ def _grow(
         return TreeNode(class_counts=(c0, c1))
     d = X.shape[1]
     k = min(hyper.features_per_split, d)
-    feats = np.sort(rng.choice(d, size=k, replace=False))
-    split = _best_split_arrays(X, y, feats)
+    split = best_split(X, y, np.sort(rng.choice(d, size=k, replace=False)))
     if split is None:
         return TreeNode(class_counts=(c0, c1))
     mask = X[:, split.feature_index] <= split.threshold
-    left = _grow(X[mask], y[mask], hyper, rng, depth + 1)
-    right = _grow(X[~mask], y[~mask], hyper, rng, depth + 1)
+    left = fit_tree(X[mask], y[mask], hyper, rng, depth + 1)
+    right = fit_tree(X[~mask], y[~mask], hyper, rng, depth + 1)
     return TreeNode(feature_index=split.feature_index, threshold=split.threshold, left=left, right=right)
-
-
-def fit_tree(
-    samples: Sequence[FeatureVector], hyper: ForestHyperparams, rng: np.random.Generator
-) -> TreeNode:
-    """Grow one CART tree on the given samples, drawing features from rng."""
-    if not samples:
-        raise ValueError("cannot fit a tree on an empty sample set")
-    X = np.asarray([s.values for s in samples], dtype=np.float64)
-    y = np.asarray([s.label for s in samples], dtype=np.int64)
-    return _grow(X, y, hyper, rng, 0)
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_STREAM_TREE, tree_index)))
 
 
-def fit_forest(train: Sequence[FeatureVector], hyper: ForestHyperparams) -> ForestModel:
+def fit_forest(train: Dataset, hyper: ForestHyperparams) -> ForestModel:
     """Fit n_trees trees, each on its own bootstrap resample of train."""
     hyper.validate()
-    if not train:
+    if not len(train):
         raise ValueError("cannot fit a forest on an empty training set")
-    labels = {bool(v.label) for v in train}
-    if len(labels) < 2:
+    if train.y.all() or not train.y.any():
         raise ValueError("training set must contain both classes")
-    widths = {len(v.values) for v in train}
-    if len(widths) != 1:
-        raise ValueError("training vectors must share one feature count")
-    X = np.asarray([s.values for s in train], dtype=np.float64)
-    y = np.asarray([s.label for s in train], dtype=np.int64)
-    n = y.size
+    n = len(train)
     trees = []
     for t in range(hyper.n_trees):
         rng = _tree_rng(hyper.seed, t)
         boot = rng.integers(0, n, size=n)
-        trees.append(_grow(X[boot], y[boot], hyper, rng, 0))
-    return ForestModel(tuple(trees), hyper, int(X.shape[1]))
+        trees.append(fit_tree(train.X[boot], train.y[boot], hyper, rng))
+    return ForestModel(tuple(trees), hyper, train.X.shape[1])
 
 
-def _tree_vote(root: TreeNode, values: np.ndarray) -> bool:
+def _tree_vote(root: TreeNode, values: Sequence[float]) -> bool:
     node = root
     while not node.is_leaf:
         node = node.left if values[node.feature_index] <= node.threshold else node.right
@@ -313,17 +308,17 @@ def _tree_vote(root: TreeNode, values: np.ndarray) -> bool:
     return c1 > c0  # ties vote benign
 
 
-def predict(model: ForestModel, vector: FeatureVector) -> bool:
-    """Majority vote over all trees; an exact tie stays benign."""
-    values = np.asarray(vector.values, dtype=np.float64)
-    if values.shape != (model.n_features,):
-        raise ValueError(f"expected {model.n_features} features, got shape {values.shape}")
-    votes = sum(_tree_vote(root, values) for root in model.trees)
-    return 2 * votes > len(model.trees)
-
-
-def predict_all(model: ForestModel, vectors: Sequence[FeatureVector]) -> List[bool]:
-    return [predict(model, v) for v in vectors]
+def predict_all(model: ForestModel, X: np.ndarray) -> List[bool]:
+    """Majority vote over all trees for each row of X; an exact tie stays benign."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.n_features:
+        raise ValueError(f"expected rows of {model.n_features} features, got shape {X.shape}")
+    preds = []
+    for row in X:
+        values = row.tolist()  # plain floats: cheaper to index than numpy scalars
+        votes = sum(_tree_vote(root, values) for root in model.trees)
+        preds.append(2 * votes > len(model.trees))
+    return preds
 
 
 MODEL_MAGIC = "aeslab-forest"
@@ -334,14 +329,17 @@ class ModelFormatError(ValueError):
     """Model file is missing, malformed, or from an unsupported version."""
 
 
-def _write_node(node: TreeNode, out: IO[str]) -> None:
-    if node.is_leaf:
-        c0, c1 = node.class_counts
-        out.write(f"l {c0} {c1}\n")
-    else:
-        out.write(f"i {node.feature_index} {node.threshold!r}\n")
-        _write_node(node.left, out)
-        _write_node(node.right, out)
+def _write_tree(root: TreeNode, out: IO[str]) -> None:
+    """Pre-order dump: a node's line, then its left subtree, then its right."""
+    pending = [root]
+    while pending:
+        node = pending.pop()
+        if node.is_leaf:
+            c0, c1 = node.class_counts
+            out.write(f"l {c0} {c1}\n")
+        else:
+            out.write(f"i {node.feature_index} {node.threshold!r}\n")
+            pending += [node.right, node.left]
 
 
 def save_model(model: ForestModel, path: str) -> None:
@@ -358,22 +356,41 @@ def save_model(model: ForestModel, path: str) -> None:
         out.write(f"train_fraction {hyper.train_fraction!r}\n")
         for i, tree in enumerate(model.trees):
             out.write(f"tree {i}\n")
-            _write_node(tree, out)
+            _write_tree(tree, out)
         out.write("end\n")
 
 
-def _read_node(lines: Iterator[str]) -> TreeNode:
-    try:
-        parts = next(lines).split()
-    except StopIteration:
-        raise ModelFormatError("model file ended inside a tree") from None
-    if parts and parts[0] == "l" and len(parts) == 3:
-        return TreeNode(class_counts=(int(parts[1]), int(parts[2])))
-    if parts and parts[0] == "i" and len(parts) == 3:
-        left = _read_node(lines)
-        right = _read_node(lines)
-        return TreeNode(feature_index=int(parts[1]), threshold=float(parts[2]), left=left, right=right)
-    raise ModelFormatError(f"unrecognized node line: {' '.join(parts)!r}")
+def _read_tree(lines: Iterator[str], hyper: ForestHyperparams, n_features: int) -> TreeNode:
+    """Rebuild one pre-order tree with an explicit stack, so depth is not bound by recursion."""
+    root = TreeNode()
+    pending = [(root, 0)]  # nodes whose line comes next, in pre-order, with their depth
+    while pending:
+        node, depth = pending.pop()
+        try:
+            parts = next(lines).split()
+        except StopIteration:
+            raise ModelFormatError("model file ended inside a tree") from None
+        line = " ".join(parts)
+        if len(parts) != 3 or parts[0] not in ("i", "l"):
+            raise ModelFormatError(f"unrecognized node line: {line!r}")
+        try:
+            if parts[0] == "l":
+                node.class_counts = (int(parts[1]), int(parts[2]))
+            else:
+                node.feature_index, node.threshold = int(parts[1]), float(parts[2])
+        except ValueError:
+            raise ModelFormatError(f"unparsable node line: {line!r}") from None
+        if node.is_leaf:
+            if min(node.class_counts) < 0:
+                raise ModelFormatError(f"negative class count in leaf: {line!r}")
+        elif not 0 <= node.feature_index < n_features:
+            raise ModelFormatError(f"feature index outside [0, {n_features}): {line!r}")
+        elif hyper.max_depth is not None and depth >= hyper.max_depth:
+            raise ModelFormatError(f"tree grows deeper than max_depth {hyper.max_depth}")
+        else:
+            node.left, node.right = TreeNode(), TreeNode()
+            pending += [(node.right, depth + 1), (node.left, depth + 1)]
+    return root
 
 
 def _parse_header_field(lines: Iterator[str], name: str) -> str:
@@ -407,12 +424,18 @@ def load_model(path: str) -> ForestModel:
     seed = int(_parse_header_field(lines, "seed"))
     train_fraction = float(_parse_header_field(lines, "train_fraction"))
     hyper = ForestHyperparams(n_trees, max_depth, min_split, per_split, seed, train_fraction)
+    try:
+        hyper.validate()
+    except ValueError as exc:
+        raise ModelFormatError(f"invalid model header: {exc}") from None
+    if n_features < 1:
+        raise ModelFormatError("invalid model header: n_features must be at least 1")
     trees = []
     for i in range(n_trees):
         marker = _parse_header_field(lines, "tree")
         if marker != str(i):
             raise ModelFormatError(f"expected tree {i}, got {marker!r}")
-        trees.append(_read_node(lines))
+        trees.append(_read_tree(lines, hyper, n_features))
     tail = list(lines)
     if tail != ["end"]:
         raise ModelFormatError("model file has trailing garbage or a missing end marker")

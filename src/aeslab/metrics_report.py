@@ -12,14 +12,13 @@ Two files describe a run, named by runid s{seed}_n{blocks}_p{pct}:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .cipher import BlockRecord
-from .detect_forest import ByteSource, FeatureVector
+from .detect_forest import ByteSource, Dataset, feature_dataset
 from .workload import RunConfig
 
 
@@ -148,7 +147,6 @@ def export_csv(
 
     thresh_preds = predictions["threshold"]
     forest_preds = predictions["forest"]
-    source_of = (lambda r: r.plaintext) if byte_source is ByteSource.PLAINTEXT else (lambda r: r.ciphertext)
     with open(blocks_path, "w", newline="", encoding="ascii") as handle:
         writer = csv.writer(handle)
         writer.writerow(BLOCK_COLUMNS)
@@ -160,7 +158,7 @@ def export_csv(
                 _fmt_bool(rec.truth_label),
                 _fmt_bool(thresh_preds[i]),
                 _fmt_bool(forest_preds[i]),
-            ] + [f"{b:02x}" for b in source_of(rec)]
+            ] + [f"{b:02x}" for b in byte_source.of(rec)]
             writer.writerow(row)
 
     with open(summary_path, "w", newline="", encoding="ascii") as handle:
@@ -203,12 +201,33 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected true/false, got {raw!r}")
 
 
+def _parse_row(raw: Mapping[str, Optional[str]], fields: set, byte_cols: List[str]) -> BlockRow:
+    def optional_bool(name: str) -> Optional[bool]:
+        return _parse_bool(raw[name]) if name in fields else None
+
+    if None in raw.values():
+        raise ValueError("row has fewer fields than the header")
+    time_us = float(raw["time_us"])
+    if not math.isfinite(time_us):
+        raise ValueError(f"time_us is not a finite number: {raw['time_us']!r}")
+    return BlockRow(
+        index=int(raw["index"]),
+        time_us=time_us,
+        tag=raw.get("tag"),
+        truth_label=optional_bool("truth_label"),
+        threshold_pred=optional_bool("threshold_pred"),
+        forest_pred=optional_bool("forest_pred"),
+        feature_bytes=bytes(int(raw[c], 16) for c in byte_cols),
+    )
+
+
 def read_blocks_csv(path: Union[str, Path]) -> List[BlockRow]:
     """Parse a per-block CSV back into rows.
 
     index, time_us, and the 16 byte columns are required; tag, truth_label,
     and the prediction columns are optional so externally produced feature
-    tables can be scored too.
+    tables can be scored too. A malformed row, a non-finite time_us, or a
+    repeated index raises ValueError naming the file line.
     """
     with open(path, "r", newline="", encoding="ascii") as handle:
         reader = csv.DictReader(handle)
@@ -220,28 +239,24 @@ def read_blocks_csv(path: Union[str, Path]) -> List[BlockRow]:
         if missing:
             raise ValueError(f"{path}: missing columns {sorted(missing)}")
         rows: List[BlockRow] = []
+        seen = set()
         for raw in reader:
-            rows.append(BlockRow(
-                index=int(raw["index"]),
-                time_us=float(raw["time_us"]),
-                tag=raw.get("tag"),
-                truth_label=_parse_bool(raw["truth_label"]) if "truth_label" in fields else None,
-                threshold_pred=_parse_bool(raw["threshold_pred"]) if "threshold_pred" in fields else None,
-                forest_pred=_parse_bool(raw["forest_pred"]) if "forest_pred" in fields else None,
-                feature_bytes=bytes(int(raw[c], 16) for c in byte_cols),
-            ))
+            try:
+                row = _parse_row(raw, fields, byte_cols)
+                if row.index in seen:
+                    raise ValueError(f"duplicate index {row.index}")
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            seen.add(row.index)
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return rows
 
 
-def rows_to_vectors(rows: Sequence[BlockRow]) -> Tuple[List[FeatureVector], bool]:
-    """Feature vectors from parsed rows; second value says if labels exist."""
+def rows_to_vectors(rows: Sequence[BlockRow]) -> Tuple[Dataset, bool]:
+    """Feature table from parsed rows; the flag says if labels exist (else y is all False)."""
     has_labels = all(r.truth_label is not None for r in rows)
-    vectors = []
-    for r in rows:
-        values = np.empty(1 + 16, dtype=np.float64)
-        values[0] = r.time_us
-        values[1:] = np.frombuffer(r.feature_bytes, dtype=np.uint8)
-        vectors.append(FeatureVector(values, bool(r.truth_label) if has_labels else False))
-    return vectors, has_labels
+    labels = [r.truth_label for r in rows] if has_labels else [False] * len(rows)
+    data = feature_dataset([r.time_us for r in rows], [r.feature_bytes for r in rows], labels)
+    return data, has_labels

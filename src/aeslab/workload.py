@@ -180,11 +180,3 @@ def apply_fault(block: PlainBlock) -> PlainBlock:
     data = bytes([block.data[0] ^ FAULT_MASK]) + block.data[1:]
     return replace(block, data=data)
 
-
-def normalize_block(raw: bytes) -> bytes:
-    """Zero-pad or truncate raw bytes to exactly one block."""
-    if len(raw) == BLOCK_SIZE:
-        return raw
-    if len(raw) < BLOCK_SIZE:
-        return raw + bytes(BLOCK_SIZE - len(raw))
-    return raw[:BLOCK_SIZE]

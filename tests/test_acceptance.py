@@ -41,7 +41,7 @@ from aeslab.workload import (
 )
 
 from oracle_split import brute_force_best_split
-from test_detect_forest import _vectors
+from test_detect_forest import _dataset
 
 KEY = Key128.from_hex("000102030405060708090a0b0c0d0e0f")
 
@@ -147,16 +147,16 @@ def test_criterion_5_forest_dominates_threshold(report):
             input_dist=InputDistribution.ASCII,
         )
         records = run_pipeline(cfg, KEY)
-        vectors = build_dataset(records)
+        data = build_dataset(records)
         hyper = ForestHyperparams(seed=7)
-        split = split_train_test(vectors, hyper.train_fraction, cfg.seed)
+        split = split_train_test(data, hyper.train_fraction, cfg.seed)
 
         threshold_model = fit_threshold([r.time_us for r in records])
         threshold_flags = classify_threshold(records, threshold_model)
         forest_model = fit_forest(split.train, hyper)
-        forest_flags = predict_all(forest_model, vectors)
+        forest_flags = predict_all(forest_model, data.X)
 
-        truths = [vectors[i].label for i in split.test_indices]
+        truths = split.test.y.tolist()
         report_t = score([threshold_flags[i] for i in split.test_indices], truths, "threshold")
         report_f = score([forest_flags[i] for i in split.test_indices], truths, "forest")
         gains[pct] = compare(report_t, report_f).accuracy_gain
@@ -190,7 +190,8 @@ def test_criterion_6_split_matches_brute_force_oracle(report):
             rng.random((n, d)),
         )
         y = rng.integers(0, 2, size=n)
-        mine = best_split(_vectors(X, y), range(d))
+        data = _dataset(X, y)
+        mine = best_split(data.X, data.y, range(d))
         reference = brute_force_best_split(X, y, range(d))
         if reference is None:
             assert mine is None

@@ -1,0 +1,86 @@
+"""The package interface that the benchmark under perfbench/ drives.
+
+perfbench/ is frozen: it wraps functions by their names in aeslab.cli and
+aeslab.cipher, captures run_pipeline's records through the cli module
+global, and recovers the test split from an exported blocks CSV. These
+checks keep that interface working.
+"""
+
+import csv
+import inspect
+
+import aeslab.cipher as cipher
+import aeslab.cli as cli
+from aeslab.detect_forest import load_model, predict_all, split_train_test
+from aeslab.metrics_report import read_blocks_csv, rows_to_vectors
+
+TRACED = {
+    cipher: ("generate_blocks", "assign_anomalies", "encrypt_blocks"),
+    cli: ("build_dataset", "split_train_test", "fit_forest", "predict_all", "load_model",
+          "fit_threshold", "classify_threshold", "score", "export_csv", "read_blocks_csv",
+          "rows_to_vectors"),
+}
+
+
+def test_traced_names_exist():
+    for module, names in TRACED.items():
+        for name in names:
+            assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+    assert list(inspect.signature(cipher.encrypt_blocks).parameters)[2] == "cfg"
+
+
+def test_run_looks_up_pipeline_and_exports_recoverable_split(tmp_path, capsys, monkeypatch):
+    captured = []
+    original = cli.run_pipeline
+
+    def capture(*args, **kwargs):
+        captured.append(original(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(cli, "run_pipeline", capture)
+    seed, fraction = 5, 0.7
+    assert cli.main(["run", "--mode", "simulated", "--blocks", "200", "--inject-pct", "30",
+                     "--trees", "5", "--train-fraction", str(fraction), "--seed", str(seed),
+                     "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+    (records,) = captured
+    assert [r.index for r in records] == list(range(200))
+    for r in records[:3]:
+        assert len(r.plaintext) == len(r.ciphertext) == 16
+        assert r.time_us > 0
+        assert r.tag.kind.value in ("none", "delay", "fault")
+
+    blocks = tmp_path / "blocks_s5_n200_p30.csv"
+    data, has_labels = rows_to_vectors(read_blocks_csv(blocks))
+    assert has_labels and len(data) == 200
+    test = split_train_test(data, fraction, seed).test_indices
+    with open(blocks, newline="") as handle:
+        truths = [row["truth_label"] for row in csv.DictReader(handle)]
+    picked = [truths[i] for i in test]  # plain list indexing, as the benchmark does
+    with open(tmp_path / "summary_s5_n200_p30.csv", newline="") as handle:
+        for row in csv.DictReader(handle):
+            assert sum(int(row[k]) for k in ("tp", "fp", "fn", "tn")) == len(picked)
+            assert int(row["tp"]) + int(row["fn"]) == picked.count("true")
+
+
+def test_saved_model_keeps_the_preorder_dump(tmp_path, capsys):
+    model_path = tmp_path / "m.txt"
+    assert cli.main(["train", "--mode", "simulated", "--blocks", "120", "--inject-pct", "40",
+                     "--trees", "3", "--model-out", str(model_path)]) == 0
+    capsys.readouterr()
+    lines = model_path.read_text().splitlines()
+    assert [l for l in lines if l.startswith("tree ")] == ["tree 0", "tree 1", "tree 2"]
+    assert all(l.split()[0] in ("i", "l") for l in lines[8:-1] if not l.startswith("tree "))
+    model = load_model(str(model_path))
+    assert len(model.trees) == 3
+    data, _ = rows_to_vectors(read_blocks_csv(_blocks_csv(tmp_path)))
+    assert len(predict_all(model, data.X)) == len(data)
+
+
+def _blocks_csv(tmp_path):
+    path = tmp_path / "probe.csv"
+    header = ["index", "time_us"] + [f"b{i}" for i in range(16)]
+    body = [",".join([str(i), f"{100.0 + i}"] + ["41"] * 16) for i in range(4)]
+    path.write_text("\n".join([",".join(header)] + body) + "\n")
+    return path

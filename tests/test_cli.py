@@ -61,9 +61,23 @@ def test_run_is_deterministic_for_identical_flags(tmp_path):
 
 
 def test_run_rejects_out_of_range_injection(tmp_path):
+    for pct in ("120", "-1", "nan", "inf"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(_run_flags(tmp_path, **{"--inject-pct": pct}))
+        assert excinfo.value.code == 2
+
+
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, monkeypatch):
+    for flag, value in (("--delay-max-us", "inf"), ("--delay-min-us", "nan"),
+                        ("--train-fraction", "nan")):
+        with pytest.raises(SystemExit) as excinfo:
+            main(_run_flags(tmp_path, **{flag: value}))
+        assert excinfo.value.code == 2
+    monkeypatch.setenv("AESLAB_DELAY_MAX_US", "1e400")  # parses to inf
     with pytest.raises(SystemExit) as excinfo:
-        main(_run_flags(tmp_path, **{"--inject-pct": "120"}))
+        main(_run_flags(tmp_path))
     assert excinfo.value.code == 2
+    assert "--delay-max-us" in capsys.readouterr().err
 
 
 def test_run_rejects_inverted_delay_range(tmp_path):
@@ -118,6 +132,17 @@ def test_invalid_environment_enum_is_a_usage_error(tmp_path, monkeypatch):
     argv.remove("simulated")
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
+    assert excinfo.value.code == 2
+    monkeypatch.delenv("AESLAB_MODE")
+    for name in ("AESLAB_BYTE_SOURCE", "AESLAB_INPUT_DIST"):
+        with monkeypatch.context() as m:
+            m.setenv(name, "warp")
+            with pytest.raises(SystemExit) as excinfo:
+                main(_run_flags(tmp_path))
+            assert excinfo.value.code == 2
+    monkeypatch.setenv("AESLAB_INPUT_DIST", "warp")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "--block-counts", "8", "--out-dir", str(tmp_path)])
     assert excinfo.value.code == 2
 
 
@@ -228,6 +253,41 @@ def test_predict_rejects_wrong_model_version(tmp_path, capsys):
     csv_path.write_text(",".join(header) + "\n0,1.0," + ",".join(["00"] * 16) + "\n")
     assert main(["predict", "--model", str(bad), "--csv", str(csv_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_bad_csv_or_model_is_a_one_line_error(tmp_path, capsys):
+    assert main(_run_flags(tmp_path)) == 0
+    blocks_csv = tmp_path / "blocks_s7_n64_p30.csv"
+    model_path = tmp_path / "model.txt"
+    assert main(["train", "--from-csv", str(blocks_csv), "--model-out", str(model_path),
+                 "--trees", "3"]) == 0
+    capsys.readouterr()
+    lines = blocks_csv.read_text().splitlines()
+
+    def with_field(line_no, col, value):
+        fields = lines[line_no].split(",")
+        fields[col] = value
+        return "\n".join(lines[:line_no] + [",".join(fields)] + lines[line_no + 1:]) + "\n"
+
+    model_lines = model_path.read_text().splitlines()
+    first_split = next(i for i, l in enumerate(model_lines) if l.startswith("i "))
+    first_leaf = next(i for i, l in enumerate(model_lines) if l.startswith("l "))
+    bad_csvs = {"nan.csv": with_field(3, 1, "nan"), "dup.csv": with_field(5, 0, "1")}
+    bad_models = {
+        "index.txt": model_lines[:first_split] + ["i 99 1.0"] + model_lines[first_split + 1:],
+        "negative.txt": model_lines[:first_leaf] + ["l -5 3"] + model_lines[first_leaf + 1:],
+    }
+    cases = []
+    for name, text in bad_csvs.items():
+        (tmp_path / name).write_text(text)
+        cases.append((model_path, tmp_path / name))
+    for name, body in bad_models.items():
+        (tmp_path / name).write_text("\n".join(body) + "\n")
+        cases.append((tmp_path / name, blocks_csv))
+    for model, csv_path in cases:
+        assert main(["predict", "--model", str(model), "--csv", str(csv_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_missing_input_file_exits_nonzero(tmp_path, capsys):

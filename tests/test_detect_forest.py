@@ -7,7 +7,7 @@ from aeslab.cipher import Key128, run_pipeline
 from aeslab.detect_forest import (
     N_FEATURES,
     ByteSource,
-    FeatureVector,
+    Dataset,
     ForestHyperparams,
     ForestModel,
     ModelFormatError,
@@ -18,7 +18,6 @@ from aeslab.detect_forest import (
     fit_tree,
     gini,
     load_model,
-    predict,
     predict_all,
     save_model,
     split_train_test,
@@ -28,8 +27,12 @@ from aeslab.workload import Mode, RunConfig
 from oracle_split import brute_force_best_split
 
 
-def _vectors(X, y):
-    return [FeatureVector(np.asarray(row, dtype=np.float64), bool(label)) for row, label in zip(X, y)]
+def _dataset(X, y):
+    return Dataset(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=bool))
+
+
+def _best_split(data, features):
+    return best_split(data.X, data.y, features)
 
 
 # ---------------------------------------------------------------- gini
@@ -54,8 +57,8 @@ def test_gini_bounds(c0, c1):
 
 
 def test_best_split_hand_example():
-    samples = _vectors([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
-    split = best_split(samples, [0])
+    samples = _dataset([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
+    split = _best_split(samples, [0])
     assert split is not None
     assert split.feature_index == 0
     assert split.threshold == 2.5
@@ -63,19 +66,19 @@ def test_best_split_hand_example():
 
 
 def test_best_split_pure_node_absent():
-    samples = _vectors([[1.0], [2.0], [3.0]], [1, 1, 1])
-    assert best_split(samples, [0]) is None
+    samples = _dataset([[1.0], [2.0], [3.0]], [1, 1, 1])
+    assert _best_split(samples, [0]) is None
 
 
 def test_best_split_constant_features_absent():
-    samples = _vectors([[7.0, 3.0]] * 6, [0, 1, 0, 1, 0, 1])
-    assert best_split(samples, [0, 1]) is None
+    samples = _dataset([[7.0, 3.0]] * 6, [0, 1, 0, 1, 0, 1])
+    assert _best_split(samples, [0, 1]) is None
 
 
 def test_best_split_tie_prefers_lowest_feature():
     # feature 1 mirrors feature 0, so both reach gain 0.5
-    samples = _vectors([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]], [0, 0, 1, 1])
-    split = best_split(samples, [1, 0])
+    samples = _dataset([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]], [0, 0, 1, 1])
+    split = _best_split(samples, [1, 0])
     assert split is not None
     assert split.feature_index == 0
     assert split.threshold == 2.5
@@ -84,25 +87,25 @@ def test_best_split_tie_prefers_lowest_feature():
 def test_best_split_tie_prefers_lowest_threshold():
     # symmetric labels: cutting after the first or before the last sample
     # scores the same gain, so the earlier midpoint must win
-    samples = _vectors([[1.0], [2.0], [3.0], [4.0]], [1, 0, 0, 1])
-    split = best_split(samples, [0])
+    samples = _dataset([[1.0], [2.0], [3.0], [4.0]], [1, 0, 0, 1])
+    split = _best_split(samples, [0])
     assert split is not None
     assert split.threshold == 1.5
 
 
 def test_best_split_validates_inputs():
-    samples = _vectors([[1.0], [2.0]], [0, 1])
+    samples = _dataset([[1.0], [2.0]], [0, 1])
     with pytest.raises(ValueError):
-        best_split([], [0])
+        best_split(np.empty((0, 1)), np.empty(0, dtype=bool), [0])
     with pytest.raises(ValueError):
-        best_split(samples, [])
+        _best_split(samples, [])
     with pytest.raises(ValueError):
-        best_split(samples, [3])
+        _best_split(samples, [3])
 
 
 def test_best_split_handles_duplicate_values():
-    samples = _vectors([[1.0], [1.0], [1.0], [5.0], [5.0]], [0, 0, 0, 1, 1])
-    split = best_split(samples, [0])
+    samples = _dataset([[1.0], [1.0], [1.0], [5.0], [5.0]], [0, 0, 0, 1, 1])
+    split = _best_split(samples, [0])
     assert split is not None
     assert split.threshold == 3.0
     assert split.gain == pytest.approx(gini((3, 2)), rel=1e-12)
@@ -121,8 +124,8 @@ def test_best_split_matches_brute_force(data):
         rng.random((n, d)),
     )
     y = rng.integers(0, 2, size=n)
-    samples = _vectors(X, y)
-    mine = best_split(samples, range(d))
+    samples = _dataset(X, y)
+    mine = _best_split(samples, range(d))
     reference = brute_force_best_split(X, y, range(d))
     if reference is None:
         assert mine is None
@@ -141,13 +144,13 @@ def test_best_split_partition_invariant_under_monotone_renumbering():
     rng = np.random.default_rng(99)
     X = rng.random((40, 3))
     y = rng.integers(0, 2, size=40)
-    base = best_split(_vectors(X, y), [0, 1, 2])
+    base = _best_split(_dataset(X, y), [0, 1, 2])
     assert base is not None
     base_mask = X[:, base.feature_index] <= base.threshold
     for f in range(3):
         warped = X.copy()
         warped[:, f] = warped[:, f] ** 3 + 2.0  # strictly increasing map
-        moved = best_split(_vectors(warped, y), [0, 1, 2])
+        moved = _best_split(_dataset(warped, y), [0, 1, 2])
         assert moved is not None
         assert moved.feature_index == base.feature_index
         assert np.array_equal(warped[:, moved.feature_index] <= moved.threshold, base_mask)
@@ -159,53 +162,55 @@ def test_best_split_partition_invariant_under_monotone_renumbering():
 def test_split_stratifies_exactly():
     X = [[float(i)] for i in range(20)]
     y = [1] * 10 + [0] * 10
-    result = split_train_test(_vectors(X, y), 0.7, seed=5)
-    train, test = result
-    assert sum(v.label for v in train) == 7 and len(train) == 14
-    assert sum(v.label for v in test) == 3 and len(test) == 6
+    result = split_train_test(_dataset(X, y), 0.7, seed=5)
+    train, test = result.train, result.test
+    assert train.y.sum() == 7 and len(train) == 14
+    assert test.y.sum() == 3 and len(test) == 6
+    assert np.array_equal(train.X[:, 0], result.train_indices)
+    assert np.array_equal(test.X[:, 0], result.test_indices)
 
 
 def test_split_is_deterministic_and_exhaustive():
-    data = _vectors([[float(i), float(i % 3)] for i in range(30)], [i % 2 for i in range(30)])
+    data = _dataset([[float(i), float(i % 3)] for i in range(30)], [i % 2 for i in range(30)])
     a = split_train_test(data, 0.6, seed=8)
     b = split_train_test(data, 0.6, seed=8)
-    assert a.train_indices == b.train_indices
-    assert a.test_indices == b.test_indices
-    assert sorted(a.train_indices + a.test_indices) == list(range(30))
+    assert a.train_indices.tolist() == b.train_indices.tolist()
+    assert a.test_indices.tolist() == b.test_indices.tolist()
+    assert sorted(a.train_indices.tolist() + a.test_indices.tolist()) == list(range(30))
     assert not set(a.train_indices) & set(a.test_indices)
 
 
 def test_split_clamps_tiny_classes():
-    data = _vectors([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
+    data = _dataset([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
     result = split_train_test(data, 0.9, seed=1)
     # round(0.9*2)=2 would starve the test side; clamping keeps 1 each
-    assert sum(v.label for v in result.train) == 1
-    assert sum(v.label for v in result.test) == 1
+    assert result.train.y.sum() == 1
+    assert result.test.y.sum() == 1
 
 
 def test_split_rejects_singleton_class():
-    data = _vectors([[1.0], [2.0], [3.0]], [0, 0, 1])
+    data = _dataset([[1.0], [2.0], [3.0]], [0, 0, 1])
     with pytest.raises(ValueError):
         split_train_test(data, 0.7, seed=1)
 
 
 def test_split_rejects_bad_fraction_and_empty_input():
-    data = _vectors([[1.0], [2.0]], [0, 1])
+    data = _dataset([[1.0], [2.0]], [0, 1])
     with pytest.raises(ValueError):
         split_train_test(data, 1.0, seed=1)
     with pytest.raises(ValueError):
-        split_train_test([], 0.5, seed=1)
+        split_train_test(_dataset(np.empty((0, 1)), []), 0.5, seed=1)
 
 
 @given(st.integers(2, 40), st.integers(2, 40), st.integers(0, 2**32 - 1))
 def test_split_partitions_every_mix(npos, nneg, seed):
     values = [[float(i)] for i in range(npos + nneg)]
     labels = [1] * npos + [0] * nneg
-    result = split_train_test(_vectors(values, labels), 0.7, seed)
-    assert sorted(result.train_indices + result.test_indices) == list(range(npos + nneg))
+    result = split_train_test(_dataset(values, labels), 0.7, seed)
+    assert sorted(result.train_indices.tolist() + result.test_indices.tolist()) == list(range(npos + nneg))
     for subset in (result.train, result.test):
-        assert any(v.label for v in subset)
-        assert any(not v.label for v in subset)
+        assert subset.y.any()
+        assert not subset.y.all()
 
 
 # ---------------------------------------------------------------- fit_tree
@@ -216,16 +221,16 @@ def _rng_stream(seed=0):
 
 
 def test_fit_tree_pure_input_is_single_leaf():
-    data = _vectors([[1.0], [2.0], [3.0]], [1, 1, 1])
-    root = fit_tree(data, ForestHyperparams(), _rng_stream())
+    data = _dataset([[1.0], [2.0], [3.0]], [1, 1, 1])
+    root = fit_tree(data.X, data.y, ForestHyperparams(), _rng_stream())
     assert root.is_leaf
     assert root.class_counts == (0, 3)
 
 
 def test_fit_tree_respects_max_depth():
     rng = np.random.default_rng(3)
-    data = _vectors(rng.random((64, 2)), rng.integers(0, 2, size=64))
-    root = fit_tree(data, ForestHyperparams(max_depth=1, features_per_split=2), _rng_stream())
+    data = _dataset(rng.random((64, 2)), rng.integers(0, 2, size=64))
+    root = fit_tree(data.X, data.y, ForestHyperparams(max_depth=1, features_per_split=2), _rng_stream())
 
     def depth(node):
         if node.is_leaf:
@@ -236,8 +241,9 @@ def test_fit_tree_respects_max_depth():
 
 
 def test_fit_tree_respects_min_samples_split():
-    data = _vectors([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
-    root = fit_tree(data, ForestHyperparams(min_samples_split=5, features_per_split=1), _rng_stream())
+    data = _dataset([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
+    root = fit_tree(data.X, data.y, ForestHyperparams(min_samples_split=5, features_per_split=1),
+                    _rng_stream())
     assert root.is_leaf
     assert root.class_counts == (2, 2)
 
@@ -246,8 +252,8 @@ def test_fit_tree_fits_distinct_valued_data_perfectly():
     rng = np.random.default_rng(17)
     X = rng.random((64, 3))  # continuous draws: all columns distinct w.p. 1
     y = rng.integers(0, 2, size=64)
-    data = _vectors(X, y)
-    root = fit_tree(data, ForestHyperparams(max_depth=None, features_per_split=3), _rng_stream())
+    data = _dataset(X, y)
+    root = fit_tree(data.X, data.y, ForestHyperparams(max_depth=None, features_per_split=3), _rng_stream())
 
     def walk(node, values):
         while not node.is_leaf:
@@ -260,7 +266,7 @@ def test_fit_tree_fits_distinct_valued_data_perfectly():
 
 def test_fit_tree_rejects_empty_input():
     with pytest.raises(ValueError):
-        fit_tree([], ForestHyperparams(), _rng_stream())
+        fit_tree(np.empty((0, 1)), np.empty(0, dtype=bool), ForestHyperparams(), _rng_stream())
 
 
 # ---------------------------------------------------------------- fit_forest / predict
@@ -272,7 +278,7 @@ def _separable_training_set(n=120, seed=23):
     y = (X[:, 0] > 5.0).astype(int)
     if y.sum() in (0, n):  # keep both classes present
         y[0] = 1 - y[0]
-    return _vectors(X, y)
+    return _dataset(X, y)
 
 
 def test_fit_forest_deterministic_per_seed():
@@ -280,7 +286,7 @@ def test_fit_forest_deterministic_per_seed():
     hyper = ForestHyperparams(n_trees=9, features_per_split=2, seed=77)
     model_a = fit_forest(train, hyper)
     model_b = fit_forest(train, hyper)
-    probe = _vectors(np.random.default_rng(1).random((50, 2)) * 10.0, [0] * 50)
+    probe = np.random.default_rng(1).random((50, 2)) * 10.0
     assert predict_all(model_a, probe) == predict_all(model_b, probe)
 
 
@@ -289,31 +295,27 @@ def test_fit_forest_single_tree_learns_separable_rule():
     hyper = ForestHyperparams(n_trees=1, features_per_split=2, seed=5)
     model = fit_forest(train, hyper)
     assert len(model.trees) == 1
-    easy = _vectors([[9.5, 3.0], [0.5, 3.0]], [1, 0])
-    assert predict(model, easy[0]) is True
-    assert predict(model, easy[1]) is False
+    assert predict_all(model, np.asarray([[9.5, 3.0], [0.5, 3.0]])) == [True, False]
 
 
 def test_fit_forest_training_accuracy_on_separable_data():
     train = _separable_training_set(n=400, seed=29)
     model = fit_forest(train, ForestHyperparams(n_trees=21, features_per_split=2, seed=3))
-    preds = predict_all(model, train)
-    agree = sum(p == v.label for p, v in zip(preds, train))
+    preds = predict_all(model, train.X)
+    agree = sum(p == label for p, label in zip(preds, train.y))
     assert agree / len(train) >= 0.99
 
 
 def test_fit_forest_rejects_degenerate_training_sets():
     with pytest.raises(ValueError):
-        fit_forest([], ForestHyperparams())
-    single = _vectors([[1.0], [2.0]], [1, 1])
+        fit_forest(_dataset(np.empty((0, 1)), []), ForestHyperparams())
+    single = _dataset([[1.0], [2.0]], [1, 1])
     with pytest.raises(ValueError):
         fit_forest(single, ForestHyperparams())
-    ragged = [
-        FeatureVector(np.asarray([1.0, 2.0]), True),
-        FeatureVector(np.asarray([1.0]), False),
-    ]
     with pytest.raises(ValueError):
-        fit_forest(ragged, ForestHyperparams())
+        Dataset(np.asarray([1.0, 2.0]), np.asarray([True, False]))  # not a matrix
+    with pytest.raises(ValueError):
+        Dataset(np.ones((2, 2)), np.asarray([True]))  # one label for two rows
 
 
 def test_hyperparams_validation():
@@ -334,20 +336,21 @@ def test_forest_vote_tie_stays_benign():
     always_true = TreeNode(class_counts=(0, 5))
     always_false = TreeNode(class_counts=(5, 0))
     model = ForestModel((always_true, always_false), ForestHyperparams(n_trees=2), 2)
-    vec = FeatureVector(np.asarray([1.0, 2.0]), False)
-    assert predict(model, vec) is False
+    assert predict_all(model, np.asarray([[1.0, 2.0]])) == [False]
 
 
 def test_leaf_tie_votes_benign():
     tied_leaf = TreeNode(class_counts=(3, 3))
     model = ForestModel((tied_leaf,), ForestHyperparams(n_trees=1), 1)
-    assert predict(model, FeatureVector(np.asarray([0.0]), False)) is False
+    assert predict_all(model, np.asarray([[0.0]])) == [False]
 
 
 def test_predict_rejects_wrong_shape():
     model = fit_forest(_separable_training_set(), ForestHyperparams(n_trees=3, features_per_split=2))
     with pytest.raises(ValueError):
-        predict(model, FeatureVector(np.asarray([1.0, 2.0, 3.0]), False))
+        predict_all(model, np.asarray([[1.0, 2.0, 3.0]]))
+    with pytest.raises(ValueError):
+        predict_all(model, np.asarray([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------- build_dataset
@@ -360,21 +363,21 @@ def _tiny_run(byte_source=ByteSource.PLAINTEXT):
 
 
 def test_build_dataset_layout():
-    records, vectors = _tiny_run()
-    assert len(vectors) == len(records)
-    for rec, vec in zip(records, vectors):
-        assert vec.values.shape == (N_FEATURES,)
-        assert vec.values[0] == rec.time_us
-        assert bytes(int(b) for b in vec.values[1:]) == rec.plaintext
-        assert vec.label == rec.truth_label
+    records, data = _tiny_run()
+    assert len(data) == len(records)
+    assert data.X.shape == (len(records), N_FEATURES)
+    for rec, row, label in zip(records, data.X, data.y):
+        assert row[0] == rec.time_us
+        assert bytes(int(b) for b in row[1:]) == rec.plaintext
+        assert label == rec.truth_label
 
 
 def test_build_dataset_orders_by_index_and_supports_ciphertext():
     records, _ = _tiny_run()
     shuffled = list(reversed(records))
-    vectors = build_dataset(shuffled, ByteSource.CIPHERTEXT)
-    for rec, vec in zip(records, vectors):
-        assert bytes(int(b) for b in vec.values[1:]) == rec.ciphertext
+    data = build_dataset(shuffled, ByteSource.CIPHERTEXT)
+    for rec, row in zip(records, data.X):
+        assert bytes(int(b) for b in row[1:]) == rec.ciphertext
 
 
 def test_build_dataset_rejects_empty_input():
@@ -394,7 +397,7 @@ def test_model_round_trip_preserves_predictions(tmp_path):
     loaded = load_model(str(path))
     assert loaded.hyper == hyper
     assert loaded.n_features == model.n_features
-    probe = _vectors(np.random.default_rng(2).random((64, 2)) * 10.0, [0] * 64)
+    probe = np.random.default_rng(2).random((64, 2)) * 10.0
     assert predict_all(loaded, probe) == predict_all(model, probe)
 
 
@@ -426,6 +429,10 @@ def test_load_rejects_version_mismatch(tmp_path):
         "something-else 1\n",
         "aeslab-forest 1\nn_features 17\n",  # truncated header
         "aeslab-forest 1\nbogus 17\n",
+        "aeslab-forest 1\nn_features 17\nn_trees 0\nmax_depth 16\nmin_samples_split 2\n"
+        "features_per_split 5\nseed 1\ntrain_fraction 0.7\nend\n",  # header fails validate()
+        "aeslab-forest 1\nn_features 0\nn_trees 1\nmax_depth 16\nmin_samples_split 2\n"
+        "features_per_split 5\nseed 1\ntrain_fraction 0.7\ntree 0\nl 1 0\nend\n",
     ],
 )
 def test_load_rejects_malformed_files(tmp_path, content):
@@ -449,3 +456,47 @@ def test_load_rejects_truncated_tree_and_trailing_garbage(tmp_path):
     padded.write_text(text + "extra stuff\n")
     with pytest.raises(ModelFormatError):
         load_model(str(padded))
+
+
+def _model_text(tmp_path):
+    model = fit_forest(_separable_training_set(n=40), ForestHyperparams(n_trees=2, features_per_split=2))
+    path = tmp_path / "model.txt"
+    save_model(model, str(path))
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("bad_line", ["i 2 1.0", "i -1 1.0", "l -5 3", "i x 1.0", "l 1"])
+def test_load_rejects_bad_node_lines(tmp_path, bad_line):
+    lines = _model_text(tmp_path)
+    first_node = lines.index("tree 0") + 1
+    lines[first_node] = bad_line
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError):
+        load_model(str(path))
+
+
+def _deep_model(max_depth, levels, leaves=True):
+    header = ["aeslab-forest 1", "n_features 1", "n_trees 1", f"max_depth {max_depth}",
+              "min_samples_split 2", "features_per_split 1", "seed 1", "train_fraction 0.7"]
+    body = [f"i 0 {float(k)}" for k in range(levels)]
+    if leaves:
+        body += ["l 0 1"] * (levels + 1)
+    return "\n".join(header + ["tree 0"] + body + ["end"]) + "\n"
+
+
+def test_load_reads_deep_trees_without_recursion(tmp_path):
+    path = tmp_path / "deep.txt"
+    path.write_text(_deep_model("none", 5000))
+    model = load_model(str(path))
+    assert predict_all(model, np.asarray([[-1.0], [1e9]])) == [True, True]
+    again = tmp_path / "again.txt"
+    save_model(model, str(again))
+    assert again.read_text() == path.read_text()
+
+    for name, text in (("truncated.txt", _deep_model("none", 5000, leaves=False)),
+                       ("too_deep.txt", _deep_model(16, 5000))):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ModelFormatError):
+            load_model(str(path))

@@ -205,14 +205,38 @@ def test_read_blocks_csv_rejects_empty_table(tmp_path):
         read_blocks_csv(path)
 
 
+ZERO_BYTES = ",".join(["00"] * 16)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,nan," + ZERO_BYTES, "line 3: time_us is not a finite number"),
+        ("1,inf," + ZERO_BYTES, "line 3: time_us is not a finite number"),
+        ("0,1.0," + ZERO_BYTES, "line 3: duplicate index 0"),
+        ("1,abc," + ZERO_BYTES, "line 3:"),
+        ("1,1.0,1ff," + ",".join(["00"] * 15), "line 3:"),  # byte cell above 0xff
+        ("1,1.0", "line 3: row has fewer fields"),
+    ],
+)
+def test_read_blocks_csv_rejects_bad_rows_by_line(tmp_path, row, message):
+    header = ",".join(["index", "time_us"] + [f"b{i}" for i in range(16)])
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([header, "0,1.0," + ZERO_BYTES, row]) + "\n")
+    with pytest.raises(ValueError, match=message):
+        read_blocks_csv(path)
+
+
 def test_rows_to_vectors_with_and_without_labels(tmp_path):
     cfg, records, tp, fp, rt, rf = _scored_run(n=20)
     blocks_path, _ = _export(tmp_path, cfg, records, tp, fp, rt, rf)
     rows = read_blocks_csv(blocks_path)
-    vectors, has_labels = rows_to_vectors(rows)
+    data, has_labels = rows_to_vectors(rows)
     assert has_labels
-    assert [v.label for v in vectors] == [r.truth_label for r in records]
-    assert all(v.values.shape == (17,) for v in vectors)
+    assert data.y.tolist() == [r.truth_label for r in records]
+    assert data.X.shape == (20, 17)
+    assert data.X[:, 0].tolist() == [r.time_us for r in rows]
+    assert [bytes(int(b) for b in x[1:]) for x in data.X] == [r.feature_bytes for r in rows]
 
     # drop the label column and parse again
     import csv
@@ -225,6 +249,7 @@ def test_rows_to_vectors_with_and_without_labels(tmp_path):
         writer.writeheader()
         for row in reader:
             writer.writerow({k: row[k] for k in keep})
-    vectors2, has_labels2 = rows_to_vectors(read_blocks_csv(stripped))
+    data2, has_labels2 = rows_to_vectors(read_blocks_csv(stripped))
     assert not has_labels2
-    assert len(vectors2) == 20
+    assert len(data2) == 20
+    assert not data2.y.any()

@@ -17,7 +17,6 @@ from aeslab.workload import (
     apply_fault,
     assign_anomalies,
     generate_blocks,
-    normalize_block,
 )
 
 
@@ -129,22 +128,6 @@ def test_apply_fault_ignores_untagged_blocks():
 def test_apply_fault_is_an_involution(data):
     block = PlainBlock(0, data, AnomalyTag(AnomalyKind.FAULT))
     assert apply_fault(apply_fault(block)).data == data
-
-
-@given(st.binary(min_size=0, max_size=64))
-def test_normalize_block_always_returns_one_block(raw):
-    out = normalize_block(raw)
-    assert len(out) == BLOCK_SIZE
-    if len(raw) <= BLOCK_SIZE:
-        assert out[: len(raw)] == raw
-        assert all(b == 0 for b in out[len(raw):])
-    else:
-        assert out == raw[:BLOCK_SIZE]
-
-
-def test_normalize_block_identity_on_exact_input():
-    raw = bytes(range(16))
-    assert normalize_block(raw) is raw
 
 
 def test_anomaly_tag_validation():
