@@ -50,7 +50,7 @@ from .metrics_report import (
     score,
 )
 from .detect_threshold import classify_threshold, fit_threshold
-from .workload import InputDistribution, Mode, RunConfig
+from .workload import MAX_DELAY_US, InputDistribution, Mode, RunConfig
 
 ENV_PREFIX = "AESLAB_"
 
@@ -63,7 +63,8 @@ def _env_default(name: str, fallback):
 def _bounded(kind: type, low: float, high: float = math.inf, *, strict: bool = False):
     """argparse type: a finite int or float in [low, high], or in (low, high) if strict."""
     noun = "an integer" if kind is int else "a number"
-    span = f"({low:g}, {high:g})" if strict else f"[{low:g}, {high:g}]"
+    lo, hi = (f"{v:g}" if isinstance(v, float) else str(v) for v in (low, high))
+    span = f"({lo}, {hi})" if strict else f"[{lo}, {hi}]"
 
     def parse(text: str):
         try:
@@ -74,6 +75,17 @@ def _bounded(kind: type, low: float, high: float = math.inf, *, strict: bool = F
         if not inside or (kind is float and not math.isfinite(value)):
             raise argparse.ArgumentTypeError(f"expected {noun} in {span}, got {text!r}")
         return value
+
+    return parse
+
+
+def _one_of(*names: str):
+    """argparse type: one of names. Unlike choices, it also checks environment defaults."""
+
+    def parse(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError(f"expected one of {', '.join(names)}, got {text!r}")
+        return text
 
     return parse
 
@@ -107,7 +119,7 @@ def _add_input_flags(p: argparse.ArgumentParser, inject_pct: float) -> None:
     p.add_argument("--inject-pct", type=_bounded(float, 0.0, 100.0),
                    default=_env_default("INJECT_PCT", inject_pct),
                    help=f"percentage of blocks tagged anomalous (default {inject_pct:g})")
-    p.add_argument("--seed", type=_bounded(int, 0), default=_env_default("SEED", 1),
+    p.add_argument("--seed", type=_bounded(int, 0, 2**64 - 1), default=_env_default("SEED", 1),
                    help="run seed (default 1)")
     p.add_argument("--input-dist", type=InputDistribution,
                    default=_env_default("INPUT_DIST", "ascii"),
@@ -126,12 +138,14 @@ def _add_workload_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", type=Mode, default=_env_default("MODE", "real"),
                    help="timing source: real (measured wall clock) or simulated "
                         "(seeded model) (default real)")
-    p.add_argument("--delay-min-us", type=_bounded(float, 0.0, strict=True),
+    p.add_argument("--delay-min-us", type=_bounded(float, 0.0, MAX_DELAY_US, strict=True),
                    default=_env_default("DELAY_MIN_US", 5000.0),
-                   help="minimum injected delay in microseconds (default 5000)")
-    p.add_argument("--delay-max-us", type=_bounded(float, 0.0, strict=True),
+                   help=f"minimum injected delay in microseconds, below {MAX_DELAY_US:g} "
+                        "(default 5000)")
+    p.add_argument("--delay-max-us", type=_bounded(float, 0.0, MAX_DELAY_US, strict=True),
                    default=_env_default("DELAY_MAX_US", 20000.0),
-                   help="maximum injected delay in microseconds (default 20000)")
+                   help=f"maximum injected delay in microseconds, below {MAX_DELAY_US:g} "
+                        "(default 20000)")
     _add_input_flags(p, inject_pct=20.0)
 
 
@@ -164,9 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="full pipeline: inject, encrypt, detect, export")
     _add_workload_flags(p_run)
     _add_forest_flags(p_run)
-    p_run.add_argument("--threshold-fit", choices=["all", "train"],
+    p_run.add_argument("--threshold-fit", type=_one_of("all", "train"), metavar="{all,train}",
                        default=_env_default("THRESHOLD_FIT", "all"),
-                       help="fit the timing cut-off on the whole run or the train subset")
+                       help="fit the timing cut-off on the whole run (all) or the train subset "
+                            "(train) (default all)")
     _add_out_dir_flag(p_run)
     p_run.set_defaults(func=cmd_run)
 
@@ -328,6 +343,7 @@ def cmd_train(args) -> int:
         cfg = _build_run_config(args, args.command_parser)
         data = build_dataset(run_pipeline(cfg, args.key_hex), args.byte_source)
     model = fit_forest(data, hyper)
+    Path(args.model_out).parent.mkdir(parents=True, exist_ok=True)
     save_model(model, args.model_out)
     report = score(predict_all(model, data.X), data.y.tolist(), "forest")
     print(f"trained {hyper.n_trees} trees on {len(data)} samples")

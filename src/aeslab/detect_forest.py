@@ -9,6 +9,13 @@ thresholds between consecutive distinct sorted values, and the split with
 the highest Gini gain wins. Ties resolve to the lowest feature index, then
 the lowest threshold; a node with no strictly positive gain becomes a leaf.
 
+Columns whose values are all integers in [0, 255] (the 16 byte features) are
+scored from per-class value histograms, every such column in one pass; this
+yields the same integer counts, and so the same thresholds and gains, as the
+sorted scan that other columns (the latency) get. Each tree is stored as
+flat pre-order arrays, and prediction descends all rows through one tree at
+a time, one numpy step per level.
+
 Everything is deterministic given (hyperparams, training data): each tree
 draws its bootstrap sample and feature subsets from a generator derived
 from the forest seed and the tree index.
@@ -18,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import IO, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,24 +89,55 @@ class ForestHyperparams:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
 
 
-@dataclass
-class TreeNode:
-    """Internal node (feature_index/threshold/children) or leaf (class_counts)."""
+@dataclass(frozen=True)
+class Tree:
+    """One CART tree as flat arrays with one entry per node, in pre-order.
 
-    feature_index: Optional[int] = None
-    threshold: Optional[float] = None
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    class_counts: Optional[Tuple[int, int]] = None
+    Node 0 is the root and a split node's left child is the node after it.
+    A split sends rows with X[:, feature] <= threshold left, the rest right.
+    A leaf has feature -1, is its own left and right child (so a descent that
+    reaches it stays there) and holds its (benign, anomalous) training counts;
+    split nodes hold zero counts.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.class_counts is not None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("feature", np.intp), ("threshold", np.float64), ("left", np.intp),
+                            ("right", np.intp), ("counts", np.int64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        n = self.feature.size
+        if n < 1 or self.counts.shape != (n, 2) or any(
+            a.shape != (n,) for a in (self.feature, self.threshold, self.left, self.right)
+        ):
+            raise ValueError("tree arrays must hold the same number (at least 1) of nodes")
+
+
+def _preorder_tree(
+    feature: List[int], threshold: List[float], counts: List[Tuple[int, int]]
+) -> Tree:
+    """Link a complete pre-order node sequence (feature -1 marks a leaf) into a Tree."""
+    left = list(range(len(feature)))
+    right = list(range(len(feature)))
+    awaiting_right = []  # split nodes whose right child is still to come
+    for node, f in enumerate(feature):
+        if node:
+            if feature[node - 1] >= 0:
+                left[node - 1] = node
+            else:
+                right[awaiting_right.pop()] = node
+        if f >= 0:
+            awaiting_right.append(node)
+    return Tree(feature, threshold, left, right, counts)
 
 
 @dataclass(frozen=True)
 class ForestModel:
-    trees: Tuple[TreeNode, ...]
+    trees: Tuple[Tree, ...]
     hyper: ForestHyperparams
     n_features: int
 
@@ -197,6 +235,107 @@ def _gini_vec(c0: np.ndarray, c1: np.ndarray, total: np.ndarray) -> np.ndarray:
     return 1.0 - (p0 * p0 + p1 * p1)
 
 
+def _gains(n_left, left1, n: int, total0: int, total1: int, parent: float) -> np.ndarray:
+    """Gini gain of each cut with n_left of the n samples, left1 of them anomalous, on the left."""
+    left0 = n_left - left1
+    right1 = total1 - left1
+    right0 = total0 - left0
+    n_right = n - n_left
+    child = n_left * _gini_vec(left0, left1, n_left) + n_right * _gini_vec(right0, right1, n_right)
+    return parent - child / n
+
+
+def _sorted_scan(col: np.ndarray, y: np.ndarray, total0: int, total1: int, parent: float):
+    """(gain, threshold) of the best midpoint split of one column, or None if it is constant."""
+    n = y.size
+    order = np.argsort(col, kind="stable")
+    v = col[order]
+    lab = y[order]
+    boundary = np.nonzero(v[:-1] < v[1:])[0]
+    if boundary.size == 0:
+        return None
+    mids = (v[boundary] + v[boundary + 1]) / 2.0
+    # left set is {value <= mid}; duplicates and midpoint rounding are
+    # absorbed by counting against the sorted column itself
+    n_left = np.searchsorted(v, mids, side="right")
+    keep = (n_left > 0) & (n_left < n)
+    if not keep.any():
+        return None
+    mids = mids[keep]
+    n_left = n_left[keep]
+    cum1 = np.cumsum(lab, dtype=np.int64)
+    left1 = cum1[n_left - 1]
+    gains = _gains(n_left, left1, n, total0, total1, parent)
+    pick = int(np.argmax(gains))
+    return float(gains[pick]), float(mids[pick])
+
+
+def _byte_valued(rows: np.ndarray) -> np.ndarray:
+    """Whether each row of a 2-D array holds only integers in [0, 255]."""
+    return (rows.min(axis=1) >= 0) & (rows.max(axis=1) <= 255) & (np.floor(rows) == rows).all(axis=1)
+
+
+def _byte_scan(cols: np.ndarray, y: np.ndarray, total0: int, total1: int, parent: float):
+    """(gain, row, threshold) of the best split over rows of cols holding integers in [0, 255].
+
+    cols has one row per candidate column. One histogram over bins
+    (class, row, value) gives, by cumulative sum, the same integer left-side
+    counts at each value the sorted scan would cut after, so the gains match
+    it bit for bit. None if every row is constant.
+    """
+    k, n = cols.shape
+    bins = 256 * k
+    codes = (cols + 256 * np.arange(k)[:, None] + bins * y).astype(np.intp).ravel()
+    left = np.bincount(codes, minlength=2 * bins).reshape(2, k, 256).cumsum(axis=2)
+    n_left_all = (left[0] + left[1]).ravel()
+    # Cutting after a value that no row holds repeats the counts of the last
+    # value held below it, which comes first in (row, value) order; so the
+    # first maximum lands on a held value: the lowest row, then the lowest
+    # threshold, as in the sorted scan.
+    cand = np.flatnonzero((n_left_all > 0) & (n_left_all < n))
+    if cand.size == 0:
+        return None
+    n_left = n_left_all[cand]
+    left1 = left[1].ravel()[cand]
+    gains = _gains(n_left, left1, n, total0, total1, parent)
+    pick = int(np.argmax(gains))
+    j, lo = divmod(int(cand[pick]), 256)
+    row = n_left_all[256 * j:256 * (j + 1)]
+    hi = int(np.searchsorted(row, row[lo], side="right"))  # the next value held
+    return float(gains[pick]), j, (lo + hi) / 2.0
+
+
+def _split_columns(
+    cols: np.ndarray, y: np.ndarray, feats: np.ndarray, is_byte: np.ndarray
+) -> Optional[Split]:
+    """best_split over cols, whose row j holds feature feats[j] (ascending) for every sample.
+
+    Rows flagged in is_byte hold only integers in [0, 255] and are scored
+    together from histograms; the others get the sorted scan.
+    """
+    n = y.size
+    total1 = int(np.count_nonzero(y))
+    total0 = n - total1
+    parent = gini((total0, total1))
+    found = []  # (feature, gain, threshold) of each scan's best
+    if is_byte.any():
+        byte_feats = feats[is_byte]
+        hit = _byte_scan(cols[is_byte], y, total0, total1, parent)
+        if hit is not None:
+            found.append((int(byte_feats[hit[1]]), hit[0], hit[2]))
+    for j in np.flatnonzero(~is_byte):
+        hit = _sorted_scan(cols[j], y, total0, total1, parent)
+        if hit is not None:
+            found.append((int(feats[j]), *hit))
+    best: Optional[Split] = None
+    for f, gain, threshold in sorted(found):
+        if best is None or gain > best.gain:
+            best = Split(f, threshold, gain)
+    if best is None or not best.gain > 0.0:
+        return None
+    return best
+
+
 def best_split(X: np.ndarray, y: np.ndarray, features: Sequence[int]) -> Optional[Split]:
     """Highest-gain (feature, threshold) over the candidate features, or None.
 
@@ -204,80 +343,63 @@ def best_split(X: np.ndarray, y: np.ndarray, features: Sequence[int]) -> Optiona
     index, then the lowest threshold. Returns None when no candidate split
     has gain strictly above zero.
     """
-    n = y.size
-    if n == 0:
+    if y.size == 0:
         raise ValueError("cannot split an empty sample set")
-    feats = sorted({int(f) for f in features})
-    if not feats:
+    feats = np.asarray(sorted({int(f) for f in features}), dtype=np.intp)
+    if not feats.size:
         raise ValueError("candidate features must not be empty")
     if feats[0] < 0 or feats[-1] >= X.shape[1]:
         raise ValueError("candidate feature index out of range")
-    total1 = int(y.sum())
-    total0 = n - total1
-    parent = gini((total0, total1))
-    best: Optional[Split] = None
-    for f in feats:
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        v = col[order]
-        lab = y[order]
-        boundary = np.nonzero(v[:-1] < v[1:])[0]
-        if boundary.size == 0:
-            continue
-        mids = (v[boundary] + v[boundary + 1]) / 2.0
-        # left set is {value <= mid}; duplicates and midpoint rounding are
-        # absorbed by counting against the sorted column itself
-        n_left = np.searchsorted(v, mids, side="right")
-        keep = (n_left > 0) & (n_left < n)
-        if not keep.any():
-            continue
-        mids = mids[keep]
-        n_left = n_left[keep]
-        cum1 = np.cumsum(lab, dtype=np.int64)
-        left1 = cum1[n_left - 1]
-        left0 = n_left - left1
-        right1 = total1 - left1
-        right0 = total0 - left0
-        n_right = n - n_left
-        child = n_left * _gini_vec(left0, left1, n_left) + n_right * _gini_vec(right0, right1, n_right)
-        gains = parent - child / n
-        pick = int(np.argmax(gains))
-        gain = float(gains[pick])
-        if best is None or gain > best.gain:
-            best = Split(f, float(mids[pick]), gain)
-    if best is None or not best.gain > 0.0:
-        return None
-    return best
+    cols = X[:, feats].T
+    return _split_columns(cols, np.asarray(y, dtype=bool), feats, _byte_valued(cols))
 
 
-def fit_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    hyper: ForestHyperparams,
-    rng: np.random.Generator,
-    depth: int = 0,
-) -> TreeNode:
-    """Grow one CART tree (rooted at depth) on (X, y), drawing features from rng."""
+def fit_tree(X: np.ndarray, y: np.ndarray, hyper: ForestHyperparams, rng: np.random.Generator) -> Tree:
+    """Grow one CART tree on (X, y), drawing each node's candidate features from rng.
+
+    Nodes are grown in pre-order (a node, its left subtree, its right
+    subtree) from an explicit stack, which fixes the order of rng draws.
+    """
     if y.size == 0:
         raise ValueError("cannot fit a tree on an empty sample set")
-    c1 = int(y.sum())
-    c0 = y.size - c1
-    if (
-        c0 == 0
-        or c1 == 0
-        or y.size < hyper.min_samples_split
-        or (hyper.max_depth is not None and depth >= hyper.max_depth)
-    ):
-        return TreeNode(class_counts=(c0, c1))
-    d = X.shape[1]
+    n, d = X.shape
     k = min(hyper.features_per_split, d)
-    split = best_split(X, y, np.sort(rng.choice(d, size=k, replace=False)))
-    if split is None:
-        return TreeNode(class_counts=(c0, c1))
-    mask = X[:, split.feature_index] <= split.threshold
-    left = fit_tree(X[mask], y[mask], hyper, rng, depth + 1)
-    right = fit_tree(X[~mask], y[~mask], hyper, rng, depth + 1)
-    return TreeNode(feature_index=split.feature_index, threshold=split.threshold, left=left, right=right)
+    y = np.asarray(y, dtype=bool)
+    by_feature = np.ascontiguousarray(X.T).ravel()  # feature f of row i at f * n + i
+    # a column byte-valued over all rows is byte-valued in every node; one that
+    # is not may still be within a node, but the sorted scan scores it the same
+    is_byte = _byte_valued(by_feature.reshape(d, n))
+    feature: List[int] = []
+    threshold: List[float] = []
+    counts: List[Tuple[int, int]] = []
+    pending = [(np.arange(n), 0)]  # subtrees still to grow: row indices, depth; next on top
+    while pending:
+        rows, depth = pending.pop()
+        yn = y[rows]
+        c1 = int(np.count_nonzero(yn))
+        c0 = rows.size - c1
+        split = None
+        if (
+            c0
+            and c1
+            and rows.size >= hyper.min_samples_split
+            and (hyper.max_depth is None or depth < hyper.max_depth)
+        ):
+            feats = np.sort(rng.choice(d, size=k, replace=False))
+            cols = by_feature.take(feats[:, None] * n + rows)
+            split = _split_columns(cols, yn, feats, is_byte[feats])
+        if split is None:
+            feature.append(-1)
+            threshold.append(0.0)
+            counts.append((c0, c1))
+            continue
+        feature.append(split.feature_index)
+        threshold.append(split.threshold)
+        counts.append((0, 0))
+        mask = by_feature.take(split.feature_index * n + rows) <= split.threshold
+        pending.append((rows[~mask], depth + 1))
+        pending.append((rows[mask], depth + 1))
+    return _preorder_tree(feature, threshold, counts)
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -300,12 +422,24 @@ def fit_forest(train: Dataset, hyper: ForestHyperparams) -> ForestModel:
     return ForestModel(tuple(trees), hyper, train.X.shape[1])
 
 
-def _tree_vote(root: TreeNode, values: Sequence[float]) -> bool:
-    node = root
-    while not node.is_leaf:
-        node = node.left if values[node.feature_index] <= node.threshold else node.right
-    c0, c1 = node.class_counts
-    return c1 > c0  # ties vote benign
+def _tree_votes(tree: Tree, values: np.ndarray, row_starts: np.ndarray) -> np.ndarray:
+    """Whether tree's leaf for each row holds more anomalous than benign counts.
+
+    values is a row-major feature matrix, flattened; row r starts at
+    row_starts[r]. All rows descend together, one level per step, until none
+    moves. A leaf reads feature 0, which is harmless: both its children are
+    itself.
+    """
+    read = np.maximum(tree.feature, 0)
+    children = np.stack([tree.right, tree.left], axis=1).ravel()  # at 2 * node + goes_left
+    node = np.zeros(row_starts.size, dtype=np.intp)
+    while True:
+        goes_left = values.take(row_starts + read.take(node)) <= tree.threshold.take(node)
+        step = children.take(2 * node + goes_left)
+        if np.array_equal(step, node):
+            break
+        node = step
+    return (tree.counts[:, 1] > tree.counts[:, 0]).take(node)  # ties vote benign
 
 
 def predict_all(model: ForestModel, X: np.ndarray) -> List[bool]:
@@ -313,12 +447,12 @@ def predict_all(model: ForestModel, X: np.ndarray) -> List[bool]:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected rows of {model.n_features} features, got shape {X.shape}")
-    preds = []
-    for row in X:
-        values = row.tolist()  # plain floats: cheaper to index than numpy scalars
-        votes = sum(_tree_vote(root, values) for root in model.trees)
-        preds.append(2 * votes > len(model.trees))
-    return preds
+    values = X.ravel()
+    row_starts = np.arange(X.shape[0]) * X.shape[1]
+    votes = np.zeros(X.shape[0], dtype=np.int64)
+    for tree in model.trees:
+        votes += _tree_votes(tree, values, row_starts)
+    return (2 * votes > len(model.trees)).tolist()
 
 
 MODEL_MAGIC = "aeslab-forest"
@@ -327,19 +461,6 @@ MODEL_VERSION = 1
 
 class ModelFormatError(ValueError):
     """Model file is missing, malformed, or from an unsupported version."""
-
-
-def _write_tree(root: TreeNode, out: IO[str]) -> None:
-    """Pre-order dump: a node's line, then its left subtree, then its right."""
-    pending = [root]
-    while pending:
-        node = pending.pop()
-        if node.is_leaf:
-            c0, c1 = node.class_counts
-            out.write(f"l {c0} {c1}\n")
-        else:
-            out.write(f"i {node.feature_index} {node.threshold!r}\n")
-            pending += [node.right, node.left]
 
 
 def save_model(model: ForestModel, path: str) -> None:
@@ -356,16 +477,20 @@ def save_model(model: ForestModel, path: str) -> None:
         out.write(f"train_fraction {hyper.train_fraction!r}\n")
         for i, tree in enumerate(model.trees):
             out.write(f"tree {i}\n")
-            _write_tree(tree, out)
+            nodes = zip(tree.feature.tolist(), tree.threshold.tolist(), tree.counts.tolist())
+            for f, t, (c0, c1) in nodes:
+                out.write(f"l {c0} {c1}\n" if f < 0 else f"i {f} {t!r}\n")
         out.write("end\n")
 
 
-def _read_tree(lines: Iterator[str], hyper: ForestHyperparams, n_features: int) -> TreeNode:
-    """Rebuild one pre-order tree with an explicit stack, so depth is not bound by recursion."""
-    root = TreeNode()
-    pending = [(root, 0)]  # nodes whose line comes next, in pre-order, with their depth
+def _read_tree(lines: Iterator[str], hyper: ForestHyperparams, n_features: int) -> Tree:
+    """Read one pre-order tree with an explicit stack, so depth is not bound by recursion."""
+    feature: List[int] = []
+    threshold: List[float] = []
+    counts: List[Tuple[int, int]] = []
+    pending = [0]  # depths of the nodes whose lines come next, next on top
     while pending:
-        node, depth = pending.pop()
+        depth = pending.pop()
         try:
             parts = next(lines).split()
         except StopIteration:
@@ -374,23 +499,27 @@ def _read_tree(lines: Iterator[str], hyper: ForestHyperparams, n_features: int) 
         if len(parts) != 3 or parts[0] not in ("i", "l"):
             raise ModelFormatError(f"unrecognized node line: {line!r}")
         try:
-            if parts[0] == "l":
-                node.class_counts = (int(parts[1]), int(parts[2]))
-            else:
-                node.feature_index, node.threshold = int(parts[1]), float(parts[2])
+            a, b = int(parts[1]), (int if parts[0] == "l" else float)(parts[2])
         except ValueError:
             raise ModelFormatError(f"unparsable node line: {line!r}") from None
-        if node.is_leaf:
-            if min(node.class_counts) < 0:
+        if parts[0] == "l":
+            if min(a, b) < 0:
                 raise ModelFormatError(f"negative class count in leaf: {line!r}")
-        elif not 0 <= node.feature_index < n_features:
+            if max(a, b) >= 2**63:
+                raise ModelFormatError(f"class count beyond 64 bits in leaf: {line!r}")
+            feature.append(-1)
+            threshold.append(0.0)
+            counts.append((a, b))
+        elif not 0 <= a < n_features:
             raise ModelFormatError(f"feature index outside [0, {n_features}): {line!r}")
         elif hyper.max_depth is not None and depth >= hyper.max_depth:
             raise ModelFormatError(f"tree grows deeper than max_depth {hyper.max_depth}")
         else:
-            node.left, node.right = TreeNode(), TreeNode()
-            pending += [(node.right, depth + 1), (node.left, depth + 1)]
-    return root
+            feature.append(a)
+            threshold.append(b)
+            counts.append((0, 0))
+            pending += [depth + 1, depth + 1]
+    return _preorder_tree(feature, threshold, counts)
 
 
 def _parse_header_field(lines: Iterator[str], name: str) -> str:
@@ -428,8 +557,8 @@ def load_model(path: str) -> ForestModel:
         hyper.validate()
     except ValueError as exc:
         raise ModelFormatError(f"invalid model header: {exc}") from None
-    if n_features < 1:
-        raise ModelFormatError("invalid model header: n_features must be at least 1")
+    if not 1 <= n_features < 2**63:
+        raise ModelFormatError("invalid model header: n_features must lie in [1, 2**63)")
     trees = []
     for i in range(n_trees):
         marker = _parse_header_field(lines, "tree")

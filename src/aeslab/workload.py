@@ -24,6 +24,9 @@ ASCII_HIGH = 0x7E
 
 DEFAULT_DELAY_MIN_US = 5_000.0
 DEFAULT_DELAY_MAX_US = 20_000.0
+# one hour: far beyond any useful injected delay, and well inside what
+# time.sleep accepts in real mode
+MAX_DELAY_US = 3_600_000_000.0
 
 # spawn_key streams: block bytes, anomaly schedule, simulated per-block timing
 _STREAM_BLOCKS = 0
@@ -117,8 +120,8 @@ class RunConfig:
             raise ValueError("workers must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a non-negative 64-bit integer")
-        if self.delay_min_us <= 0 or self.delay_max_us < self.delay_min_us:
-            raise ValueError("delay range must satisfy 0 < min <= max")
+        if not 0 < self.delay_min_us <= self.delay_max_us <= MAX_DELAY_US:
+            raise ValueError(f"delay range must satisfy 0 < min <= max <= {MAX_DELAY_US:g}")
         if self.work_amplification < 1:
             raise ValueError("work_amplification must be at least 1")
         if self.base_time_us < 0 or self.jitter_us < 0:

@@ -78,6 +78,16 @@ def test_saved_model_keeps_the_preorder_dump(tmp_path, capsys):
     assert len(predict_all(model, data.X)) == len(data)
 
 
+def test_train_creates_the_model_directory(tmp_path, capsys):
+    # the benchmark starts `run --out-dir D` and `train --model-out D/model.txt`
+    # at the same time, so train must not rely on run having made D
+    model_path = tmp_path / "not-yet" / "model.txt"
+    assert cli.main(["train", "--mode", "simulated", "--blocks", "60", "--inject-pct", "40",
+                     "--trees", "2", "--model-out", str(model_path)]) == 0
+    capsys.readouterr()
+    assert len(load_model(str(model_path)).trees) == 2
+
+
 def _blocks_csv(tmp_path):
     path = tmp_path / "probe.csv"
     header = ["index", "time_us"] + [f"b{i}" for i in range(16)]

@@ -67,6 +67,28 @@ def test_run_rejects_out_of_range_injection(tmp_path):
         assert excinfo.value.code == 2
 
 
+def test_run_rejects_seeds_beyond_64_bits(tmp_path, capsys):
+    for seed in ("18446744073709551616", "-1"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(_run_flags(tmp_path, **{"--seed": seed}))
+        assert excinfo.value.code == 2
+    assert "18446744073709551615" in capsys.readouterr().err
+    assert main(_run_flags(tmp_path, **{"--seed": "18446744073709551615"})) == 0
+
+
+def test_run_rejects_delays_beyond_the_bound(tmp_path, capsys):
+    argv = _run_flags(tmp_path, **{"--mode": "real", "--inject-pct": "100",
+                                   "--delay-min-us": "1e299", "--delay-max-us": "1e300"})
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "--delay-min-us" in err and "Traceback" not in err
+    with pytest.raises(SystemExit) as excinfo:
+        main(_run_flags(tmp_path, **{"--delay-max-us": "3.6e9"}))  # the bound itself is out
+    assert excinfo.value.code == 2
+
+
 def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, monkeypatch):
     for flag, value in (("--delay-max-us", "inf"), ("--delay-min-us", "nan"),
                         ("--train-fraction", "nan")):
@@ -134,7 +156,7 @@ def test_invalid_environment_enum_is_a_usage_error(tmp_path, monkeypatch):
         main(argv)
     assert excinfo.value.code == 2
     monkeypatch.delenv("AESLAB_MODE")
-    for name in ("AESLAB_BYTE_SOURCE", "AESLAB_INPUT_DIST"):
+    for name in ("AESLAB_BYTE_SOURCE", "AESLAB_INPUT_DIST", "AESLAB_THRESHOLD_FIT"):
         with monkeypatch.context() as m:
             m.setenv(name, "warp")
             with pytest.raises(SystemExit) as excinfo:

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,7 @@ from aeslab.detect_forest import (
     ForestHyperparams,
     ForestModel,
     ModelFormatError,
-    TreeNode,
+    Tree,
     best_split,
     build_dataset,
     fit_forest,
@@ -140,6 +143,45 @@ def test_best_split_matches_brute_force(data):
     assert abs(mine.gain - ref_gain) <= 1e-9
 
 
+def _mixed_columns(rng, n):
+    """Columns for both split paths: byte-valued (0-255 integers) and not.
+
+    Byte: 1 spans the full range, 3 has few values and many ties, 6 copies 1.
+    Not byte: 2 is continuous, 4 holds integers including -1 and 256, and 0
+    and 5 are order-preserving twins of 3 and 1, so the two paths tie on
+    gain and the lower feature index must win either way.
+    """
+    full = rng.integers(0, 256, size=n)
+    full[:2] = (0, 255)
+    narrow = rng.integers(0, 4, size=n)
+    outside = rng.choice([-1, 0, 7, 255, 256], size=n)
+    outside[:2] = (-1, 256)
+    return np.column_stack(
+        [narrow + 1000, full, rng.random(n) * 300.0, narrow, outside, full * 2 + 300, full]
+    ).astype(np.float64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_best_split_matches_brute_force_on_byte_and_other_columns(data):
+    n = data.draw(st.integers(2, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    X = _mixed_columns(rng, n)
+    y = rng.integers(0, 2, size=n)
+    features = data.draw(st.sets(st.integers(0, X.shape[1] - 1), min_size=1))
+    mine = _best_split(_dataset(X, y), features)
+    reference = brute_force_best_split(X, y, features)
+    if reference is None:
+        assert mine is None
+        return
+    assert mine is not None
+    ref_feature, ref_threshold, ref_gain = reference
+    assert mine.feature_index == ref_feature
+    assert np.array_equal(X[:, mine.feature_index] <= mine.threshold, X[:, ref_feature] <= ref_threshold)
+    assert mine.threshold == ref_threshold
+    assert abs(mine.gain - ref_gain) <= 1e-9
+
+
 def test_best_split_partition_invariant_under_monotone_renumbering():
     rng = np.random.default_rng(99)
     X = rng.random((40, 3))
@@ -220,11 +262,29 @@ def _rng_stream(seed=0):
     return np.random.default_rng(seed)
 
 
+def _walk(tree, values):
+    """Scalar reference descent: follow one row from the root to its leaf's vote."""
+    node = 0
+    while not _is_leaf(tree, node):
+        go_left = values[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    c0, c1 = _class_counts(tree, node)
+    return c1 > c0
+
+
+def _is_leaf(tree, node=0):
+    return tree.feature[node] < 0
+
+
+def _class_counts(tree, node=0):
+    return tuple(tree.counts[node].tolist())
+
+
 def test_fit_tree_pure_input_is_single_leaf():
     data = _dataset([[1.0], [2.0], [3.0]], [1, 1, 1])
     root = fit_tree(data.X, data.y, ForestHyperparams(), _rng_stream())
-    assert root.is_leaf
-    assert root.class_counts == (0, 3)
+    assert _is_leaf(root)
+    assert _class_counts(root) == (0, 3)
 
 
 def test_fit_tree_respects_max_depth():
@@ -233,19 +293,19 @@ def test_fit_tree_respects_max_depth():
     root = fit_tree(data.X, data.y, ForestHyperparams(max_depth=1, features_per_split=2), _rng_stream())
 
     def depth(node):
-        if node.is_leaf:
+        if _is_leaf(root, node):
             return 0
-        return 1 + max(depth(node.left), depth(node.right))
+        return 1 + max(depth(root.left[node]), depth(root.right[node]))
 
-    assert depth(root) <= 1
+    assert depth(0) <= 1
 
 
 def test_fit_tree_respects_min_samples_split():
     data = _dataset([[1.0], [2.0], [3.0], [4.0]], [0, 0, 1, 1])
     root = fit_tree(data.X, data.y, ForestHyperparams(min_samples_split=5, features_per_split=1),
                     _rng_stream())
-    assert root.is_leaf
-    assert root.class_counts == (2, 2)
+    assert _is_leaf(root)
+    assert _class_counts(root) == (2, 2)
 
 
 def test_fit_tree_fits_distinct_valued_data_perfectly():
@@ -254,14 +314,7 @@ def test_fit_tree_fits_distinct_valued_data_perfectly():
     y = rng.integers(0, 2, size=64)
     data = _dataset(X, y)
     root = fit_tree(data.X, data.y, ForestHyperparams(max_depth=None, features_per_split=3), _rng_stream())
-
-    def walk(node, values):
-        while not node.is_leaf:
-            node = node.left if values[node.feature_index] <= node.threshold else node.right
-        c0, c1 = node.class_counts
-        return c1 > c0
-
-    assert [walk(root, row) for row in X] == [bool(v) for v in y]
+    assert [_walk(root, row) for row in X] == [bool(v) for v in y]
 
 
 def test_fit_tree_rejects_empty_input():
@@ -332,17 +385,49 @@ def test_hyperparams_validation():
     ForestHyperparams().validate()
 
 
+def _leaf(c0, c1):
+    return Tree(feature=[-1], threshold=[0.0], left=[0], right=[0], counts=[(c0, c1)])
+
+
 def test_forest_vote_tie_stays_benign():
-    always_true = TreeNode(class_counts=(0, 5))
-    always_false = TreeNode(class_counts=(5, 0))
+    always_true = _leaf(0, 5)
+    always_false = _leaf(5, 0)
     model = ForestModel((always_true, always_false), ForestHyperparams(n_trees=2), 2)
     assert predict_all(model, np.asarray([[1.0, 2.0]])) == [False]
 
 
 def test_leaf_tie_votes_benign():
-    tied_leaf = TreeNode(class_counts=(3, 3))
+    tied_leaf = _leaf(3, 3)
     model = ForestModel((tied_leaf,), ForestHyperparams(n_trees=1), 1)
     assert predict_all(model, np.asarray([[0.0]])) == [False]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(4, 60),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.one_of(st.none(), st.integers(0, 6)),
+    st.integers(0, 2**32 - 1),
+)
+def test_forest_round_trips_and_predicts_like_a_scalar_walk(n, d, n_trees, max_depth, seed):
+    rng = np.random.default_rng(seed)
+    X = np.where(rng.random(d) < 0.5, rng.integers(0, 256, size=(n, d)), rng.random((n, d)) * 300.0)
+    y = rng.integers(0, 2, size=n)
+    y[:2] = (0, 1)
+    hyper = ForestHyperparams(n_trees=n_trees, max_depth=max_depth,
+                              features_per_split=int(rng.integers(1, d + 1)), seed=seed)
+    model = fit_forest(_dataset(X, y), hyper)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.txt", Path(tmp) / "second.txt"
+        save_model(model, str(first))
+        loaded = load_model(str(first))
+        save_model(loaded, str(second))
+        assert second.read_bytes() == first.read_bytes()
+    probe = np.vstack([X, rng.random((20, d)) * 300.0, rng.integers(0, 256, size=(20, d))])
+    scalar = [2 * sum(_walk(tree, row) for tree in model.trees) > n_trees for row in probe]
+    assert predict_all(model, probe) == scalar
+    assert predict_all(loaded, probe) == scalar
 
 
 def test_predict_rejects_wrong_shape():
@@ -433,6 +518,9 @@ def test_load_rejects_version_mismatch(tmp_path):
         "features_per_split 5\nseed 1\ntrain_fraction 0.7\nend\n",  # header fails validate()
         "aeslab-forest 1\nn_features 0\nn_trees 1\nmax_depth 16\nmin_samples_split 2\n"
         "features_per_split 5\nseed 1\ntrain_fraction 0.7\ntree 0\nl 1 0\nend\n",
+        "aeslab-forest 1\nn_features 9223372036854775808\nn_trees 1\nmax_depth 16\n"
+        "min_samples_split 2\nfeatures_per_split 5\nseed 1\ntrain_fraction 0.7\ntree 0\n"
+        "i 9223372036854775807 1.0\nl 1 0\nl 0 1\nend\n",  # indices beyond 64 bits
     ],
 )
 def test_load_rejects_malformed_files(tmp_path, content):
@@ -465,7 +553,9 @@ def _model_text(tmp_path):
     return path.read_text().splitlines()
 
 
-@pytest.mark.parametrize("bad_line", ["i 2 1.0", "i -1 1.0", "l -5 3", "i x 1.0", "l 1"])
+@pytest.mark.parametrize(
+    "bad_line", ["i 2 1.0", "i -1 1.0", "l -5 3", "i x 1.0", "l 1", "l 9223372036854775808 1"]
+)
 def test_load_rejects_bad_node_lines(tmp_path, bad_line):
     lines = _model_text(tmp_path)
     first_node = lines.index("tree 0") + 1

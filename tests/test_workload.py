@@ -156,6 +156,7 @@ def test_plain_block_rejects_wrong_size():
         ("seed", -1),
         ("delay_min_us", 0.0),
         ("delay_max_us", 1.0),  # below the default minimum
+        ("delay_max_us", 1e300),  # beyond MAX_DELAY_US: real mode could not sleep it
         ("work_amplification", 0),
         ("jitter_us", -1.0),
     ],
