@@ -354,12 +354,12 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    rows = read_blocks_csv(args.csv)
-    data, has_labels = rows_to_vectors(rows)
+    table = read_blocks_csv(args.csv)
+    data, has_labels = rows_to_vectors(table)
     preds = predict_all(model, data.X)
-    print("index,predicted")
-    for row, pred in zip(rows, preds):
-        print(f"{row.index},{'true' if pred else 'false'}")
+    words = ("false", "true")
+    rows = "".join([f"{i},{words[p]}\n" for i, p in zip(table.index.tolist(), preds)])
+    sys.stdout.write("index,predicted\n" + rows)
     if has_labels:
         report = score(preds, data.y.tolist(), "forest")
         _print_report(report)

@@ -13,8 +13,8 @@ Columns whose values are all integers in [0, 255] (the 16 byte features) are
 scored from per-class value histograms, every such column in one pass; this
 yields the same integer counts, and so the same thresholds and gains, as the
 sorted scan that other columns (the latency) get. Each tree is stored as
-flat pre-order arrays, and prediction descends all rows through one tree at
-a time, one numpy step per level.
+flat pre-order arrays. Prediction partitions the row numbers down each tree
+in turn, so a row is compared only at the nodes on its path.
 
 Everything is deterministic given (hyperparams, training data): each tree
 draws its bootstrap sample and feature subsets from a generator derived
@@ -24,12 +24,14 @@ from the forest seed and the tree index.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cipher import BlockRecord
+from .files import atomic_write
 
 N_FEATURES = 17
 
@@ -143,12 +145,15 @@ class ForestModel:
 
 
 def feature_dataset(
-    times_us: Sequence[float], payloads: Sequence[bytes], labels: Sequence[bool]
+    times_us: Sequence[float], payloads: np.ndarray, labels: Sequence[bool]
 ) -> Dataset:
-    """The 17-column table: latency, then the 16 payload bytes of each block."""
-    X = np.empty((len(times_us), N_FEATURES), dtype=np.float64)
+    """The 17-column table: latency, then the 16 payload bytes (uint8[n, 16]) of each block.
+
+    X is stored column by column (Fortran order), the layout predict_all reads.
+    """
+    X = np.empty((len(times_us), N_FEATURES), dtype=np.float64, order="F")
     X[:, 0] = times_us
-    X[:, 1:] = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(-1, N_FEATURES - 1)
+    X[:, 1:] = payloads
     return Dataset(X, labels)
 
 
@@ -160,9 +165,10 @@ def build_dataset(
     if not records:
         raise ValueError("cannot build features from an empty run")
     ordered = sorted(records, key=lambda r: r.index)
+    payloads = b"".join(byte_source.of(r) for r in ordered)
     return feature_dataset(
         [r.time_us for r in ordered],
-        [byte_source.of(r) for r in ordered],
+        np.frombuffer(payloads, dtype=np.uint8).reshape(-1, N_FEATURES - 1),
         [r.truth_label for r in ordered],
     )
 
@@ -422,36 +428,40 @@ def fit_forest(train: Dataset, hyper: ForestHyperparams) -> ForestModel:
     return ForestModel(tuple(trees), hyper, train.X.shape[1])
 
 
-def _tree_votes(tree: Tree, values: np.ndarray, row_starts: np.ndarray) -> np.ndarray:
-    """Whether tree's leaf for each row holds more anomalous than benign counts.
-
-    values is a row-major feature matrix, flattened; row r starts at
-    row_starts[r]. All rows descend together, one level per step, until none
-    moves. A leaf reads feature 0, which is harmless: both its children are
-    itself.
-    """
-    read = np.maximum(tree.feature, 0)
-    children = np.stack([tree.right, tree.left], axis=1).ravel()  # at 2 * node + goes_left
-    node = np.zeros(row_starts.size, dtype=np.intp)
-    while True:
-        goes_left = values.take(row_starts + read.take(node)) <= tree.threshold.take(node)
-        step = children.take(2 * node + goes_left)
-        if np.array_equal(step, node):
-            break
-        node = step
-    return (tree.counts[:, 1] > tree.counts[:, 0]).take(node)  # ties vote benign
-
-
 def predict_all(model: ForestModel, X: np.ndarray) -> List[bool]:
-    """Majority vote over all trees for each row of X; an exact tie stays benign."""
+    """Majority vote over all trees for each row of X; an exact tie stays benign.
+
+    Each tree partitions the row numbers down from its root: a split node
+    sends its rows' feature values through one comparison and hands each
+    side to its child, so a row is touched only at the nodes on its path. A
+    leaf adds a vote to its rows if it holds more anomalous than benign
+    counts.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected rows of {model.n_features} features, got shape {X.shape}")
-    values = X.ravel()
-    row_starts = np.arange(X.shape[0]) * X.shape[1]
+    by_feature = np.ascontiguousarray(X.T)  # row f holds feature f of every sample
     votes = np.zeros(X.shape[0], dtype=np.int64)
+    all_rows = np.arange(X.shape[0])
     for tree in model.trees:
-        votes += _tree_votes(tree, values, row_starts)
+        feature = tree.feature.tolist()
+        threshold = tree.threshold.tolist()
+        left = tree.left.tolist()
+        right = tree.right.tolist()
+        anomalous = (tree.counts[:, 1] > tree.counts[:, 0]).tolist()  # ties vote benign
+        pending = [(0, all_rows)]  # (node, the rows that reach it), next on top
+        while pending:
+            node, rows = pending.pop()
+            if not rows.size:
+                continue
+            f = feature[node]
+            if f < 0:
+                if anomalous[node]:
+                    votes[rows] += 1
+                continue
+            goes_left = by_feature[f].take(rows) <= threshold[node]
+            pending.append((right[node], rows.compress(~goes_left)))
+            pending.append((left[node], rows.compress(goes_left)))
     return (2 * votes > len(model.trees)).tolist()
 
 
@@ -464,9 +474,12 @@ class ModelFormatError(ValueError):
 
 
 def save_model(model: ForestModel, path: str) -> None:
-    """Write a versioned line-oriented text dump (floats via repr, pre-order trees)."""
+    """Write a versioned line-oriented text dump (floats via repr, pre-order trees).
+
+    The dump replaces an earlier file at path only once it is complete.
+    """
     hyper = model.hyper
-    with open(path, "w", encoding="ascii") as out:
+    with atomic_write(path, encoding="ascii") as out:
         out.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n")
         out.write(f"n_features {model.n_features}\n")
         out.write(f"n_trees {hyper.n_trees}\n")
@@ -507,11 +520,15 @@ def _read_tree(lines: Iterator[str], hyper: ForestHyperparams, n_features: int) 
                 raise ModelFormatError(f"negative class count in leaf: {line!r}")
             if max(a, b) >= 2**63:
                 raise ModelFormatError(f"class count beyond 64 bits in leaf: {line!r}")
+            if a == b == 0:
+                raise ModelFormatError(f"leaf holds no training samples: {line!r}")
             feature.append(-1)
             threshold.append(0.0)
             counts.append((a, b))
         elif not 0 <= a < n_features:
             raise ModelFormatError(f"feature index outside [0, {n_features}): {line!r}")
+        elif not math.isfinite(b):
+            raise ModelFormatError(f"split threshold is not a finite number: {line!r}")
         elif hyper.max_depth is not None and depth >= hyper.max_depth:
             raise ModelFormatError(f"tree grows deeper than max_depth {hyper.max_depth}")
         else:

@@ -88,6 +88,29 @@ def test_train_creates_the_model_directory(tmp_path, capsys):
     assert len(load_model(str(model_path)).trees) == 2
 
 
+def test_csv_counters_count_rows_and_are_looked_up_at_call_time(tmp_path, capsys, monkeypatch):
+    # the tracer counts blocks as len(read_blocks_csv(...)) and len(rows_to_vectors(...)[0])
+    path = _blocks_csv(tmp_path)
+    table = read_blocks_csv(path)
+    assert len(table) == 4
+    assert len(rows_to_vectors(table)[0]) == 4
+
+    model_path = tmp_path / "m.txt"
+    assert cli.main(["train", "--mode", "simulated", "--blocks", "60", "--inject-pct", "40",
+                     "--trees", "2", "--model-out", str(model_path)]) == 0
+    counted = {}
+    for name in ("read_blocks_csv", "rows_to_vectors"):
+        def traced(*args, _original=getattr(cli, name), _name=name):
+            result = _original(*args)
+            counted[_name] = len(result if _name == "read_blocks_csv" else result[0])
+            return result
+        monkeypatch.setattr(cli, name, traced)
+    capsys.readouterr()
+    assert cli.main(["predict", "--model", str(model_path), "--csv", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4
+    assert counted == {"read_blocks_csv": 4, "rows_to_vectors": 4}
+
+
 def _blocks_csv(tmp_path):
     path = tmp_path / "probe.csv"
     header = ["index", "time_us"] + [f"b{i}" for i in range(16)]

@@ -554,11 +554,15 @@ def _model_text(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad_line", ["i 2 1.0", "i -1 1.0", "l -5 3", "i x 1.0", "l 1", "l 9223372036854775808 1"]
+    "bad_line",
+    ["i 2 1.0", "i -1 1.0", "l -5 3", "i x 1.0", "l 1", "l 9223372036854775808 1",
+     "i 1 nan", "i 0 -inf", "l 0 0"],
 )
 def test_load_rejects_bad_node_lines(tmp_path, bad_line):
     lines = _model_text(tmp_path)
-    first_node = lines.index("tree 0") + 1
+    # the first node line of the same kind, so a split stays a split and a leaf a leaf
+    first_node = next(k for k in range(lines.index("tree 0") + 1, len(lines))
+                      if lines[k][:2] == bad_line[:2])
     lines[first_node] = bad_line
     path = tmp_path / "bad.txt"
     path.write_text("\n".join(lines) + "\n")
@@ -590,3 +594,16 @@ def test_load_reads_deep_trees_without_recursion(tmp_path):
         path.write_text(text)
         with pytest.raises(ModelFormatError):
             load_model(str(path))
+
+
+def test_save_model_failing_midway_keeps_the_earlier_file(tmp_path):
+    hyper = ForestHyperparams(n_trees=2, features_per_split=2)
+    model = fit_forest(_separable_training_set(n=40), hyper)
+    path = tmp_path / "model.txt"
+    save_model(model, str(path))
+    before = path.read_bytes()
+    broken = ForestModel((model.trees[0], object()), model.hyper, model.n_features)
+    with pytest.raises(AttributeError):
+        save_model(broken, str(path))  # fails after writing tree 0
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.txt"]

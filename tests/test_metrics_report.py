@@ -1,10 +1,17 @@
+import csv
+import io
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aeslab.cipher import Key128, run_pipeline
-from aeslab.detect_forest import ByteSource
+import aeslab.metrics_report as metrics_report
+from aeslab.cipher import BlockRecord, Key128, run_pipeline
+from aeslab.detect_forest import ByteSource, build_dataset
 from aeslab.metrics_report import (
     ComparisonReport,
     ConfusionCounts,
@@ -16,7 +23,9 @@ from aeslab.metrics_report import (
     run_id,
     score,
 )
-from aeslab.workload import Mode, RunConfig
+from aeslab.workload import AnomalyKind, AnomalyTag, Mode, RunConfig
+
+import oracle_csv
 
 
 def test_score_hand_case():
@@ -158,16 +167,16 @@ def test_export_is_reproducible(tmp_path):
 def test_export_round_trip_reproduces_rows(tmp_path):
     cfg, records, tp, fp, rt, rf = _scored_run()
     blocks_path, _ = _export(tmp_path, cfg, records, tp, fp, rt, rf)
-    rows = read_blocks_csv(blocks_path)
-    assert len(rows) == len(records)
-    for row, rec, t_pred, f_pred in zip(rows, records, tp, fp):
-        assert row.index == rec.index
-        assert row.time_us == pytest.approx(rec.time_us, abs=5e-4)  # 3-decimal file
-        assert row.truth_label == rec.truth_label
-        assert row.threshold_pred == t_pred
-        assert row.forest_pred == f_pred
-        assert row.feature_bytes == rec.plaintext
-        assert row.tag == rec.tag.kind.value
+    table = read_blocks_csv(blocks_path)
+    assert len(table) == len(records)
+    assert table.index.tolist() == [rec.index for rec in records]
+    # 3-decimal file
+    assert table.time_us.tolist() == pytest.approx([rec.time_us for rec in records], abs=5e-4)
+    assert table.truth_label.tolist() == [rec.truth_label for rec in records]
+    assert table.threshold_pred.tolist() == tp
+    assert table.forest_pred.tolist() == fp
+    assert [bytes(row) for row in table.feature_bytes] == [rec.plaintext for rec in records]
+    assert list(table.tag) == [rec.tag.kind.value for rec in records]
 
 
 def test_export_rejects_prediction_length_mismatch(tmp_path):
@@ -227,20 +236,32 @@ def test_read_blocks_csv_rejects_bad_rows_by_line(tmp_path, row, message):
         read_blocks_csv(path)
 
 
+def test_read_blocks_csv_names_the_line_of_an_oversized_field(tmp_path):
+    # csv.Error is not a ValueError; the reader turns it into one
+    header = ",".join(["index", "time_us", "tag"] + [f"b{i}" for i in range(16)])
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join([header, "0,1.0,none," + ZERO_BYTES,
+                               "1,1.0," + "x" * (csv.field_size_limit() + 1) + "," + ZERO_BYTES])
+                    + "\n")
+    with pytest.raises(ValueError, match="line 3: field larger than field limit"):
+        read_blocks_csv(path)
+    with pytest.raises(ValueError, match="line 3: field larger than field limit"):
+        oracle_csv.read_rows(path)
+
+
 def test_rows_to_vectors_with_and_without_labels(tmp_path):
     cfg, records, tp, fp, rt, rf = _scored_run(n=20)
     blocks_path, _ = _export(tmp_path, cfg, records, tp, fp, rt, rf)
-    rows = read_blocks_csv(blocks_path)
-    data, has_labels = rows_to_vectors(rows)
+    table = read_blocks_csv(blocks_path)
+    data, has_labels = rows_to_vectors(table)
     assert has_labels
     assert data.y.tolist() == [r.truth_label for r in records]
     assert data.X.shape == (20, 17)
-    assert data.X[:, 0].tolist() == [r.time_us for r in rows]
-    assert [bytes(int(b) for b in x[1:]) for x in data.X] == [r.feature_bytes for r in rows]
+    assert data.X[:, 0].tolist() == table.time_us.tolist()
+    payloads = [bytes(r) for r in table.feature_bytes]
+    assert [bytes(int(b) for b in x[1:]) for x in data.X] == payloads
 
     # drop the label column and parse again
-    import csv
-
     stripped = tmp_path / "nolabel.csv"
     with open(blocks_path, newline="") as src, open(stripped, "w", newline="") as dst:
         reader = csv.DictReader(src)
@@ -253,3 +274,166 @@ def test_rows_to_vectors_with_and_without_labels(tmp_path):
     assert not has_labels2
     assert len(data2) == 20
     assert not data2.y.any()
+
+
+class _Exploding:
+    def __bool__(self):
+        raise RuntimeError("stop writing here")
+
+
+def test_export_failing_midway_keeps_the_earlier_files(tmp_path):
+    cfg, records, tp, fp, rt, rf = _scored_run(n=40)
+    paths = _export(tmp_path, cfg, records, tp, fp, rt, rf)
+    before = [p.read_bytes() for p in paths]
+    broken = tp[:20] + [_Exploding()] + tp[21:]
+    with pytest.raises(RuntimeError):
+        _export(tmp_path, cfg, records, broken, fp, rt, rf)  # fails at block 20
+    assert [p.read_bytes() for p in paths] == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
+
+
+_TAGS = {
+    AnomalyKind.NONE: AnomalyTag(),
+    AnomalyKind.DELAY: AnomalyTag(AnomalyKind.DELAY, 5000.0),
+    AnomalyKind.FAULT: AnomalyTag(AnomalyKind.FAULT),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_export_then_read_gives_back_the_dataset(data):
+    n = data.draw(st.integers(2, 40))
+    block = st.binary(min_size=16, max_size=16)
+    records = [
+        BlockRecord(i, data.draw(block), data.draw(block),
+                    data.draw(st.floats(0.0, 1e9)), _TAGS[data.draw(st.sampled_from(AnomalyKind))])
+        for i in range(n)
+    ]
+    byte_source = data.draw(st.sampled_from(ByteSource))
+    truths = [r.truth_label for r in records]
+    preds = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rt, rf = score(preds, truths, "threshold"), score(truths, truths, "forest")
+    with tempfile.TemporaryDirectory() as tmp:
+        blocks_path, _ = export_csv(
+            records, [rt, rf], compare(rt, rf), tmp,
+            predictions={"threshold": preds, "forest": truths},
+            cfg=RunConfig(n_blocks=n), byte_source=byte_source,
+            threshold_fit="all", threshold_us=1.0,
+        )
+        got, has_labels = rows_to_vectors(read_blocks_csv(blocks_path))
+    want = build_dataset(records, byte_source)
+    assert has_labels
+    assert got.X[:, 1:].tobytes() == want.X[:, 1:].tobytes()
+    assert got.y.tolist() == want.y.tolist()
+    assert got.X[:, 0].tolist() == [float(f"{t:.3f}") for t in want.X[:, 0].tolist()]
+
+
+# ---------------------------------------------------------------- reader against the oracle
+
+_BYTE_NAMES = [f"b{i}" for i in range(16)]
+_HEADERS = [
+    ["index", "time_us", "tag", "truth_label", "threshold_pred", "forest_pred", *_BYTE_NAMES],
+    ["index", "time_us", *_BYTE_NAMES],
+    [*_BYTE_NAMES, "truth_label", "time_us", "index"],
+    ["index", "time_us", "index", "truth_label", *_BYTE_NAMES],  # the last "index" counts
+]
+_FLAG = st.sampled_from(["true", "false"])
+_VALID = {
+    "time_us": st.floats(0.0, 1e6).map(lambda t: f"{t:.3f}"),
+    "tag": st.sampled_from(["none", "delay", "fault"]),
+    "truth_label": _FLAG,
+    "threshold_pred": _FLAG,
+    "forest_pred": _FLAG,
+    **{name: st.integers(0, 255).map(lambda b: f"{b:02x}") for name in _BYTE_NAMES},
+}
+# cells the row-at-a-time reader accepted with a twist, or rejected
+_ODD = {
+    "index": ["+3", " 4", "1_0", "-2", "0", "9223372036854775807", "9223372036854775808",
+              "-9223372036854775809", "x", "", "1.0"],
+    "time_us": ["nan", "inf", "-inf", "1e400", "abc", "", " 2.5 ", "1_0.5", "-0.0"],
+    "tag": ["", "a,b", "x\ny"],
+    "truth_label": ["True", "", "1", "true "],
+    **{name: ["f", " ff", "0x1f", "FF", "1ff", "-1", "zz", "", "0_f", "+f", "100", "-0"]
+       for name in _BYTE_NAMES},
+}
+_ODD["threshold_pred"] = _ODD["forest_pred"] = _ODD["truth_label"]
+_BYTE_POOL = list(b"0f9x,\n\r\" -.e") + [0, 0xFF]
+
+
+@st.composite
+def _block_csvs(draw):
+    """A valid blocks CSV, then edited: odd cells, short, long and blank rows, stray bytes."""
+    header = draw(st.sampled_from(_HEADERS))
+    start = draw(st.integers(-2, 5))
+    rows = [[str(start + r) if name == "index" else draw(_VALID[name]) for name in header]
+            for r in range(draw(st.integers(0, 7)))]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        r, other = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        c = draw(st.integers(0, len(header) - 1))
+        edit = draw(st.sampled_from(["odd", "repeat", "shift"]))
+        if edit == "repeat":
+            c = header.index("index")
+            rows[r][c] = rows[other][c]
+        elif edit == "shift":  # move a character between two cells of one byte column
+            c = header.index(draw(st.sampled_from(_BYTE_NAMES)))
+            rows[r][c], rows[other][c] = rows[r][c][1:], rows[r][c][:1] + rows[other][c]
+        else:
+            rows[r][c] = draw(st.sampled_from(_ODD[header[c]]))
+    for _ in range(draw(st.integers(0, 2))):
+        r = draw(st.integers(0, len(rows)))
+        edit = draw(st.sampled_from(["short", "long", "blank"]))
+        if edit == "blank" or r == len(rows) or not rows[r]:
+            rows.insert(r, [])
+        elif edit == "short":
+            del rows[r][draw(st.integers(0, len(rows[r]) - 1)):]
+        else:
+            rows[r].append("extra")
+    text = io.StringIO()
+    csv.writer(text).writerows([header] + rows)
+    raw = bytearray(text.getvalue().encode("ascii"))
+    body = text.getvalue().index("\n") + 1
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(min(body, len(raw)) if draw(st.booleans()) else 0, len(raw)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert" or at == len(raw):
+            raw.insert(at, draw(st.sampled_from(_BYTE_POOL)))
+        elif edit == "replace":
+            raw[at] = draw(st.sampled_from(_BYTE_POOL))
+        else:
+            del raw[at]
+    return bytes(raw)
+
+
+def _table_rows(table):
+    n = len(table)
+
+    def optional(col):
+        return [None] * n if col is None else col.tolist()
+
+    tags = [None] * n if table.tag is None else list(table.tag)
+    return list(zip(table.index.tolist(), table.time_us.tolist(), tags,
+                    optional(table.truth_label), optional(table.threshold_pred),
+                    optional(table.forest_pred), [bytes(r) for r in table.feature_bytes]))
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:  # anything else fails the test
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("step_rows", [2, 1024])
+@settings(max_examples=300, deadline=None)
+@given(content=_block_csvs())
+def test_read_blocks_csv_agrees_with_the_row_reader(step_rows, content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "blocks.csv"
+        path.write_bytes(content)
+        want = _outcome(oracle_csv.read_rows, path)
+        with mock.patch.object(metrics_report, "_STEP_ROWS", step_rows):
+            got = _outcome(read_blocks_csv, path)
+    if isinstance(got, tuple):
+        assert got == want
+    else:
+        assert _table_rows(got) == want
