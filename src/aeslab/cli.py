@@ -50,7 +50,7 @@ from .metrics_report import (
     score,
 )
 from .detect_threshold import classify_threshold, fit_threshold
-from .workload import MAX_DELAY_US, InputDistribution, Mode, RunConfig
+from .workload import MAX_DELAY_US, MAX_WORKERS, InputDistribution, Mode, RunConfig
 
 ENV_PREFIX = "AESLAB_"
 
@@ -96,15 +96,22 @@ def _depth(text: str) -> Optional[int]:
     return _bounded(int, 0)(text)
 
 
-def _count_list(text: str) -> List[int]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    try:
-        values = [int(p) for p in parts]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values or min(values) < 1:
-        raise argparse.ArgumentTypeError("counts must be positive integers")
-    return values
+def _counts(high: float = math.inf):
+    """argparse type: comma-separated integers in [1, high]."""
+
+    def parse(text: str) -> List[int]:
+        parts = [p.strip() for p in text.split(",") if p.strip()]
+        try:
+            values = [int(p) for p in parts]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        if not values or min(values) < 1:
+            raise argparse.ArgumentTypeError("counts must be positive integers")
+        if max(values) > high:
+            raise argparse.ArgumentTypeError(f"counts must not exceed {high}")
+        return values
+
+    return parse
 
 
 def _key(text: str) -> Key128:
@@ -133,8 +140,9 @@ def _add_input_flags(p: argparse.ArgumentParser, inject_pct: float) -> None:
 def _add_workload_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--blocks", type=_bounded(int, 1), default=_env_default("BLOCKS", 1024),
                    help="blocks per run (default 1024)")
-    p.add_argument("--workers", type=_bounded(int, 1), default=_env_default("WORKERS", 1),
-                   help="worker processes (default 1)")
+    p.add_argument("--workers", type=_bounded(int, 1, MAX_WORKERS),
+                   default=_env_default("WORKERS", 1),
+                   help=f"worker processes, at most {MAX_WORKERS} (default 1)")
     p.add_argument("--mode", type=Mode, default=_env_default("MODE", "real"),
                    help="timing source: real (measured wall clock) or simulated "
                         "(seeded model) (default real)")
@@ -186,12 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_bench = sub.add_parser("bench", help="latency/throughput sweep (real mode)")
-    p_bench.add_argument("--block-counts", type=_count_list,
+    p_bench.add_argument("--block-counts", type=_counts(),
                          default=_env_default("BLOCK_COUNTS", [1024, 4096, 8192, 16384]),
                          help="comma-separated block counts (default 1024,4096,8192,16384)")
-    p_bench.add_argument("--worker-counts", type=_count_list,
+    p_bench.add_argument("--worker-counts", type=_counts(MAX_WORKERS),
                          default=_env_default("WORKER_COUNTS", [1, 2, 4]),
-                         help="comma-separated worker counts (default 1,2,4)")
+                         help=f"comma-separated worker counts, each at most {MAX_WORKERS} "
+                              "(default 1,2,4)")
     _add_input_flags(p_bench, inject_pct=0.0)
     _add_out_dir_flag(p_bench)
     p_bench.set_defaults(func=cmd_bench)

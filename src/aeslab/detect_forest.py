@@ -4,17 +4,20 @@ The detector's input is one feature table: a Dataset whose matrix X has 17
 columns per block, the latency in microseconds followed by the 16 bytes the
 pipeline saw (post-fault plaintext by default, or ciphertext), and whose
 vector y holds the boolean truth labels. Trees grow greedily: at each node a
-without-replacement sample of candidate features is scored over midpoint
-thresholds between consecutive distinct sorted values, and the split with
+without-replacement sample of candidate features is scored over thresholds
+midway between consecutive distinct values the node holds (the lower value
+itself where the midpoint rounds up to the upper one), and the split with
 the highest Gini gain wins. Ties resolve to the lowest feature index, then
 the lowest threshold; a node with no strictly positive gain becomes a leaf.
 
-Columns whose values are all integers in [0, 255] (the 16 byte features) are
-scored from per-class value histograms, every such column in one pass; this
-yields the same integer counts, and so the same thresholds and gains, as the
-sorted scan that other columns (the latency) get. Each tree is stored as
-flat pre-order arrays. Prediction partitions the row numbers down each tree
-in turn, so a row is compared only at the nodes on its path.
+Each training column is ranked once, replacing every value by its position
+among the column's sorted distinct values. A node then scores all its
+candidate columns, the latency and the bytes alike, from one per-class
+histogram over their ranks: exact histogram split finding with one bin per
+distinct value, so the counts, thresholds and gains are those of a sorted
+scan. Each tree is stored as flat pre-order arrays. Prediction partitions
+the row numbers down each tree in turn, so a row is compared only at the
+nodes on its path.
 
 Everything is deterministic given (hyperparams, training data): each tree
 draws its bootstrap sample and feature subsets from a generator derived
@@ -26,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -34,6 +37,8 @@ from .cipher import BlockRecord
 from .files import atomic_write
 
 N_FEATURES = 17
+
+_T = TypeVar("_T")
 
 _STREAM_SPLIT = 3
 _STREAM_TREE = 4
@@ -62,6 +67,8 @@ class Dataset:
             raise ValueError(f"feature matrix must be 2-D, got shape {self.X.shape}")
         if self.y.shape != (self.X.shape[0],):
             raise ValueError(f"{self.y.shape} labels for {self.X.shape[0]} feature rows")
+        if not np.isfinite(self.X).all():
+            raise ValueError("feature matrix holds a non-finite value")
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -251,95 +258,61 @@ def _gains(n_left, left1, n: int, total0: int, total1: int, parent: float) -> np
     return parent - child / n
 
 
-def _sorted_scan(col: np.ndarray, y: np.ndarray, total0: int, total1: int, parent: float):
-    """(gain, threshold) of the best midpoint split of one column, or None if it is constant."""
-    n = y.size
-    order = np.argsort(col, kind="stable")
-    v = col[order]
-    lab = y[order]
-    boundary = np.nonzero(v[:-1] < v[1:])[0]
-    if boundary.size == 0:
-        return None
-    mids = (v[boundary] + v[boundary + 1]) / 2.0
-    # left set is {value <= mid}; duplicates and midpoint rounding are
-    # absorbed by counting against the sorted column itself
-    n_left = np.searchsorted(v, mids, side="right")
-    keep = (n_left > 0) & (n_left < n)
-    if not keep.any():
-        return None
-    mids = mids[keep]
-    n_left = n_left[keep]
-    cum1 = np.cumsum(lab, dtype=np.int64)
-    left1 = cum1[n_left - 1]
-    gains = _gains(n_left, left1, n, total0, total1, parent)
-    pick = int(np.argmax(gains))
-    return float(gains[pick]), float(mids[pick])
+def _rank_columns(X: np.ndarray, features: Sequence[int]) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """(codes, values) of the listed columns of X.
 
-
-def _byte_valued(rows: np.ndarray) -> np.ndarray:
-    """Whether each row of a 2-D array holds only integers in [0, 255]."""
-    return (rows.min(axis=1) >= 0) & (rows.max(axis=1) <= 255) & (np.floor(rows) == rows).all(axis=1)
-
-
-def _byte_scan(cols: np.ndarray, y: np.ndarray, total0: int, total1: int, parent: float):
-    """(gain, row, threshold) of the best split over rows of cols holding integers in [0, 255].
-
-    cols has one row per candidate column. One histogram over bins
-    (class, row, value) gives, by cumulative sum, the same integer left-side
-    counts at each value the sorted scan would cut after, so the gains match
-    it bit for bit. None if every row is constant.
+    values[j] holds the sorted distinct values of column features[j], and
+    codes[j, i] the position in values[j] of that column's entry in row i.
     """
-    k, n = cols.shape
-    bins = 256 * k
-    codes = (cols + 256 * np.arange(k)[:, None] + bins * y).astype(np.intp).ravel()
-    left = np.bincount(codes, minlength=2 * bins).reshape(2, k, 256).cumsum(axis=2)
-    n_left_all = (left[0] + left[1]).ravel()
-    # Cutting after a value that no row holds repeats the counts of the last
-    # value held below it, which comes first in (row, value) order; so the
-    # first maximum lands on a held value: the lowest row, then the lowest
-    # threshold, as in the sorted scan.
-    cand = np.flatnonzero((n_left_all > 0) & (n_left_all < n))
-    if cand.size == 0:
-        return None
-    n_left = n_left_all[cand]
-    left1 = left[1].ravel()[cand]
-    gains = _gains(n_left, left1, n, total0, total1, parent)
-    pick = int(np.argmax(gains))
-    j, lo = divmod(int(cand[pick]), 256)
-    row = n_left_all[256 * j:256 * (j + 1)]
-    hi = int(np.searchsorted(row, row[lo], side="right"))  # the next value held
-    return float(gains[pick]), j, (lo + hi) / 2.0
+    codes = np.empty((len(features), X.shape[0]), dtype=np.intp)
+    values = []
+    for j, f in enumerate(features):
+        distinct, codes[j] = np.unique(X[:, f], return_inverse=True)
+        values.append(distinct)
+    return codes, values
 
 
-def _split_columns(
-    cols: np.ndarray, y: np.ndarray, feats: np.ndarray, is_byte: np.ndarray
-) -> Optional[Split]:
-    """best_split over cols, whose row j holds feature feats[j] (ascending) for every sample.
+def _scan(cols: np.ndarray, values: Sequence[np.ndarray], y: np.ndarray):
+    """(gain, column, rank, threshold) of the best cut over the rows of cols, or None.
 
-    Rows flagged in is_byte hold only integers in [0, 255] and are scored
-    together from histograms; the others get the sorted scan.
+    cols[j] holds each sample's rank in the sorted distinct values[j]. The
+    columns lie end to end, each as wide as its values, and one histogram
+    over bins (class, column, rank) gives by one cumulative sum, restarted
+    at each column's first bin, the exact class counts left of a cut after
+    every rank. Cutting after a rank no sample holds repeats the counts of
+    the rank held below it, which comes first, so the first maximum lands on
+    a held rank: the lowest column, then the lowest threshold. The threshold
+    is the midpoint between that value and the next one held, or the value
+    itself where the midpoint rounds up to the next, so that exactly the
+    samples of rank at most the returned one lie at or below it. None if no
+    cut has gain strictly above zero.
     """
     n = y.size
     total1 = int(np.count_nonzero(y))
     total0 = n - total1
-    parent = gini((total0, total1))
-    found = []  # (feature, gain, threshold) of each scan's best
-    if is_byte.any():
-        byte_feats = feats[is_byte]
-        hit = _byte_scan(cols[is_byte], y, total0, total1, parent)
-        if hit is not None:
-            found.append((int(byte_feats[hit[1]]), hit[0], hit[2]))
-    for j in np.flatnonzero(~is_byte):
-        hit = _sorted_scan(cols[j], y, total0, total1, parent)
-        if hit is not None:
-            found.append((int(feats[j]), *hit))
-    best: Optional[Split] = None
-    for f, gain, threshold in sorted(found):
-        if best is None or gain > best.gain:
-            best = Split(f, threshold, gain)
-    if best is None or not best.gain > 0.0:
+    widths = np.array([v.size for v in values])
+    starts = np.concatenate(([0], np.cumsum(widths[:-1])))
+    bins = int(starts[-1] + widths[-1])
+    hist = np.bincount((cols + starts[:, None] + bins * y).ravel(), minlength=2 * bins)
+    hist = hist.reshape(2, bins)
+    hist[:, starts[1:]] -= np.array([[total0], [total1]])  # each column restarts the sums
+    left = hist.cumsum(axis=1)
+    n_left_all = left[0] + left[1]
+    cand = np.flatnonzero((n_left_all > 0) & (n_left_all < n))
+    if cand.size == 0:
         return None
-    return best
+    gains = _gains(n_left_all[cand], left[1][cand], n, total0, total1, gini((total0, total1)))
+    pick = int(np.argmax(gains))
+    if not gains[pick] > 0.0:
+        return None
+    at = int(cand[pick])
+    j = int(np.searchsorted(starts, at, side="right")) - 1
+    column = n_left_all[starts[j]:starts[j] + widths[j]]
+    rank = at - int(starts[j])
+    above = int(np.searchsorted(column, column[rank], side="right"))  # the next rank held
+    lo, hi = float(values[j][rank]), float(values[j][above])
+    mid = (lo + hi) / 2.0
+    return float(gains[pick]), j, rank, mid if mid < hi else lo
 
 
 def best_split(X: np.ndarray, y: np.ndarray, features: Sequence[int]) -> Optional[Split]:
@@ -351,30 +324,38 @@ def best_split(X: np.ndarray, y: np.ndarray, features: Sequence[int]) -> Optiona
     """
     if y.size == 0:
         raise ValueError("cannot split an empty sample set")
-    feats = np.asarray(sorted({int(f) for f in features}), dtype=np.intp)
-    if not feats.size:
+    feats = sorted({int(f) for f in features})
+    if not feats:
         raise ValueError("candidate features must not be empty")
     if feats[0] < 0 or feats[-1] >= X.shape[1]:
         raise ValueError("candidate feature index out of range")
-    cols = X[:, feats].T
-    return _split_columns(cols, np.asarray(y, dtype=bool), feats, _byte_valued(cols))
+    found = _scan(*_rank_columns(X, feats), np.asarray(y, dtype=bool))
+    if found is None:
+        return None
+    gain, j, _, threshold = found
+    return Split(feats[j], threshold, gain)
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, hyper: ForestHyperparams, rng: np.random.Generator) -> Tree:
-    """Grow one CART tree on (X, y), drawing each node's candidate features from rng.
+    """Grow one CART tree on (X, y), drawing each node's candidate features from rng."""
+    if y.size == 0:
+        raise ValueError("cannot fit a tree on an empty sample set")
+    codes, values = _rank_columns(X, range(X.shape[1]))
+    return _grow(codes, values, np.asarray(y, dtype=bool), hyper, rng)
+
+
+def _grow(
+    codes: np.ndarray, values: Sequence[np.ndarray], y: np.ndarray,
+    hyper: ForestHyperparams, rng: np.random.Generator,
+) -> Tree:
+    """fit_tree on ranked columns: codes[f, i] is row i's rank in values[f].
 
     Nodes are grown in pre-order (a node, its left subtree, its right
     subtree) from an explicit stack, which fixes the order of rng draws.
     """
-    if y.size == 0:
-        raise ValueError("cannot fit a tree on an empty sample set")
-    n, d = X.shape
+    d, n = codes.shape
     k = min(hyper.features_per_split, d)
-    y = np.asarray(y, dtype=bool)
-    by_feature = np.ascontiguousarray(X.T).ravel()  # feature f of row i at f * n + i
-    # a column byte-valued over all rows is byte-valued in every node; one that
-    # is not may still be within a node, but the sorted scan scores it the same
-    is_byte = _byte_valued(by_feature.reshape(d, n))
+    flat = codes.ravel()  # feature f of row i at f * n + i
     feature: List[int] = []
     threshold: List[float] = []
     counts: List[Tuple[int, int]] = []
@@ -384,7 +365,7 @@ def fit_tree(X: np.ndarray, y: np.ndarray, hyper: ForestHyperparams, rng: np.ran
         yn = y[rows]
         c1 = int(np.count_nonzero(yn))
         c0 = rows.size - c1
-        split = None
+        found = None
         if (
             c0
             and c1
@@ -392,17 +373,18 @@ def fit_tree(X: np.ndarray, y: np.ndarray, hyper: ForestHyperparams, rng: np.ran
             and (hyper.max_depth is None or depth < hyper.max_depth)
         ):
             feats = np.sort(rng.choice(d, size=k, replace=False))
-            cols = by_feature.take(feats[:, None] * n + rows)
-            split = _split_columns(cols, yn, feats, is_byte[feats])
-        if split is None:
+            cols = flat.take(feats[:, None] * n + rows)
+            found = _scan(cols, [values[f] for f in feats], yn)
+        if found is None:
             feature.append(-1)
             threshold.append(0.0)
             counts.append((c0, c1))
             continue
-        feature.append(split.feature_index)
-        threshold.append(split.threshold)
+        _, j, rank, cut = found
+        feature.append(int(feats[j]))
+        threshold.append(cut)
         counts.append((0, 0))
-        mask = by_feature.take(split.feature_index * n + rows) <= split.threshold
+        mask = cols[j] <= rank
         pending.append((rows[~mask], depth + 1))
         pending.append((rows[mask], depth + 1))
     return _preorder_tree(feature, threshold, counts)
@@ -420,11 +402,12 @@ def fit_forest(train: Dataset, hyper: ForestHyperparams) -> ForestModel:
     if train.y.all() or not train.y.any():
         raise ValueError("training set must contain both classes")
     n = len(train)
+    codes, values = _rank_columns(train.X, range(train.X.shape[1]))
     trees = []
     for t in range(hyper.n_trees):
         rng = _tree_rng(hyper.seed, t)
         boot = rng.integers(0, n, size=n)
-        trees.append(fit_tree(train.X[boot], train.y[boot], hyper, rng))
+        trees.append(_grow(codes[:, boot], values, train.y[boot], hyper, rng))
     return ForestModel(tuple(trees), hyper, train.X.shape[1])
 
 
@@ -539,20 +522,33 @@ def _read_tree(lines: Iterator[str], hyper: ForestHyperparams, n_features: int) 
     return _preorder_tree(feature, threshold, counts)
 
 
-def _parse_header_field(lines: Iterator[str], name: str) -> str:
+def _optional_int(text: str) -> Optional[int]:
+    return None if text == "none" else int(text)
+
+
+def _parse_header_field(lines: Iterator[str], name: str, kind: Callable[[str], _T] = str) -> _T:
     try:
         parts = next(lines).split()
     except StopIteration:
         raise ModelFormatError("model file ended inside the header") from None
     if len(parts) != 2 or parts[0] != name:
         raise ModelFormatError(f"expected header field {name!r}, got {' '.join(parts)!r}")
-    return parts[1]
+    try:
+        return kind(parts[1])
+    except ValueError:
+        raise ModelFormatError(f"unparsable value of header field {name!r}: {parts[1]!r}") from None
 
 
 def load_model(path: str) -> ForestModel:
     """Re-read a save_model dump; refuses other versions or malformed files."""
-    with open(path, "r", encoding="ascii") as handle:
-        lines = iter(handle.read().splitlines())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        lines = iter(data.decode("ascii").splitlines())
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(
+            f"model file is not ASCII: byte {data[exc.start]:#04x} at offset {exc.start}"
+        ) from None
     try:
         first = next(lines).split()
     except StopIteration:
@@ -561,14 +557,13 @@ def load_model(path: str) -> ForestModel:
         raise ModelFormatError("not a forest model file")
     if first[1] != str(MODEL_VERSION):
         raise ModelFormatError(f"unsupported model format version {first[1]}")
-    n_features = int(_parse_header_field(lines, "n_features"))
-    n_trees = int(_parse_header_field(lines, "n_trees"))
-    raw_depth = _parse_header_field(lines, "max_depth")
-    max_depth = None if raw_depth == "none" else int(raw_depth)
-    min_split = int(_parse_header_field(lines, "min_samples_split"))
-    per_split = int(_parse_header_field(lines, "features_per_split"))
-    seed = int(_parse_header_field(lines, "seed"))
-    train_fraction = float(_parse_header_field(lines, "train_fraction"))
+    n_features = _parse_header_field(lines, "n_features", int)
+    n_trees = _parse_header_field(lines, "n_trees", int)
+    max_depth = _parse_header_field(lines, "max_depth", _optional_int)
+    min_split = _parse_header_field(lines, "min_samples_split", int)
+    per_split = _parse_header_field(lines, "features_per_split", int)
+    seed = _parse_header_field(lines, "seed", int)
+    train_fraction = _parse_header_field(lines, "train_fraction", float)
     hyper = ForestHyperparams(n_trees, max_depth, min_split, per_split, seed, train_fraction)
     try:
         hyper.validate()

@@ -45,16 +45,11 @@ class DetectionReport:
     precision: float
     recall: float
     f1: float
-    predictions: Tuple[bool, ...]
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
     accuracy_gain: float  # forest accuracy minus threshold accuracy
-    threshold_fp: int
-    threshold_fn: int
-    forest_fp: int
-    forest_fn: int
 
 
 def score(predictions: Sequence[bool], truths: Sequence[bool], detector: str) -> DetectionReport:
@@ -80,23 +75,17 @@ def score(predictions: Sequence[bool], truths: Sequence[bool], detector: str) ->
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
     accuracy = (tp + tn) / counts.total
-    return DetectionReport(detector, counts, accuracy, precision, recall, f1, tuple(bool(p) for p in predictions))
+    return DetectionReport(detector, counts, accuracy, precision, recall, f1)
 
 
 def compare(threshold_report: DetectionReport, forest_report: DetectionReport) -> ComparisonReport:
-    """Accuracy gap and error counts; both reports must cover the same records."""
+    """Accuracy gap of forest over threshold; both reports must cover the same records."""
     t_counts, f_counts = threshold_report.counts, forest_report.counts
     if t_counts.total != f_counts.total or (
         t_counts.tp + t_counts.fn != f_counts.tp + f_counts.fn
     ):
         raise ValueError("reports were scored on different record sets")
-    return ComparisonReport(
-        accuracy_gain=forest_report.accuracy - threshold_report.accuracy,
-        threshold_fp=t_counts.fp,
-        threshold_fn=t_counts.fn,
-        forest_fp=f_counts.fp,
-        forest_fn=f_counts.fn,
-    )
+    return ComparisonReport(forest_report.accuracy - threshold_report.accuracy)
 
 
 def run_id(seed: int, n_blocks: int, inject_pct: float) -> str:

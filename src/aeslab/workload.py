@@ -27,6 +27,8 @@ DEFAULT_DELAY_MAX_US = 20_000.0
 # one hour: far beyond any useful injected delay, and well inside what
 # time.sleep accepts in real mode
 MAX_DELAY_US = 3_600_000_000.0
+# far beyond the cores of one host; a process pool starts all its workers at once
+MAX_WORKERS = 64
 
 # spawn_key streams: block bytes, anomaly schedule, simulated per-block timing
 _STREAM_BLOCKS = 0
@@ -116,8 +118,8 @@ class RunConfig:
             raise ValueError("n_blocks must be at least 1")
         if not 0.0 <= self.inject_pct <= 100.0:
             raise ValueError("inject_pct must be within [0, 100]")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must lie in [1, {MAX_WORKERS}]")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a non-negative 64-bit integer")
         if not 0 < self.delay_min_us <= self.delay_max_us <= MAX_DELAY_US:

@@ -1,11 +1,17 @@
+import contextlib
 import csv
+import io
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aeslab.cipher as cipher_mod
 from aeslab.cli import build_parser, main
+from aeslab.detect_forest import ModelFormatError, load_model
+from aeslab.workload import MAX_WORKERS
 
 
 def _run_flags(tmp_path, **overrides):
@@ -310,6 +316,76 @@ def test_bad_csv_or_model_is_a_one_line_error(tmp_path, capsys):
         assert main(["predict", "--model", str(model), "--csv", str(csv_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    """(model bytes, blocks CSV path) from a small run and a 3-tree train on its CSV."""
+    out = tmp_path_factory.mktemp("saved")
+    assert main(_run_flags(out)) == 0
+    blocks_csv = out / "blocks_s7_n64_p30.csv"
+    model_path = out / "model.txt"
+    assert main(["train", "--from-csv", str(blocks_csv), "--model-out", str(model_path),
+                 "--trees", "3"]) == 0
+    return model_path.read_bytes(), blocks_csv
+
+
+_EDITS = st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]),
+    st.floats(0.0, 1.0, exclude_max=True),  # where, as a share of the file's length
+    st.one_of(st.sampled_from(b"0123456789 .-+\nilenaf_x"), st.integers(0, 255)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_EDITS, min_size=1, max_size=4))
+def test_mutated_model_files_load_or_fail_as_one_error_line(saved_model, tmp_path_factory, edits):
+    original, blocks_csv = saved_model
+    data = bytearray(original)
+    for op, where, byte in edits:
+        at = int(where * len(data))
+        if op == "replace" and data:
+            data[at] = byte
+        elif op == "insert":
+            data.insert(at, byte)
+        elif data:
+            del data[at]
+    path = tmp_path_factory.mktemp("mutated") / "model.txt"
+    path.write_bytes(bytes(data))
+    try:
+        load_model(str(path))
+    except ModelFormatError:
+        pass
+    else:
+        return  # the edits kept the file well formed
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = main(["predict", "--model", str(path), "--csv", str(blocks_csv)])
+    assert status == 1
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+
+
+def test_worker_counts_beyond_the_bound_are_usage_errors(tmp_path, capsys, monkeypatch):
+    # parse only: a pool of an out-of-range size must never start
+    top, over = str(MAX_WORKERS), str(MAX_WORKERS + 1)
+    assert build_parser().parse_args(["run", "--workers", top]).workers == MAX_WORKERS
+    parsed = build_parser().parse_args(["bench", "--worker-counts", f"1,{top}"])
+    assert parsed.worker_counts == [1, MAX_WORKERS]
+    for argv in (_run_flags(tmp_path, **{"--workers": over}),
+                 ["train", "--model-out", str(tmp_path / "m.txt"), "--workers", over],
+                 ["bench", "--worker-counts", f"1,{over}", "--out-dir", str(tmp_path)]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert top in capsys.readouterr().err
+    for name, argv in (("AESLAB_WORKERS", _run_flags(tmp_path)),
+                       ("AESLAB_WORKER_COUNTS", ["bench", "--out-dir", str(tmp_path)])):
+        with monkeypatch.context() as m:
+            m.setenv(name, "100000")
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_missing_input_file_exits_nonzero(tmp_path, capsys):

@@ -144,12 +144,12 @@ def test_best_split_matches_brute_force(data):
 
 
 def _mixed_columns(rng, n):
-    """Columns for both split paths: byte-valued (0-255 integers) and not.
+    """Columns of unlike widths and spacings, laid end to end by the ranked scan.
 
-    Byte: 1 spans the full range, 3 has few values and many ties, 6 copies 1.
-    Not byte: 2 is continuous, 4 holds integers including -1 and 256, and 0
-    and 5 are order-preserving twins of 3 and 1, so the two paths tie on
-    gain and the lower feature index must win either way.
+    1 spans the byte range 0-255, 3 has few values and many ties, 6 copies 1,
+    2 is continuous, 4 holds integers including -1 and 256, and 0 and 5 are
+    order-preserving twins of 3 and 1 on other scales. Twins tie on gain,
+    and the lower feature index must win wherever it sits in the histogram.
     """
     full = rng.integers(0, 256, size=n)
     full[:2] = (0, 255)
@@ -317,6 +317,19 @@ def test_fit_tree_fits_distinct_valued_data_perfectly():
     assert [_walk(root, row) for row in X] == [bool(v) for v in y]
 
 
+def test_fit_tree_separates_adjacent_doubles():
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    assert (a + b) / 2.0 == b  # the midpoint rounds up to the upper value
+    X = np.asarray([[1.0], [a], [a], [b], [b], [2.0]])
+    y = np.asarray([0, 0, 0, 1, 1, 1], dtype=bool)
+    split = best_split(X, y, [0])
+    assert split is not None and split.threshold == a
+    tree = fit_tree(X, y, ForestHyperparams(features_per_split=1), _rng_stream())
+    model = ForestModel((tree,), ForestHyperparams(n_trees=1), 1)
+    assert predict_all(model, X) == y.tolist()
+
+
 def test_fit_tree_rejects_empty_input():
     with pytest.raises(ValueError):
         fit_tree(np.empty((0, 1)), np.empty(0, dtype=bool), ForestHyperparams(), _rng_stream())
@@ -369,6 +382,13 @@ def test_fit_forest_rejects_degenerate_training_sets():
         Dataset(np.asarray([1.0, 2.0]), np.asarray([True, False]))  # not a matrix
     with pytest.raises(ValueError):
         Dataset(np.ones((2, 2)), np.asarray([True]))  # one label for two rows
+
+
+@pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+def test_dataset_rejects_non_finite_features(bad):
+    # a forest fit on it could save a threshold that load_model refuses
+    with pytest.raises(ValueError, match="non-finite"):
+        Dataset(np.asarray([[bad], [1.0], [2.0]]), np.asarray([False, True, True]))
 
 
 def test_hyperparams_validation():
@@ -567,6 +587,29 @@ def test_load_rejects_bad_node_lines(tmp_path, bad_line):
     path = tmp_path / "bad.txt"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ModelFormatError):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_features", "x"), ("n_trees", "x"), ("max_depth", "1.5"), ("min_samples_split", "two"),
+     ("features_per_split", "5.0"), ("seed", "-"), ("train_fraction", "0.7.1")],
+)
+def test_load_names_an_unparsable_header_field(tmp_path, field, value):
+    lines = _model_text(tmp_path)
+    at = next(k for k, line in enumerate(lines) if line.split()[0] == field)
+    lines[at] = f"{field} {value}"
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError, match=field):
+        load_model(str(path))
+
+
+def test_load_rejects_non_ascii_bytes(tmp_path):
+    text = "\n".join(_model_text(tmp_path)) + "\n"
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text.encode().replace(b"tree 0", b"tree \xc3\xa9"))
+    with pytest.raises(ModelFormatError, match="not ASCII"):
         load_model(str(path))
 
 

@@ -38,7 +38,6 @@ def test_score_hand_case():
     assert report.recall == pytest.approx(2 / 3)
     assert report.f1 == pytest.approx(2 / 3)
     assert report.detector == "threshold"
-    assert report.predictions == tuple(preds)
 
 
 def test_score_perfect_detector():
@@ -92,8 +91,6 @@ def test_compare_equal_reports_yield_zero_gain():
     twin = score([True, False], [True, False], "forest")
     result = compare(report, twin)
     assert result.accuracy_gain == 0.0
-    assert (result.threshold_fp, result.threshold_fn) == (0, 0)
-    assert (result.forest_fp, result.forest_fn) == (0, 0)
 
 
 def test_compare_reports_forest_advantage():
@@ -102,8 +99,6 @@ def test_compare_reports_forest_advantage():
     strong = score([True, True, False, False], truths, "forest")
     result = compare(weak, strong)
     assert result.accuracy_gain == pytest.approx(0.5)
-    assert result.threshold_fn == 2
-    assert result.forest_fn == 0
 
 
 def test_compare_rejects_mismatched_subsets():

@@ -9,6 +9,7 @@ from aeslab.workload import (
     ASCII_HIGH,
     ASCII_LOW,
     BLOCK_SIZE,
+    MAX_WORKERS,
     AnomalyKind,
     AnomalyTag,
     InputDistribution,
@@ -153,6 +154,7 @@ def test_plain_block_rejects_wrong_size():
         ("inject_pct", -1.0),
         ("inject_pct", 101.0),
         ("workers", 0),
+        ("workers", MAX_WORKERS + 1),  # a pool would start every one of them at once
         ("seed", -1),
         ("delay_min_us", 0.0),
         ("delay_max_us", 1.0),  # below the default minimum
@@ -169,3 +171,4 @@ def test_run_config_validation_rejects_bad_fields(field, value):
 
 def test_run_config_defaults_are_valid():
     RunConfig().validate()
+    dataclasses.replace(RunConfig(), workers=MAX_WORKERS).validate()
