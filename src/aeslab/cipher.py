@@ -17,8 +17,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache, partial
+from typing import List, Sequence, Tuple
 
 from .workload import (
     BLOCK_SIZE,
@@ -211,33 +211,16 @@ def encrypt_timed(block: PlainBlock, key: Key128, cfg: RunConfig, seed: int) -> 
     return BlockRecord(block.index, effective.data, ciphertext, time_us, tag)
 
 
-_WORKER_STATE: Optional[Tuple[Key128, RunConfig, int]] = None
-
-
-def _init_worker(key: Key128, cfg: RunConfig, seed: int) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = (key, cfg, seed)
-
-
-def _worker_encrypt(block: PlainBlock) -> BlockRecord:
-    assert _WORKER_STATE is not None, "worker used before initialization"
-    key, cfg, seed = _WORKER_STATE
-    return encrypt_timed(block, key, cfg, seed)
-
-
 def encrypt_blocks(blocks: Sequence[PlainBlock], key: Key128, cfg: RunConfig) -> List[BlockRecord]:
     """Encrypt tagged blocks, fanning out across cfg.workers processes."""
+    encrypt = partial(encrypt_timed, key=key, cfg=cfg, seed=cfg.seed)
     if cfg.workers == 1:
-        records = [encrypt_timed(b, key, cfg, cfg.seed) for b in blocks]
+        records = list(map(encrypt, blocks))
     else:
         chunk = max(1, len(blocks) // (cfg.workers * 8))
         try:
-            with ProcessPoolExecutor(
-                max_workers=cfg.workers,
-                initializer=_init_worker,
-                initargs=(key, cfg, cfg.seed),
-            ) as pool:
-                records = list(pool.map(_worker_encrypt, blocks, chunksize=chunk))
+            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+                records = list(pool.map(encrypt, blocks, chunksize=chunk))
         except (OSError, BrokenProcessPool) as exc:
             raise PipelineError(f"worker pool failed: {exc}") from exc
     records.sort(key=lambda r: r.index)

@@ -495,7 +495,7 @@ def _read_tree(lines: Iterator[str], hyper: ForestHyperparams, n_features: int) 
         if len(parts) != 3 or parts[0] not in ("i", "l"):
             raise ModelFormatError(f"unrecognized node line: {line!r}")
         try:
-            a, b = int(parts[1]), (int if parts[0] == "l" else float)(parts[2])
+            a, b = _int(parts[1]), (_int if parts[0] == "l" else _float)(parts[2])
         except ValueError:
             raise ModelFormatError(f"unparsable node line: {line!r}") from None
         if parts[0] == "l":
@@ -522,8 +522,23 @@ def _read_tree(lines: Iterator[str], hyper: ForestHyperparams, n_features: int) 
     return _preorder_tree(feature, threshold, counts)
 
 
+def _int(text: str) -> int:
+    """int() of text as save_model writes it; int() alone also takes "+", "_" and leading zeros."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(text)
+    return value
+
+
+def _float(text: str) -> float:
+    """float() of text without "_", which float() takes between digits but repr never writes."""
+    if "_" in text:
+        raise ValueError(text)
+    return float(text)
+
+
 def _optional_int(text: str) -> Optional[int]:
-    return None if text == "none" else int(text)
+    return None if text == "none" else _int(text)
 
 
 def _parse_header_field(lines: Iterator[str], name: str, kind: Callable[[str], _T] = str) -> _T:
@@ -557,13 +572,13 @@ def load_model(path: str) -> ForestModel:
         raise ModelFormatError("not a forest model file")
     if first[1] != str(MODEL_VERSION):
         raise ModelFormatError(f"unsupported model format version {first[1]}")
-    n_features = _parse_header_field(lines, "n_features", int)
-    n_trees = _parse_header_field(lines, "n_trees", int)
+    n_features = _parse_header_field(lines, "n_features", _int)
+    n_trees = _parse_header_field(lines, "n_trees", _int)
     max_depth = _parse_header_field(lines, "max_depth", _optional_int)
-    min_split = _parse_header_field(lines, "min_samples_split", int)
-    per_split = _parse_header_field(lines, "features_per_split", int)
-    seed = _parse_header_field(lines, "seed", int)
-    train_fraction = _parse_header_field(lines, "train_fraction", float)
+    min_split = _parse_header_field(lines, "min_samples_split", _int)
+    per_split = _parse_header_field(lines, "features_per_split", _int)
+    seed = _parse_header_field(lines, "seed", _int)
+    train_fraction = _parse_header_field(lines, "train_fraction", _float)
     hyper = ForestHyperparams(n_trees, max_depth, min_split, per_split, seed, train_fraction)
     try:
         hyper.validate()

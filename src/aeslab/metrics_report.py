@@ -12,6 +12,8 @@ Two files describe a run, named by runid s{seed}_n{blocks}_p{pct}:
 from __future__ import annotations
 
 import csv
+import math
+import re
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -180,8 +182,7 @@ _NIBBLE = np.full(256, 16, dtype=np.uint8)
 _NIBBLE[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
 _NIBBLE[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
 
-# (row within a step, message) of the first cell a column check rejects
-_CellError = Optional[Tuple[int, str]]
+_REQUIRED_COLUMNS = {"index", "time_us", *BYTE_COLUMNS}
 
 
 @dataclass(frozen=True)
@@ -205,128 +206,122 @@ class BlockTable:
         return self.index.size
 
 
-def _numbers(cells: List[str], parse, dtype) -> Tuple[np.ndarray, _CellError]:
-    """parse(cell) of each cell, up to the first cell that parse or dtype rejects."""
-    try:
-        return np.fromiter(map(parse, cells), dtype, len(cells)), None
-    except (ValueError, OverflowError):
-        pass
-    values = []
-    for k, cell in enumerate(cells):
-        try:
-            values.append(dtype(parse(cell)))
-        except ValueError as exc:
-            return np.array(values, dtype), (k, str(exc))
-        except OverflowError:
-            return np.array(values, dtype), (k, f"{cell!r} does not fit in 64 bits")
-    return np.array(values, dtype), None
-
-
-def _flags(cells: List[str]) -> Tuple[np.ndarray, _CellError]:
-    """Whether each cell is "true", and the first cell that is neither true nor false."""
-    values = np.fromiter(map("true".__eq__, cells), bool, len(cells))
-    if int(np.count_nonzero(values)) + cells.count("false") == len(cells):
-        return values, None
-    k = next(k for k, cell in enumerate(cells) if cell not in ("true", "false"))
-    return values, (k, f"expected true/false, got {cells[k]!r}")
-
-
-def _hex_bytes(cells: List[str]) -> Tuple[np.ndarray, _CellError]:
-    """int(cell, 16) of each cell, which must lie in [0, 256).
-
-    Columns of two hex digits per cell, as export_csv writes them, go by
-    table lookup; any other column goes cell by cell through int().
-    """
+def _hex_bytes(cells: List[str]) -> np.ndarray:
+    """int(cell, 16) of each cell, which must lie in [0, 256): by table lookup
+    where every cell is two hex digits, as export_csv writes them, else through int()."""
     text = ",".join(cells) + ","
     if len(text) == 3 * len(cells):
         # every cell is two hex digits iff every third character is a comma and the rest are digits
         codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 3)
         nibbles = _NIBBLE[codes[:, :2]]
         if nibbles.max(initial=0) < 16 and (codes[:, 2] == ord(",")).all():
-            return nibbles[:, 0] << 4 | nibbles[:, 1], None
-    values = []
-    for k, cell in enumerate(cells):
-        try:
-            value = int(cell, 16)
-        except ValueError as exc:
-            return np.array(values, np.uint8), (k, str(exc))
-        if not 0 <= value < 256:
-            return np.array(values, np.uint8), (k, "bytes must be in range(0, 256)")
-        values.append(value)
-    return np.array(values, np.uint8), None
+            return nibbles[:, 0] << 4 | nibbles[:, 1]
+    values = np.fromiter((int(cell, 16) for cell in cells), np.int64, len(cells))
+    if ((values < 0) | (values > 255)).any():
+        raise ValueError
+    return values.astype(np.uint8)
 
 
-def _parse_step(
-    rows: List[List[str]], where: Mapping[str, int], width: int, seen: set
-) -> Tuple[dict, _CellError]:
-    """Columns of one step of rows, and the step's first bad data row.
-
-    Blank rows are dropped. A data row's checks run in a fixed order (field
-    count, time_us, index, the flag columns, the byte columns, repeated
-    index) and its first failure is reported; the step's first bad row is
-    the first data row with one. seen holds the indices of earlier steps
-    and gains this step's.
-    """
-    # (row, number, message) of each failing check's first bad row; the checks
-    # run in their order within a row, so numbering them as they fail keeps it
-    failures = []
-
-    def check(error: _CellError) -> None:
-        if error is not None:
-            failures.append((error[0], len(failures), error[1]))
-
+def _step_columns(rows: List[List[str]], where: Mapping[str, int], width: int) -> dict:
+    """One step's columns; blank rows are dropped, extra fields ignored, and a bad row raises."""
     if set(map(len, rows)) != {width}:
-        rows = [row for row in rows if row]  # blank lines are skipped
-        short = next((k for k, row in enumerate(rows) if len(row) < width), None)
-        if short is not None:
-            check((short, "row has fewer fields than the header"))
-        rows = [row[:width] for row in rows[:short]]  # fields beyond the header are ignored
+        rows = [row[:width] for row in rows if row]
+        if any(len(row) < width for row in rows):
+            raise ValueError
+    n = len(rows)
     flat = list(chain.from_iterable(rows))
-
-    def column(name: str) -> List[str]:
-        return flat[where[name]::width]
-
-    def checked(result: Tuple[np.ndarray, _CellError]) -> np.ndarray:
-        check(result[1])
-        return result[0]
-
-    time_cells = column("time_us")
-    cols = {"time_us": checked(_numbers(time_cells, float, np.float64))}
-    infinite = np.flatnonzero(~np.isfinite(cols["time_us"]))
-    if infinite.size:
-        k = int(infinite[0])
-        check((k, f"time_us is not a finite number: {time_cells[k]!r}"))
-    cols["index"] = checked(_numbers(column("index"), int, np.int64))
+    column = {name: flat[j::width] for name, j in where.items()}
+    cols = {
+        "time_us": np.fromiter(map(float, column["time_us"]), np.float64, n),
+        "index": np.fromiter(map(int, column["index"]), np.int64, n),
+        "feature_bytes": np.stack([_hex_bytes(column[name]) for name in BYTE_COLUMNS], axis=1),
+    }
+    if not np.isfinite(cols["time_us"]).all():
+        raise ValueError
     for name in FLAG_COLUMNS:
         if name in where:
-            cols[name] = checked(_flags(column(name)))
-    byte_cols = [checked(_hex_bytes(column(name))) for name in BYTE_COLUMNS]
-    ids = cols["index"].tolist()
-    if len(set(ids)) < len(ids) or not seen.isdisjoint(ids):
-        for k, i in enumerate(ids):
-            if i in seen:
-                check((k, f"duplicate index {i}"))
-                break
-            seen.add(i)
-    if failures:
-        row, _, message = min(failures)
-        return cols, (row, message)
-    seen.update(ids)
-    cols["feature_bytes"] = np.stack(byte_cols, axis=1)
+            cells = column[name]
+            cols[name] = np.fromiter(map("true".__eq__, cells), bool, n)
+            if np.count_nonzero(cols[name]) + cells.count("false") != n:
+                raise ValueError
     if "tag" in where:
-        cols["tag"] = column("tag")
-    return cols, None
+        cols["tag"] = column["tag"]
+    return cols
 
 
-def _line_of(path: Union[str, Path], row: int) -> int:
-    """The file line on which data row `row` (0-based, blank lines skipped) ends."""
+def _read_columns(path: Union[str, Path]) -> BlockTable:
+    """The accept pass: the table of a good file, an exception without a message for a bad one."""
     with open(path, "r", newline="", encoding="ascii") as handle:
         reader = csv.reader(handle)
-        next(reader)  # the header
-        for _ in range(row + 1):
-            while not next(reader):
-                pass
-        return reader.line_num
+        header = next(reader, [])
+        if not _REQUIRED_COLUMNS <= set(header):
+            raise ValueError
+        where = {name: j for j, name in enumerate(header)}
+        steps = []
+        while rows := list(islice(reader, _STEP_ROWS)):
+            steps.append(_step_columns(rows, where, len(header)))
+            del rows  # before the next step is read, so that one step's cells are held, not two
+    if not steps:
+        raise ValueError
+
+    def joined(name: str) -> Optional[np.ndarray]:
+        return np.concatenate([s[name] for s in steps]) if name in steps[0] else None
+
+    index = joined("index")
+    ranked = np.sort(index)  # np.unique would import numpy.ma, about 1 MiB, on first use
+    if not index.size or (ranked[1:] == ranked[:-1]).any():
+        raise ValueError
+    tags = tuple(chain.from_iterable(s["tag"] for s in steps)) if "tag" in where else None
+    return BlockTable(index, joined("time_us"), joined("feature_bytes"), tags,
+                      *(joined(name) for name in FLAG_COLUMNS))
+
+
+def _first_error(path: Union[str, Path]) -> str:
+    """The error pass: what is wrong with the file and where.
+
+    Rows are read one at a time, blank ones skipped, and each data row is
+    checked in the order below; its first failed check is the message.
+    """
+    seen = set()
+    try:
+        with open(path, "r", newline="", encoding="ascii") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                return "empty CSV"
+            if missing := _REQUIRED_COLUMNS - set(header):
+                return f"missing columns {sorted(missing)}"
+            where = {name: j for j, name in enumerate(header)}
+            for row in filter(None, reader):
+                try:
+                    if len(row) < len(header):
+                        raise ValueError("row has fewer fields than the header")
+                    cell = row[where["time_us"]]
+                    if not math.isfinite(float(cell)):
+                        raise ValueError(f"time_us is not a finite number: {cell!r}")
+                    cell = row[where["index"]]
+                    index = int(cell)
+                    if not -2**63 <= index < 2**63:
+                        raise ValueError(f"{cell!r} does not fit in 64 bits")
+                    for cell in (row[where[name]] for name in FLAG_COLUMNS if name in where):
+                        if cell not in ("true", "false"):
+                            raise ValueError(f"expected true/false, got {cell!r}")
+                    for name in BYTE_COLUMNS:
+                        if not 0 <= int(row[where[name]], 16) < 256:
+                            raise ValueError("bytes must be in range(0, 256)")
+                    if index in seen:
+                        raise ValueError(f"duplicate index {index}")
+                except ValueError as exc:
+                    return f"line {reader.line_num}: {exc}"
+                seen.add(index)
+    except csv.Error as exc:
+        return f"line {reader.line_num}: {exc}"
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        at = re.search(rb"[\x80-\xff]", data).start()
+        return f"not ASCII: byte {data[at]:#04x} at offset {at}"
+    # every data row passed: there are none, or the file changed since the accept pass read it
+    return "changed while it was read" if seen else "no data rows"
 
 
 def read_blocks_csv(path: Union[str, Path]) -> BlockTable:
@@ -337,52 +332,15 @@ def read_blocks_csv(path: Union[str, Path]) -> BlockTable:
     tables can be scored too. Blank lines are skipped and fields beyond the
     header's are ignored; where a name repeats in the header, its last
     column counts. A malformed row, a non-finite time_us, an index beyond
-    64 bits, or a repeated index raises ValueError naming the file line.
+    64 bits, or a repeated index raises ValueError naming the file line; a
+    byte that is not ASCII raises one naming its offset in the file. The
+    accept pass parses _STEP_ROWS rows at a time into columns; only if it
+    fails does the error pass re-read the file row by row to name the fault.
     """
-    with open(path, "r", newline="", encoding="ascii") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, None)
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-        if header is None:
-            raise ValueError(f"{path}: empty CSV")
-        missing = {"index", "time_us", *BYTE_COLUMNS} - set(header)
-        if missing:
-            raise ValueError(f"{path}: missing columns {sorted(missing)}")
-        where = {name: j for j, name in enumerate(header)}
-        steps: List[dict] = []
-        seen: set = set()
-        done = 0  # data rows in earlier steps
-        while True:
-            rows: List[List[str]] = []
-            stopped: Optional[ValueError] = None  # raised once the rows read before it pass
-            try:
-                rows.extend(islice(reader, _STEP_ROWS))
-            except csv.Error as exc:
-                stopped = ValueError(f"{path}: line {reader.line_num}: {exc}")
-            except UnicodeDecodeError as exc:
-                stopped = exc
-            if rows:
-                cols, error = _parse_step(rows, where, len(header), seen)
-                if error is not None:
-                    row, message = error
-                    raise ValueError(f"{path}: line {_line_of(path, done + row)}: {message}")
-                steps.append(cols)
-                done += len(cols["index"])
-            if stopped is not None:
-                raise stopped
-            if len(rows) < _STEP_ROWS:
-                break
-    if not done:
-        raise ValueError(f"{path}: no data rows")
-
-    def joined(name: str) -> Optional[np.ndarray]:
-        return np.concatenate([s[name] for s in steps]) if name in steps[0] else None
-
-    tags = tuple(chain.from_iterable(s["tag"] for s in steps)) if "tag" in where else None
-    return BlockTable(joined("index"), joined("time_us"), joined("feature_bytes"), tags,
-                      *(joined(name) for name in FLAG_COLUMNS))
+    try:
+        return _read_columns(path)
+    except (ValueError, OverflowError, csv.Error):
+        raise ValueError(f"{path}: {_first_error(path)}") from None
 
 
 def rows_to_vectors(table: BlockTable) -> Tuple[Dataset, bool]:

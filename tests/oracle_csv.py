@@ -1,14 +1,18 @@
 """Scalar reference reader for per-block CSVs, kept independent of the library.
 
 This is the row-at-a-time csv.DictReader logic that read_blocks_csv
-replaced with a columnar reader, kept so the two can be compared on any
-input. It has two rules the row-at-a-time reader lacked, which the columnar
-reader shares: a csv.Error (a field beyond the csv module's size limit) is
-a ValueError naming the line, and an index beyond 64 bits is rejected.
+replaced with a columnar accept pass and a row-by-row error pass, kept so
+the reader can be compared with it on any input. It has three rules the
+row-at-a-time reader lacked, which read_blocks_csv shares: a csv.Error (a
+field beyond the csv module's size limit) is a ValueError naming the line,
+an index beyond 64 bits is rejected, and a byte that is not ASCII is a
+ValueError naming its offset in the file, at the point where decoding
+stops the reader.
 """
 
 import csv
 import math
+from pathlib import Path
 from typing import List, Mapping, Optional, Tuple
 
 BYTE_COLUMNS = [f"b{i}" for i in range(16)]
@@ -50,6 +54,15 @@ def _parse_row(raw: Mapping[str, Optional[str]], fields: set) -> Row:
 
 def read_rows(path) -> List[Row]:
     """One Row per data row; ValueError naming the file line for a bad one."""
+    try:
+        return _read_rows(path)
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        at = next(k for k, byte in enumerate(data) if byte > 0x7F)
+        raise ValueError(f"{path}: not ASCII: byte {data[at]:#04x} at offset {at}") from None
+
+
+def _read_rows(path) -> List[Row]:
     with open(path, "r", newline="", encoding="ascii") as handle:
         reader = csv.DictReader(handle)
         try:

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import os
 import subprocess
 import sys
 
@@ -423,8 +424,10 @@ def test_bench_rejects_bad_counts(tmp_path):
 
 
 def test_module_entry_point_runs():
+    # the child imports the package from wherever this process found it, installed or not
     proc = subprocess.run(
-        [sys.executable, "-m", "aeslab", "kat"], capture_output=True, text=True
+        [sys.executable, "-m", "aeslab", "kat"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
     assert "result: pass" in proc.stdout

@@ -576,7 +576,9 @@ def _model_text(tmp_path):
 @pytest.mark.parametrize(
     "bad_line",
     ["i 2 1.0", "i -1 1.0", "l -5 3", "i x 1.0", "l 1", "l 9223372036854775808 1",
-     "i 1 nan", "i 0 -inf", "l 0 0"],
+     "i 1 nan", "i 0 -inf", "l 0 0",
+     # int() and float() take these, but save_model never writes them
+     "l 0_0 3", "l +1 3", "l 01 3", "i 0_0 1.0", "i 0 1_0.5"],
 )
 def test_load_rejects_bad_node_lines(tmp_path, bad_line):
     lines = _model_text(tmp_path)
@@ -593,7 +595,9 @@ def test_load_rejects_bad_node_lines(tmp_path, bad_line):
 @pytest.mark.parametrize(
     "field, value",
     [("n_features", "x"), ("n_trees", "x"), ("max_depth", "1.5"), ("min_samples_split", "two"),
-     ("features_per_split", "5.0"), ("seed", "-"), ("train_fraction", "0.7.1")],
+     ("features_per_split", "5.0"), ("seed", "-"), ("train_fraction", "0.7.1"),
+     ("seed", "0_1"), ("seed", "007"), ("max_depth", "1_6"), ("n_trees", "+2"),
+     ("train_fraction", "0_0.7")],
 )
 def test_load_names_an_unparsable_header_field(tmp_path, field, value):
     lines = _model_text(tmp_path)

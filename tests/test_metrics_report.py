@@ -221,14 +221,20 @@ ZERO_BYTES = ",".join(["00"] * 16)
         ("1,abc," + ZERO_BYTES, "line 3:"),
         ("1,1.0,1ff," + ",".join(["00"] * 15), "line 3:"),  # byte cell above 0xff
         ("1,1.0", "line 3: row has fewer fields"),
+        # several rows, so that at two rows a step the fault lies in a later step
+        ("\n".join(f"{i},1.0," + ZERO_BYTES for i in (1, 2, 3)) + "\n4,1.0,zz," + ZERO_BYTES[3:],
+         r"line 6: invalid literal for int\(\) with base 16: 'zz'"),  # the fifth data row
+        ("\n".join(f"{i},1.0," + ZERO_BYTES for i in (1, 2, 0)), "line 5: duplicate index 0"),
     ],
 )
 def test_read_blocks_csv_rejects_bad_rows_by_line(tmp_path, row, message):
     header = ",".join(["index", "time_us"] + [f"b{i}" for i in range(16)])
     path = tmp_path / "bad.csv"
     path.write_text("\n".join([header, "0,1.0," + ZERO_BYTES, row]) + "\n")
-    with pytest.raises(ValueError, match=message):
-        read_blocks_csv(path)
+    for step_rows in (2, 1024):
+        with mock.patch.object(metrics_report, "_STEP_ROWS", step_rows):
+            with pytest.raises(ValueError, match=message):
+                read_blocks_csv(path)
 
 
 def test_read_blocks_csv_names_the_line_of_an_oversized_field(tmp_path):
@@ -242,6 +248,18 @@ def test_read_blocks_csv_names_the_line_of_an_oversized_field(tmp_path):
         read_blocks_csv(path)
     with pytest.raises(ValueError, match="line 3: field larger than field limit"):
         oracle_csv.read_rows(path)
+
+
+def test_read_blocks_csv_names_the_file_offset_of_a_non_ascii_byte(tmp_path):
+    # past the first 8 KiB the text layer decodes the file in chunks; the offset is the file's
+    header = ",".join(["index", "time_us"] + [f"b{i}" for i in range(16)])
+    text = "\n".join([header] + [f"{i},1.0," + ZERO_BYTES for i in range(400)]) + "\n"
+    raw = bytearray(text.encode("ascii"))
+    raw[20000] = 0xC3
+    path = tmp_path / "latin.csv"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=r"latin.csv: not ASCII: byte 0xc3 at offset 20000$"):
+        read_blocks_csv(path)
 
 
 def test_rows_to_vectors_with_and_without_labels(tmp_path):
