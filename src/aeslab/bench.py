@@ -3,8 +3,11 @@
 Each measurement runs the full pipeline once untimed to warm caches and
 worker pools, then times a second run. Mean latency comes from the
 per-block spans, throughput from blocks over the timed wall clock. Peak
-memory is the process high-water mark (ru_maxrss) where the platform
-exposes it.
+memory is reported where the platform exposes ru_maxrss, in two columns:
+peak_memory_mb for this process and peak_children_mb for the largest of
+its finished children (the pool workers). Both are process-lifetime
+high-water marks: they never fall, so a sweep cell reports at least the
+peak of every cell before it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ except ImportError:  # non-POSIX platforms
 
 BENCH_COLUMNS = [
     "block_count", "workers", "mean_latency_us", "throughput_bps",
-    "peak_memory_mb", "wall_time_s", "error",
+    "peak_memory_mb", "peak_children_mb", "wall_time_s", "error",
 ]
 
 
@@ -39,15 +42,17 @@ class BenchRecord:
     throughput_bps: Optional[float]
     peak_memory_mb: Optional[float]
     wall_time_s: Optional[float]
+    peak_children_mb: Optional[float] = None
     error: Optional[str] = None
 
 
-def peak_memory_mb() -> Optional[float]:
-    """Process peak RSS in MiB, or None where ru_maxrss is unavailable."""
+def peak_memory_mb(children: bool = False) -> Optional[float]:
+    """Peak RSS in MiB of this process, or with children=True of its largest
+    finished child; None where ru_maxrss is unavailable."""
     if resource is None:
         return None
-    usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return usage / 1024.0  # Linux reports KiB
+    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
+    return resource.getrusage(who).ru_maxrss / 1024.0  # Linux reports KiB
 
 
 def measure_run(cfg: RunConfig, key: Key128) -> BenchRecord:
@@ -65,6 +70,7 @@ def measure_run(cfg: RunConfig, key: Key128) -> BenchRecord:
         mean_latency_us=fmean(r.time_us for r in records),
         throughput_bps=cfg.n_blocks / wall_s,
         peak_memory_mb=peak_memory_mb(),
+        peak_children_mb=peak_memory_mb(children=True),
         wall_time_s=wall_s,
     )
 
@@ -81,6 +87,7 @@ def _append_row(path: Path, record: BenchRecord) -> None:
             "" if record.mean_latency_us is None else f"{record.mean_latency_us:.3f}",
             "" if record.throughput_bps is None else f"{record.throughput_bps:.3f}",
             "" if record.peak_memory_mb is None else f"{record.peak_memory_mb:.1f}",
+            "" if record.peak_children_mb is None else f"{record.peak_children_mb:.1f}",
             "" if record.wall_time_s is None else f"{record.wall_time_s:.6f}",
             record.error or "",
         ])

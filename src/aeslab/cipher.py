@@ -4,11 +4,13 @@ The cipher is implemented directly from the FIPS-197 construction: byte
 substitution through the fixed S-box, ShiftRows as a flat 16-element
 permutation, MixColumns through an xtime lookup table, and an expanded
 11-round key schedule. Pure Python keeps the per-block cost measurable
-(tens of microseconds), which is what the timing experiments need.
+(tens of microseconds), which is what the real-mode timing experiments need.
 
-run_pipeline drives generation, anomaly injection, and timed encryption and
-scales across a process pool; threads would serialize on the interpreter
-lock for this CPU-bound work.
+Simulated mode measures no latency, so it encrypts a whole run in one batch
+in the calling process: the same rounds as numpy gathers over every block
+at once. Real mode times each block and scales across a process pool of
+cfg.workers processes; threads would serialize on the interpreter lock for
+this CPU-bound work.
 """
 
 from __future__ import annotations
@@ -20,17 +22,21 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from .workload import (
+    _STREAM_TIMING,
     BLOCK_SIZE,
+    FAULT_MASK,
     AnomalyKind,
     AnomalyTag,
     Mode,
     PlainBlock,
     RunConfig,
+    _rng,
     apply_fault,
     assign_anomalies,
     generate_blocks,
-    timing_rng,
 )
 
 SBOX = (
@@ -119,6 +125,25 @@ def _encrypt(block: bytes, round_keys: Sequence[Sequence[int]]) -> bytes:
     return bytes(sbox[s[perm[i]]] ^ rk[i] for i in range(16))
 
 
+_SBOX_ARRAY = np.array(SBOX, dtype=np.uint8)
+_XTIME_ARRAY = np.array(XTIME, dtype=np.uint8)
+# column-local rotation: entry r of a column is mixed with entry r + 1
+_NEXT_IN_COLUMN = [1, 2, 3, 0]
+
+
+def encrypt_batch(states: np.ndarray, key: bytes) -> np.ndarray:
+    """Encrypt uint8[n, 16] blocks in ECB mode: _encrypt's rounds, each one
+    numpy gather or XOR over all n states at once."""
+    round_keys = np.array(_expand_key(key), dtype=np.uint8)
+    s = states ^ round_keys[0]
+    for rnd in range(1, N_ROUNDS):
+        t = _SBOX_ARRAY[s[:, SHIFT_ROWS]].reshape(-1, 4, 4)
+        x = t[:, :, 0] ^ t[:, :, 1] ^ t[:, :, 2] ^ t[:, :, 3]
+        t ^= x[:, :, None] ^ _XTIME_ARRAY[t ^ t[:, :, _NEXT_IN_COLUMN]]
+        s = t.reshape(-1, 16) ^ round_keys[rnd]
+    return _SBOX_ARRAY[s[:, SHIFT_ROWS]] ^ round_keys[N_ROUNDS]
+
+
 def aes128_encrypt_block(block: bytes, key: Key128) -> bytes:
     """Encrypt one 16-byte block in ECB mode."""
     if len(block) != BLOCK_SIZE:
@@ -182,38 +207,62 @@ class PipelineError(RuntimeError):
     """The worker pool could not be started or died mid-run."""
 
 
-def encrypt_timed(block: PlainBlock, key: Key128, cfg: RunConfig, seed: int) -> BlockRecord:
-    """Encrypt one block and attach its latency.
+def encrypt_timed(block: PlainBlock, key: Key128, cfg: RunConfig) -> BlockRecord:
+    """Encrypt one block and measure its latency.
 
-    Real mode measures a monotonic span covering the injected sleep (delay
-    tags) and work_amplification encryption passes. Simulated mode skips
-    sleeping and computes base + U(0, jitter) + delay from a generator keyed
-    by (seed, block index), so the value is reproducible regardless of
-    worker assignment.
+    The monotonic span covers the injected sleep (delay tags) and
+    cfg.work_amplification encryption passes.
     """
     effective = apply_fault(block)
     schedule = _expand_key(key.data)
     tag = block.tag
-    delay_us = tag.delay_us if tag.kind is AnomalyKind.DELAY else 0.0
-    if cfg.mode is Mode.REAL:
-        start = time.perf_counter()
-        if delay_us:
-            time.sleep(delay_us / 1e6)
-        for _ in range(cfg.work_amplification):
-            ciphertext = _encrypt(effective.data, schedule)
-        time_us = (time.perf_counter() - start) * 1e6
-    else:
+    start = time.perf_counter()
+    if tag.kind is AnomalyKind.DELAY:
+        time.sleep(tag.delay_us / 1e6)
+    for _ in range(cfg.work_amplification):
         ciphertext = _encrypt(effective.data, schedule)
-        jitter = 0.0
-        if cfg.jitter_us > 0:
-            jitter = float(timing_rng(seed, block.index).uniform(0.0, cfg.jitter_us))
-        time_us = cfg.base_time_us + jitter + delay_us
+    time_us = (time.perf_counter() - start) * 1e6
     return BlockRecord(block.index, effective.data, ciphertext, time_us, tag)
 
 
+def _encrypt_simulated(blocks: Sequence[PlainBlock], key: Key128, cfg: RunConfig) -> List[BlockRecord]:
+    """Encrypt every block in one batch and model its latency as
+    (base + U(0, jitter)) + delay.
+
+    Block i's jitter is draw i of one stream of the run seed, so it depends
+    on (seed, index) alone; the stream is drawn up to the largest index.
+    """
+    blocks = sorted(blocks, key=lambda b: b.index)
+    n = len(blocks)
+    if not n:
+        return []
+    tags = [b.tag for b in blocks]
+    index = [b.index for b in blocks]
+    plain = np.frombuffer(b"".join(b.data for b in blocks), np.uint8).reshape(n, BLOCK_SIZE).copy()
+    plain[[t.kind is AnomalyKind.FAULT for t in tags], 0] ^= FAULT_MASK
+    cipher = encrypt_batch(plain, key.data)
+    delay = np.fromiter((t.delay_us if t.kind is AnomalyKind.DELAY else 0.0 for t in tags),
+                        np.float64, n)
+    jitter = 0.0
+    if cfg.jitter_us > 0:
+        jitter = _rng(cfg.seed, _STREAM_TIMING).uniform(0.0, cfg.jitter_us, index[-1] + 1)[index]
+    time_us = (cfg.base_time_us + jitter) + delay
+    plain_bytes, cipher_bytes = plain.tobytes(), cipher.tobytes()
+    return [
+        BlockRecord(i, plain_bytes[at:at + BLOCK_SIZE], cipher_bytes[at:at + BLOCK_SIZE], t, tag)
+        for i, at, t, tag in zip(index, range(0, n * BLOCK_SIZE, BLOCK_SIZE), time_us.tolist(), tags)
+    ]
+
+
 def encrypt_blocks(blocks: Sequence[PlainBlock], key: Key128, cfg: RunConfig) -> List[BlockRecord]:
-    """Encrypt tagged blocks, fanning out across cfg.workers processes."""
-    encrypt = partial(encrypt_timed, key=key, cfg=cfg, seed=cfg.seed)
+    """Encrypt tagged blocks; records come back sorted by index.
+
+    Simulated mode encrypts them all in one batch in this process. Real mode
+    times each block, fanning out across cfg.workers processes.
+    """
+    if cfg.mode is Mode.SIMULATED:
+        return _encrypt_simulated(blocks, key, cfg)
+    encrypt = partial(encrypt_timed, key=key, cfg=cfg)
     if cfg.workers == 1:
         records = list(map(encrypt, blocks))
     else:

@@ -142,7 +142,8 @@ def _add_workload_flags(p: argparse.ArgumentParser) -> None:
                    help="blocks per run (default 1024)")
     p.add_argument("--workers", type=_bounded(int, 1, MAX_WORKERS),
                    default=_env_default("WORKERS", 1),
-                   help=f"worker processes, at most {MAX_WORKERS} (default 1)")
+                   help=f"worker processes for real mode, at most {MAX_WORKERS} (default 1); "
+                        "simulated mode encrypts in one batch in this process")
     p.add_argument("--mode", type=Mode, default=_env_default("MODE", "real"),
                    help="timing source: real (measured wall clock) or simulated "
                         "(seeded model) (default real)")
@@ -317,14 +318,16 @@ def cmd_bench(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"bench_{time.strftime('%Y%m%d-%H%M%S')}.csv"
     results = sweep(args.block_counts, args.worker_counts, base, args.key_hex, csv_path)
-    print(f"{'blocks':>8} {'workers':>7} {'mean_us':>12} {'blocks_per_s':>14} {'peak_mb':>9} {'wall_s':>9}")
+    print(f"{'blocks':>8} {'workers':>7} {'mean_us':>12} {'blocks_per_s':>14} {'peak_mb':>9} "
+          f"{'peak_children_mb':>16} {'wall_s':>9}")
     for r in results:
         if r.error is not None:
             print(f"{r.block_count:>8} {r.workers:>7} error: {r.error}")
             continue
-        mem = "n/a" if r.peak_memory_mb is None else f"{r.peak_memory_mb:.1f}"
+        mem, children = ("n/a" if mb is None else f"{mb:.1f}"
+                         for mb in (r.peak_memory_mb, r.peak_children_mb))
         print(f"{r.block_count:>8} {r.workers:>7} {r.mean_latency_us:>12.3f} "
-              f"{r.throughput_bps:>14.3f} {mem:>9} {r.wall_time_s:>9.3f}")
+              f"{r.throughput_bps:>14.3f} {mem:>9} {children:>16} {r.wall_time_s:>9.3f}")
     print(f"wrote {csv_path}")
     return 1 if any(r.error is not None for r in results) else 0
 

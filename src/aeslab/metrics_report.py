@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -276,16 +276,27 @@ def _read_columns(path: Union[str, Path]) -> BlockTable:
                       *(joined(name) for name in FLAG_COLUMNS))
 
 
+def _ascii_lines(handle: BinaryIO) -> Iterator[str]:
+    """The lines of a binary file as open(..., newline="") splits them, each
+    decoded on its own: a byte that is not ASCII stops a reader at its own
+    line, not at the 8 KiB chunk the text layer would decode it in."""
+    for raw in handle:  # split at b"\n" only
+        for line in raw.splitlines(keepends=True):
+            yield line.decode("ascii")
+
+
 def _first_error(path: Union[str, Path]) -> str:
     """The error pass: what is wrong with the file and where.
 
     Rows are read one at a time, blank ones skipped, and each data row is
-    checked in the order below; its first failed check is the message.
+    checked in the order below; its first failed check is the message. The
+    first fault in file order wins: a bad row that ends before the first
+    byte that is not ASCII, else that byte.
     """
     seen = set()
     try:
-        with open(path, "r", newline="", encoding="ascii") as handle:
-            reader = csv.reader(handle)
+        with open(path, "rb") as handle:
+            reader = csv.reader(_ascii_lines(handle))
             header = next(reader, None)
             if header is None:
                 return "empty CSV"

@@ -30,7 +30,7 @@ MAX_DELAY_US = 3_600_000_000.0
 # far beyond the cores of one host; a process pool starts all its workers at once
 MAX_WORKERS = 64
 
-# spawn_key streams: block bytes, anomaly schedule, simulated per-block timing
+# spawn_key streams: block bytes, anomaly schedule, simulated timing jitter
 _STREAM_BLOCKS = 0
 _STREAM_SCHEDULE = 1
 _STREAM_TIMING = 2
@@ -39,15 +39,6 @@ _STREAM_TIMING = 2
 def _rng(seed: int, stream: int, *key: int) -> np.random.Generator:
     """Derive an independent generator for one stream of a run."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, *key)))
-
-
-def timing_rng(seed: int, index: int) -> np.random.Generator:
-    """Per-block generator for simulated timing jitter.
-
-    Keyed by block index so results do not depend on which worker handles
-    the block or in what order blocks are processed.
-    """
-    return _rng(seed, _STREAM_TIMING, index)
 
 
 class InputDistribution(enum.Enum):
@@ -92,6 +83,8 @@ class PlainBlock:
     tag: AnomalyTag
 
     def __post_init__(self) -> None:
+        if self.index < 0:
+            raise ValueError(f"block index must be non-negative, got {self.index}")
         if len(self.data) != BLOCK_SIZE:
             raise ValueError(f"block {self.index} has {len(self.data)} bytes, expected {BLOCK_SIZE}")
 
@@ -163,18 +156,22 @@ def assign_anomalies(
         raise ValueError("inject_pct must be within [0, 100]")
     if delay_min_us <= 0 or delay_max_us < delay_min_us:
         raise ValueError("delay range must satisfy 0 < min <= max")
-    rng = _rng(seed, _STREAM_SCHEDULE)
+    # one double per random() or uniform() call of the block-by-block schedule,
+    # drawn at once; a delay is lo + (hi - lo) * u, as Generator.uniform computes it
+    u = _rng(seed, _STREAM_SCHEDULE).random(3 * len(blocks)).tolist()
     p = inject_pct / 100.0
+    span = delay_max_us - delay_min_us
+    none_tag, fault_tag = AnomalyTag(), AnomalyTag(AnomalyKind.FAULT)
     tagged: List[PlainBlock] = []
+    k = 0
     for block in blocks:
-        if rng.random() < p:
-            if rng.random() < 0.5:
-                tag = AnomalyTag(AnomalyKind.DELAY, float(rng.uniform(delay_min_us, delay_max_us)))
-            else:
-                tag = AnomalyTag(AnomalyKind.FAULT)
+        if u[k] >= p:
+            tag, k = none_tag, k + 1
+        elif u[k + 1] >= 0.5:
+            tag, k = fault_tag, k + 2
         else:
-            tag = AnomalyTag()
-        tagged.append(replace(block, tag=tag))
+            tag, k = AnomalyTag(AnomalyKind.DELAY, delay_min_us + span * u[k + 2]), k + 3
+        tagged.append(PlainBlock(block.index, block.data, tag))
     return tagged
 
 

@@ -6,8 +6,11 @@ the reader can be compared with it on any input. It has three rules the
 row-at-a-time reader lacked, which read_blocks_csv shares: a csv.Error (a
 field beyond the csv module's size limit) is a ValueError naming the line,
 an index beyond 64 bits is rejected, and a byte that is not ASCII is a
-ValueError naming its offset in the file, at the point where decoding
-stops the reader.
+ValueError naming its offset in the file. Each line is decoded on its own,
+so the first fault in file order is the one reported: a bad row that ends
+before the first byte that is not ASCII, else that byte. (Decoding the
+whole file through the text layer would stop the reader at the start of
+the byte's 8 KiB chunk, before rows that precede the byte.)
 """
 
 import csv
@@ -62,9 +65,15 @@ def read_rows(path) -> List[Row]:
         raise ValueError(f"{path}: not ASCII: byte {data[at]:#04x} at offset {at}") from None
 
 
+def _lines(handle):
+    # split as the text layer does with newline="": at \n, \r and \r\n
+    for raw in handle:
+        yield from (line.decode("ascii") for line in raw.splitlines(keepends=True))
+
+
 def _read_rows(path) -> List[Row]:
-    with open(path, "r", newline="", encoding="ascii") as handle:
-        reader = csv.DictReader(handle)
+    with open(path, "rb") as handle:
+        reader = csv.DictReader(_lines(handle))
         try:
             fieldnames = reader.fieldnames
         except csv.Error as exc:

@@ -32,6 +32,24 @@ def test_peak_memory_is_positive_where_available():
     assert mem is None or mem > 0
 
 
+def test_measure_run_counts_the_pool_workers_memory(tmp_path):
+    # ru_maxrss of RUSAGE_CHILDREN covers the workers once the pool has shut down
+    cfg = RunConfig(n_blocks=32, inject_pct=0.0, workers=2, mode=Mode.REAL)
+    record = measure_run(cfg, KEY)
+    if record.peak_memory_mb is None:
+        assert record.peak_children_mb is None
+    else:
+        assert record.peak_children_mb > 0
+        assert record.peak_children_mb == peak_memory_mb(children=True)
+    path = tmp_path / "bench.csv"
+    sweep([32], [2], cfg, KEY, path)
+    with open(path, newline="") as handle:
+        (row,) = list(csv.DictReader(handle))
+    assert list(row)[4:6] == ["peak_memory_mb", "peak_children_mb"]
+    assert row["peak_children_mb"] == ("" if record.peak_children_mb is None else
+                                       f"{peak_memory_mb(children=True):.1f}")
+
+
 def test_sweep_covers_cells_in_ascending_order(tmp_path):
     base = RunConfig(inject_pct=0.0, mode=Mode.REAL)
     path = tmp_path / "bench.csv"

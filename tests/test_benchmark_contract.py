@@ -46,6 +46,8 @@ def test_run_looks_up_pipeline_and_exports_recoverable_split(tmp_path, capsys, m
 
     (records,) = captured
     assert [r.index for r in records] == list(range(200))
+    # the benchmark joins the records' bytes and reads their attributes
+    assert all(type(r.plaintext) is bytes and type(r.ciphertext) is bytes for r in records)
     for r in records[:3]:
         assert len(r.plaintext) == len(r.ciphertext) == 16
         assert r.time_us > 0

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
+import aeslab.cipher as cipher_mod
 from aeslab.cipher import (
+    KAT_VECTORS,
     BlockRecord,
     Key128,
     PipelineError,
+    _encrypt,
+    _expand_key,
     aes128_encrypt_block,
+    encrypt_batch,
     encrypt_blocks,
     encrypt_timed,
     run_known_answer_suite,
@@ -78,8 +83,9 @@ def test_ecb_is_deterministic_and_chain_free():
     assert aes128_encrypt_block(block, key) == first
     # two equal blocks at different run positions encrypt identically
     cfg = RunConfig(mode=Mode.SIMULATED, jitter_us=0.0)
-    rec_a = encrypt_timed(PlainBlock(0, block, AnomalyTag()), key, cfg, seed=1)
-    rec_b = encrypt_timed(PlainBlock(7, block, AnomalyTag()), key, cfg, seed=1)
+    rec_a, rec_b = encrypt_blocks(
+        [PlainBlock(0, block, AnomalyTag()), PlainBlock(7, block, AnomalyTag())], key, cfg
+    )
     assert rec_a.ciphertext == rec_b.ciphertext == first
 
 
@@ -97,8 +103,10 @@ def test_fault_tag_changes_ciphertext_and_survives_decryption():
     key = Key128.from_hex("000102030405060708090a0b0c0d0e0f")
     data = bytes(range(16))
     cfg = RunConfig(mode=Mode.SIMULATED, jitter_us=0.0)
-    clean = encrypt_timed(PlainBlock(0, data, AnomalyTag()), key, cfg, seed=1)
-    faulted = encrypt_timed(PlainBlock(0, data, AnomalyTag(AnomalyKind.FAULT)), key, cfg, seed=1)
+    clean, faulted = encrypt_blocks(
+        [PlainBlock(0, data, AnomalyTag()), PlainBlock(1, data, AnomalyTag(AnomalyKind.FAULT))],
+        key, cfg,
+    )
     assert clean.ciphertext != faulted.ciphertext
     assert faulted.plaintext[0] == data[0] ^ 0xFF
     # the corruption is observable end to end through an independent decryption
@@ -111,31 +119,30 @@ def test_real_mode_delay_shows_up_in_latency():
     key = Key128(bytes(16))
     cfg = RunConfig(mode=Mode.REAL)
     block = PlainBlock(0, bytes(16), AnomalyTag(AnomalyKind.DELAY, 5000.0))
-    record = encrypt_timed(block, key, cfg, seed=1)
+    record = encrypt_timed(block, key, cfg)
     assert record.time_us >= 5000.0
     assert record.truth_label is True
 
 
 def test_simulated_time_formula_with_zero_jitter():
     key = Key128(bytes(16))
-    cfg = RunConfig(mode=Mode.SIMULATED, base_time_us=100.0, jitter_us=0.0)
-    plain = encrypt_timed(PlainBlock(3, bytes(16), AnomalyTag()), key, cfg, seed=9)
-    assert plain.time_us == 100.0
-    delayed = encrypt_timed(
-        PlainBlock(3, bytes(16), AnomalyTag(AnomalyKind.DELAY, 7000.0)), key, cfg, seed=9
+    cfg = RunConfig(mode=Mode.SIMULATED, base_time_us=100.0, jitter_us=0.0, seed=9)
+    plain, delayed = encrypt_blocks(
+        [PlainBlock(3, bytes(16), AnomalyTag()),
+         PlainBlock(4, bytes(16), AnomalyTag(AnomalyKind.DELAY, 7000.0))],
+        key, cfg,
     )
+    assert plain.time_us == 100.0
     assert delayed.time_us == 7100.0
 
 
 def test_simulated_jitter_is_bounded_and_index_keyed():
     key = Key128(bytes(16))
-    cfg = RunConfig(mode=Mode.SIMULATED, base_time_us=100.0, jitter_us=10.0)
-    times = {}
-    for index in range(32):
-        rec = encrypt_timed(PlainBlock(index, bytes(16), AnomalyTag()), key, cfg, seed=5)
-        assert 100.0 <= rec.time_us <= 110.0
-        times[index] = rec.time_us
-    again = encrypt_timed(PlainBlock(17, bytes(16), AnomalyTag()), key, cfg, seed=5)
+    cfg = RunConfig(mode=Mode.SIMULATED, base_time_us=100.0, jitter_us=10.0, seed=5)
+    records = encrypt_blocks([PlainBlock(i, bytes(16), AnomalyTag()) for i in range(32)], key, cfg)
+    times = {rec.index: rec.time_us for rec in records}
+    assert all(100.0 <= t <= 110.0 for t in times.values())
+    (again,) = encrypt_blocks([PlainBlock(17, bytes(16), AnomalyTag())], key, cfg)
     assert again.time_us == times[17]
     assert len(set(times.values())) > 1
 
@@ -144,11 +151,8 @@ def test_simulated_work_amplification_does_not_change_time():
     key = Key128(bytes(16))
     base = RunConfig(mode=Mode.SIMULATED, jitter_us=0.0)
     amped = dataclasses.replace(base, work_amplification=50)
-    block = PlainBlock(0, bytes(16), AnomalyTag())
-    assert (
-        encrypt_timed(block, key, base, seed=1).time_us
-        == encrypt_timed(block, key, amped, seed=1).time_us
-    )
+    blocks = [PlainBlock(0, bytes(16), AnomalyTag())]
+    assert encrypt_blocks(blocks, key, base) == encrypt_blocks(blocks, key, amped)
 
 
 def test_run_pipeline_returns_sorted_complete_records():
@@ -166,32 +170,77 @@ def test_run_pipeline_anomaly_count_near_expectation():
     assert abs(hits - 204.8) <= 3 * sigma
 
 
-def test_run_pipeline_simulated_identical_across_worker_counts():
+def _without_time(records):
+    return [dataclasses.replace(r, time_us=0.0) for r in records]
+
+
+def test_run_pipeline_real_identical_across_worker_counts():
     key = Key128.from_hex("2b7e151628aed2a6abf7158809cf4f3c")
-    base = RunConfig(n_blocks=96, inject_pct=30.0, seed=3, mode=Mode.SIMULATED)
-    reference = run_pipeline(base, key)
+    base = RunConfig(n_blocks=48, inject_pct=0.0, seed=3, mode=Mode.REAL)
+    reference = _without_time(run_pipeline(base, key))
     for workers in (2, 3):
         cfg = dataclasses.replace(base, workers=workers)
-        assert run_pipeline(cfg, key) == reference
+        assert _without_time(run_pipeline(cfg, key)) == reference
+
+
+class ExplodingPool:
+    def __init__(self, *args, **kwargs):
+        raise OSError("no processes for you")
 
 
 def test_worker_pool_failure_raises_pipeline_error(monkeypatch):
-    import aeslab.cipher as cipher_mod
-
-    class ExplodingPool:
-        def __init__(self, *args, **kwargs):
-            raise OSError("no processes for you")
-
     monkeypatch.setattr(cipher_mod, "ProcessPoolExecutor", ExplodingPool)
-    cfg = RunConfig(n_blocks=8, workers=2, mode=Mode.SIMULATED)
+    cfg = RunConfig(n_blocks=32, inject_pct=0.0, workers=2, mode=Mode.REAL)
     with pytest.raises(PipelineError):
         run_pipeline(cfg, Key128(bytes(16)))
 
 
+def test_simulated_mode_starts_no_pool(monkeypatch):
+    key = Key128(bytes(16))
+    base = RunConfig(n_blocks=96, inject_pct=30.0, seed=3, mode=Mode.SIMULATED)
+    reference = run_pipeline(base, key)
+    monkeypatch.setattr(cipher_mod, "ProcessPoolExecutor", ExplodingPool)
+    assert run_pipeline(dataclasses.replace(base, workers=2), key) == reference
+
+
 def test_encrypt_blocks_matches_per_block_calls():
     key = Key128(bytes(16))
-    cfg = RunConfig(mode=Mode.SIMULATED, seed=2)
-    blocks = generate_blocks(16, InputDistribution.ASCII, seed=2)
+    cfg = RunConfig(mode=Mode.REAL, seed=2, inject_pct=0.0, workers=2)  # through the pool
+    blocks = generate_blocks(24, InputDistribution.ASCII, seed=2)
     via_batch = encrypt_blocks(blocks, key, cfg)
-    via_loop = [encrypt_timed(b, key, cfg, cfg.seed) for b in blocks]
-    assert via_batch == via_loop
+    via_loop = [encrypt_timed(b, key, cfg) for b in blocks]
+    assert _without_time(via_batch) == _without_time(via_loop)
+
+
+# ---------------------------------------------------------------- batched AES
+
+
+def _batch(blocks):
+    return np.frombuffer(b"".join(blocks), np.uint8).reshape(-1, 16)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4096])
+def test_batched_aes_matches_scalar_and_library_on_uniform_blocks(n):
+    rng = np.random.default_rng(n)
+    key = rng.bytes(16)
+    blocks = [rng.bytes(16) for _ in range(n)]
+    got = [row.tobytes() for row in encrypt_batch(_batch(blocks), key)]
+    assert got == [_encrypt(b, _expand_key(key)) for b in blocks]
+    assert b"".join(got) == _library_encrypt(key, b"".join(blocks))
+
+
+def test_batched_aes_matches_every_known_answer_vector_in_one_batch():
+    # the batch has one key, so encrypt every vector's plaintext under every vector's key
+    plaintexts = [bytes.fromhex(pt) for _, _, pt, _ in KAT_VECTORS]
+    for _, key_hex, pt_hex, ct_hex in KAT_VECTORS:
+        key = bytes.fromhex(key_hex)
+        out = encrypt_batch(_batch(plaintexts), key)
+        assert out[plaintexts.index(bytes.fromhex(pt_hex))].tobytes().hex() == ct_hex
+        assert out.tobytes() == _library_encrypt(key, b"".join(plaintexts))
+
+
+def test_batched_aes_leaves_its_input_alone():
+    states = _batch([bytes(range(16))] * 3)
+    before = states.copy()
+    encrypt_batch(states, bytes(16))
+    assert np.array_equal(states, before)

@@ -400,6 +400,7 @@ def test_bench_writes_csv_and_table(tmp_path, capsys):
                  "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "blocks_per_s" in out
+    assert "peak_mb peak_children_mb" in out
     bench_files = list(tmp_path.glob("bench_*.csv"))
     assert len(bench_files) == 1
     with open(bench_files[0], newline="") as handle:

@@ -262,6 +262,38 @@ def test_read_blocks_csv_names_the_file_offset_of_a_non_ascii_byte(tmp_path):
         read_blocks_csv(path)
 
 
+@pytest.mark.parametrize("bad_row_at, wins", [
+    (-60, "row"),  # in the chunk before the byte's
+    (-12, "row"),  # in the byte's chunk, ahead of the byte
+    (-1, "row"),  # the line just before the byte's
+    (0, "byte"),  # the byte's own line: the row does not end before the byte
+    (5, "byte"),
+])
+def test_read_blocks_csv_reports_the_first_fault_in_file_order(tmp_path, bad_row_at, wins):
+    # the text layer decodes 8 KiB chunks: a bad row early in the chunk that holds a
+    # non-ASCII byte must still be reported, as it comes first in the file
+    header = ",".join(["index", "time_us"] + [f"b{i}" for i in range(16)])
+    lines = [header] + [f"{i},1.0," + ZERO_BYTES for i in range(2048)]
+    starts = np.cumsum([0] + [len(line) + 1 for line in lines]).tolist()
+    chunk_start = 6 * 8192
+    byte_line = next(k for k, at in enumerate(starts) if at > chunk_start + 1000)
+    assert starts[byte_line - 12] > chunk_start > starts[byte_line - 60]
+    bad_line = byte_line + bad_row_at
+    lines[bad_line] = lines[bad_line].replace(",1.0,", ",1.x,")  # same length
+    raw = bytearray(("\n".join(lines) + "\n").encode("ascii"))
+    at = starts[byte_line] + len(lines[byte_line]) - 1  # the line's last byte cell
+    raw[at] = 0xC3
+    path = tmp_path / "both.csv"
+    path.write_bytes(bytes(raw))
+    if wins == "row":
+        message = f"both.csv: line {bad_line + 1}: could not convert string to float: '1.x'$"
+    else:
+        message = f"both.csv: not ASCII: byte 0xc3 at offset {at}$"
+    for read in (read_blocks_csv, oracle_csv.read_rows):
+        with pytest.raises(ValueError, match=message):
+            read(path)
+
+
 def test_rows_to_vectors_with_and_without_labels(tmp_path):
     cfg, records, tp, fp, rt, rf = _scored_run(n=20)
     blocks_path, _ = _export(tmp_path, cfg, records, tp, fp, rt, rf)

@@ -1,9 +1,12 @@
 """Byte-level pins on the artifacts a fixed seed produces.
 
-The ASCII digests were recorded from the CLI before the feature table
-became a single array pair, the uniform ones before the split search became
-one ranked-column histogram; any change to feature assembly, splitting,
-fitting, serialization or voting that moves a single byte shows up here.
+All of them were re-recorded when simulated timing jitter moved from one
+generator per block to one stream indexed by block number: every latency
+changed, and with it the forest's splits. Before that they had held since
+the feature table became a single array pair (ASCII) and since the split
+search became one ranked-column histogram (uniform). Any change to feature
+assembly, splitting, fitting, serialization or voting that moves a single
+byte shows up here.
 Uniform inputs give every byte column up to 256 distinct values and grow
 deeper trees than ASCII inputs do.
 """
@@ -20,28 +23,28 @@ RUN_FLAGS = ["--blocks", "256", "--inject-pct", "30", "--seed", "7",
 # key: byte source, optionally prefixed by "uniform-" for --input-dist uniform
 PINNED = {
     "plaintext": {
-        "blocks": "f59097271888a42eba30f23d8c0721cfc2f7bd19c8b6382c3a74bd238382b7b6",
-        "summary": "2591e12d2efd8466382aa07d63e3ee692a469803ec975ba83792267ee84fe65b",
-        "model": "5cd33b3c7209e3f08494fc4272b2b664437ee38fd5ef6d428246b2c3d6b2ab0d",
+        "blocks": "eaae287eae5b2610c97920178aa1d2c3e77bdcbd98c05ac286e1794f0384acb6",
+        "summary": "9cff51a2045f99ecb41db5863ecb41f37718d2cf742da8fc5f36a80a20a57d43",
+        "model": "1e78335e906a996d97e113e6238bef84c924676174f923c03ad07e0895bf1251",
         "predict": "1017776e5a60e33325ddc0c8f736a04bfe9660064ced60c21d319dc0b8b65cdc",
     },
     "ciphertext": {
-        "blocks": "ec099d5eda116e5c484ca190511a6f3bf7cbd44bf0ad3e6ac915739939eecd92",
-        "summary": "429540258956157e9c965a9ea3cd77b6821d0ff59245b12277dac79c924c5913",
-        "model": "f88cd91f1b44829b9498d736b7cf92ab454782a8fae0ac505d5e2511173bcfe5",
+        "blocks": "d633a8238127e22ca242078a167d4acec6022227639c40b828f6c9955cad6595",
+        "summary": "0ff20b31185ddc4485d7fa9756ebdb67fcfe98309dbc405c17f60bf231b91ab9",
+        "model": "649c68e41502bba93fdbda902ac9769f4b84c781e31461a707887fc067da0e48",
         "predict": "53120d73a7fe7a1c9e0301954b68532ca977b3c842accafb94827a7108298f6d",
     },
     "uniform-plaintext": {
-        "blocks": "691b788ef60d601c17a1d9a627db72e757b0eeb65a8ca8670c7161981c55b278",
-        "summary": "1420e127032bb2fc7acb619dc30ea37b49770fc3880682de889186054e26f2e7",
-        "model": "8471d5f21565b922d03a2299dd23c6bad264fa4f33d127a1000041cfe2c15d7f",
-        "predict": "2d0c251669e8ed7a7eaff2b0cc21b5a824298c0949d29058a30bd4be19c5efbd",
+        "blocks": "4bfce3dad9f4eecade1eda8a7cbe48da7d3c04f5a0d7a8ca2ce31d27ade51045",
+        "summary": "37e6113fa041b89d758b05709b1acc4ac27bb54568edb7c7ce7ed72f269038d9",
+        "model": "d150270dd03922bec8e62a07168d08472da7a9be4b5c96f0d64b8f88acc7a6e9",
+        "predict": "634f6e46119a7537b5bd79b1b5fc0393161c9bfe66fc9a99ad6645a7b260d706",
     },
     "uniform-ciphertext": {
-        "blocks": "ffe9cf69b93f95f3ecec781c738fc9c054d814892b97e34f230cba98db618799",
-        "summary": "d0656cf717fa1a4ebce48d1e694272fc40ef22c509f26bde7a97e3f568a51e6c",
-        "model": "b0650447ef491a65dd183c745f12ed66719a592e6b27955cfc53e94f114ba83a",
-        "predict": "4c1583e8bcee5c334c2cbff1d6706a293373218aa73f7213b0c06f0d5b49595a",
+        "blocks": "c253b82dc8a123d66f98fe4814f10e7a9e41b1cb4356ffa4573fc035d9c49934",
+        "summary": "dfae8d8e59ef733e1e63ac3a92571cf9a00a7684a1e62af8a830168593a178de",
+        "model": "650b834a2f7130a43bccb214ca79d2e19042b24c20b332199d3da509a762e412",
+        "predict": "edd7c69741dd357ced88936104b0b4abd2f068ce852c30d0bcbe3f44951b3ce3",
     },
 }
 

@@ -2,13 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aeslab.workload import (
     ASCII_HIGH,
     ASCII_LOW,
     BLOCK_SIZE,
+    MAX_DELAY_US,
     MAX_WORKERS,
     AnomalyKind,
     AnomalyTag,
@@ -19,6 +20,8 @@ from aeslab.workload import (
     assign_anomalies,
     generate_blocks,
 )
+
+import oracle_schedule
 
 
 def test_generate_blocks_count_and_indices():
@@ -113,6 +116,23 @@ def test_assign_anomalies_validates_inputs():
         assign_anomalies(blocks, 10.0, seed=1, delay_min_us=500.0, delay_max_us=100.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 2000),
+    inject_pct=st.one_of(st.sampled_from([0.0, 100.0]), st.floats(0.0, 100.0)),
+    delay_min_us=st.floats(1e-3, MAX_DELAY_US),
+    width=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_assign_anomalies_matches_the_scalar_draw_loop(n, inject_pct, delay_min_us, width, seed):
+    delay_max_us = delay_min_us + width * (MAX_DELAY_US - delay_min_us)
+    blocks = [PlainBlock(i, bytes(16), AnomalyTag()) for i in range(n)]
+    tagged = assign_anomalies(blocks, inject_pct, seed, delay_min_us, delay_max_us)
+    want = oracle_schedule.schedule(n, inject_pct, seed, delay_min_us, delay_max_us)
+    assert [(kind.value, delay) for kind, delay in _tags(tagged)] == want
+    assert [(b.index, b.data) for b in tagged] == [(b.index, b.data) for b in blocks]
+
+
 def test_apply_fault_flips_first_byte_only():
     block = PlainBlock(0, bytes([0x41]) + bytes(15), AnomalyTag(AnomalyKind.FAULT))
     faulted = apply_fault(block)
@@ -145,6 +165,9 @@ def test_anomaly_tag_validation():
 def test_plain_block_rejects_wrong_size():
     with pytest.raises(ValueError):
         PlainBlock(0, bytes(5), AnomalyTag())
+    # jitter is indexed by block number, where a negative index would wrap around
+    with pytest.raises(ValueError, match="non-negative"):
+        PlainBlock(-1, bytes(16), AnomalyTag())
 
 
 @pytest.mark.parametrize(
