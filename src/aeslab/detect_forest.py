@@ -11,13 +11,15 @@ the highest Gini gain wins. Ties resolve to the lowest feature index, then
 the lowest threshold; a node with no strictly positive gain becomes a leaf.
 
 Each training column is ranked once, replacing every value by its position
-among the column's sorted distinct values. A node then scores all its
-candidate columns, the latency and the bytes alike, from one per-class
-histogram over their ranks: exact histogram split finding with one bin per
-distinct value, so the counts, thresholds and gains are those of a sorted
-scan. Each tree is stored as flat pre-order arrays. Prediction partitions
-the row numbers down each tree in turn, so a row is compared only at the
-nodes on its path.
+among the column's sorted distinct values. A bounded pool of trees grows in
+lock-step: at each step every growing tree hands over the next node it must
+search, and one per-class histogram over the ranks of those nodes' candidate
+columns, the latency and the bytes alike, scores them all. This is exact
+histogram split finding, so the counts, thresholds and gains are those of a
+sorted scan, and each tree keeps its own generator and pre-order, so it is
+the tree grown alone. Each tree is stored as flat pre-order arrays.
+Prediction partitions the row numbers down each tree in turn, so a row is
+compared only at the nodes on its path.
 
 Everything is deterministic given (hyperparams, training data): each tree
 draws its bootstrap sample and feature subsets from a generator derived
@@ -29,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Generator, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -258,61 +260,78 @@ def _gains(n_left, left1, n: int, total0: int, total1: int, parent: float) -> np
     return parent - child / n
 
 
-def _rank_columns(X: np.ndarray, features: Sequence[int]) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """(codes, values) of the listed columns of X.
+def _rank_columns(
+    X: np.ndarray, y: np.ndarray, features: Sequence[int]
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """(keys, values) of the listed columns of X with the 0/1 labels y.
 
-    values[j] holds the sorted distinct values of column features[j], and
-    codes[j, i] the position in values[j] of that column's entry in row i.
+    values[j] holds the sorted distinct values of column features[j], and keys[j, i]
+    is 2 * (the position in values[j] of row i's entry) + y[i]: its (rank, class) bin.
     """
-    codes = np.empty((len(features), X.shape[0]), dtype=np.intp)
-    values = []
-    for j, f in enumerate(features):
-        distinct, codes[j] = np.unique(X[:, f], return_inverse=True)
-        values.append(distinct)
-    return codes, values
+    if not len(features):
+        raise ValueError("cannot fit on a feature matrix with no columns")
+    ranked = [np.unique(X[:, f], return_inverse=True) for f in features]
+    return np.array([2 * rank + y for _, rank in ranked], dtype=np.intp), [v for v, _ in ranked]
 
 
-def _scan(cols: np.ndarray, values: Sequence[np.ndarray], y: np.ndarray):
-    """(gain, column, rank, threshold) of the best cut over the rows of cols, or None.
+_Node = Tuple[np.ndarray, np.ndarray, int, int]  # rows, candidate columns, class totals
+_Cut = Tuple[float, int, int, float, int, int]  # gain, j, rank, threshold, left class counts
+_Grower = Generator[_Node, Optional[_Cut], Tree]  # yields the nodes to search, returns the tree
 
-    cols[j] holds each sample's rank in the sorted distinct values[j]. The
-    columns lie end to end, each as wide as its values, and one histogram
-    over bins (class, column, rank) gives by one cumulative sum, restarted
-    at each column's first bin, the exact class counts left of a cut after
-    every rank. Cutting after a rank no sample holds repeats the counts of
-    the rank held below it, which comes first, so the first maximum lands on
-    a held rank: the lowest column, then the lowest threshold. The threshold
-    is the midpoint between that value and the next one held, or the value
-    itself where the midpoint rounds up to the next, so that exactly the
-    samples of rank at most the returned one lie at or below it. None if no
-    cut has gain strictly above zero.
+
+def _scan_batch(
+    keys: np.ndarray, values: Sequence[np.ndarray], nodes: Sequence[_Node]
+) -> List[Optional[_Cut]]:
+    """The best cut of each node (rows, feats, total0, total1), or None where no gain is above zero.
+
+    rows are columns of keys (repeats allowed); feats, as many for every node,
+    ascend. Each (node, column) is a histogram segment as wide as the column's
+    values, and one np.bincount counts every (segment, rank, class). A cumulative
+    sum over the held ranks' bins, restarted at each segment, gives the class
+    counts left of a cut after each; the first maximum gain wins (lowest column,
+    then threshold). The threshold is the midpoint between the held value and
+    the next held one, or the value itself where the midpoint rounds up to the
+    next, so exactly the rows of rank at most the cut's lie at or below it. A cut
+    is (gain, j, rank, threshold, left0, left1) for column feats[j].
     """
-    n = y.size
-    total1 = int(np.count_nonzero(y))
-    total0 = n - total1
-    widths = np.array([v.size for v in values])
-    starts = np.concatenate(([0], np.cumsum(widths[:-1])))
-    bins = int(starts[-1] + widths[-1])
-    hist = np.bincount((cols + starts[:, None] + bins * y).ravel(), minlength=2 * bins)
-    hist = hist.reshape(2, bins)
-    hist[:, starts[1:]] -= np.array([[total0], [total1]])  # each column restarts the sums
-    left = hist.cumsum(axis=1)
-    n_left_all = left[0] + left[1]
-    cand = np.flatnonzero((n_left_all > 0) & (n_left_all < n))
-    if cand.size == 0:
-        return None
-    gains = _gains(n_left_all[cand], left[1][cand], n, total0, total1, gini((total0, total1)))
-    pick = int(np.argmax(gains))
-    if not gains[pick] > 0.0:
-        return None
-    at = int(cand[pick])
-    j = int(np.searchsorted(starts, at, side="right")) - 1
-    column = n_left_all[starts[j]:starts[j] + widths[j]]
-    rank = at - int(starts[j])
-    above = int(np.searchsorted(column, column[rank], side="right"))  # the next rank held
-    lo, hi = float(values[j][rank]), float(values[j][above])
-    mid = (lo + hi) / 2.0
-    return float(gains[pick]), j, rank, mid if mid < hi else lo
+    n, k = keys.shape[1], len(nodes[0][1])
+    feats = np.concatenate([f for _, f, _, _ in nodes])  # segment s: node s // k, column feats[s]
+    widths = np.array([v.size for v in values])[feats]
+    starts = np.cumsum(widths) - widths  # each segment's first rank bin
+    gather, shift = (feats * n).reshape(-1, k, 1), (2 * starts).reshape(-1, k, 1)
+    bins = np.concatenate([keys.take(g + r) + h for (r, *_), g, h in zip(nodes, gather, shift)], None)
+    hist = np.bincount(bins, minlength=2 * int(widths.sum()))
+    held = np.flatnonzero(np.logical_or(hist[0::2], hist[1::2]))
+    first = np.searchsorted(held, starts)  # every segment holds its node's rows
+    totals = np.array([(t0, t1) for _, _, t0, t1 in nodes]).repeat(k, axis=0)  # per segment
+    h0, h1 = hist[0::2][held], hist[1::2][held]
+    h0[first[1:]] -= totals[:-1, 0]  # each segment restarts the sums
+    h1[first[1:]] -= totals[:-1, 1]
+    left0, left1 = h0.cumsum(), h1.cumsum()
+    n_cand = np.diff(first, append=held.size) - 1  # a segment's last held rank leaves no row right
+    cand = np.ones(held.size, dtype=bool)
+    cand[first + n_cand] = False
+    parents = [gini((t0, t1)) for t0, t1 in totals.tolist()]
+    per_cand = np.column_stack([totals.sum(axis=1), totals, parents]).repeat(n_cand, axis=0)
+    size, total0, total1, parent = per_cand.T  # float64, like every count below
+    gains = _gains(np.add(left0, left1, dtype=np.float64).compress(cand),
+                   left1.compress(cand).astype(np.float64), size, total0, total1, parent)
+    node_cand = n_cand.reshape(-1, k).sum(axis=1)
+    node_first = (np.cumsum(node_cand) - node_cand)[node_cand > 0]
+    best = np.maximum.reduceat(gains, node_first)
+    top = np.flatnonzero(gains == best.repeat(node_cand[node_cand > 0]))
+    pick = np.flatnonzero(cand)[top[np.searchsorted(top, node_first)]]  # each node's first maximum
+    seg = np.searchsorted(first, pick, side="right") - 1
+    found: List[Optional[_Cut]] = [None] * len(nodes)
+    for gain, s, rank, above, l0, l1 in zip(  # pick + 1 is the next rank held
+        best.tolist(), seg.tolist(), (held[pick] - starts[seg]).tolist(),
+        (held[pick + 1] - starts[seg]).tolist(), left0[pick].tolist(), left1[pick].tolist(),
+    ):
+        if gain > 0.0:
+            lo, hi = float(values[feats[s]][rank]), float(values[feats[s]][above])
+            mid = (lo + hi) / 2.0
+            found[s // k] = (gain, s % k, rank, mid if mid < hi else lo, l0, l1)
+    return found
 
 
 def best_split(X: np.ndarray, y: np.ndarray, features: Sequence[int]) -> Optional[Split]:
@@ -329,65 +348,109 @@ def best_split(X: np.ndarray, y: np.ndarray, features: Sequence[int]) -> Optiona
         raise ValueError("candidate features must not be empty")
     if feats[0] < 0 or feats[-1] >= X.shape[1]:
         raise ValueError("candidate feature index out of range")
-    found = _scan(*_rank_columns(X, feats), np.asarray(y, dtype=bool))
-    if found is None:
-        return None
-    gain, j, _, threshold = found
-    return Split(feats[j], threshold, gain)
+    y = np.asarray(y, dtype=bool)
+    c1 = int(np.count_nonzero(y))
+    node = (np.arange(y.size), np.arange(len(feats)), y.size - c1, c1)
+    found = _scan_batch(*_rank_columns(X, y, feats), [node])[0]
+    return None if found is None else Split(feats[found[1]], found[3], found[0])
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, hyper: ForestHyperparams, rng: np.random.Generator) -> Tree:
     """Grow one CART tree on (X, y), drawing each node's candidate features from rng."""
     if y.size == 0:
         raise ValueError("cannot fit a tree on an empty sample set")
-    codes, values = _rank_columns(X, range(X.shape[1]))
-    return _grow(codes, values, np.asarray(y, dtype=bool), hyper, rng)
+    keys, values = _rank_columns(X, np.asarray(y, dtype=bool), range(X.shape[1]))
+    return _grow_lockstep(keys, values, hyper, [(rng, np.arange(y.size))])[0]
 
 
-def _grow(
-    codes: np.ndarray, values: Sequence[np.ndarray], y: np.ndarray,
-    hyper: ForestHyperparams, rng: np.random.Generator,
-) -> Tree:
-    """fit_tree on ranked columns: codes[f, i] is row i's rank in values[f].
+def _grower(
+    keys: np.ndarray, hyper: ForestHyperparams, rng: np.random.Generator, rows: np.ndarray,
+) -> _Grower:
+    """Grow one tree on rows (columns of keys, repeats allowed) and return it.
 
-    Nodes are grown in pre-order (a node, its left subtree, its right
-    subtree) from an explicit stack, which fixes the order of rng draws.
+    Nodes grow in pre-order from an explicit stack, which fixes the order of
+    rng draws. Each node that needs a split search is yielded and its cut sent
+    back. A child's class counts come from the cut; only a searched child keeps rows.
     """
-    d, n = codes.shape
-    k = min(hyper.features_per_split, d)
-    flat = codes.ravel()  # feature f of row i at f * n + i
+    d, k = keys.shape[0], min(hyper.features_per_split, keys.shape[0])
+
+    def searched(c0: int, c1: int, depth: int) -> bool:  # whether a node gets a split search
+        deep = hyper.max_depth is not None and depth >= hyper.max_depth
+        return bool(c0 and c1 and c0 + c1 >= hyper.min_samples_split and not deep)
+
     feature: List[int] = []
     threshold: List[float] = []
     counts: List[Tuple[int, int]] = []
-    pending = [(np.arange(n), 0)]  # subtrees still to grow: row indices, depth; next on top
+    c1 = int(np.count_nonzero(keys[0].take(rows) & 1))  # a key's low bit is its row's class
+    pending = [(rows, 0, rows.size - c1, c1)]  # rows (None: a leaf), depth, class counts; next on top
     while pending:
-        rows, depth = pending.pop()
-        yn = y[rows]
-        c1 = int(np.count_nonzero(yn))
-        c0 = rows.size - c1
+        rows, depth, c0, c1 = pending.pop()
         found = None
-        if (
-            c0
-            and c1
-            and rows.size >= hyper.min_samples_split
-            and (hyper.max_depth is None or depth < hyper.max_depth)
-        ):
+        if rows is not None and searched(c0, c1, depth):
             feats = np.sort(rng.choice(d, size=k, replace=False))
-            cols = flat.take(feats[:, None] * n + rows)
-            found = _scan(cols, [values[f] for f in feats], yn)
+            found = yield rows, feats, c0, c1
         if found is None:
             feature.append(-1)
             threshold.append(0.0)
             counts.append((c0, c1))
             continue
-        _, j, rank, cut = found
+        _, j, rank, cut, left0, left1 = found
         feature.append(int(feats[j]))
         threshold.append(cut)
         counts.append((0, 0))
-        mask = cols[j] <= rank
-        pending.append((rows[~mask], depth + 1))
-        pending.append((rows[mask], depth + 1))
+        right0, right1, depth = c0 - left0, c1 - left1, depth + 1
+        split_right, split_left = searched(right0, right1, depth), searched(left0, left1, depth)
+        if split_left or split_right:
+            goes_left = keys[feats[j]].take(rows) < 2 * rank + 2
+        pending.append((rows.compress(~goes_left) if split_right else None, depth, right0, right1))
+        pending.append((rows.compress(goes_left) if split_left else None, depth, left0, left1))
     return _preorder_tree(feature, threshold, counts)
+
+
+_MAX_GROWING_TREES = 16  # trees grown in lock-step at once; bounds fit's memory
+_SCAN_CHUNK = 1 << 16  # (row, column) pairs plus histogram bins one _scan_batch call may hold
+
+
+def _grow_lockstep(keys: np.ndarray, values: Sequence[np.ndarray], hyper: ForestHyperparams,
+                   starts: Iterable[Tuple[np.random.Generator, np.ndarray]]) -> List[Tree]:
+    """One tree per (rng, rows) of starts, with up to _MAX_GROWING_TREES growing in lock-step.
+
+    At each step every growing tree hands over the next node it must search,
+    and _scan_batch scores them in chunks of at most _SCAN_CHUNK (row, column)
+    pairs plus bins, or one larger node. A tree joins when there is room.
+    """
+    trees: dict[int, Tree] = {}
+    growing: List[Tuple[int, _Grower, _Node]] = []  # tree number, its grower, the node it waits on
+    widths = np.array([v.size for v in values])
+
+    def advance(t: int, grower: _Grower, found: Optional[_Cut]) -> None:
+        try:
+            growing.append((t, grower, grower.send(found)))
+        except StopIteration as done:
+            trees[t] = done.value
+
+    def step() -> None:
+        waiting, chunks, size = growing[:], [[]], 0
+        growing.clear()
+        for entry in waiting:
+            rows, feats, _, _ = entry[2]
+            cost = feats.size * rows.size + int(widths[feats].sum())
+            if chunks[-1] and size + cost > _SCAN_CHUNK:
+                chunks.append([])
+                size = 0
+            chunks[-1].append(entry)
+            size += cost
+        for chunk in chunks:
+            for (t, grower, _), found in zip(chunk, _scan_batch(keys, values, [e[2] for e in chunk])):
+                advance(t, grower, found)
+
+    for t, (rng, rows) in enumerate(starts):
+        advance(t, _grower(keys, hyper, rng, rows), None)
+        while len(growing) == _MAX_GROWING_TREES:
+            step()
+    while growing:
+        step()
+    return [trees[t] for t in range(len(trees))]
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -402,13 +465,10 @@ def fit_forest(train: Dataset, hyper: ForestHyperparams) -> ForestModel:
     if train.y.all() or not train.y.any():
         raise ValueError("training set must contain both classes")
     n = len(train)
-    codes, values = _rank_columns(train.X, range(train.X.shape[1]))
-    trees = []
-    for t in range(hyper.n_trees):
-        rng = _tree_rng(hyper.seed, t)
-        boot = rng.integers(0, n, size=n)
-        trees.append(_grow(codes[:, boot], values, train.y[boot], hyper, rng))
-    return ForestModel(tuple(trees), hyper, train.X.shape[1])
+    keys, values = _rank_columns(train.X, train.y, range(train.X.shape[1]))
+    rngs = [_tree_rng(hyper.seed, t) for t in range(hyper.n_trees)]
+    starts = ((rng, rng.integers(0, n, size=n)) for rng in rngs)  # bootstraps drawn as trees join
+    return ForestModel(tuple(_grow_lockstep(keys, values, hyper, starts)), hyper, train.X.shape[1])
 
 
 def predict_all(model: ForestModel, X: np.ndarray) -> List[bool]:

@@ -1,11 +1,14 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aeslab.detect_forest as detect_forest
 from aeslab.cipher import Key128, run_pipeline
 from aeslab.detect_forest import (
     N_FEATURES,
@@ -27,6 +30,7 @@ from aeslab.detect_forest import (
 )
 from aeslab.workload import Mode, RunConfig
 
+import oracle_grow
 from oracle_split import brute_force_best_split
 
 
@@ -382,6 +386,81 @@ def test_fit_forest_rejects_degenerate_training_sets():
         Dataset(np.asarray([1.0, 2.0]), np.asarray([True, False]))  # not a matrix
     with pytest.raises(ValueError):
         Dataset(np.ones((2, 2)), np.asarray([True]))  # one label for two rows
+
+
+def test_fit_rejects_a_matrix_without_feature_columns():
+    data = _dataset(np.empty((4, 0)), [0, 1, 0, 1])
+    with pytest.raises(ValueError, match="no columns"):
+        fit_forest(data, ForestHyperparams(n_trees=3))
+    with pytest.raises(ValueError, match="no columns"):
+        fit_tree(data.X, data.y, ForestHyperparams(), _rng_stream())
+
+
+_A = float(np.nextafter(1.0, 2.0))
+_COLUMN_KINDS = {
+    "byte": lambda rng, n: rng.integers(0, 256, size=n),
+    "continuous": lambda rng, n: rng.random(n) * 300.0,
+    "tied": lambda rng, n: rng.integers(0, 3, size=n),
+    # consecutive doubles: the midpoint of the last two rounds up to the upper one
+    "adjacent": lambda rng, n: rng.choice([1.0, _A, float(np.nextafter(_A, 2.0)), 2.0], size=n),
+}
+
+
+def _assert_same_trees(mine, reference):
+    assert len(mine) == len(reference)
+    for got, want in zip(mine, reference):
+        for name in ("feature", "threshold", "left", "right", "counts"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lockstep_fit_equals_the_one_tree_grower(data):
+    n = data.draw(st.integers(2, 40), label="n")
+    kinds = data.draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=5),
+                      label="column kinds")
+    d = len(kinds)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="data seed"))
+    X = np.column_stack([_COLUMN_KINDS[kind](rng, n) for kind in kinds]).astype(np.float64)
+    y = rng.random(n) < data.draw(st.sampled_from([0.1, 0.5, 0.9]), label="anomalous share")
+    y[:2] = (False, True)
+    hyper = ForestHyperparams(
+        n_trees=data.draw(st.integers(1, 7), label="n_trees"),
+        max_depth=data.draw(st.sampled_from([None, 0, 1, 16]), label="max_depth"),
+        min_samples_split=data.draw(st.integers(2, 5), label="min_samples_split"),
+        features_per_split=data.draw(st.integers(1, d + 1), label="features_per_split"),
+        seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+    )
+    # a small pool and small chunks make trees join mid-fit and split every step's scan
+    pool = data.draw(st.integers(1, 3), label="growing trees")
+    chunk = data.draw(st.sampled_from([1, 40, 1 << 16]), label="scan chunk")
+    tree_seed = data.draw(st.integers(0, 2**32 - 1), label="tree seed")
+    with mock.patch.object(detect_forest, "_MAX_GROWING_TREES", pool), \
+            mock.patch.object(detect_forest, "_SCAN_CHUNK", chunk):
+        model = fit_forest(_dataset(X, y), hyper)
+        tree = fit_tree(X, y, hyper, _rng_stream(tree_seed))
+    _assert_same_trees(model.trees, oracle_grow.fit_forest(_dataset(X, y), hyper).trees)
+    _assert_same_trees([tree], [oracle_grow.fit_tree(X, y, hyper, _rng_stream(tree_seed))])
+
+
+def _sim_ascii_training_set():
+    cfg = RunConfig(n_blocks=4096, inject_pct=20.0, seed=7, mode=Mode.SIMULATED)
+    data = build_dataset(run_pipeline(cfg, Key128(bytes(range(16)))))
+    return split_train_test(data, 0.7, 7).train
+
+
+def test_fit_forest_memory_stays_bounded():
+    # 2.1 MiB before trees grew in lock-step and 2.6 MiB with 16 growing trees;
+    # all 101 trees growing at once take 6.1 MiB, and 30 MiB with unchunked scans
+    train = _sim_ascii_training_set()
+    assert train.X.shape == (2867, N_FEATURES)
+    tracemalloc.start()
+    try:
+        fit_forest(train, ForestHyperparams(seed=7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
