@@ -9,8 +9,8 @@ permutation, MixColumns through an xtime lookup table, and an expanded
 Simulated mode measures no latency, so it encrypts a whole run in one batch
 in the calling process: the same rounds as numpy gathers over every block
 at once. Real mode times each block and scales across a process pool of
-cfg.workers processes; threads would serialize on the interpreter lock for
-this CPU-bound work.
+cfg.workers processes, one contiguous slice of the run each; threads would
+serialize on the interpreter lock for this CPU-bound work.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ from .workload import (
     _STREAM_TIMING,
     BLOCK_SIZE,
     FAULT_MASK,
+    KIND_FAULT,
     AnomalyKind,
     AnomalyTag,
+    Blocks,
     Mode,
-    PlainBlock,
     RunConfig,
     _rng,
-    apply_fault,
     assign_anomalies,
     generate_blocks,
 )
@@ -207,73 +207,60 @@ class PipelineError(RuntimeError):
     """The worker pool could not be started or died mid-run."""
 
 
-def encrypt_timed(block: PlainBlock, key: Key128, cfg: RunConfig) -> BlockRecord:
-    """Encrypt one block and measure its latency.
+def encrypt_timed(plain: bytes, delays_us: Sequence[float], key: bytes,
+                  work_amplification: int) -> Tuple[bytes, List[float]]:
+    """Encrypt 16-byte blocks laid end to end one at a time; return the
+    ciphertexts laid end to end and each block's latency in microseconds: a
+    monotonic span over its sleep (delays_us[j] > 0) and every encryption pass."""
+    schedule = _expand_key(key)
+    ciphertexts, times = [], []
+    for at, delay_us in zip(range(0, len(plain), BLOCK_SIZE), delays_us):
+        block = plain[at:at + BLOCK_SIZE]
+        start = time.perf_counter()
+        if delay_us:
+            time.sleep(delay_us / 1e6)
+        for _ in range(work_amplification):
+            ciphertext = _encrypt(block, schedule)
+        times.append((time.perf_counter() - start) * 1e6)
+        ciphertexts.append(ciphertext)
+    return b"".join(ciphertexts), times
 
-    The monotonic span covers the injected sleep (delay tags) and
-    cfg.work_amplification encryption passes.
+
+def encrypt_blocks(blocks: Blocks, key: Key128, cfg: RunConfig) -> List[BlockRecord]:
+    """Encrypt tagged blocks into one record per block, in block order.
+
+    Simulated mode encrypts them all in one batch in this process and models
+    block i's latency as (base + U(0, jitter)) + delay, where the jitter is
+    draw i of one stream of the run seed, so it depends on (seed, index)
+    alone. Real mode times each block across cfg.workers processes.
     """
-    effective = apply_fault(block)
-    schedule = _expand_key(key.data)
-    tag = block.tag
-    start = time.perf_counter()
-    if tag.kind is AnomalyKind.DELAY:
-        time.sleep(tag.delay_us / 1e6)
-    for _ in range(cfg.work_amplification):
-        ciphertext = _encrypt(effective.data, schedule)
-    time_us = (time.perf_counter() - start) * 1e6
-    return BlockRecord(block.index, effective.data, ciphertext, time_us, tag)
-
-
-def _encrypt_simulated(blocks: Sequence[PlainBlock], key: Key128, cfg: RunConfig) -> List[BlockRecord]:
-    """Encrypt every block in one batch and model its latency as
-    (base + U(0, jitter)) + delay.
-
-    Block i's jitter is draw i of one stream of the run seed, so it depends
-    on (seed, index) alone; the stream is drawn up to the largest index.
-    """
-    blocks = sorted(blocks, key=lambda b: b.index)
-    n = len(blocks)
-    if not n:
-        return []
-    tags = [b.tag for b in blocks]
-    index = [b.index for b in blocks]
-    plain = np.frombuffer(b"".join(b.data for b in blocks), np.uint8).reshape(n, BLOCK_SIZE).copy()
-    plain[[t.kind is AnomalyKind.FAULT for t in tags], 0] ^= FAULT_MASK
-    cipher = encrypt_batch(plain, key.data)
-    delay = np.fromiter((t.delay_us if t.kind is AnomalyKind.DELAY else 0.0 for t in tags),
-                        np.float64, n)
-    jitter = 0.0
-    if cfg.jitter_us > 0:
-        jitter = _rng(cfg.seed, _STREAM_TIMING).uniform(0.0, cfg.jitter_us, index[-1] + 1)[index]
-    time_us = (cfg.base_time_us + jitter) + delay
-    plain_bytes, cipher_bytes = plain.tobytes(), cipher.tobytes()
-    return [
-        BlockRecord(i, plain_bytes[at:at + BLOCK_SIZE], cipher_bytes[at:at + BLOCK_SIZE], t, tag)
-        for i, at, t, tag in zip(index, range(0, n * BLOCK_SIZE, BLOCK_SIZE), time_us.tolist(), tags)
-    ]
-
-
-def encrypt_blocks(blocks: Sequence[PlainBlock], key: Key128, cfg: RunConfig) -> List[BlockRecord]:
-    """Encrypt tagged blocks; records come back sorted by index.
-
-    Simulated mode encrypts them all in one batch in this process. Real mode
-    times each block, fanning out across cfg.workers processes.
-    """
+    index, delay_us = blocks.index, blocks.delay_us
+    plain = blocks.data.copy()
+    plain[blocks.kind == KIND_FAULT, 0] ^= FAULT_MASK
     if cfg.mode is Mode.SIMULATED:
-        return _encrypt_simulated(blocks, key, cfg)
-    encrypt = partial(encrypt_timed, key=key, cfg=cfg)
-    if cfg.workers == 1:
-        records = list(map(encrypt, blocks))
-    else:
-        chunk = max(1, len(blocks) // (cfg.workers * 8))
-        try:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                records = list(pool.map(encrypt, blocks, chunksize=chunk))
-        except (OSError, BrokenProcessPool) as exc:
-            raise PipelineError(f"worker pool failed: {exc}") from exc
-    records.sort(key=lambda r: r.index)
-    return records
+        cipher = encrypt_batch(plain, key.data).tobytes()
+        jitter = _rng(cfg.seed, _STREAM_TIMING).uniform(0.0, cfg.jitter_us, index[-1] + 1)[index]
+        time_us = ((cfg.base_time_us + jitter) + delay_us).tolist()
+    else:  # one contiguous slice of the run per worker
+        encrypt = partial(encrypt_timed, key=key.data, work_amplification=cfg.work_amplification)
+        plains = [part.tobytes() for part in np.array_split(plain, cfg.workers)]
+        delays = [part.tolist() for part in np.array_split(delay_us, cfg.workers)]
+        if cfg.workers == 1:
+            parts = list(map(encrypt, plains, delays))
+        else:
+            try:
+                with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+                    parts = list(pool.map(encrypt, plains, delays))
+            except (OSError, BrokenProcessPool) as exc:
+                raise PipelineError(f"worker pool failed: {exc}") from exc
+        cipher = b"".join(c for c, _ in parts)
+        time_us = [t for _, times in parts for t in times]
+    none_tag, fault_tag = AnomalyTag(), AnomalyTag(AnomalyKind.FAULT)
+    tags = [AnomalyTag(AnomalyKind.DELAY, d) if d else fault_tag if k == KIND_FAULT else none_tag
+            for k, d in zip(blocks.kind.tolist(), delay_us.tolist())]
+    plain_bytes = plain.tobytes()
+    return [BlockRecord(i, plain_bytes[at:at + BLOCK_SIZE], cipher[at:at + BLOCK_SIZE], t, tag)
+            for i, at, t, tag in zip(index.tolist(), range(0, len(plain_bytes), BLOCK_SIZE), time_us, tags)]
 
 
 def run_pipeline(cfg: RunConfig, key: Key128) -> List[BlockRecord]:

@@ -357,6 +357,7 @@ def best_split(X: np.ndarray, y: np.ndarray, features: Sequence[int]) -> Optiona
 
 def fit_tree(X: np.ndarray, y: np.ndarray, hyper: ForestHyperparams, rng: np.random.Generator) -> Tree:
     """Grow one CART tree on (X, y), drawing each node's candidate features from rng."""
+    hyper.validate()
     if y.size == 0:
         raise ValueError("cannot fit a tree on an empty sample set")
     keys, values = _rank_columns(X, np.asarray(y, dtype=bool), range(X.shape[1]))

@@ -1,17 +1,17 @@
 """Plaintext workload generation and anomaly injection.
 
-A run is a fixed-size batch of 16-byte blocks. Each block may carry one
-anomaly tag: a timing delay (extra latency before encryption) or a bit-flip
-fault (first plaintext byte XORed with 0xFF just before encryption). All
-randomness is drawn from numpy generators derived from the run seed, so a
-(seed, n_blocks, inject_pct) triple fully determines the workload.
+A run is a fixed-size batch of 16-byte blocks, held as columns (Blocks). Each
+block may carry one anomaly: a timing delay (extra latency before encryption)
+or a bit-flip fault (first plaintext byte XORed with 0xFF just before
+encryption). All randomness is drawn from numpy generators derived from the
+run seed, so a (seed, n_blocks, inject_pct) triple fully determines the run.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -76,17 +76,43 @@ class AnomalyTag:
         return self.kind is not AnomalyKind.NONE
 
 
+# codes of the Blocks.kind column, in AnomalyKind order
+KIND_NONE, KIND_DELAY, KIND_FAULT = range(len(AnomalyKind))
+
+
 @dataclass(frozen=True)
-class PlainBlock:
-    index: int
-    data: bytes
-    tag: AnomalyTag
+class Blocks:
+    """A run of n >= 1 blocks as read-only columns: index int64[n] (block
+    numbers, non-negative and increasing), data uint8[n, 16] (pre-fault
+    plaintexts), kind int8[n] (KIND_* codes) and delay_us float64[n] (positive
+    for a delay block, 0 for any other). Each column is checked as a whole."""
+
+    index: np.ndarray
+    data: np.ndarray
+    kind: np.ndarray
+    delay_us: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"block index must be non-negative, got {self.index}")
-        if len(self.data) != BLOCK_SIZE:
-            raise ValueError(f"block {self.index} has {len(self.data)} bytes, expected {BLOCK_SIZE}")
+        n = len(self.index)
+        for name, dtype, shape in (("index", np.int64, (n,)), ("data", np.uint8, (n, BLOCK_SIZE)),
+                                   ("kind", np.int8, (n,)), ("delay_us", np.float64, (n,))):
+            column = getattr(self, name)
+            if not isinstance(column, np.ndarray) or column.dtype != dtype or column.shape != shape:
+                raise ValueError(f"blocks column {name} must be a {np.dtype(dtype)} array of shape {shape}")
+            view = column.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+        # jitter is indexed by block number, where a negative index would wrap around
+        if n < 1 or self.index[0] < 0 or (np.diff(self.index) <= 0).any():
+            raise ValueError("a run needs at least one block, with non-negative, increasing indices")
+        delayed = self.kind == KIND_DELAY
+        if (not np.isin(self.kind, (KIND_NONE, KIND_DELAY, KIND_FAULT)).all()
+                or not (self.delay_us[delayed] > 0).all() or self.delay_us[~delayed].any()):
+            raise ValueError("each block needs a KIND_* code, and a positive delay_us if and "
+                             "only if it is a delay block")
+
+    def __len__(self) -> int:
+        return len(self.index)
 
 
 @dataclass(frozen=True)
@@ -123,10 +149,8 @@ class RunConfig:
             raise ValueError("simulated timing parameters must be non-negative")
 
 
-def generate_blocks(n: int, dist: InputDistribution, seed: int) -> List[PlainBlock]:
+def generate_blocks(n: int, dist: InputDistribution, seed: int) -> Blocks:
     """Produce n untagged blocks with indices 0..n-1."""
-    if n < 1:
-        raise ValueError("cannot generate an empty workload")
     rng = _rng(seed, _STREAM_BLOCKS)
     if dist is InputDistribution.UNIFORM:
         raw = rng.integers(0, 256, size=(n, BLOCK_SIZE), dtype=np.uint8)
@@ -134,23 +158,22 @@ def generate_blocks(n: int, dist: InputDistribution, seed: int) -> List[PlainBlo
         raw = rng.integers(ASCII_LOW, ASCII_HIGH + 1, size=(n, BLOCK_SIZE), dtype=np.uint8)
     else:
         raise ValueError(f"unknown input distribution: {dist!r}")
-    none_tag = AnomalyTag()
-    return [PlainBlock(i, raw[i].tobytes(), none_tag) for i in range(n)]
+    return Blocks(np.arange(n, dtype=np.int64), raw, np.zeros(n, np.int8), np.zeros(n))
 
 
 def assign_anomalies(
-    blocks: Sequence[PlainBlock],
+    blocks: Blocks,
     inject_pct: float,
     seed: int,
     delay_min_us: float = DEFAULT_DELAY_MIN_US,
     delay_max_us: float = DEFAULT_DELAY_MAX_US,
-) -> List[PlainBlock]:
+) -> Blocks:
     """Tag each block independently: anomalous with probability inject_pct/100.
 
     An anomalous block is a delay or a fault with equal probability. Delay
     magnitudes are uniform in [delay_min_us, delay_max_us]. Draws happen in
-    block-index order from a dedicated stream, so the schedule is a pure
-    function of (seed, inject_pct, delay range).
+    block order from a dedicated stream, so the schedule is a pure function
+    of (seed, inject_pct, delay range). Index and data columns are shared.
     """
     if not 0.0 <= inject_pct <= 100.0:
         raise ValueError("inject_pct must be within [0, 100]")
@@ -161,24 +184,13 @@ def assign_anomalies(
     u = _rng(seed, _STREAM_SCHEDULE).random(3 * len(blocks)).tolist()
     p = inject_pct / 100.0
     span = delay_max_us - delay_min_us
-    none_tag, fault_tag = AnomalyTag(), AnomalyTag(AnomalyKind.FAULT)
-    tagged: List[PlainBlock] = []
+    kind, delay_us = bytearray(len(blocks)), [0.0] * len(blocks)
     k = 0
-    for block in blocks:
+    for i in range(len(blocks)):
         if u[k] >= p:
-            tag, k = none_tag, k + 1
+            k += 1
         elif u[k + 1] >= 0.5:
-            tag, k = fault_tag, k + 2
+            kind[i], k = KIND_FAULT, k + 2
         else:
-            tag, k = AnomalyTag(AnomalyKind.DELAY, delay_min_us + span * u[k + 2]), k + 3
-        tagged.append(PlainBlock(block.index, block.data, tag))
-    return tagged
-
-
-def apply_fault(block: PlainBlock) -> PlainBlock:
-    """Flip every bit of the first plaintext byte; other blocks pass through."""
-    if block.tag.kind is not AnomalyKind.FAULT:
-        return block
-    data = bytes([block.data[0] ^ FAULT_MASK]) + block.data[1:]
-    return replace(block, data=data)
-
+            kind[i], delay_us[i], k = KIND_DELAY, delay_min_us + span * u[k + 2], k + 3
+    return replace(blocks, kind=np.frombuffer(kind, np.int8), delay_us=np.array(delay_us))

@@ -31,8 +31,9 @@ from aeslab.detect_forest import (
 from aeslab.metrics_report import compare, score
 from aeslab.detect_threshold import classify_threshold, fit_threshold
 from aeslab.workload import (
+    KIND_FAULT,
+    KIND_NONE,
     AnomalyKind,
-    AnomalyTag,
     InputDistribution,
     Mode,
     RunConfig,
@@ -102,11 +103,10 @@ def test_criterion_3_threshold_is_blind_to_faults(report):
     blocks = generate_blocks(cfg.n_blocks, cfg.input_dist, cfg.seed)
     blocks = assign_anomalies(blocks, cfg.inject_pct, cfg.seed)
     # force every anomaly to be a fault: delays would also perturb timing
-    fault_only = [
-        dataclasses.replace(b, tag=AnomalyTag(AnomalyKind.FAULT))
-        if b.tag.is_anomaly else b
-        for b in blocks
-    ]
+    fault_only = dataclasses.replace(
+        blocks, kind=np.where(blocks.kind == KIND_NONE, KIND_NONE, KIND_FAULT).astype(np.int8),
+        delay_us=np.zeros(len(blocks)),
+    )
     records = encrypt_blocks(fault_only, KEY, cfg)
     faults = sum(r.tag.kind is AnomalyKind.FAULT for r in records)
     assert faults > 1000  # the 40% schedule really landed

@@ -11,6 +11,7 @@ import inspect
 
 import aeslab.cipher as cipher
 import aeslab.cli as cli
+from aeslab.workload import Mode, RunConfig
 from aeslab.detect_forest import load_model, predict_all, split_train_test
 from aeslab.metrics_report import read_blocks_csv, rows_to_vectors
 
@@ -27,6 +28,24 @@ def test_traced_names_exist():
         for name in names:
             assert callable(getattr(module, name)), f"{module.__name__}.{name}"
     assert list(inspect.signature(cipher.encrypt_blocks).parameters)[2] == "cfg"
+
+
+def test_block_counters_count_blocks_and_real_records_carry_latency(monkeypatch):
+    # the tracer counts blocks as len() of what generate_blocks and
+    # assign_anomalies return, and sums r.time_us over encrypt_blocks' records
+    counted = {}
+    for name in ("generate_blocks", "assign_anomalies", "encrypt_blocks"):
+        def traced(*args, _original=getattr(cipher, name), _name=name):
+            result = _original(*args)
+            counted[_name] = result
+            return result
+        monkeypatch.setattr(cipher, name, traced)
+    cfg = RunConfig(n_blocks=50, inject_pct=0.0, seed=4, mode=Mode.REAL)
+    cipher.run_pipeline(cfg, cipher.Key128(bytes(16)))
+    assert len(counted["generate_blocks"]) == len(counted["assign_anomalies"]) == 50
+    records = counted["encrypt_blocks"]
+    assert len(records) == 50
+    assert all(r.time_us > 0 for r in records)
 
 
 def test_run_looks_up_pipeline_and_exports_recoverable_split(tmp_path, capsys, monkeypatch):

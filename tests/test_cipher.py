@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aeslab.cipher as cipher_mod
 from aeslab.cipher import (
@@ -20,11 +22,14 @@ from aeslab.cipher import (
     run_pipeline,
 )
 from aeslab.workload import (
+    KIND_DELAY,
+    KIND_FAULT,
+    KIND_NONE,
     AnomalyKind,
     AnomalyTag,
+    Blocks,
     InputDistribution,
     Mode,
-    PlainBlock,
     RunConfig,
     generate_blocks,
 )
@@ -44,6 +49,21 @@ FROZEN_VECTORS = [
     ("2b7e151628aed2a6abf7158809cf4f3c",
      "f69f2445df4f9b17ad2b417be66c3710", "7b0c785e27e8ad3f8223207104725dd4"),
 ]
+
+
+_CODES = {AnomalyKind.NONE: KIND_NONE, AnomalyKind.DELAY: KIND_DELAY, AnomalyKind.FAULT: KIND_FAULT}
+
+
+def _blocks(index, data, kinds=None, delays=None):
+    """Blocks from block numbers, 16-byte plaintexts, AnomalyKinds (default
+    none) and delays in microseconds (default 0)."""
+    n = len(index)
+    return Blocks(
+        np.array(index, np.int64),
+        np.frombuffer(b"".join(data), np.uint8).reshape(n, 16),
+        np.array([_CODES[k] for k in kinds or [AnomalyKind.NONE] * n], np.int8),
+        np.array(delays or [0.0] * n, np.float64),
+    )
 
 
 def _library_encrypt(key: bytes, block: bytes) -> bytes:
@@ -83,9 +103,7 @@ def test_ecb_is_deterministic_and_chain_free():
     assert aes128_encrypt_block(block, key) == first
     # two equal blocks at different run positions encrypt identically
     cfg = RunConfig(mode=Mode.SIMULATED, jitter_us=0.0)
-    rec_a, rec_b = encrypt_blocks(
-        [PlainBlock(0, block, AnomalyTag()), PlainBlock(7, block, AnomalyTag())], key, cfg
-    )
+    rec_a, rec_b = encrypt_blocks(_blocks([0, 7], [block, block]), key, cfg)
     assert rec_a.ciphertext == rec_b.ciphertext == first
 
 
@@ -104,8 +122,7 @@ def test_fault_tag_changes_ciphertext_and_survives_decryption():
     data = bytes(range(16))
     cfg = RunConfig(mode=Mode.SIMULATED, jitter_us=0.0)
     clean, faulted = encrypt_blocks(
-        [PlainBlock(0, data, AnomalyTag()), PlainBlock(1, data, AnomalyTag(AnomalyKind.FAULT))],
-        key, cfg,
+        _blocks([0, 1], [data, data], [AnomalyKind.NONE, AnomalyKind.FAULT]), key, cfg
     )
     assert clean.ciphertext != faulted.ciphertext
     assert faulted.plaintext[0] == data[0] ^ 0xFF
@@ -115,21 +132,36 @@ def test_fault_tag_changes_ciphertext_and_survives_decryption():
     assert clean.time_us == faulted.time_us  # faults leave timing untouched
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.binary(min_size=16, max_size=16), st.sampled_from(Mode))
+def test_fault_xor_flips_the_first_byte_of_fault_blocks_only(data, mode):
+    key = Key128.from_hex("2b7e151628aed2a6abf7158809cf4f3c")
+    kinds = [AnomalyKind.NONE, AnomalyKind.FAULT, AnomalyKind.DELAY]
+    blocks = _blocks([0, 1, 2], [data] * 3, kinds, [0.0, 0.0, 1.0])
+    clean, faulted, delayed = encrypt_blocks(blocks, key, RunConfig(mode=mode))
+    assert clean.plaintext == delayed.plaintext == data
+    assert faulted.plaintext == bytes([data[0] ^ 0xFF]) + data[1:]
+    for record in (clean, faulted, delayed):
+        assert record.ciphertext == _library_encrypt(key.data, record.plaintext)
+    assert blocks.data.tobytes() == data * 3  # the input columns are left alone
+
+
 def test_real_mode_delay_shows_up_in_latency():
     key = Key128(bytes(16))
     cfg = RunConfig(mode=Mode.REAL)
-    block = PlainBlock(0, bytes(16), AnomalyTag(AnomalyKind.DELAY, 5000.0))
-    record = encrypt_timed(block, key, cfg)
+    blocks = _blocks([0], [bytes(16)], [AnomalyKind.DELAY], [5000.0])
+    (record,) = encrypt_blocks(blocks, key, cfg)
     assert record.time_us >= 5000.0
     assert record.truth_label is True
+    _, (time_us,) = encrypt_timed(bytes(16), [5000.0], key.data, cfg.work_amplification)
+    assert time_us >= 5000.0
 
 
 def test_simulated_time_formula_with_zero_jitter():
     key = Key128(bytes(16))
     cfg = RunConfig(mode=Mode.SIMULATED, base_time_us=100.0, jitter_us=0.0, seed=9)
     plain, delayed = encrypt_blocks(
-        [PlainBlock(3, bytes(16), AnomalyTag()),
-         PlainBlock(4, bytes(16), AnomalyTag(AnomalyKind.DELAY, 7000.0))],
+        _blocks([3, 4], [bytes(16)] * 2, [AnomalyKind.NONE, AnomalyKind.DELAY], [0.0, 7000.0]),
         key, cfg,
     )
     assert plain.time_us == 100.0
@@ -139,10 +171,10 @@ def test_simulated_time_formula_with_zero_jitter():
 def test_simulated_jitter_is_bounded_and_index_keyed():
     key = Key128(bytes(16))
     cfg = RunConfig(mode=Mode.SIMULATED, base_time_us=100.0, jitter_us=10.0, seed=5)
-    records = encrypt_blocks([PlainBlock(i, bytes(16), AnomalyTag()) for i in range(32)], key, cfg)
+    records = encrypt_blocks(_blocks(range(32), [bytes(16)] * 32), key, cfg)
     times = {rec.index: rec.time_us for rec in records}
     assert all(100.0 <= t <= 110.0 for t in times.values())
-    (again,) = encrypt_blocks([PlainBlock(17, bytes(16), AnomalyTag())], key, cfg)
+    (again,) = encrypt_blocks(_blocks([17], [bytes(16)]), key, cfg)
     assert again.time_us == times[17]
     assert len(set(times.values())) > 1
 
@@ -151,7 +183,7 @@ def test_simulated_work_amplification_does_not_change_time():
     key = Key128(bytes(16))
     base = RunConfig(mode=Mode.SIMULATED, jitter_us=0.0)
     amped = dataclasses.replace(base, work_amplification=50)
-    blocks = [PlainBlock(0, bytes(16), AnomalyTag())]
+    blocks = _blocks([0], [bytes(16)])
     assert encrypt_blocks(blocks, key, base) == encrypt_blocks(blocks, key, amped)
 
 
@@ -183,6 +215,26 @@ def test_run_pipeline_real_identical_across_worker_counts():
         assert _without_time(run_pipeline(cfg, key)) == reference
 
 
+def test_records_identical_across_modes_and_worker_counts():
+    # 37 blocks split unevenly into slices; 1-2 us delays keep real mode quick
+    key = Key128.from_hex("2b7e151628aed2a6abf7158809cf4f3c")
+    base = RunConfig(n_blocks=37, inject_pct=60.0, seed=23, mode=Mode.REAL,
+                     delay_min_us=1.0, delay_max_us=2.0)
+    runs = [run_pipeline(cfg, key) for cfg in (
+        base, dataclasses.replace(base, workers=2), dataclasses.replace(base, mode=Mode.SIMULATED))]
+    kinds = {r.tag.kind for r in runs[0]}
+    assert kinds == set(AnomalyKind)
+    reference = _without_time(runs[0])
+    assert [r.index for r in reference] == list(range(37))
+    for records in runs[1:]:
+        assert _without_time(records) == reference
+    for records in runs[:2]:  # real-mode latencies cover the injected sleep
+        assert all(r.time_us >= (r.tag.delay_us or 0.0) and r.time_us > 0 for r in records)
+    # more workers than blocks leaves a worker an empty slice
+    one = dataclasses.replace(base, n_blocks=1, workers=2)
+    assert _without_time(run_pipeline(one, key)) == reference[:1]
+
+
 class ExplodingPool:
     def __init__(self, *args, **kwargs):
         raise OSError("no processes for you")
@@ -207,9 +259,12 @@ def test_encrypt_blocks_matches_per_block_calls():
     key = Key128(bytes(16))
     cfg = RunConfig(mode=Mode.REAL, seed=2, inject_pct=0.0, workers=2)  # through the pool
     blocks = generate_blocks(24, InputDistribution.ASCII, seed=2)
-    via_batch = encrypt_blocks(blocks, key, cfg)
-    via_loop = [encrypt_timed(b, key, cfg) for b in blocks]
-    assert _without_time(via_batch) == _without_time(via_loop)
+    via_pool = encrypt_blocks(blocks, key, cfg)
+    assert [r.index for r in via_pool] == list(range(24))
+    for record, row in zip(via_pool, blocks.data):
+        ciphertext, _ = encrypt_timed(row.tobytes(), [0.0], key.data, cfg.work_amplification)
+        assert (record.plaintext, record.ciphertext) == (row.tobytes(), ciphertext)
+        assert record.tag == AnomalyTag()
 
 
 # ---------------------------------------------------------------- batched AES

@@ -339,6 +339,18 @@ def test_fit_tree_rejects_empty_input():
         fit_tree(np.empty((0, 1)), np.empty(0, dtype=bool), ForestHyperparams(), _rng_stream())
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("max_depth", -1, "max_depth"),  # was accepted and gave a 1-node tree
+    ("min_samples_split", 0, "min_samples_split"),  # was accepted silently
+    ("features_per_split", 0, "features_per_split"),  # failed inside numpy's reshape
+])
+def test_fit_tree_validates_its_hyperparameters(field, value, message):
+    X = np.asarray([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]])
+    y = np.asarray([False, False, True, True])
+    with pytest.raises(ValueError, match=message):
+        fit_tree(X, y, ForestHyperparams(**{field: value}), _rng_stream())
+
+
 # ---------------------------------------------------------------- fit_forest / predict
 
 

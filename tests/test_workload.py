@@ -11,12 +11,14 @@ from aeslab.workload import (
     BLOCK_SIZE,
     MAX_DELAY_US,
     MAX_WORKERS,
+    KIND_DELAY,
+    KIND_FAULT,
+    KIND_NONE,
     AnomalyKind,
     AnomalyTag,
+    Blocks,
     InputDistribution,
-    PlainBlock,
     RunConfig,
-    apply_fault,
     assign_anomalies,
     generate_blocks,
 )
@@ -26,32 +28,33 @@ import oracle_schedule
 
 def test_generate_blocks_count_and_indices():
     blocks = generate_blocks(3, InputDistribution.UNIFORM, seed=11)
-    assert [b.index for b in blocks] == [0, 1, 2]
-    assert all(len(b.data) == BLOCK_SIZE for b in blocks)
-    assert all(b.tag.kind is AnomalyKind.NONE for b in blocks)
+    assert len(blocks) == 3
+    assert blocks.index.tolist() == [0, 1, 2]
+    assert blocks.data.shape == (3, BLOCK_SIZE)
+    assert blocks.kind.tolist() == [KIND_NONE] * 3
+    assert blocks.delay_us.tolist() == [0.0] * 3
 
 
 def test_generate_blocks_deterministic():
     a = generate_blocks(64, InputDistribution.UNIFORM, seed=5)
     b = generate_blocks(64, InputDistribution.UNIFORM, seed=5)
-    assert [x.data for x in a] == [y.data for y in b]
+    assert np.array_equal(a.data, b.data)
 
 
 def test_generate_blocks_seed_changes_bytes():
     a = generate_blocks(16, InputDistribution.UNIFORM, seed=5)
     b = generate_blocks(16, InputDistribution.UNIFORM, seed=6)
-    assert [x.data for x in a] != [y.data for y in b]
+    assert not np.array_equal(a.data, b.data)
 
 
 def test_ascii_distribution_stays_printable():
     blocks = generate_blocks(4096, InputDistribution.ASCII, seed=3)
-    for block in blocks:
-        assert all(ASCII_LOW <= byte <= ASCII_HIGH for byte in block.data)
+    assert ASCII_LOW <= blocks.data.min() and blocks.data.max() <= ASCII_HIGH
 
 
 def test_uniform_distribution_leaves_printable_range():
     blocks = generate_blocks(2048, InputDistribution.UNIFORM, seed=3)
-    flat = b"".join(b.data for b in blocks)
+    flat = blocks.data.tobytes()
     assert min(flat) < ASCII_LOW
     assert max(flat) > ASCII_HIGH
     assert len(set(flat)) == 256  # 32 KiB of uniform bytes covers all values
@@ -62,8 +65,13 @@ def test_generate_blocks_rejects_empty_workload():
         generate_blocks(0, InputDistribution.UNIFORM, seed=1)
 
 
+_KIND_NAMES = {KIND_NONE: "none", KIND_DELAY: "delay", KIND_FAULT: "fault"}
+
+
 def _tags(blocks):
-    return [(b.tag.kind, b.tag.delay_us) for b in blocks]
+    """(kind, delay_us or None) per block, as the scalar schedule reports them."""
+    return [(_KIND_NAMES[k], d if k == KIND_DELAY else None)
+            for k, d in zip(blocks.kind.tolist(), blocks.delay_us.tolist())]
 
 
 def test_assign_anomalies_deterministic():
@@ -71,22 +79,23 @@ def test_assign_anomalies_deterministic():
     first = assign_anomalies(blocks, 35.0, seed=9)
     second = assign_anomalies(blocks, 35.0, seed=9)
     assert _tags(first) == _tags(second)
-    assert [b.data for b in first] == [b.data for b in blocks]
+    assert np.array_equal(first.data, blocks.data)
+    assert np.array_equal(first.index, blocks.index)
 
 
 def test_assign_anomalies_extremes():
     blocks = generate_blocks(128, InputDistribution.UNIFORM, seed=2)
     none = assign_anomalies(blocks, 0.0, seed=2)
-    assert not any(b.tag.is_anomaly for b in none)
+    assert (none.kind == KIND_NONE).all()
     full = assign_anomalies(blocks, 100.0, seed=2)
-    assert all(b.tag.is_anomaly for b in full)
+    assert (full.kind != KIND_NONE).all()
 
 
 def test_assign_anomalies_rate_tracks_percentage():
     n = 10_000
     blocks = generate_blocks(n, InputDistribution.UNIFORM, seed=4)
     tagged = assign_anomalies(blocks, 20.0, seed=4)
-    hits = sum(b.tag.is_anomaly for b in tagged)
+    hits = int((tagged.kind != KIND_NONE).sum())
     sigma = (n * 0.2 * 0.8) ** 0.5
     assert abs(hits - 0.2 * n) <= 3 * sigma
 
@@ -94,18 +103,18 @@ def test_assign_anomalies_rate_tracks_percentage():
 def test_anomaly_kinds_near_fair_coin():
     blocks = generate_blocks(20_000, InputDistribution.UNIFORM, seed=6)
     tagged = assign_anomalies(blocks, 100.0, seed=6)
-    kinds = [b.tag.kind for b in tagged]
-    delays = kinds.count(AnomalyKind.DELAY)
-    assert delays + kinds.count(AnomalyKind.FAULT) == len(kinds)
+    kinds = tagged.kind.tolist()
+    delays = kinds.count(KIND_DELAY)
+    assert delays + kinds.count(KIND_FAULT) == len(kinds)
     assert 0.45 <= delays / len(kinds) <= 0.55
 
 
 def test_delay_magnitudes_stay_in_range():
     blocks = generate_blocks(2000, InputDistribution.UNIFORM, seed=8)
     tagged = assign_anomalies(blocks, 100.0, seed=8, delay_min_us=1500.0, delay_max_us=2500.0)
-    delays = [b.tag.delay_us for b in tagged if b.tag.kind is AnomalyKind.DELAY]
-    assert delays
-    assert all(1500.0 <= d <= 2500.0 for d in delays)
+    delays = tagged.delay_us[tagged.kind == KIND_DELAY]
+    assert delays.size
+    assert ((1500.0 <= delays) & (delays <= 2500.0)).all()
 
 
 def test_assign_anomalies_validates_inputs():
@@ -126,29 +135,11 @@ def test_assign_anomalies_validates_inputs():
 )
 def test_assign_anomalies_matches_the_scalar_draw_loop(n, inject_pct, delay_min_us, width, seed):
     delay_max_us = delay_min_us + width * (MAX_DELAY_US - delay_min_us)
-    blocks = [PlainBlock(i, bytes(16), AnomalyTag()) for i in range(n)]
+    blocks = generate_blocks(n, InputDistribution.UNIFORM, seed)
     tagged = assign_anomalies(blocks, inject_pct, seed, delay_min_us, delay_max_us)
     want = oracle_schedule.schedule(n, inject_pct, seed, delay_min_us, delay_max_us)
-    assert [(kind.value, delay) for kind, delay in _tags(tagged)] == want
-    assert [(b.index, b.data) for b in tagged] == [(b.index, b.data) for b in blocks]
-
-
-def test_apply_fault_flips_first_byte_only():
-    block = PlainBlock(0, bytes([0x41]) + bytes(15), AnomalyTag(AnomalyKind.FAULT))
-    faulted = apply_fault(block)
-    assert faulted.data[0] == 0xBE
-    assert faulted.data[1:] == block.data[1:]
-
-
-def test_apply_fault_ignores_untagged_blocks():
-    block = PlainBlock(0, bytes(range(16)), AnomalyTag())
-    assert apply_fault(block) is block
-
-
-@given(st.binary(min_size=16, max_size=16))
-def test_apply_fault_is_an_involution(data):
-    block = PlainBlock(0, data, AnomalyTag(AnomalyKind.FAULT))
-    assert apply_fault(apply_fault(block)).data == data
+    assert _tags(tagged) == want
+    assert np.array_equal(tagged.index, blocks.index) and np.array_equal(tagged.data, blocks.data)
 
 
 def test_anomaly_tag_validation():
@@ -162,12 +153,44 @@ def test_anomaly_tag_validation():
         AnomalyTag(AnomalyKind.FAULT, 10.0)
 
 
-def test_plain_block_rejects_wrong_size():
-    with pytest.raises(ValueError):
-        PlainBlock(0, bytes(5), AnomalyTag())
+def _columns(n=3):
+    return {"index": np.arange(n, dtype=np.int64), "data": np.zeros((n, BLOCK_SIZE), np.uint8),
+            "kind": np.array([KIND_NONE, KIND_DELAY, KIND_FAULT][:n], np.int8),
+            "delay_us": np.array([0.0, 5.0, 0.0][:n])}
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param("data", np.zeros((3, 5), np.uint8), id="short-data"),
+    pytest.param("data", np.zeros((3, BLOCK_SIZE), np.int64), id="data-dtype"),
+    pytest.param("data", [bytes(BLOCK_SIZE)] * 3, id="data-not-an-array"),
     # jitter is indexed by block number, where a negative index would wrap around
-    with pytest.raises(ValueError, match="non-negative"):
-        PlainBlock(-1, bytes(16), AnomalyTag())
+    pytest.param("index", np.array([-1, 0, 1], np.int64), id="negative-index"),
+    pytest.param("index", np.array([0, 2, 1], np.int64), id="index-out-of-order"),
+    pytest.param("index", np.array([0, 1, 1], np.int64), id="repeated-index"),
+    pytest.param("index", np.arange(3, dtype=np.int32), id="index-dtype"),
+    pytest.param("kind", np.array([KIND_NONE, KIND_DELAY, 3], np.int8), id="unknown-kind"),
+    pytest.param("delay_us", np.array([0.0, 0.0, 0.0]), id="delay-block-without-delay"),
+    pytest.param("delay_us", np.array([0.0, -5.0, 0.0]), id="negative-delay"),
+    pytest.param("delay_us", np.array([0.0, np.nan, 0.0]), id="nan-delay"),
+    pytest.param("delay_us", np.array([1.0, 5.0, 0.0]), id="delay-on-clean-block"),
+    pytest.param("delay_us", np.array([0.0, 5.0, 1.0]), id="delay-on-fault-block"),
+    pytest.param("delay_us", np.array([0.0, 5.0]), id="short-delay-column"),
+])
+def test_blocks_reject_malformed_columns(field, value):
+    Blocks(**_columns())  # the unchanged columns are valid
+    with pytest.raises(ValueError):
+        Blocks(**{**_columns(), field: value})
+
+
+def test_blocks_reject_an_empty_run_and_keep_read_only_columns():
+    with pytest.raises(ValueError, match="at least one block"):
+        Blocks(**_columns(0))
+    columns = _columns()
+    blocks = Blocks(**columns)
+    assert len(blocks) == 3
+    with pytest.raises(ValueError):
+        blocks.data[0, 0] = 1
+    columns["data"][0, 0] = 1  # the caller's arrays stay writable
 
 
 @pytest.mark.parametrize(
