@@ -18,10 +18,13 @@ from aeslab.workload import (
     AnomalyTag,
     Blocks,
     InputDistribution,
+    Mode,
     RunConfig,
     assign_anomalies,
     generate_blocks,
 )
+
+from aeslab.cipher import Key128, encrypt_blocks
 
 import oracle_schedule
 
@@ -140,6 +143,37 @@ def test_assign_anomalies_matches_the_scalar_draw_loop(n, inject_pct, delay_min_
     want = oracle_schedule.schedule(n, inject_pct, seed, delay_min_us, delay_max_us)
     assert _tags(tagged) == want
     assert np.array_equal(tagged.index, blocks.index) and np.array_equal(tagged.data, blocks.data)
+
+
+def _encrypted_plaintexts(data, kinds):
+    """The post-fault plaintexts encrypt_blocks records for one 16-byte
+    block per kind code, all with the same pre-fault data."""
+    n = len(kinds)
+    blocks = Blocks(np.arange(n, dtype=np.int64),
+                    np.frombuffer(data * n, np.uint8).reshape(n, BLOCK_SIZE),
+                    np.array(kinds, np.int8),
+                    np.array([5.0 if k == KIND_DELAY else 0.0 for k in kinds]))
+    cfg = RunConfig(mode=Mode.SIMULATED, jitter_us=0.0)
+    records = encrypt_blocks(blocks, Key128(bytes(16)), cfg)
+    assert blocks.data.tobytes() == data * n  # the fault goes into a copy
+    return [rec.plaintext for rec in records]
+
+
+def test_apply_fault_flips_first_byte_only():
+    (faulted,) = _encrypted_plaintexts(bytes([0x41]) + bytes(15), [KIND_FAULT])
+    assert faulted[0] == 0xBE
+    assert faulted[1:] == bytes(15)
+
+
+def test_apply_fault_ignores_untagged_blocks():
+    data = bytes(range(16))
+    assert _encrypted_plaintexts(data, [KIND_NONE, KIND_DELAY]) == [data, data]
+
+
+@given(st.binary(min_size=16, max_size=16))
+def test_apply_fault_is_an_involution(data):
+    (faulted,) = _encrypted_plaintexts(data, [KIND_FAULT])
+    assert _encrypted_plaintexts(faulted, [KIND_FAULT]) == [data]
 
 
 def test_anomaly_tag_validation():
