@@ -1,11 +1,11 @@
 """Latency and throughput benchmarks over the encryption pipeline.
 
 Each measurement runs the full pipeline once untimed to warm caches and
-worker pools, then times a second run. Mean latency comes from the
-per-block spans, throughput from blocks over the timed wall clock. Peak
-memory is reported where the platform exposes ru_maxrss, in two columns:
-peak_memory_mb for this process and peak_children_mb for the largest of
-its finished children (the pool workers). Both are process-lifetime
+the worker pool, then times a second run on the same pool. Mean latency
+comes from the per-block spans, throughput from blocks over the timed wall
+clock. Peak memory is reported where the platform exposes ru_maxrss, in
+two columns: peak_memory_mb for this process and peak_children_mb for the
+largest of its finished children (the pool workers). Both are process-lifetime
 high-water marks: they never fall, so a sweep cell reports at least the
 peak of every cell before it.
 """
@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import csv
 import time
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import fmean
@@ -56,14 +58,17 @@ def peak_memory_mb(children: bool = False) -> Optional[float]:
 
 
 def measure_run(cfg: RunConfig, key: Key128) -> BenchRecord:
-    """Warm up, then time one pipeline run under cfg."""
+    """Warm up, then time one pipeline run under cfg; with several workers
+    both runs share one pool, so the timed run starts no processes."""
     if cfg.mode is not Mode.REAL:
         raise ValueError("benchmarks measure real mode only")
     cfg.validate()
-    run_pipeline(cfg, key)
-    start = time.perf_counter()
-    records = run_pipeline(cfg, key)
-    wall_s = time.perf_counter() - start
+    with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
+        run_pipeline(cfg, key, pool)
+        start = time.perf_counter()
+        records = run_pipeline(cfg, key, pool)
+        wall_s = time.perf_counter() - start
+    # read after the pool has shut down, so the children's peak covers its workers
     return BenchRecord(
         block_count=cfg.n_blocks,
         workers=cfg.workers,

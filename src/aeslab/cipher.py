@@ -1,26 +1,46 @@
 """AES-128-ECB encryption with per-block timing.
 
-The cipher is implemented directly from the FIPS-197 construction: byte
-substitution through the fixed S-box, ShiftRows as a flat 16-element
-permutation, MixColumns through an xtime lookup table, and an expanded
-11-round key schedule. Pure Python keeps the per-block cost measurable
-(tens of microseconds), which is what the real-mode timing experiments need.
+The scalar cipher runs the 32-bit T-table form of the FIPS-197 rounds
+(Daemen & Rijmen, "The Design of Rijndael", 2002, section 4.2). The state is
+four big-endian column words. Four 256-entry word tables Te0..Te3, built
+from the S-box and xtime, fold SubBytes, ShiftRows and MixColumns into one
+lookup per state byte, so each of rounds 1 to 9 is 16 lookups and 16 XORs,
+four of them with the round key's words. The final round, which has no
+MixColumns, reads the S-box itself. Pure Python keeps the per-block cost
+measurable (about 20 microseconds), which is what the real-mode timing
+experiments need.
+
+T-tables are the textbook target of cache-timing attacks (Bernstein 2005,
+"Cache-timing attacks on AES"; Osvik, Shamir & Tromer 2006, "Cache Attacks
+and Countermeasures: the Case of AES"): each lookup's address depends on a
+key-mixed state byte. The byte-wise kernel they replaced made the same kind
+of secret-indexed S-box and xtime lookups, as any CPython tuple lookup
+does, so the lab gains no new class of leak. Neither kernel is
+constant-time; neither is fit to protect data.
+
+The tables and each key's round-key words are built on first use from the
+S-box the module holds at that moment, and cached under it, so nothing
+derived from one S-box is used with another.
 
 Simulated mode measures no latency, so it encrypts a whole run in one batch
-in the calling process: the same rounds as numpy gathers over every block
-at once. Real mode times each block and scales across a process pool of
-cfg.workers processes, one contiguous slice of the run each; threads would
-serialize on the interpreter lock for this CPU-bound work.
+in the calling process: the byte-wise rounds (ShiftRows as a flat 16-element
+permutation, MixColumns through an xtime table) as numpy gathers over every
+block at once. Real mode times each block and scales across a process pool
+of cfg.workers processes, which take a few contiguous slices of the run each
+as they free up; threads would serialize on the interpreter lock for this
+CPU-bound work.
 """
 
 from __future__ import annotations
 
+import struct
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,37 +112,68 @@ class Key128:
 DEFAULT_KEY_HEX = "000102030405060708090a0b0c0d0e0f"
 
 
+@lru_cache(maxsize=4)
+def _t_tables(sbox: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """Te0..Te3 for one S-box. Te0[x] is the MixColumns image (2s, s, s, 3s)
+    of s = sbox[x] standing in row 0 of a column, as one big-endian word;
+    Te1..Te3 are the same column for rows 1..3, i.e. Te0 rotated right by
+    8, 16 and 24 bits."""
+    te0 = tuple(XTIME[s] << 24 | s << 16 | s << 8 | XTIME[s] ^ s for s in sbox)
+    tables = [te0]
+    for _ in range(3):
+        tables.append(tuple(w >> 8 | (w & 0xFF) << 24 for w in tables[-1]))
+    return tuple(tables)
+
+
+class _Schedule(NamedTuple):
+    """One key's 44 round-key words and the tables its rounds read."""
+
+    words: Tuple[int, ...]
+    te0: Tuple[int, ...]
+    te1: Tuple[int, ...]
+    te2: Tuple[int, ...]
+    te3: Tuple[int, ...]
+    sbox: Tuple[int, ...]
+
+
+_WORDS = struct.Struct(">4I")
+
+
 @lru_cache(maxsize=32)
-def _expand_key(key: bytes) -> Tuple[Tuple[int, ...], ...]:
-    """Expand 16 key bytes into 11 flat 16-byte round keys."""
-    words = [list(key[i:i + 4]) for i in range(0, 16, 4)]
+def _expand_key(key: bytes, sbox: Tuple[int, ...]) -> _Schedule:
+    """Expand 16 key bytes under sbox into 11 round keys of four big-endian
+    words each. Callers pass the module's SBOX as it is at call time."""
+    words = list(_WORDS.unpack(key))
     for i in range(4, 4 * (N_ROUNDS + 1)):
-        w = list(words[i - 1])
-        if i % 4 == 0:
-            w = [SBOX[w[1]] ^ RCON[i // 4 - 1], SBOX[w[2]], SBOX[w[3]], SBOX[w[0]]]
-        words.append([a ^ b for a, b in zip(words[i - 4], w)])
-    return tuple(tuple(words[4 * r] + words[4 * r + 1] + words[4 * r + 2] + words[4 * r + 3])
-                 for r in range(N_ROUNDS + 1))
+        w = words[i - 1]
+        if i % 4 == 0:  # RotWord, SubWord, Rcon
+            w = (sbox[w >> 16 & 0xFF] << 24 | sbox[w >> 8 & 0xFF] << 16 | sbox[w & 0xFF] << 8
+                 | sbox[w >> 24]) ^ RCON[i // 4 - 1] << 24
+        words.append(words[i - 4] ^ w)
+    return _Schedule(tuple(words), *_t_tables(sbox), sbox)
 
 
-def _encrypt(block: bytes, round_keys: Sequence[Sequence[int]]) -> bytes:
-    sbox = SBOX
-    xt = XTIME
-    perm = SHIFT_ROWS
-    rk = round_keys[0]
-    s = [block[i] ^ rk[i] for i in range(16)]
-    for rnd in range(1, N_ROUNDS):
-        t = [sbox[s[perm[i]]] for i in range(16)]
-        rk = round_keys[rnd]
-        for c in (0, 4, 8, 12):
-            a0, a1, a2, a3 = t[c], t[c + 1], t[c + 2], t[c + 3]
-            x = a0 ^ a1 ^ a2 ^ a3
-            s[c] = a0 ^ x ^ xt[a0 ^ a1] ^ rk[c]
-            s[c + 1] = a1 ^ x ^ xt[a1 ^ a2] ^ rk[c + 1]
-            s[c + 2] = a2 ^ x ^ xt[a2 ^ a3] ^ rk[c + 2]
-            s[c + 3] = a3 ^ x ^ xt[a3 ^ a0] ^ rk[c + 3]
-    rk = round_keys[N_ROUNDS]
-    return bytes(sbox[s[perm[i]]] ^ rk[i] for i in range(16))
+def _encrypt(block: bytes, schedule: _Schedule) -> bytes:
+    w, te0, te1, te2, te3, sbox = schedule
+    s0, s1, s2, s3 = _WORDS.unpack(block)
+    s0, s1, s2, s3 = s0 ^ w[0], s1 ^ w[1], s2 ^ w[2], s3 ^ w[3]
+    for i in range(4, 4 * N_ROUNDS, 4):
+        s0, s1, s2, s3 = (
+            te0[s0 >> 24] ^ te1[s1 >> 16 & 255] ^ te2[s2 >> 8 & 255] ^ te3[s3 & 255] ^ w[i],
+            te0[s1 >> 24] ^ te1[s2 >> 16 & 255] ^ te2[s3 >> 8 & 255] ^ te3[s0 & 255] ^ w[i + 1],
+            te0[s2 >> 24] ^ te1[s3 >> 16 & 255] ^ te2[s0 >> 8 & 255] ^ te3[s1 & 255] ^ w[i + 2],
+            te0[s3 >> 24] ^ te1[s0 >> 16 & 255] ^ te2[s1 >> 8 & 255] ^ te3[s2 & 255] ^ w[i + 3],
+        )
+    return _WORDS.pack(
+        (sbox[s0 >> 24] << 24 | sbox[s1 >> 16 & 255] << 16 | sbox[s2 >> 8 & 255] << 8
+         | sbox[s3 & 255]) ^ w[40],
+        (sbox[s1 >> 24] << 24 | sbox[s2 >> 16 & 255] << 16 | sbox[s3 >> 8 & 255] << 8
+         | sbox[s0 & 255]) ^ w[41],
+        (sbox[s2 >> 24] << 24 | sbox[s3 >> 16 & 255] << 16 | sbox[s0 >> 8 & 255] << 8
+         | sbox[s1 & 255]) ^ w[42],
+        (sbox[s3 >> 24] << 24 | sbox[s0 >> 16 & 255] << 16 | sbox[s1 >> 8 & 255] << 8
+         | sbox[s2 & 255]) ^ w[43],
+    )
 
 
 _SBOX_ARRAY = np.array(SBOX, dtype=np.uint8)
@@ -132,9 +183,10 @@ _NEXT_IN_COLUMN = [1, 2, 3, 0]
 
 
 def encrypt_batch(states: np.ndarray, key: bytes) -> np.ndarray:
-    """Encrypt uint8[n, 16] blocks in ECB mode: _encrypt's rounds, each one
-    numpy gather or XOR over all n states at once."""
-    round_keys = np.array(_expand_key(key), dtype=np.uint8)
+    """Encrypt uint8[n, 16] blocks in ECB mode: the byte-wise FIPS-197 rounds,
+    each one numpy gather or XOR over all n states at once."""
+    words = np.array(_expand_key(key, SBOX).words, dtype=">u4")
+    round_keys = words.view(np.uint8).reshape(N_ROUNDS + 1, BLOCK_SIZE)
     s = states ^ round_keys[0]
     for rnd in range(1, N_ROUNDS):
         t = _SBOX_ARRAY[s[:, SHIFT_ROWS]].reshape(-1, 4, 4)
@@ -148,7 +200,7 @@ def aes128_encrypt_block(block: bytes, key: Key128) -> bytes:
     """Encrypt one 16-byte block in ECB mode."""
     if len(block) != BLOCK_SIZE:
         raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    return _encrypt(block, _expand_key(key.data))
+    return _encrypt(block, _expand_key(key.data, SBOX))
 
 
 # FIPS-197 appendix B/C example vectors plus NIST SP 800-38A F.1.1 ECB cases
@@ -170,21 +222,32 @@ KAT_VECTORS: Tuple[Tuple[str, str, str, str], ...] = (
 
 @dataclass(frozen=True)
 class KatResult:
+    """One vector's published ciphertext and each kernel's output, as
+    (kernel, ciphertext hex) pairs."""
+
     name: str
     expected: str
-    actual: str
+    actual: Tuple[Tuple[str, str], ...]
+
+    @property
+    def mismatches(self) -> List[Tuple[str, str]]:
+        return [(kernel, got) for kernel, got in self.actual if got != self.expected]
 
     @property
     def ok(self) -> bool:
-        return self.expected == self.actual
+        return not self.mismatches
 
 
 def run_known_answer_suite() -> List[KatResult]:
-    """Encrypt every published vector and report expected vs actual."""
+    """Encrypt every published vector with the scalar and the batched kernel,
+    which share no round code, and report expected vs actual for each."""
     results = []
     for name, key_hex, pt_hex, ct_hex in KAT_VECTORS:
-        actual = aes128_encrypt_block(bytes.fromhex(pt_hex), Key128.from_hex(key_hex))
-        results.append(KatResult(name, ct_hex, actual.hex()))
+        key, plaintext = Key128.from_hex(key_hex), bytes.fromhex(pt_hex)
+        scalar = aes128_encrypt_block(plaintext, key)
+        batch = encrypt_batch(np.frombuffer(plaintext, np.uint8).reshape(1, BLOCK_SIZE), key.data)
+        actual = (("scalar", scalar.hex()), ("batch", batch.tobytes().hex()))
+        results.append(KatResult(name, ct_hex, actual))
     return results
 
 
@@ -212,7 +275,7 @@ def encrypt_timed(plain: bytes, delays_us: Sequence[float], key: bytes,
     """Encrypt 16-byte blocks laid end to end one at a time; return the
     ciphertexts laid end to end and each block's latency in microseconds: a
     monotonic span over its sleep (delays_us[j] > 0) and every encryption pass."""
-    schedule = _expand_key(key)
+    schedule = _expand_key(key, SBOX)
     ciphertexts, times = [], []
     for at, delay_us in zip(range(0, len(plain), BLOCK_SIZE), delays_us):
         block = plain[at:at + BLOCK_SIZE]
@@ -226,13 +289,21 @@ def encrypt_timed(plain: bytes, delays_us: Sequence[float], key: bytes,
     return b"".join(ciphertexts), times
 
 
-def encrypt_blocks(blocks: Blocks, key: Key128, cfg: RunConfig) -> List[BlockRecord]:
+# real mode with several workers cuts a run into this many slices per worker,
+# so a worker that finishes early takes another slice instead of idling
+_SLICES_PER_WORKER = 4
+
+
+def encrypt_blocks(blocks: Blocks, key: Key128, cfg: RunConfig,
+                   pool: Optional[Executor] = None) -> List[BlockRecord]:
     """Encrypt tagged blocks into one record per block, in block order.
 
     Simulated mode encrypts them all in one batch in this process and models
     block i's latency as (base + U(0, jitter)) + delay, where the jitter is
     draw i of one stream of the run seed, so it depends on (seed, index)
-    alone. Real mode times each block across cfg.workers processes.
+    alone. Real mode times each block across cfg.workers processes: those of
+    pool, an executor with cfg.workers processes, or else of a pool started
+    and shut down within this call.
     """
     index, delay_us = blocks.index, blocks.delay_us
     plain = blocks.data.copy()
@@ -241,16 +312,17 @@ def encrypt_blocks(blocks: Blocks, key: Key128, cfg: RunConfig) -> List[BlockRec
         cipher = encrypt_batch(plain, key.data).tobytes()
         jitter = _rng(cfg.seed, _STREAM_TIMING).uniform(0.0, cfg.jitter_us, index[-1] + 1)[index]
         time_us = ((cfg.base_time_us + jitter) + delay_us).tolist()
-    else:  # one contiguous slice of the run per worker
+    else:  # contiguous slices of the run, handed to workers as they free up
         encrypt = partial(encrypt_timed, key=key.data, work_amplification=cfg.work_amplification)
-        plains = [part.tobytes() for part in np.array_split(plain, cfg.workers)]
-        delays = [part.tolist() for part in np.array_split(delay_us, cfg.workers)]
+        n_slices = 1 if cfg.workers == 1 else _SLICES_PER_WORKER * cfg.workers
+        plains = [part.tobytes() for part in np.array_split(plain, n_slices)]
+        delays = [part.tolist() for part in np.array_split(delay_us, n_slices)]
         if cfg.workers == 1:
             parts = list(map(encrypt, plains, delays))
         else:
             try:
-                with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                    parts = list(pool.map(encrypt, plains, delays))
+                with ProcessPoolExecutor(cfg.workers) if pool is None else nullcontext(pool) as live:
+                    parts = list(live.map(encrypt, plains, delays))
             except (OSError, BrokenProcessPool) as exc:
                 raise PipelineError(f"worker pool failed: {exc}") from exc
         cipher = b"".join(c for c, _ in parts)
@@ -263,9 +335,10 @@ def encrypt_blocks(blocks: Blocks, key: Key128, cfg: RunConfig) -> List[BlockRec
             for i, at, t, tag in zip(index.tolist(), range(0, len(plain_bytes), BLOCK_SIZE), time_us, tags)]
 
 
-def run_pipeline(cfg: RunConfig, key: Key128) -> List[BlockRecord]:
-    """Generate, tag, and encrypt one run; records come back sorted by index."""
+def run_pipeline(cfg: RunConfig, key: Key128, pool: Optional[Executor] = None) -> List[BlockRecord]:
+    """Generate, tag, and encrypt one run; records come back sorted by index.
+    A real-mode run with several workers runs on pool when one is given."""
     cfg.validate()
     blocks = generate_blocks(cfg.n_blocks, cfg.input_dist, cfg.seed)
     blocks = assign_anomalies(blocks, cfg.inject_pct, cfg.seed, cfg.delay_min_us, cfg.delay_max_us)
-    return encrypt_blocks(blocks, key, cfg)
+    return encrypt_blocks(blocks, key, cfg, pool)

@@ -337,7 +337,8 @@ def cmd_kat(args) -> int:
     print(f"known-answer suite: {len(results)} vectors")
     all_ok = True
     for r in results:
-        status = "ok" if r.ok else f"FAIL expected {r.expected} got {r.actual}"
+        status = "ok" if r.ok else f"FAIL expected {r.expected}, " + ", ".join(
+            f"{kernel} got {got}" for kernel, got in r.mismatches)
         print(f"  {r.name}: {status}")
         all_ok = all_ok and r.ok
     print("result: pass" if all_ok else "result: FAIL")

@@ -1,8 +1,10 @@
 import csv
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 import aeslab.bench as bench_mod
+import aeslab.cipher as cipher_mod
 from aeslab.bench import BenchRecord, measure_run, peak_memory_mb, sweep
 from aeslab.cipher import Key128
 from aeslab.workload import Mode, RunConfig
@@ -48,6 +50,24 @@ def test_measure_run_counts_the_pool_workers_memory(tmp_path):
     assert list(row)[4:6] == ["peak_memory_mb", "peak_children_mb"]
     assert row["peak_children_mb"] == ("" if record.peak_children_mb is None else
                                        f"{peak_memory_mb(children=True):.1f}")
+
+
+def test_measure_run_warms_the_pool_it_times(monkeypatch):
+    started = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(args)
+            super().__init__(*args, **kwargs)
+
+    def no_own_pool(*args, **kwargs):
+        raise AssertionError("encrypt_blocks started a pool of its own")
+
+    monkeypatch.setattr(bench_mod, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(cipher_mod, "ProcessPoolExecutor", no_own_pool)
+    record = measure_run(RunConfig(n_blocks=64, inject_pct=0.0, workers=2, mode=Mode.REAL), KEY)
+    assert started == [(2,)]
+    assert record.error is None and record.throughput_bps > 0
 
 
 def test_sweep_covers_cells_in_ascending_order(tmp_path):

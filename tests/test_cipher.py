@@ -96,6 +96,12 @@ def test_fuzz_against_independent_library():
         assert aes128_encrypt_block(block, Key128(key)) == _library_encrypt(key, block)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))
+def test_scalar_cipher_matches_independent_library(key, block):
+    assert aes128_encrypt_block(block, Key128(key)) == _library_encrypt(key, block)
+
+
 def test_ecb_is_deterministic_and_chain_free():
     key = Key128.from_hex("2b7e151628aed2a6abf7158809cf4f3c")
     block = bytes(range(16))
@@ -267,6 +273,31 @@ def test_encrypt_blocks_matches_per_block_calls():
         assert record.tag == AnomalyTag()
 
 
+class InlinePool:
+    """An executor stand-in that runs map in this process and records how
+    many tasks each call handed out."""
+
+    def __init__(self):
+        self.tasks = []
+
+    def map(self, fn, *iterables):
+        args = list(zip(*iterables))
+        self.tasks.append(len(args))
+        return [fn(*a) for a in args]
+
+
+def test_real_mode_hands_out_a_few_slices_per_worker_on_a_given_pool():
+    key = Key128(bytes(16))
+    blocks = generate_blocks(50, InputDistribution.ASCII, seed=6)
+    cfg = RunConfig(mode=Mode.REAL, inject_pct=0.0, workers=3)
+    pool = InlinePool()
+    records = encrypt_blocks(blocks, key, cfg, pool)
+    assert pool.tasks == [4 * cfg.workers]
+    solo = encrypt_blocks(blocks, key, dataclasses.replace(cfg, workers=1), pool)
+    assert pool.tasks == [4 * cfg.workers]  # one worker runs in this process
+    assert _without_time(records) == _without_time(solo)
+
+
 # ---------------------------------------------------------------- batched AES
 
 
@@ -280,7 +311,7 @@ def test_batched_aes_matches_scalar_and_library_on_uniform_blocks(n):
     key = rng.bytes(16)
     blocks = [rng.bytes(16) for _ in range(n)]
     got = [row.tobytes() for row in encrypt_batch(_batch(blocks), key)]
-    assert got == [_encrypt(b, _expand_key(key)) for b in blocks]
+    assert got == [_encrypt(b, _expand_key(key, cipher_mod.SBOX)) for b in blocks]
     assert b"".join(got) == _library_encrypt(key, b"".join(blocks))
 
 
@@ -292,6 +323,16 @@ def test_batched_aes_matches_every_known_answer_vector_in_one_batch():
         out = encrypt_batch(_batch(plaintexts), key)
         assert out[plaintexts.index(bytes.fromhex(pt_hex))].tobytes().hex() == ct_hex
         assert out.tobytes() == _library_encrypt(key, b"".join(plaintexts))
+
+
+@pytest.mark.parametrize("work_amplification", [1, 3])
+def test_timed_and_batched_kernels_return_the_same_ciphertexts(work_amplification):
+    rng = np.random.default_rng(77)
+    key = rng.bytes(16)
+    plain = rng.bytes(16 * 64)
+    ciphertexts, times = encrypt_timed(plain, [0.0] * 64, key, work_amplification)
+    assert ciphertexts == encrypt_batch(_batch([plain]), key).tobytes()
+    assert len(times) == 64
 
 
 def test_batched_aes_leaves_its_input_alone():

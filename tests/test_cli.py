@@ -51,6 +51,37 @@ def test_kat_fails_when_cipher_is_corrupted(capsys, monkeypatch):
         cipher_mod._expand_key.cache_clear()
 
 
+def test_kat_fails_when_cipher_is_corrupted_after_schedules_are_cached(capsys, monkeypatch):
+    # schedules and tables built under the good S-box must not serve a
+    # corrupted one, and must serve again once the good one is back
+    for _, key_hex, pt_hex, _ in cipher_mod.KAT_VECTORS:
+        cipher_mod.aes128_encrypt_block(bytes.fromhex(pt_hex), cipher_mod.Key128.from_hex(key_hex))
+    broken = list(cipher_mod.SBOX)
+    broken[0], broken[1] = broken[1], broken[0]
+    monkeypatch.setattr(cipher_mod, "SBOX", tuple(broken))
+    assert main(["kat"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    monkeypatch.undo()
+    assert main(["kat"]) == 0
+    assert "result: pass" in capsys.readouterr().out
+
+
+def test_kat_names_the_kernel_that_disagrees(capsys, monkeypatch):
+    broken = cipher_mod._SBOX_ARRAY.copy()
+    broken[[0, 1]] = broken[[1, 0]]
+    monkeypatch.setattr(cipher_mod, "_SBOX_ARRAY", broken)
+    assert main(["kat"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL expected" in line]
+    assert fails and all("batch got" in line and "scalar" not in line for line in fails)
+
+
+def test_kat_prints_one_line_per_vector_when_passing(capsys):
+    assert main(["kat"]) == 0
+    names = [name for name, _, _, _ in cipher_mod.KAT_VECTORS]
+    expected = [f"known-answer suite: {len(names)} vectors"] + [f"  {n}: ok" for n in names]
+    assert capsys.readouterr().out == "\n".join(expected + ["result: pass", ""])
+
+
 def test_run_writes_both_csvs_and_prints_summary(tmp_path, capsys):
     assert main(_run_flags(tmp_path)) == 0
     out = capsys.readouterr().out
