@@ -19,7 +19,8 @@ histogram split finding, so the counts, thresholds and gains are those of a
 sorted scan, and each tree keeps its own generator and pre-order, so it is
 the tree grown alone. Each tree is stored as flat pre-order arrays.
 Prediction partitions the row numbers down each tree in turn, so a row is
-compared only at the nodes on its path.
+compared only at the nodes on its path, and stops walking a row once its
+majority is settled.
 
 Everything is deterministic given (hyperparams, training data): each tree
 draws its bootstrap sample and feature subsets from a generator derived
@@ -479,21 +480,30 @@ def predict_all(model: ForestModel, X: np.ndarray) -> List[bool]:
     sends its rows' feature values through one comparison and hands each
     side to its child, so a row is touched only at the nodes on its path. A
     leaf adds a vote to its rows if it holds more anomalous than benign
-    counts.
+    counts. Once half the trees have voted, a row whose vote no remaining
+    tree can change is settled: later trees walk only the open rows, and the
+    walk ends when none are left. The result is that of every tree voting.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected rows of {model.n_features} features, got shape {X.shape}")
     by_feature = np.ascontiguousarray(X.T)  # row f holds feature f of every sample
     votes = np.zeros(X.shape[0], dtype=np.int64)
-    all_rows = np.arange(X.shape[0])
-    for tree in model.trees:
+    open_rows = np.arange(X.shape[0])
+    n_trees = len(model.trees)
+    for t, tree in enumerate(model.trees):
+        if 2 * t >= n_trees:  # before that, no row can be settled
+            # settled anomalous once 2 * held > n_trees, benign once 2 * (held + rest) <= n_trees
+            held, rest = votes.take(open_rows), n_trees - t
+            open_rows = open_rows.compress((2 * held <= n_trees) & (2 * (held + rest) > n_trees))
+            if not open_rows.size:
+                break
         feature = tree.feature.tolist()
         threshold = tree.threshold.tolist()
         left = tree.left.tolist()
         right = tree.right.tolist()
         anomalous = (tree.counts[:, 1] > tree.counts[:, 0]).tolist()  # ties vote benign
-        pending = [(0, all_rows)]  # (node, the rows that reach it), next on top
+        pending = [(0, open_rows)]  # (node, the rows that reach it), next on top
         while pending:
             node, rows = pending.pop()
             if not rows.size:
@@ -506,7 +516,7 @@ def predict_all(model: ForestModel, X: np.ndarray) -> List[bool]:
             goes_left = by_feature[f].take(rows) <= threshold[node]
             pending.append((right[node], rows.compress(~goes_left)))
             pending.append((left[node], rows.compress(goes_left)))
-    return (2 * votes > len(model.trees)).tolist()
+    return (2 * votes > n_trees).tolist()
 
 
 MODEL_MAGIC = "aeslab-forest"

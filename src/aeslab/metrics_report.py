@@ -15,7 +15,8 @@ import csv
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -99,6 +100,8 @@ def _fmt_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+_HEX = [f"{b:02x}" for b in range(256)]
+
 BYTE_COLUMNS = tuple(f"b{i}" for i in range(16))
 FLAG_COLUMNS = ("truth_label", "threshold_pred", "forest_pred")
 BLOCK_COLUMNS = ["index", "time_us", "tag", *FLAG_COLUMNS, *BYTE_COLUMNS]
@@ -138,21 +141,19 @@ def export_csv(
     blocks_path = out / f"blocks_{rid}.csv"
     summary_path = out / f"summary_{rid}.csv"
 
-    thresh_preds = predictions["threshold"]
-    forest_preds = predictions["forest"]
+    # Every cell is an integer, a fixed-point latency, a tag kind, true/false or two hex
+    # digits: none holds a comma, quote or line break, so csv.writer would quote none of
+    # them, and each row is written as it would, with its \r\n line end.
+    rows = [",".join(BLOCK_COLUMNS) + "\r\n"]
+    rows += [
+        "%d,%.3f,%s,%s,%s,%s,%s\r\n" % (
+            rec.index, rec.time_us, rec.tag.kind.value, _fmt_bool(rec.truth_label),
+            _fmt_bool(thresh), _fmt_bool(forest), ",".join([_HEX[b] for b in byte_source.of(rec)]),
+        )
+        for rec, thresh, forest in zip(records, predictions["threshold"], predictions["forest"])
+    ]
     with atomic_write(blocks_path, newline="", encoding="ascii") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(BLOCK_COLUMNS)
-        for i, rec in enumerate(records):
-            row = [
-                rec.index,
-                f"{rec.time_us:.3f}",
-                rec.tag.kind.value,
-                _fmt_bool(rec.truth_label),
-                _fmt_bool(thresh_preds[i]),
-                _fmt_bool(forest_preds[i]),
-            ] + [f"{b:02x}" for b in byte_source.of(rec)]
-            writer.writerow(row)
+        handle.write("".join(rows))
 
     with atomic_write(summary_path, newline="", encoding="ascii") as handle:
         writer = csv.writer(handle)
@@ -173,14 +174,19 @@ def export_csv(
     return blocks_path, summary_path
 
 
-# rows parsed per step: only one step's cells are held as Python strings at a time,
-# which keeps peak memory near that of the finished arrays
+# lines the byte pass decodes per step: only one step's field offsets and
+# text cells are held at a time, which keeps peak memory near that of the
+# file's bytes and the finished arrays
 _STEP_ROWS = 1024
 
 # value of each ASCII code as a hex digit, 16 where it is none
 _NIBBLE = np.full(256, 16, dtype=np.uint8)
 _NIBBLE[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
 _NIBBLE[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
+
+_COMMA, _CR, _LF = b",\r\n"
+_BASE_16 = (16,) * len(BYTE_COLUMNS)
+_TRUE, _FALSE = (np.frombuffer(word, dtype=np.uint8) for word in (b"true", b"false"))
 
 _REQUIRED_COLUMNS = {"index", "time_us", *BYTE_COLUMNS}
 
@@ -206,71 +212,110 @@ class BlockTable:
         return self.index.size
 
 
-def _hex_bytes(cells: List[str]) -> np.ndarray:
-    """int(cell, 16) of each cell, which must lie in [0, 256): by table lookup
-    where every cell is two hex digits, as export_csv writes them, else through int()."""
-    text = ",".join(cells) + ","
-    if len(text) == 3 * len(cells):
-        # every cell is two hex digits iff every third character is a comma and the rest are digits
-        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 3)
-        nibbles = _NIBBLE[codes[:, :2]]
-        if nibbles.max(initial=0) < 16 and (codes[:, 2] == ord(",")).all():
-            return nibbles[:, 0] << 4 | nibbles[:, 1]
-    values = np.fromiter((int(cell, 16) for cell in cells), np.int64, len(cells))
-    if ((values < 0) | (values > 255)).any():
-        raise ValueError
-    return values.astype(np.uint8)
+def _cells(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> List[str]:
+    """The text of buf[start[k]:end[k]] for each k, by one gather: each cell is
+    taken with the byte after it, which then becomes a comma to split at."""
+    width = end - start + 1
+    stops = np.cumsum(width)
+    at = np.arange(stops[-1]) + np.repeat(start - (stops - width), width)
+    picked = buf.take(at, mode="clip")  # the byte after the file's last cell may lie past its end
+    picked[stops - 1] = _COMMA
+    return picked.tobytes().decode("ascii").split(",")[:-1]
 
 
-def _step_columns(rows: List[List[str]], where: Mapping[str, int], width: int) -> dict:
-    """One step's columns; blank rows are dropped, extra fields ignored, and a bad row raises."""
-    if set(map(len, rows)) != {width}:
-        rows = [row[:width] for row in rows if row]
-        if any(len(row) < width for row in rows):
-            raise ValueError
-    n = len(rows)
-    flat = list(chain.from_iterable(rows))
-    column = {name: flat[j::width] for name, j in where.items()}
-    cols = {
-        "time_us": np.fromiter(map(float, column["time_us"]), np.float64, n),
-        "index": np.fromiter(map(int, column["index"]), np.int64, n),
-        "feature_bytes": np.stack([_hex_bytes(column[name]) for name in BYTE_COLUMNS], axis=1),
-    }
+def _decode_lines(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
+                  where: Mapping[str, int], width: int) -> Optional[dict]:
+    """One step's columns from the lines buf[start[k]:end[k]] of width fields,
+    or None if any line or cell is not in the form export_csv writes."""
+    m = start.size
+    commas = np.flatnonzero(buf[start[0]:end[-1]] == _COMMA) + start[0]
+    if commas.size != m * (width - 1):
+        return None
+    # with as many commas as the lines need, each line holds its own iff it holds its first and last
+    commas = commas.reshape(m, width - 1)
+    if (commas[:, 0] < start).any() or (commas[:, -1] >= end).any():
+        return None
+    first = np.concatenate((start[:, None], commas + 1), axis=1)  # of each field, (m, width)
+    last = np.concatenate((commas, end[:, None]), axis=1)
+
+    at = first[:, [where[name] for name in BYTE_COLUMNS]]
+    if (last[:, [where[name] for name in BYTE_COLUMNS]] - at != 2).any():
+        return None
+    high, low = _NIBBLE[buf[at]], _NIBBLE[buf[at + 1]]
+    if max(high.max(), low.max()) > 15:
+        return None
+    cols = {"feature_bytes": high << 4 | low}
+
+    flags = [name for name in FLAG_COLUMNS if name in where]
+    if flags:
+        at = first[:, [where[name] for name in flags]]
+        size = last[:, [where[name] for name in flags]] - at
+        head = buf.take(at[:, :, None] + np.arange(5), mode="clip")  # each cell's first five bytes
+        is_true = (size == 4) & (head[:, :, :4] == _TRUE).all(axis=-1)
+        if not (is_true | (size == 5) & (head == _FALSE).all(axis=-1)).all():
+            return None
+        cols.update(zip(flags, is_true.T))
+
+    text = {name: _cells(buf, first[:, where[name]], last[:, where[name]])
+            for name in ("index", "time_us", "tag") if name in where}
+    try:
+        cols["index"] = np.fromiter(map(int, text["index"]), np.int64, m)
+        cols["time_us"] = np.fromiter(map(float, text["time_us"]), np.float64, m)
+    except (ValueError, OverflowError):
+        return None
     if not np.isfinite(cols["time_us"]).all():
-        raise ValueError
-    for name in FLAG_COLUMNS:
-        if name in where:
-            cells = column[name]
-            cols[name] = np.fromiter(map("true".__eq__, cells), bool, n)
-            if np.count_nonzero(cols[name]) + cells.count("false") != n:
-                raise ValueError
-    if "tag" in where:
-        cols["tag"] = column["tag"]
+        return None
+    if "tag" in text:
+        unique = {}  # one string per distinct tag, not one per row, for the table to hold
+        cols["tag"] = list(map(unique.setdefault, text["tag"], text["tag"]))
     return cols
 
 
-def _read_columns(path: Union[str, Path]) -> BlockTable:
-    """The accept pass: the table of a good file, an exception without a message for a bad one."""
-    with open(path, "r", newline="", encoding="ascii") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        if not _REQUIRED_COLUMNS <= set(header):
-            raise ValueError
-        where = {name: j for j, name in enumerate(header)}
-        steps = []
-        while rows := list(islice(reader, _STEP_ROWS)):
-            steps.append(_step_columns(rows, where, len(header)))
-            del rows  # before the next step is read, so that one step's cells are held, not two
-    if not steps:
-        raise ValueError
+def _read_canonical(path: Union[str, Path]) -> Optional[BlockTable]:
+    """The byte pass: the table of a file in the form export_csv writes, else None.
+
+    The file must be ASCII with no quote and no NUL, and every CR must start
+    a CRLF. Then csv splits a line at each comma and nowhere else, so the
+    fields are found by their offsets. Each data line must hold exactly the
+    header's fields, each byte cell two hex digits and each flag cell true or
+    false; only the index, time_us and tag cells become Python objects.
+    """
+    data = Path(path).read_bytes()
+    if not data.isascii() or b'"' in data or b"\0" in data or (
+        data.count(b"\r") != data.count(b"\r\n")
+    ):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    stops = np.flatnonzero(buf == _LF)
+    if buf.size and buf[-1] != _LF:
+        stops = np.append(stops, buf.size)  # the last line has no line end
+    if stops.size < 2:
+        return None
+    starts = np.concatenate(([0], stops[:-1] + 1))
+    ends = stops - (buf[np.maximum(stops - 1, 0)] == _CR)  # drop the CR of a CRLF
+    header = buf[:ends[0]].tobytes().decode("ascii").split(",")
+    if not _REQUIRED_COLUMNS <= set(header):
+        return None
+    where = {name: j for j, name in enumerate(header)}
+    limit = csv.field_size_limit()
+    steps = []
+    for a in range(1, stops.size, _STEP_ROWS):
+        b = min(a + _STEP_ROWS, stops.size)
+        if (ends[a:b] - starts[a:b]).max() > limit:  # csv would refuse a field this long
+            return None
+        step = _decode_lines(buf, starts[a:b], ends[a:b], where, len(header))
+        if step is None:
+            return None
+        steps.append(step)
+    del data, buf, stops, starts, ends  # the file's bytes are not held with the joined columns
 
     def joined(name: str) -> Optional[np.ndarray]:
         return np.concatenate([s[name] for s in steps]) if name in steps[0] else None
 
     index = joined("index")
     ranked = np.sort(index)  # np.unique would import numpy.ma, about 1 MiB, on first use
-    if not index.size or (ranked[1:] == ranked[:-1]).any():
-        raise ValueError
+    if (ranked[1:] == ranked[:-1]).any():
+        return None
     tags = tuple(chain.from_iterable(s["tag"] for s in steps)) if "tag" in where else None
     return BlockTable(index, joined("time_us"), joined("feature_bytes"), tags,
                       *(joined(name) for name in FLAG_COLUMNS))
@@ -285,14 +330,16 @@ def _ascii_lines(handle: BinaryIO) -> Iterator[str]:
             yield line.decode("ascii")
 
 
-def _first_error(path: Union[str, Path]) -> str:
-    """The error pass: what is wrong with the file and where.
+def _read_rows(path: Union[str, Path]) -> Union[BlockTable, str]:
+    """The row pass: the table of a good file, else what is wrong with it and where.
 
     Rows are read one at a time, blank ones skipped, and each data row is
     checked in the order below; its first failed check is the message. The
     first fault in file order wins: a bad row that ends before the first
     byte that is not ASCII, else that byte.
     """
+    index, time_us, payloads = [], [], []
+    text = {name: [] for name in ("tag", *FLAG_COLUMNS)}  # the cells of the optional columns
     seen = set()
     try:
         with open(path, "rb") as handle:
@@ -303,36 +350,48 @@ def _first_error(path: Union[str, Path]) -> str:
             if missing := _REQUIRED_COLUMNS - set(header):
                 return f"missing columns {sorted(missing)}"
             where = {name: j for j, name in enumerate(header)}
+            time_at, index_at = where["time_us"], where["index"]
+            byte_cells = itemgetter(*(where[name] for name in BYTE_COLUMNS))
+            flag_at = [where[name] for name in FLAG_COLUMNS if name in where]
+            optional = [(text[name], where[name]) for name in text if name in where]
             for row in filter(None, reader):
                 try:
                     if len(row) < len(header):
                         raise ValueError("row has fewer fields than the header")
-                    cell = row[where["time_us"]]
-                    if not math.isfinite(float(cell)):
+                    cell = row[time_at]
+                    if not math.isfinite(time := float(cell)):
                         raise ValueError(f"time_us is not a finite number: {cell!r}")
-                    cell = row[where["index"]]
-                    index = int(cell)
-                    if not -2**63 <= index < 2**63:
+                    cell = row[index_at]
+                    if not -2**63 <= (block := int(cell)) < 2**63:
                         raise ValueError(f"{cell!r} does not fit in 64 bits")
-                    for cell in (row[where[name]] for name in FLAG_COLUMNS if name in where):
-                        if cell not in ("true", "false"):
+                    for j in flag_at:
+                        if (cell := row[j]) not in ("true", "false"):
                             raise ValueError(f"expected true/false, got {cell!r}")
-                    for name in BYTE_COLUMNS:
-                        if not 0 <= int(row[where[name]], 16) < 256:
-                            raise ValueError("bytes must be in range(0, 256)")
-                    if index in seen:
-                        raise ValueError(f"duplicate index {index}")
+                    # bytes() takes the map lazily: the first cell that fails, in either way, wins
+                    payload = bytes(map(int, byte_cells(row), _BASE_16))
+                    if block in seen:
+                        raise ValueError(f"duplicate index {block}")
                 except ValueError as exc:
                     return f"line {reader.line_num}: {exc}"
-                seen.add(index)
+                seen.add(block)
+                index.append(block)
+                time_us.append(time)
+                payloads.append(payload)
+                for cells, j in optional:
+                    cells.append(row[j])
     except csv.Error as exc:
         return f"line {reader.line_num}: {exc}"
     except UnicodeDecodeError:
         data = Path(path).read_bytes()
         at = re.search(rb"[\x80-\xff]", data).start()
         return f"not ASCII: byte {data[at]:#04x} at offset {at}"
-    # every data row passed: there are none, or the file changed since the accept pass read it
-    return "changed while it was read" if seen else "no data rows"
+    if not index:
+        return "no data rows"
+    feature_bytes = np.frombuffer(bytearray().join(payloads), dtype=np.uint8).reshape(-1, 16)
+    flags = (np.array([cell == "true" for cell in text[name]]) if name in where else None
+             for name in FLAG_COLUMNS)
+    return BlockTable(np.array(index, dtype=np.int64), np.array(time_us, dtype=np.float64),
+                      feature_bytes, tuple(text["tag"]) if "tag" in where else None, *flags)
 
 
 def read_blocks_csv(path: Union[str, Path]) -> BlockTable:
@@ -344,14 +403,16 @@ def read_blocks_csv(path: Union[str, Path]) -> BlockTable:
     header's are ignored; where a name repeats in the header, its last
     column counts. A malformed row, a non-finite time_us, an index beyond
     64 bits, or a repeated index raises ValueError naming the file line; a
-    byte that is not ASCII raises one naming its offset in the file. The
-    accept pass parses _STEP_ROWS rows at a time into columns; only if it
-    fails does the error pass re-read the file row by row to name the fault.
+    byte that is not ASCII raises one naming its offset in the file. A file
+    in the form export_csv writes is read by byte offset, _STEP_ROWS lines
+    at a time; any other file, or one with a fault, is read row by row.
     """
-    try:
-        return _read_columns(path)
-    except (ValueError, OverflowError, csv.Error):
-        raise ValueError(f"{path}: {_first_error(path)}") from None
+    table = _read_canonical(path)
+    if table is None:
+        table = _read_rows(path)
+        if isinstance(table, str):
+            raise ValueError(f"{path}: {table}")
+    return table
 
 
 def rows_to_vectors(table: BlockTable) -> Tuple[Dataset, bool]:

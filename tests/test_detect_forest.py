@@ -513,6 +513,41 @@ def test_leaf_tie_votes_benign():
     assert predict_all(model, np.asarray([[0.0]])) == [False]
 
 
+# (benign, anomalous) counts of a hand-made leaf: unanimous either way, split either way, tied
+_LEAF_COUNTS = st.sampled_from([(0, 4), (4, 0), (1, 3), (3, 1), (2, 2)])
+
+
+@st.composite
+def _hand_trees(draw):
+    """A tree of depth at most 2 over two features whose values are 0 to 4."""
+    feature, threshold, counts = [], [], []
+
+    def grow(depth):
+        if depth == 2 or draw(st.booleans()):
+            feature.append(-1)
+            threshold.append(0.0)
+            counts.append(draw(_LEAF_COUNTS))
+        else:
+            feature.append(draw(st.integers(0, 1)))
+            threshold.append(draw(st.sampled_from([0.5, 1.5, 2.5, 3.5])))
+            counts.append((0, 0))
+            grow(depth + 1)
+            grow(depth + 1)
+
+    grow(0)
+    return detect_forest._preorder_tree(feature, threshold, counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_hand_trees(), min_size=1, max_size=12))
+def test_settled_vote_equals_every_tree_voting(trees):
+    # every row of the 5 x 5 grid, so rows reach a majority after different numbers of trees
+    grid = np.array([[a, b] for a in range(5) for b in range(5)], dtype=np.float64)
+    model = ForestModel(tuple(trees), ForestHyperparams(n_trees=len(trees)), 2)
+    every_tree = [2 * sum(_walk(tree, row) for tree in trees) > len(trees) for row in grid]
+    assert predict_all(model, grid) == every_tree
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(4, 60),

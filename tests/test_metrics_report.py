@@ -365,7 +365,9 @@ def test_export_then_read_gives_back_the_dataset(data):
             cfg=RunConfig(n_blocks=n), byte_source=byte_source,
             threshold_fit="all", threshold_us=1.0,
         )
-        got, has_labels = rows_to_vectors(read_blocks_csv(blocks_path))
+        # every file export_csv writes takes the byte pass
+        with mock.patch.object(metrics_report, "_read_rows", side_effect=AssertionError):
+            got, has_labels = rows_to_vectors(read_blocks_csv(blocks_path))
     want = build_dataset(records, byte_source)
     assert has_labels
     assert got.X[:, 1:].tobytes() == want.X[:, 1:].tobytes()
@@ -466,6 +468,39 @@ def _outcome(read, path):
         return read(path)
     except ValueError as exc:  # anything else fails the test
         return type(exc), str(exc)
+
+
+_LINES = [
+    ",".join(_HEADERS[0]),
+    "0,1.500,none,false,false,true," + ZERO_BYTES,
+    "1,2.250,delay,true,true,false," + ",".join(["ff"] * 16),
+    "2,0.000,fault,true,false,false," + ",".join(f"{b:02x}" for b in range(16)),
+]
+
+
+@pytest.mark.parametrize("content, row_pass", [
+    ("\n".join(_LINES) + "\n", False),
+    ("\r\n".join(_LINES) + "\r\n", False),  # as export_csv writes it
+    ("\r\n".join(_LINES), False),  # no final newline
+    ("\n".join(_LINES).replace(",delay,", ',"a,b",') + "\n", True),  # a quoted tag
+    ("\n".join(_LINES).replace(",delay,", ',"delay",') + "\n", True),  # quotes csv removes
+    ("\n".join(_LINES[:2]) + "\r" + "\n".join(_LINES[2:]) + "\n", True),  # a bare CR ends a line
+    ("\n".join(_LINES).replace(",delay,", ",de\rlay,") + "\n", True),  # and cuts this row short
+    ("\n" + "\n".join(_LINES) + "\n", True),  # a leading blank line: no header
+    ("\n".join(_LINES).replace(",delay,", ",de\0lay,") + "\n", True),  # a NUL byte
+    ("\n".join(_LINES).replace(",delay,", "," + "x" * (csv.field_size_limit() + 1) + ",") + "\n",
+     True),  # a field csv refuses
+    ("\n".join(_LINES).replace(",ff,", ",f,", 1) + "\n", True),  # a one-digit hex cell
+])
+def test_read_blocks_csv_takes_the_byte_pass_only_for_files_in_export_form(
+        tmp_path, content, row_pass):
+    path = tmp_path / "blocks.csv"
+    path.write_bytes(content.encode("ascii"))
+    want = _outcome(oracle_csv.read_rows, path)
+    with mock.patch.object(metrics_report, "_read_rows", wraps=metrics_report._read_rows) as rows:
+        got = _outcome(read_blocks_csv, path)
+    assert (got if isinstance(got, tuple) else _table_rows(got)) == want
+    assert rows.called == row_pass
 
 
 @pytest.mark.parametrize("step_rows", [2, 1024])
