@@ -15,12 +15,15 @@ command-line values win over the environment.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
 import time
 from pathlib import Path
 from typing import List, Optional, Sequence
+
+import numpy as np
 
 from .bench import sweep
 from .cipher import (
@@ -33,7 +36,6 @@ from .cipher import (
 from .detect_forest import (
     ByteSource,
     ForestHyperparams,
-    build_dataset,
     fit_forest,
     load_model,
     predict_all,
@@ -42,6 +44,7 @@ from .detect_forest import (
 )
 from .metrics_report import (
     DetectionReport,
+    build_dataset,
     compare,
     export_csv,
     read_blocks_csv,
@@ -267,40 +270,37 @@ def cmd_run(args) -> int:
     cfg = _build_run_config(args, args.command_parser)
     hyper = _build_hyper(args)
 
-    records = run_pipeline(cfg, args.key_hex)
-    data = build_dataset(records, args.byte_source)
+    table = build_dataset(run_pipeline(cfg, args.key_hex), args.byte_source)
+    data, _ = rows_to_vectors(table)
     split = split_train_test(data, hyper.train_fraction, cfg.seed)
 
-    if args.threshold_fit == "train":
-        fit_times = [records[i].time_us for i in split.train_indices]
-    else:
-        fit_times = [r.time_us for r in records]
+    fit_times = table.time_us[split.train_indices] if args.threshold_fit == "train" else table.time_us
     threshold_model = fit_threshold(fit_times)
-    threshold_preds = classify_threshold(records, threshold_model)
+    threshold_preds = classify_threshold(table.time_us, threshold_model)
 
     forest_model = fit_forest(split.train, hyper)
-    forest_preds = predict_all(forest_model, data.X)
+    forest_preds = np.array(predict_all(forest_model, data.X))
 
-    truths = split.test.y.tolist()
-    report_t = score([threshold_preds[i] for i in split.test_indices], truths, "threshold")
-    report_f = score([forest_preds[i] for i in split.test_indices], truths, "forest")
-    comparison = compare(report_t, report_f)
+    test, truths = split.test_indices, split.test.y
+    report_t = score(threshold_preds[test], truths, "threshold")
+    report_f = score(forest_preds[test], truths, "forest")
+    accuracy_gain = compare(report_t, report_f)
 
+    table = dataclasses.replace(table, threshold_pred=threshold_preds, forest_pred=forest_preds)
     blocks_path, summary_path = export_csv(
-        records, [report_t, report_f], comparison, args.out_dir,
-        predictions={"threshold": threshold_preds, "forest": forest_preds},
+        table, [report_t, report_f], accuracy_gain, args.out_dir,
         cfg=cfg, byte_source=args.byte_source,
         threshold_fit=args.threshold_fit, threshold_us=threshold_model.threshold_us,
     )
 
-    anomalous = sum(r.truth_label for r in records)
+    anomalous = table.truth_label.sum()
     print(f"run {run_id(cfg.seed, cfg.n_blocks, cfg.inject_pct)}: "
           f"{cfg.n_blocks} blocks ({anomalous} anomalous), mode={cfg.mode.value}, "
           f"workers={cfg.workers}, test size={len(truths)}")
     print(f"threshold_us={threshold_model.threshold_us:.3f} (fit={args.threshold_fit})")
     _print_report(report_t)
     _print_report(report_f)
-    print(f"accuracy_gain={comparison.accuracy_gain:+.6f}")
+    print(f"accuracy_gain={accuracy_gain:+.6f}")
     print(f"wrote {blocks_path}")
     print(f"wrote {summary_path}")
     return 0
@@ -354,11 +354,11 @@ def cmd_train(args) -> int:
             return 1
     else:
         cfg = _build_run_config(args, args.command_parser)
-        data = build_dataset(run_pipeline(cfg, args.key_hex), args.byte_source)
+        data, _ = rows_to_vectors(build_dataset(run_pipeline(cfg, args.key_hex), args.byte_source))
     model = fit_forest(data, hyper)
     Path(args.model_out).parent.mkdir(parents=True, exist_ok=True)
     save_model(model, args.model_out)
-    report = score(predict_all(model, data.X), data.y.tolist(), "forest")
+    report = score(predict_all(model, data.X), data.y, "forest")
     print(f"trained {hyper.n_trees} trees on {len(data)} samples")
     _print_report(report)
     print(f"wrote {args.model_out}")
@@ -374,7 +374,7 @@ def cmd_predict(args) -> int:
     rows = "".join([f"{i},{words[p]}\n" for i, p in zip(table.index.tolist(), preds)])
     sys.stdout.write("index,predicted\n" + rows)
     if has_labels:
-        report = score(preds, data.y.tolist(), "forest")
+        report = score(preds, data.y, "forest")
         _print_report(report)
     return 0
 

@@ -36,7 +36,6 @@ from typing import Callable, Generator, Iterable, Iterator, List, Optional, Sequ
 
 import numpy as np
 
-from .cipher import BlockRecord
 from .files import atomic_write
 
 N_FEATURES = 17
@@ -50,10 +49,6 @@ _STREAM_TREE = 4
 class ByteSource(enum.Enum):
     PLAINTEXT = "plaintext"
     CIPHERTEXT = "ciphertext"
-
-    def of(self, record: BlockRecord) -> bytes:
-        """The 16 bytes of record this source feeds to the detector."""
-        return record.plaintext if self is ByteSource.PLAINTEXT else record.ciphertext
 
 
 @dataclass(frozen=True)
@@ -152,35 +147,6 @@ class ForestModel:
     trees: Tuple[Tree, ...]
     hyper: ForestHyperparams
     n_features: int
-
-
-def feature_dataset(
-    times_us: Sequence[float], payloads: np.ndarray, labels: Sequence[bool]
-) -> Dataset:
-    """The 17-column table: latency, then the 16 payload bytes (uint8[n, 16]) of each block.
-
-    X is stored column by column (Fortran order), the layout predict_all reads.
-    """
-    X = np.empty((len(times_us), N_FEATURES), dtype=np.float64, order="F")
-    X[:, 0] = times_us
-    X[:, 1:] = payloads
-    return Dataset(X, labels)
-
-
-def build_dataset(
-    records: Sequence[BlockRecord],
-    byte_source: ByteSource = ByteSource.PLAINTEXT,
-) -> Dataset:
-    """One feature row per record, ordered by block index."""
-    if not records:
-        raise ValueError("cannot build features from an empty run")
-    ordered = sorted(records, key=lambda r: r.index)
-    payloads = b"".join(byte_source.of(r) for r in ordered)
-    return feature_dataset(
-        [r.time_us for r in ordered],
-        np.frombuffer(payloads, dtype=np.uint8).reshape(-1, N_FEATURES - 1),
-        [r.truth_label for r in ordered],
-    )
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import fmean
-from typing import List, Sequence
+from typing import Sequence
 
-from .cipher import BlockRecord
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -28,16 +28,21 @@ class ThresholdModel:
 
 
 def fit_threshold(times_us: Sequence[float]) -> ThresholdModel:
-    """Fit the cut-off from a latency sample."""
-    if len(times_us) == 0:
+    """Fit the cut-off from a latency sample.
+
+    The sample is summed as Python floats by fmean, which adds exactly
+    (math.fsum); numpy's pairwise summation can move the cut-off's last bit.
+    """
+    times = np.asarray(times_us, dtype=np.float64).tolist()
+    if not times:
         raise ValueError("cannot fit a threshold on an empty sample")
-    n = len(times_us)
-    mean = fmean(times_us)
-    lo = min(times_us)
-    hi = max(times_us)
+    n = len(times)
+    mean = fmean(times)
+    lo = min(times)
+    hi = max(times)
     return ThresholdModel(mean, lo, hi, n, mean + 3.0 * (hi - lo) / n)
 
 
-def classify_threshold(records: Sequence[BlockRecord], model: ThresholdModel) -> List[bool]:
-    """Flag records whose latency strictly exceeds the model cut-off."""
-    return [r.time_us > model.threshold_us for r in records]
+def classify_threshold(times_us: np.ndarray, model: ThresholdModel) -> np.ndarray:
+    """Flag each latency that strictly exceeds the model cut-off."""
+    return np.asarray(times_us, dtype=np.float64) > model.threshold_us

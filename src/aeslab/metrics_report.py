@@ -4,8 +4,10 @@ The positive class is "anomalous". Undefined ratios (no predicted
 positives, no actual positives, zero precision+recall) score 0.0 rather
 than raising, so sweeps over degenerate runs keep working.
 
-Two files describe a run, named by runid s{seed}_n{blocks}_p{pct}:
-  blocks_<runid>.csv   one row per block (times to 3 decimals, bytes hex)
+A run reaches the detectors as one BlockTable, the columns of its blocks,
+and two files describe it, named by runid s{seed}_n{blocks}_p{pct}:
+  blocks_<runid>.csv   the table written out, one row per block (times to 3
+                       decimals, bytes hex); read_blocks_csv reads it back
   summary_<runid>.csv  one row per detector with config and metrics
 """
 
@@ -16,14 +18,14 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import BinaryIO, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .cipher import BlockRecord
-from .detect_forest import ByteSource, Dataset, feature_dataset
+from .detect_forest import N_FEATURES, ByteSource, Dataset
 from .files import atomic_write
 from .workload import RunConfig
 
@@ -50,29 +52,20 @@ class DetectionReport:
     f1: float
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    accuracy_gain: float  # forest accuracy minus threshold accuracy
-
-
 def score(predictions: Sequence[bool], truths: Sequence[bool], detector: str) -> DetectionReport:
-    """Confusion counts and the derived ratios for one detector."""
+    """Confusion counts and the derived ratios for one detector, from two boolean columns."""
     if len(predictions) != len(truths):
         raise ValueError(
             f"got {len(predictions)} predictions for {len(truths)} truth labels"
         )
-    if not truths:
+    if len(truths) == 0:
         raise ValueError("cannot score an empty evaluation set")
-    tp = fp = fn = tn = 0
-    for pred, truth in zip(predictions, truths):
-        if pred and truth:
-            tp += 1
-        elif pred:
-            fp += 1
-        elif truth:
-            fn += 1
-        else:
-            tn += 1
+    predictions = np.asarray(predictions, dtype=bool)
+    truths = np.asarray(truths, dtype=bool)
+    tp = int(np.count_nonzero(predictions & truths))
+    fp = int(np.count_nonzero(predictions)) - tp
+    fn = int(np.count_nonzero(truths)) - tp
+    tn = truths.size - tp - fp - fn
     counts = ConfusionCounts(tp, fp, fn, tn)
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
@@ -81,14 +74,14 @@ def score(predictions: Sequence[bool], truths: Sequence[bool], detector: str) ->
     return DetectionReport(detector, counts, accuracy, precision, recall, f1)
 
 
-def compare(threshold_report: DetectionReport, forest_report: DetectionReport) -> ComparisonReport:
-    """Accuracy gap of forest over threshold; both reports must cover the same records."""
+def compare(threshold_report: DetectionReport, forest_report: DetectionReport) -> float:
+    """Accuracy gain, forest minus threshold; both reports must cover the same records."""
     t_counts, f_counts = threshold_report.counts, forest_report.counts
     if t_counts.total != f_counts.total or (
         t_counts.tp + t_counts.fn != f_counts.tp + f_counts.fn
     ):
         raise ValueError("reports were scored on different record sets")
-    return ComparisonReport(forest_report.accuracy - threshold_report.accuracy)
+    return forest_report.accuracy - threshold_report.accuracy
 
 
 def run_id(seed: int, n_blocks: int, inject_pct: float) -> str:
@@ -115,13 +108,55 @@ SUMMARY_COLUMNS = [
 ]
 
 
-def export_csv(
+@dataclass(frozen=True)
+class BlockTable:
+    """The blocks of a run, or of a per-block CSV, as columns: one entry per
+    block, ordered by index in a run and in file order in a CSV.
+
+    index is int64[n], time_us float64[n] and feature_bytes uint8[n, 16].
+    tag holds one string per row and each flag column one bool per row; a
+    CSV that lacks a column leaves it None, and a run leaves the two
+    prediction columns None until its detectors have run.
+    """
+
+    index: np.ndarray
+    time_us: np.ndarray
+    feature_bytes: np.ndarray
+    tag: Optional[Tuple[str, ...]]
+    truth_label: Optional[np.ndarray]
+    threshold_pred: Optional[np.ndarray] = None
+    forest_pred: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return self.index.size
+
+
+def build_dataset(
     records: Sequence[BlockRecord],
+    byte_source: ByteSource = ByteSource.PLAINTEXT,
+) -> BlockTable:
+    """The table of a run: one row per record, ordered by block index, whose
+    feature_bytes are the bytes byte_source names."""
+    if not records:
+        raise ValueError("cannot build features from an empty run")
+    ordered = sorted(records, key=attrgetter("index"))
+    payload = attrgetter("plaintext" if byte_source is ByteSource.PLAINTEXT else "ciphertext")
+    feature_bytes = np.frombuffer(b"".join(map(payload, ordered)), dtype=np.uint8)
+    return BlockTable(
+        np.array([r.index for r in ordered], dtype=np.int64),
+        np.array([r.time_us for r in ordered], dtype=np.float64),
+        feature_bytes.reshape(-1, len(BYTE_COLUMNS)),
+        tuple(r.tag.kind.value for r in ordered),
+        np.array([r.truth_label for r in ordered], dtype=bool),
+    )
+
+
+def export_csv(
+    table: BlockTable,
     reports: Sequence[DetectionReport],
-    comparison: ComparisonReport,
+    accuracy_gain: float,
     out_dir: Union[str, Path],
     *,
-    predictions: Mapping[str, Sequence[bool]],
     cfg: RunConfig,
     byte_source: ByteSource,
     threshold_fit: str,
@@ -129,12 +164,14 @@ def export_csv(
 ) -> Tuple[Path, Path]:
     """Write the per-block and summary files; returns their paths.
 
-    predictions maps detector name to one boolean per record (whole run,
-    not just the scored subset).
+    table must hold every column, its predictions covering the whole run,
+    not just the scored subset; the blocks file is that table written out.
     """
-    for name, preds in predictions.items():
-        if len(preds) != len(records):
-            raise ValueError(f"{name} predictions cover {len(preds)} of {len(records)} records")
+    for name in ("tag", *FLAG_COLUMNS):
+        column = getattr(table, name)
+        if column is None or len(column) != len(table):
+            held = 0 if column is None else len(column)
+            raise ValueError(f"{name} covers {held} of {len(table)} rows")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rid = run_id(cfg.seed, cfg.n_blocks, cfg.inject_pct)
@@ -144,13 +181,20 @@ def export_csv(
     # Every cell is an integer, a fixed-point latency, a tag kind, true/false or two hex
     # digits: none holds a comma, quote or line break, so csv.writer would quote none of
     # them, and each row is written as it would, with its \r\n line end.
+    # The byte cells are sliced row by row from one buffer, which holds about 0.7 MiB
+    # less at 4096 rows than a list of 16 ints per row.
+    payloads = table.feature_bytes.tobytes()
     rows = [",".join(BLOCK_COLUMNS) + "\r\n"]
     rows += [
         "%d,%.3f,%s,%s,%s,%s,%s\r\n" % (
-            rec.index, rec.time_us, rec.tag.kind.value, _fmt_bool(rec.truth_label),
-            _fmt_bool(thresh), _fmt_bool(forest), ",".join([_HEX[b] for b in byte_source.of(rec)]),
+            index, time_us, tag, _fmt_bool(truth), _fmt_bool(thresh), _fmt_bool(forest),
+            ",".join([_HEX[b] for b in payloads[at:at + len(BYTE_COLUMNS)]]),
         )
-        for rec, thresh, forest in zip(records, predictions["threshold"], predictions["forest"])
+        for index, time_us, tag, truth, thresh, forest, at in zip(
+            table.index.tolist(), table.time_us.tolist(), table.tag, table.truth_label.tolist(),
+            table.threshold_pred.tolist(), table.forest_pred.tolist(),
+            range(0, len(payloads), len(BYTE_COLUMNS)),
+        )
     ]
     with atomic_write(blocks_path, newline="", encoding="ascii") as handle:
         handle.write("".join(rows))
@@ -164,7 +208,7 @@ def export_csv(
                 report.detector, c.tp, c.fp, c.fn, c.tn,
                 f"{report.accuracy:.6f}", f"{report.precision:.6f}",
                 f"{report.recall:.6f}", f"{report.f1:.6f}",
-                f"{comparison.accuracy_gain:.6f}",
+                f"{accuracy_gain:.6f}",
                 cfg.n_blocks, f"{cfg.inject_pct:g}", cfg.seed,
                 cfg.mode.value, f"{cfg.delay_min_us:g}", f"{cfg.delay_max_us:g}",
                 cfg.input_dist.value, cfg.work_amplification,
@@ -189,27 +233,6 @@ _BASE_16 = (16,) * len(BYTE_COLUMNS)
 _TRUE, _FALSE = (np.frombuffer(word, dtype=np.uint8) for word in (b"true", b"false"))
 
 _REQUIRED_COLUMNS = {"index", "time_us", *BYTE_COLUMNS}
-
-
-@dataclass(frozen=True)
-class BlockTable:
-    """A per-block CSV as columns, one entry per data row in file order.
-
-    index is int64[n], time_us float64[n] and feature_bytes uint8[n, 16].
-    tag holds one string per row and each flag column one bool per row;
-    each of these is None when the file lacks its column.
-    """
-
-    index: np.ndarray
-    time_us: np.ndarray
-    feature_bytes: np.ndarray
-    tag: Optional[Tuple[str, ...]]
-    truth_label: Optional[np.ndarray]
-    threshold_pred: Optional[np.ndarray]
-    forest_pred: Optional[np.ndarray]
-
-    def __len__(self) -> int:
-        return self.index.size
 
 
 def _cells(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> List[str]:
@@ -416,7 +439,14 @@ def read_blocks_csv(path: Union[str, Path]) -> BlockTable:
 
 
 def rows_to_vectors(table: BlockTable) -> Tuple[Dataset, bool]:
-    """Feature table from a parsed CSV; the flag says if labels exist (else y is all False)."""
+    """The forest's features: the latency, then the 16 feature bytes of each row.
+
+    X is stored column by column (Fortran order), the layout predict_all
+    reads. The flag says if labels exist; without them y is all False.
+    """
     has_labels = table.truth_label is not None
+    X = np.empty((len(table), N_FEATURES), dtype=np.float64, order="F")
+    X[:, 0] = table.time_us
+    X[:, 1:] = table.feature_bytes
     labels = table.truth_label if has_labels else np.zeros(len(table), dtype=bool)
-    return feature_dataset(table.time_us, table.feature_bytes, labels), has_labels
+    return Dataset(X, labels), has_labels

@@ -23,12 +23,11 @@ from aeslab.cli import main
 from aeslab.detect_forest import (
     ForestHyperparams,
     best_split,
-    build_dataset,
     fit_forest,
     predict_all,
     split_train_test,
 )
-from aeslab.metrics_report import compare, score
+from aeslab.metrics_report import build_dataset, compare, rows_to_vectors, score
 from aeslab.detect_threshold import classify_threshold, fit_threshold
 from aeslab.workload import (
     KIND_FAULT,
@@ -110,8 +109,9 @@ def test_criterion_3_threshold_is_blind_to_faults(report):
     records = encrypt_blocks(fault_only, KEY, cfg)
     faults = sum(r.tag.kind is AnomalyKind.FAULT for r in records)
     assert faults > 1000  # the 40% schedule really landed
-    model = fit_threshold([r.time_us for r in records])
-    flagged = sum(classify_threshold(records, model))
+    times = build_dataset(records).time_us
+    model = fit_threshold(times)
+    flagged = sum(classify_threshold(times, model))
     assert flagged == 0
     elapsed = time.perf_counter() - start
     report(3, f"0 of {faults} fault-tagged blocks flagged", elapsed, 5.0)
@@ -125,8 +125,9 @@ def test_criterion_4_threshold_catches_delays(report):
         delay_min_us=5000.0, delay_max_us=20000.0,
     )
     records = run_pipeline(cfg, KEY)
-    model = fit_threshold([r.time_us for r in records])
-    flags = classify_threshold(records, model)
+    times = build_dataset(records).time_us
+    model = fit_threshold(times)
+    flags = classify_threshold(times, model)
     delays = [i for i, r in enumerate(records) if r.tag.kind is AnomalyKind.DELAY]
     others = [i for i, r in enumerate(records) if r.tag.kind is not AnomalyKind.DELAY]
     assert delays and others
@@ -147,19 +148,20 @@ def test_criterion_5_forest_dominates_threshold(report):
             input_dist=InputDistribution.ASCII,
         )
         records = run_pipeline(cfg, KEY)
-        data = build_dataset(records)
+        table = build_dataset(records)
+        data, _ = rows_to_vectors(table)
         hyper = ForestHyperparams(seed=7)
         split = split_train_test(data, hyper.train_fraction, cfg.seed)
 
-        threshold_model = fit_threshold([r.time_us for r in records])
-        threshold_flags = classify_threshold(records, threshold_model)
+        threshold_model = fit_threshold(table.time_us)
+        threshold_flags = classify_threshold(table.time_us, threshold_model)
         forest_model = fit_forest(split.train, hyper)
         forest_flags = predict_all(forest_model, data.X)
 
         truths = split.test.y.tolist()
         report_t = score([threshold_flags[i] for i in split.test_indices], truths, "threshold")
         report_f = score([forest_flags[i] for i in split.test_indices], truths, "forest")
-        gains[pct] = compare(report_t, report_f).accuracy_gain
+        gains[pct] = compare(report_t, report_f)
 
         assert report_f.f1 >= report_t.f1, (
             f"at {pct:.0f}% injection forest F1 {report_f.f1:.4f} "

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import aeslab.cipher as cipher_mod
 from aeslab.cli import build_parser, main
-from aeslab.detect_forest import ModelFormatError, load_model
+from aeslab.detect_forest import ModelFormatError, load_model, split_train_test
+from aeslab.detect_threshold import fit_threshold
+from aeslab.metrics_report import read_blocks_csv, rows_to_vectors
 from aeslab.workload import MAX_WORKERS
 
 
@@ -217,6 +219,23 @@ def test_run_real_mode_smoke(tmp_path, capsys):
 
 def test_run_with_ciphertext_features(tmp_path):
     assert main(_run_flags(tmp_path, **{"--byte-source": "ciphertext"})) == 0
+
+
+def test_threshold_fit_train_fits_on_the_train_rows(tmp_path, capsys):
+    cut = {}
+    for fit in ("train", "all"):
+        assert main(["run", "--mode", "simulated", "--blocks", "256", "--inject-pct", "30",
+                     "--seed", "7", "--threshold-fit", fit, "--out-dir", str(tmp_path / fit)]) == 0
+        assert f"(fit={fit})" in capsys.readouterr().out
+        with open(tmp_path / fit / "summary_s7_n256_p30.csv", newline="") as handle:
+            (cut[fit],) = {float(row["threshold_us"]) for row in csv.DictReader(handle)}
+    # the train rows, recovered from the exported blocks as the run split them
+    table = read_blocks_csv(tmp_path / "train" / "blocks_s7_n256_p30.csv")
+    data, _ = rows_to_vectors(table)
+    train = split_train_test(data, 0.7, 7).train_indices
+    assert cut["train"] == pytest.approx(fit_threshold(table.time_us[train]).threshold_us, abs=1e-3)
+    assert cut["all"] == pytest.approx(fit_threshold(table.time_us).threshold_us, abs=1e-3)
+    assert (cut["train"], cut["all"]) == (2870.444, 2642.883)
 
 
 def test_help_documents_flags_with_units(capsys):

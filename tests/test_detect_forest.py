@@ -19,7 +19,6 @@ from aeslab.detect_forest import (
     ModelFormatError,
     Tree,
     best_split,
-    build_dataset,
     fit_forest,
     fit_tree,
     gini,
@@ -28,6 +27,7 @@ from aeslab.detect_forest import (
     save_model,
     split_train_test,
 )
+from aeslab.metrics_report import build_dataset, rows_to_vectors
 from aeslab.workload import Mode, RunConfig
 
 import oracle_grow
@@ -457,7 +457,7 @@ def test_lockstep_fit_equals_the_one_tree_grower(data):
 
 def _sim_ascii_training_set():
     cfg = RunConfig(n_blocks=4096, inject_pct=20.0, seed=7, mode=Mode.SIMULATED)
-    data = build_dataset(run_pipeline(cfg, Key128(bytes(range(16)))))
+    data, _ = rows_to_vectors(build_dataset(run_pipeline(cfg, Key128(bytes(range(16))))))
     return split_train_test(data, 0.7, 7).train
 
 
@@ -590,7 +590,7 @@ def test_predict_rejects_wrong_shape():
 def _tiny_run(byte_source=ByteSource.PLAINTEXT):
     cfg = RunConfig(n_blocks=48, inject_pct=40.0, seed=19, mode=Mode.SIMULATED)
     records = run_pipeline(cfg, Key128(bytes(16)))
-    return records, build_dataset(records, byte_source)
+    return records, rows_to_vectors(build_dataset(records, byte_source))[0]
 
 
 def test_build_dataset_layout():
@@ -606,7 +606,9 @@ def test_build_dataset_layout():
 def test_build_dataset_orders_by_index_and_supports_ciphertext():
     records, _ = _tiny_run()
     shuffled = list(reversed(records))
-    data = build_dataset(shuffled, ByteSource.CIPHERTEXT)
+    table = build_dataset(shuffled, ByteSource.CIPHERTEXT)
+    assert table.index.tolist() == [rec.index for rec in records]
+    data, _ = rows_to_vectors(table)
     for rec, row in zip(records, data.X):
         assert bytes(int(b) for b in row[1:]) == rec.ciphertext
 

@@ -1,6 +1,7 @@
 import math
 from statistics import fmean
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,25 +23,17 @@ def test_boundary_sample_is_not_flagged():
     model = fit_threshold([2.0, 2.0, 2.0, 10.0])
     assert model.threshold_us == pytest.approx(10.0, rel=1e-12)
 
-    class FakeRecord:
-        def __init__(self, t):
-            self.time_us = t
-
-    flags = classify_threshold([FakeRecord(t) for t in (2.0, 10.0)], model)
-    assert flags == [False, False]
+    flags = classify_threshold(np.array([2.0, 10.0]), model)
+    assert flags.tolist() == [False, False]
     above = math.nextafter(model.threshold_us, math.inf)
-    assert classify_threshold([FakeRecord(above)], model) == [True]
+    assert classify_threshold(np.array([above]), model).tolist() == [True]
 
 
 def test_constant_population_flags_nothing():
     model = fit_threshold([55.5] * 32)
     assert model.threshold_us == pytest.approx(55.5, rel=1e-12)
 
-    class FakeRecord:
-        def __init__(self, t):
-            self.time_us = t
-
-    assert not any(classify_threshold([FakeRecord(55.5)] * 32, model))
+    assert not any(classify_threshold(np.full(32, 55.5), model))
 
 
 def test_empty_sample_rejected():
@@ -66,12 +59,8 @@ def test_fit_matches_independent_formula(times):
 def test_classification_agrees_with_direct_comparison(times):
     model = fit_threshold(times)
 
-    class FakeRecord:
-        def __init__(self, t):
-            self.time_us = t
-
-    flags = classify_threshold([FakeRecord(t) for t in times], model)
-    assert flags == [t > model.threshold_us for t in times]
+    flags = classify_threshold(np.array(times), model)
+    assert flags.tolist() == [t > model.threshold_us for t in times]
 
 
 def test_faults_are_invisible_to_the_threshold():
@@ -80,6 +69,15 @@ def test_faults_are_invisible_to_the_threshold():
         n_blocks=128, inject_pct=50.0, seed=31, mode=Mode.SIMULATED, jitter_us=0.0
     )
     records = run_pipeline(cfg, Key128(bytes(16)))
-    fault_only = [r for r in records if r.tag.kind is not AnomalyKind.DELAY]
-    model = fit_threshold([r.time_us for r in fault_only])
+    fault_only = np.array([r.time_us for r in records if r.tag.kind is not AnomalyKind.DELAY])
+    model = fit_threshold(fault_only)
     assert sum(classify_threshold(fault_only, model)) == 0
+
+
+@given(st.lists(st.floats(min_value=0.1, max_value=1e6), min_size=1, max_size=400))
+def test_fit_on_a_column_is_exact(times):
+    # the column is summed as Python floats by math.fsum: a pairwise sum could move the last bit
+    model = fit_threshold(np.array(times))
+    mean = fmean(times)
+    assert model.mean_us == mean
+    assert model.threshold_us == mean + 3.0 * (max(times) - min(times)) / len(times)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import tempfile
 from pathlib import Path
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 
 import aeslab.metrics_report as metrics_report
 from aeslab.cipher import BlockRecord, Key128, run_pipeline
-from aeslab.detect_forest import ByteSource, build_dataset
+from aeslab.detect_forest import ByteSource
 from aeslab.metrics_report import (
-    ComparisonReport,
+    BlockTable,
     ConfusionCounts,
     DetectionReport,
+    build_dataset,
     compare,
     export_csv,
     read_blocks_csv,
@@ -86,19 +88,35 @@ def test_score_identities(pairs):
         assert report.f1 == 0.0
 
 
+def test_score_takes_boolean_columns():
+    report = score(np.array([True, False]), np.array([True, True]), "x")
+    assert report.counts == ConfusionCounts(tp=1, fp=0, fn=1, tn=0)
+
+
+@given(st.lists(st.tuples(st.booleans(), st.booleans()), max_size=300))
+def test_score_gives_lists_and_arrays_the_same_report(pairs):
+    preds = [p for p, _ in pairs]
+    truths = [t for _, t in pairs]
+    if not pairs:
+        with pytest.raises(ValueError, match="cannot score an empty evaluation set"):
+            score(np.array(preds, dtype=bool), np.array(truths, dtype=bool), "forest")
+        return
+    report = score(preds, truths, "forest")
+    assert score(np.array(preds), np.array(truths), "forest") == report
+    assert score(np.array(preds), truths, "forest") == report
+
+
 def test_compare_equal_reports_yield_zero_gain():
     report = score([True, False], [True, False], "threshold")
     twin = score([True, False], [True, False], "forest")
-    result = compare(report, twin)
-    assert result.accuracy_gain == 0.0
+    assert compare(report, twin) == 0.0
 
 
 def test_compare_reports_forest_advantage():
     truths = [True, True, False, False]
     weak = score([False, False, False, False], truths, "threshold")
     strong = score([True, True, False, False], truths, "forest")
-    result = compare(weak, strong)
-    assert result.accuracy_gain == pytest.approx(0.5)
+    assert compare(weak, strong) == pytest.approx(0.5)
 
 
 def test_compare_rejects_mismatched_subsets():
@@ -131,10 +149,14 @@ def _scored_run(n=100, seed=7):
     return cfg, records, threshold_preds, forest_preds, report_t, report_f
 
 
+def _table(records, tp, fp, byte_source=ByteSource.PLAINTEXT):
+    return dataclasses.replace(build_dataset(records, byte_source),
+                               threshold_pred=np.array(tp), forest_pred=np.array(fp))
+
+
 def _export(tmp_path, cfg, records, tp, fp, rt, rf):
     return export_csv(
-        records, [rt, rf], compare(rt, rf), tmp_path,
-        predictions={"threshold": tp, "forest": fp},
+        _table(records, tp, fp), [rt, rf], compare(rt, rf), tmp_path,
         cfg=cfg, byte_source=ByteSource.PLAINTEXT,
         threshold_fit="all", threshold_us=3000.0,
     )
@@ -178,11 +200,21 @@ def test_export_rejects_prediction_length_mismatch(tmp_path):
     cfg, records, tp, fp, rt, rf = _scored_run()
     with pytest.raises(ValueError):
         export_csv(
-            records, [rt, rf], compare(rt, rf), tmp_path,
-            predictions={"threshold": tp[:-1], "forest": fp},
+            _table(records, tp[:-1], fp), [rt, rf], compare(rt, rf), tmp_path,
             cfg=cfg, byte_source=ByteSource.PLAINTEXT,
             threshold_fit="all", threshold_us=3000.0,
         )
+
+
+def test_export_rejects_a_table_without_predictions(tmp_path):
+    cfg, records, tp, fp, rt, rf = _scored_run()
+    with pytest.raises(ValueError, match="threshold_pred covers 0 of 100 rows"):
+        export_csv(
+            build_dataset(records), [rt, rf], compare(rt, rf), tmp_path,
+            cfg=cfg, byte_source=ByteSource.PLAINTEXT,
+            threshold_fit="all", threshold_us=3000.0,
+        )
+    assert not any(tmp_path.iterdir())
 
 
 def test_export_unwritable_path_reports_the_path(tmp_path):
@@ -360,19 +392,55 @@ def test_export_then_read_gives_back_the_dataset(data):
     rt, rf = score(preds, truths, "threshold"), score(truths, truths, "forest")
     with tempfile.TemporaryDirectory() as tmp:
         blocks_path, _ = export_csv(
-            records, [rt, rf], compare(rt, rf), tmp,
-            predictions={"threshold": preds, "forest": truths},
+            _table(records, preds, truths, byte_source), [rt, rf], compare(rt, rf), tmp,
             cfg=RunConfig(n_blocks=n), byte_source=byte_source,
             threshold_fit="all", threshold_us=1.0,
         )
         # every file export_csv writes takes the byte pass
         with mock.patch.object(metrics_report, "_read_rows", side_effect=AssertionError):
             got, has_labels = rows_to_vectors(read_blocks_csv(blocks_path))
-    want = build_dataset(records, byte_source)
+    want, _ = rows_to_vectors(build_dataset(records, byte_source))
     assert has_labels
     assert got.X[:, 1:].tobytes() == want.X[:, 1:].tobytes()
     assert got.y.tolist() == want.y.tolist()
     assert got.X[:, 0].tolist() == [float(f"{t:.3f}") for t in want.X[:, 0].tolist()]
+
+
+@st.composite
+def _block_tables(draw):
+    """A BlockTable with every column set, indices increasing."""
+    index = sorted(draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=64,
+                                 unique=True)))
+    n = len(index)
+    flags = [np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))) for _ in range(3)]
+    return BlockTable(
+        np.array(index, dtype=np.int64),
+        np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=n, max_size=n)), dtype=np.float64),
+        np.frombuffer(draw(st.binary(min_size=16 * n, max_size=16 * n)), np.uint8).reshape(n, 16),
+        tuple(draw(st.lists(st.sampled_from(["none", "delay", "fault"]), min_size=n, max_size=n))),
+        *flags,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=_block_tables())
+def test_export_then_read_gives_back_the_table(table):
+    report = score(table.forest_pred, table.truth_label, "forest")
+    with tempfile.TemporaryDirectory() as tmp:
+        blocks_path, _ = export_csv(
+            table, [report], 0.0, tmp, cfg=RunConfig(n_blocks=len(table)),
+            byte_source=ByteSource.PLAINTEXT, threshold_fit="all", threshold_us=1.0,
+        )
+        # every file export_csv writes takes the byte pass
+        with mock.patch.object(metrics_report, "_read_rows", side_effect=AssertionError):
+            got = read_blocks_csv(blocks_path)
+    assert got.index.tolist() == table.index.tolist()
+    assert got.tag == table.tag
+    for name in ("truth_label", "threshold_pred", "forest_pred"):
+        assert getattr(got, name).tolist() == getattr(table, name).tolist()
+    assert got.feature_bytes.tobytes() == table.feature_bytes.tobytes()
+    assert got.time_us.tolist() == [float("%.3f" % t) for t in table.time_us.tolist()]
 
 
 # ---------------------------------------------------------------- reader against the oracle
