@@ -30,14 +30,10 @@ except ImportError:  # non-POSIX platforms
     resource = None  # type: ignore[assignment]
 
 
-BENCH_COLUMNS = [
-    "block_count", "workers", "mean_latency_us", "throughput_bps",
-    "peak_memory_mb", "peak_children_mb", "wall_time_s", "error",
-]
-
-
 @dataclass(frozen=True)
 class BenchRecord:
+    """One sweep cell; each field is the bench CSV column of the same name."""
+
     block_count: int
     workers: int
     mean_latency_us: Optional[float]
@@ -80,21 +76,22 @@ def measure_run(cfg: RunConfig, key: Key128) -> BenchRecord:
     )
 
 
+# the bench CSV's columns in file order, each with the format of its value; a None is left empty
+_BENCH_FORMATS = {
+    "block_count": "d", "workers": "d", "mean_latency_us": ".3f", "throughput_bps": ".3f",
+    "peak_memory_mb": ".1f", "peak_children_mb": ".1f", "wall_time_s": ".6f", "error": "s",
+}
+
+
 def _append_row(path: Path, record: BenchRecord) -> None:
     new_file = not path.exists()
     with open(path, "a", newline="", encoding="ascii") as handle:
         writer = csv.writer(handle)
         if new_file:
-            writer.writerow(BENCH_COLUMNS)
+            writer.writerow(_BENCH_FORMATS)
         writer.writerow([
-            record.block_count,
-            record.workers,
-            "" if record.mean_latency_us is None else f"{record.mean_latency_us:.3f}",
-            "" if record.throughput_bps is None else f"{record.throughput_bps:.3f}",
-            "" if record.peak_memory_mb is None else f"{record.peak_memory_mb:.1f}",
-            "" if record.peak_children_mb is None else f"{record.peak_children_mb:.1f}",
-            "" if record.wall_time_s is None else f"{record.wall_time_s:.6f}",
-            record.error or "",
+            "" if (value := getattr(record, column)) is None else format(value, spec)
+            for column, spec in _BENCH_FORMATS.items()
         ])
 
 

@@ -7,9 +7,11 @@ Subcommands:
   train    fit a forest on a per-block CSV or a fresh run and save it
   predict  load a saved forest and classify a per-block CSV
 
-Every flag can also be set through an environment variable named
-AESLAB_<FLAG> (dashes become underscores, e.g. AESLAB_INJECT_PCT);
-command-line values win over the environment.
+Every flag with a default can also be set through an environment variable
+named AESLAB_<FLAG> (dashes become underscores, e.g. AESLAB_INJECT_PCT);
+command-line values win over the environment. The four flags without a
+default, train's --from-csv and --model-out and predict's --model and
+--csv, have no variable.
 """
 
 from __future__ import annotations
@@ -58,9 +60,11 @@ from .workload import MAX_DELAY_US, MAX_WORKERS, InputDistribution, Mode, RunCon
 ENV_PREFIX = "AESLAB_"
 
 
-def _env_default(name: str, fallback):
-    """Environment override for one flag; CLI values still take precedence."""
-    return os.environ.get(ENV_PREFIX + name, fallback)
+def _flag(p: argparse.ArgumentParser, flag: str, default, **kwargs) -> None:
+    """Add flag to p with its default overridden by AESLAB_<FLAG> (dashes become
+    underscores) where that is set; command-line values still take precedence."""
+    env = ENV_PREFIX + flag.lstrip("-").upper().replace("-", "_")
+    p.add_argument(flag, default=os.environ.get(env, default), **kwargs)
 
 
 def _bounded(kind: type, low: float, high: float = math.inf, *, strict: bool = False):
@@ -126,58 +130,43 @@ def _key(text: str) -> Key128:
 
 def _add_input_flags(p: argparse.ArgumentParser, inject_pct: float) -> None:
     """Flags of every command that generates and encrypts blocks."""
-    p.add_argument("--inject-pct", type=_bounded(float, 0.0, 100.0),
-                   default=_env_default("INJECT_PCT", inject_pct),
-                   help=f"percentage of blocks tagged anomalous (default {inject_pct:g})")
-    p.add_argument("--seed", type=_bounded(int, 0, 2**64 - 1), default=_env_default("SEED", 1),
-                   help="run seed (default 1)")
-    p.add_argument("--input-dist", type=InputDistribution,
-                   default=_env_default("INPUT_DIST", "ascii"),
-                   help="plaintext byte distribution: uniform or ascii (default ascii)")
-    p.add_argument("--work-amp", type=_bounded(int, 1), default=_env_default("WORK_AMP", 1),
-                   help="encryption passes per block in real mode (default 1)")
-    p.add_argument("--key-hex", type=_key, default=_env_default("KEY_HEX", DEFAULT_KEY_HEX),
-                   help="AES-128 key as 32 hex digits")
+    _flag(p, "--inject-pct", inject_pct, type=_bounded(float, 0.0, 100.0),
+          help=f"percentage of blocks tagged anomalous (default {inject_pct:g})")
+    _flag(p, "--seed", 1, type=_bounded(int, 0, 2**64 - 1), help="run seed (default 1)")
+    _flag(p, "--input-dist", "ascii", type=InputDistribution,
+          help="plaintext byte distribution: uniform or ascii (default ascii)")
+    _flag(p, "--work-amp", 1, type=_bounded(int, 1),
+          help="encryption passes per block in real mode (default 1)")
+    _flag(p, "--key-hex", DEFAULT_KEY_HEX, type=_key, help="AES-128 key as 32 hex digits")
 
 
 def _add_workload_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--blocks", type=_bounded(int, 1), default=_env_default("BLOCKS", 1024),
-                   help="blocks per run (default 1024)")
-    p.add_argument("--workers", type=_bounded(int, 1, MAX_WORKERS),
-                   default=_env_default("WORKERS", 1),
-                   help=f"worker processes for real mode, at most {MAX_WORKERS} (default 1); "
-                        "simulated mode encrypts in one batch in this process")
-    p.add_argument("--mode", type=Mode, default=_env_default("MODE", "real"),
-                   help="timing source: real (measured wall clock) or simulated "
-                        "(seeded model) (default real)")
-    p.add_argument("--delay-min-us", type=_bounded(float, 0.0, MAX_DELAY_US, strict=True),
-                   default=_env_default("DELAY_MIN_US", 5000.0),
-                   help=f"minimum injected delay in microseconds, below {MAX_DELAY_US:g} "
-                        "(default 5000)")
-    p.add_argument("--delay-max-us", type=_bounded(float, 0.0, MAX_DELAY_US, strict=True),
-                   default=_env_default("DELAY_MAX_US", 20000.0),
-                   help=f"maximum injected delay in microseconds, below {MAX_DELAY_US:g} "
-                        "(default 20000)")
+    _flag(p, "--blocks", 1024, type=_bounded(int, 1), help="blocks per run (default 1024)")
+    _flag(p, "--workers", 1, type=_bounded(int, 1, MAX_WORKERS),
+          help=f"worker processes for real mode, at most {MAX_WORKERS} (default 1); "
+               "simulated mode encrypts in one batch in this process")
+    _flag(p, "--mode", "real", type=Mode,
+          help="timing source: real (measured wall clock) or simulated (seeded model) "
+               "(default real)")
+    _flag(p, "--delay-min-us", 5000.0, type=_bounded(float, 0.0, MAX_DELAY_US, strict=True),
+          help=f"minimum injected delay in microseconds, below {MAX_DELAY_US:g} (default 5000)")
+    _flag(p, "--delay-max-us", 20000.0, type=_bounded(float, 0.0, MAX_DELAY_US, strict=True),
+          help=f"maximum injected delay in microseconds, below {MAX_DELAY_US:g} (default 20000)")
     _add_input_flags(p, inject_pct=20.0)
 
 
 def _add_forest_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trees", type=_bounded(int, 1), default=_env_default("TREES", 101),
-                   help="trees in the forest (default 101)")
-    p.add_argument("--max-depth", type=_depth, default=_env_default("MAX_DEPTH", 16),
-                   help="tree depth limit, or 'none' (default 16)")
-    p.add_argument("--train-fraction", type=_bounded(float, 0.0, 1.0, strict=True),
-                   default=_env_default("TRAIN_FRACTION", 0.7),
-                   help="stratified train share (default 0.7)")
-    p.add_argument("--byte-source", type=ByteSource,
-                   default=_env_default("BYTE_SOURCE", "plaintext"),
-                   help="which bytes feed the 16 byte features: plaintext or ciphertext "
-                        "(default plaintext)")
+    _flag(p, "--trees", 101, type=_bounded(int, 1), help="trees in the forest (default 101)")
+    _flag(p, "--max-depth", 16, type=_depth, help="tree depth limit, or 'none' (default 16)")
+    _flag(p, "--train-fraction", 0.7, type=_bounded(float, 0.0, 1.0, strict=True),
+          help="stratified train share (default 0.7)")
+    _flag(p, "--byte-source", "plaintext", type=ByteSource,
+          help="which bytes feed the 16 byte features: plaintext or ciphertext "
+               "(default plaintext)")
 
 
 def _add_out_dir_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out-dir", default=_env_default("OUT_DIR", "results"),
-                   help="directory for CSV artifacts (default results)")
+    _flag(p, "--out-dir", "results", help="directory for CSV artifacts (default results)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,21 +179,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="full pipeline: inject, encrypt, detect, export")
     _add_workload_flags(p_run)
     _add_forest_flags(p_run)
-    p_run.add_argument("--threshold-fit", type=_one_of("all", "train"), metavar="{all,train}",
-                       default=_env_default("THRESHOLD_FIT", "all"),
-                       help="fit the timing cut-off on the whole run (all) or the train subset "
-                            "(train) (default all)")
+    _flag(p_run, "--threshold-fit", "all", type=_one_of("all", "train"), metavar="{all,train}",
+          help="fit the timing cut-off on the whole run (all) or the train subset (train) "
+               "(default all)")
     _add_out_dir_flag(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_bench = sub.add_parser("bench", help="latency/throughput sweep (real mode)")
-    p_bench.add_argument("--block-counts", type=_counts(),
-                         default=_env_default("BLOCK_COUNTS", [1024, 4096, 8192, 16384]),
-                         help="comma-separated block counts (default 1024,4096,8192,16384)")
-    p_bench.add_argument("--worker-counts", type=_counts(MAX_WORKERS),
-                         default=_env_default("WORKER_COUNTS", [1, 2, 4]),
-                         help=f"comma-separated worker counts, each at most {MAX_WORKERS} "
-                              "(default 1,2,4)")
+    _flag(p_bench, "--block-counts", [1024, 4096, 8192, 16384], type=_counts(),
+          help="comma-separated block counts (default 1024,4096,8192,16384)")
+    _flag(p_bench, "--worker-counts", [1, 2, 4], type=_counts(MAX_WORKERS),
+          help=f"comma-separated worker counts, each at most {MAX_WORKERS} (default 1,2,4)")
     _add_input_flags(p_bench, inject_pct=0.0)
     _add_out_dir_flag(p_bench)
     p_bench.set_defaults(func=cmd_bench)
@@ -384,8 +369,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, PipelineError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, PipelineError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -100,26 +100,24 @@ class ForestHyperparams:
 class Tree:
     """One CART tree as flat arrays with one entry per node, in pre-order.
 
-    Node 0 is the root and a split node's left child is the node after it.
-    A split sends rows with X[:, feature] <= threshold left, the rest right.
-    A leaf has feature -1, is its own left and right child (so a descent that
-    reaches it stays there) and holds its (benign, anomalous) training counts;
-    split nodes hold zero counts.
+    Node 0 is the root and a split node's left child is the node after it;
+    right holds its right child. A split sends rows with X[:, feature] <=
+    threshold left, the rest right. A leaf has feature -1 and right -1 and
+    holds its (benign, anomalous) training counts; split nodes hold zero counts.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, dtype in (("feature", np.intp), ("threshold", np.float64), ("left", np.intp),
-                            ("right", np.intp), ("counts", np.int64)):
+        for name, dtype in (("feature", np.intp), ("threshold", np.float64), ("right", np.intp),
+                            ("counts", np.int64)):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         n = self.feature.size
         if n < 1 or self.counts.shape != (n, 2) or any(
-            a.shape != (n,) for a in (self.feature, self.threshold, self.left, self.right)
+            a.shape != (n,) for a in (self.feature, self.threshold, self.right)
         ):
             raise ValueError("tree arrays must hold the same number (at least 1) of nodes")
 
@@ -128,18 +126,14 @@ def _preorder_tree(
     feature: List[int], threshold: List[float], counts: List[Tuple[int, int]]
 ) -> Tree:
     """Link a complete pre-order node sequence (feature -1 marks a leaf) into a Tree."""
-    left = list(range(len(feature)))
-    right = list(range(len(feature)))
+    right = [-1] * len(feature)
     awaiting_right = []  # split nodes whose right child is still to come
     for node, f in enumerate(feature):
-        if node:
-            if feature[node - 1] >= 0:
-                left[node - 1] = node
-            else:
-                right[awaiting_right.pop()] = node
+        if node and feature[node - 1] < 0:  # a node after a leaf is a right child
+            right[awaiting_right.pop()] = node
         if f >= 0:
             awaiting_right.append(node)
-    return Tree(feature, threshold, left, right, counts)
+    return Tree(feature, threshold, right, counts)
 
 
 @dataclass(frozen=True)
@@ -466,7 +460,6 @@ def predict_all(model: ForestModel, X: np.ndarray) -> List[bool]:
                 break
         feature = tree.feature.tolist()
         threshold = tree.threshold.tolist()
-        left = tree.left.tolist()
         right = tree.right.tolist()
         anomalous = (tree.counts[:, 1] > tree.counts[:, 0]).tolist()  # ties vote benign
         pending = [(0, open_rows)]  # (node, the rows that reach it), next on top
@@ -481,7 +474,7 @@ def predict_all(model: ForestModel, X: np.ndarray) -> List[bool]:
                 continue
             goes_left = by_feature[f].take(rows) <= threshold[node]
             pending.append((right[node], rows.compress(~goes_left)))
-            pending.append((left[node], rows.compress(goes_left)))
+            pending.append((node + 1, rows.compress(goes_left)))
     return (2 * votes > n_trees).tolist()
 
 
@@ -498,16 +491,12 @@ def save_model(model: ForestModel, path: str) -> None:
 
     The dump replaces an earlier file at path only once it is complete.
     """
-    hyper = model.hyper
+    header = {"n_features": model.n_features, **vars(model.hyper)}
     with atomic_write(path, encoding="ascii") as out:
         out.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n")
-        out.write(f"n_features {model.n_features}\n")
-        out.write(f"n_trees {hyper.n_trees}\n")
-        out.write(f"max_depth {'none' if hyper.max_depth is None else hyper.max_depth}\n")
-        out.write(f"min_samples_split {hyper.min_samples_split}\n")
-        out.write(f"features_per_split {hyper.features_per_split}\n")
-        out.write(f"seed {hyper.seed}\n")
-        out.write(f"train_fraction {hyper.train_fraction!r}\n")
+        for name, _ in _HEADER_FIELDS:
+            value = header[name]  # str of an int or float, numpy's too, is its shortest round trip
+            out.write(f"{name} {'none' if value is None else value}\n")
         for i, tree in enumerate(model.trees):
             out.write(f"tree {i}\n")
             nodes = zip(tree.feature.tolist(), tree.threshold.tolist(), tree.counts.tolist())
@@ -578,6 +567,15 @@ def _optional_int(text: str) -> Optional[int]:
     return None if text == "none" else _int(text)
 
 
+# the model header's fields in file order, each with the parser of its value:
+# n_features is the model's, the rest are its ForestHyperparams
+_HEADER_FIELDS = (
+    ("n_features", _int), ("n_trees", _int), ("max_depth", _optional_int),
+    ("min_samples_split", _int), ("features_per_split", _int), ("seed", _int),
+    ("train_fraction", _float),
+)
+
+
 def _parse_header_field(lines: Iterator[str], name: str, kind: Callable[[str], _T] = str) -> _T:
     try:
         parts = next(lines).split()
@@ -609,14 +607,9 @@ def load_model(path: str) -> ForestModel:
         raise ModelFormatError("not a forest model file")
     if first[1] != str(MODEL_VERSION):
         raise ModelFormatError(f"unsupported model format version {first[1]}")
-    n_features = _parse_header_field(lines, "n_features", _int)
-    n_trees = _parse_header_field(lines, "n_trees", _int)
-    max_depth = _parse_header_field(lines, "max_depth", _optional_int)
-    min_split = _parse_header_field(lines, "min_samples_split", _int)
-    per_split = _parse_header_field(lines, "features_per_split", _int)
-    seed = _parse_header_field(lines, "seed", _int)
-    train_fraction = _parse_header_field(lines, "train_fraction", _float)
-    hyper = ForestHyperparams(n_trees, max_depth, min_split, per_split, seed, train_fraction)
+    fields = {name: _parse_header_field(lines, name, parse) for name, parse in _HEADER_FIELDS}
+    n_features = fields.pop("n_features")
+    hyper = ForestHyperparams(**fields)
     try:
         hyper.validate()
     except ValueError as exc:
@@ -624,7 +617,7 @@ def load_model(path: str) -> ForestModel:
     if not 1 <= n_features < 2**63:
         raise ModelFormatError("invalid model header: n_features must lie in [1, 2**63)")
     trees = []
-    for i in range(n_trees):
+    for i in range(hyper.n_trees):
         marker = _parse_header_field(lines, "tree")
         if marker != str(i):
             raise ModelFormatError(f"expected tree {i}, got {marker!r}")

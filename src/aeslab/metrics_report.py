@@ -93,19 +93,9 @@ def _fmt_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-_HEX = [f"{b:02x}" for b in range(256)]
-
 BYTE_COLUMNS = tuple(f"b{i}" for i in range(16))
 FLAG_COLUMNS = ("truth_label", "threshold_pred", "forest_pred")
 BLOCK_COLUMNS = ["index", "time_us", "tag", *FLAG_COLUMNS, *BYTE_COLUMNS]
-
-SUMMARY_COLUMNS = [
-    "detector", "tp", "fp", "fn", "tn",
-    "accuracy", "precision", "recall", "f1", "accuracy_gain",
-    "n_blocks", "inject_pct", "seed", "mode",
-    "delay_min_us", "delay_max_us", "input_dist", "work_amplification",
-    "byte_source", "threshold_fit", "threshold_us",
-]
 
 
 @dataclass(frozen=True)
@@ -166,12 +156,15 @@ def export_csv(
 
     table must hold every column, its predictions covering the whole run,
     not just the scored subset; the blocks file is that table written out.
+    Each of reports, of which there must be at least one, is a summary row.
     """
     for name in ("tag", *FLAG_COLUMNS):
         column = getattr(table, name)
         if column is None or len(column) != len(table):
             held = 0 if column is None else len(column)
             raise ValueError(f"{name} covers {held} of {len(table)} rows")
+    if not reports:
+        raise ValueError("the summary needs at least one detector report")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rid = run_id(cfg.seed, cfg.n_blocks, cfg.inject_pct)
@@ -181,39 +174,46 @@ def export_csv(
     # Every cell is an integer, a fixed-point latency, a tag kind, true/false or two hex
     # digits: none holds a comma, quote or line break, so csv.writer would quote none of
     # them, and each row is written as it would, with its \r\n line end.
-    # The byte cells are sliced row by row from one buffer, which holds about 0.7 MiB
-    # less at 4096 rows than a list of 16 ints per row.
-    payloads = table.feature_bytes.tobytes()
+    # The byte cells of every row are one hex string, three characters a byte: row i's
+    # 16 cells are its characters [48i, 48i + 47).
+    hexes = table.feature_bytes.tobytes().hex(",")
+    width = 3 * len(BYTE_COLUMNS)
     rows = [",".join(BLOCK_COLUMNS) + "\r\n"]
     rows += [
         "%d,%.3f,%s,%s,%s,%s,%s\r\n" % (
             index, time_us, tag, _fmt_bool(truth), _fmt_bool(thresh), _fmt_bool(forest),
-            ",".join([_HEX[b] for b in payloads[at:at + len(BYTE_COLUMNS)]]),
+            hexes[at:at + width - 1],
         )
         for index, time_us, tag, truth, thresh, forest, at in zip(
             table.index.tolist(), table.time_us.tolist(), table.tag, table.truth_label.tolist(),
             table.threshold_pred.tolist(), table.forest_pred.tolist(),
-            range(0, len(payloads), len(BYTE_COLUMNS)),
+            range(0, len(hexes), width),
         )
     ]
     with atomic_write(blocks_path, newline="", encoding="ascii") as handle:
         handle.write("".join(rows))
 
+    summaries = [
+        {
+            "detector": report.detector,
+            "tp": report.counts.tp, "fp": report.counts.fp,
+            "fn": report.counts.fn, "tn": report.counts.tn,
+            "accuracy": f"{report.accuracy:.6f}", "precision": f"{report.precision:.6f}",
+            "recall": f"{report.recall:.6f}", "f1": f"{report.f1:.6f}",
+            "accuracy_gain": f"{accuracy_gain:.6f}",
+            "n_blocks": cfg.n_blocks, "inject_pct": f"{cfg.inject_pct:g}", "seed": cfg.seed,
+            "mode": cfg.mode.value,
+            "delay_min_us": f"{cfg.delay_min_us:g}", "delay_max_us": f"{cfg.delay_max_us:g}",
+            "input_dist": cfg.input_dist.value, "work_amplification": cfg.work_amplification,
+            "byte_source": byte_source.value, "threshold_fit": threshold_fit,
+            "threshold_us": f"{threshold_us:.3f}",
+        }
+        for report in reports
+    ]
     with atomic_write(summary_path, newline="", encoding="ascii") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SUMMARY_COLUMNS)
-        for report in reports:
-            c = report.counts
-            writer.writerow([
-                report.detector, c.tp, c.fp, c.fn, c.tn,
-                f"{report.accuracy:.6f}", f"{report.precision:.6f}",
-                f"{report.recall:.6f}", f"{report.f1:.6f}",
-                f"{accuracy_gain:.6f}",
-                cfg.n_blocks, f"{cfg.inject_pct:g}", cfg.seed,
-                cfg.mode.value, f"{cfg.delay_min_us:g}", f"{cfg.delay_max_us:g}",
-                cfg.input_dist.value, cfg.work_amplification,
-                byte_source.value, threshold_fit, f"{threshold_us:.3f}",
-            ])
+        writer = csv.DictWriter(handle, fieldnames=list(summaries[0]))
+        writer.writeheader()
+        writer.writerows(summaries)
 
     return blocks_path, summary_path
 

@@ -1,8 +1,9 @@
 """Scalar reference reader for per-block CSVs, kept independent of the library.
 
 This is the row-at-a-time csv.DictReader logic that read_blocks_csv
-replaced with a columnar accept pass and a row-by-row error pass, kept so
-the reader can be compared with it on any input. It has three rules the
+replaced with a byte pass, which reads a file in the form export_csv writes
+by field offsets, and a row pass for any other file or one with a fault,
+kept so the reader can be compared with it on any input. It has three rules the
 row-at-a-time reader lacked, which read_blocks_csv shares: a csv.Error (a
 field beyond the csv module's size limit) is a ValueError naming the line,
 an index beyond 64 bits is rejected, and a byte that is not ASCII is a

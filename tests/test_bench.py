@@ -70,6 +70,20 @@ def test_measure_run_warms_the_pool_it_times(monkeypatch):
     assert record.error is None and record.throughput_bps > 0
 
 
+def test_bench_csv_text_is_pinned(tmp_path):
+    path = tmp_path / "bench.csv"
+    bench_mod._append_row(path, BenchRecord(32, 2, 41.23456, 12345.6789, 48.25, 0.0123456789,
+                                            peak_children_mb=96.75))
+    bench_mod._append_row(path, BenchRecord(64, 1, None, None, None, None,
+                                            error="synthetic cell failure"))
+    assert path.read_bytes() == (
+        b"block_count,workers,mean_latency_us,throughput_bps,peak_memory_mb,peak_children_mb,"
+        b"wall_time_s,error\r\n"
+        b"32,2,41.235,12345.679,48.2,96.8,0.012346,\r\n"
+        b"64,1,,,,,,synthetic cell failure\r\n"
+    )
+
+
 def test_sweep_covers_cells_in_ascending_order(tmp_path):
     base = RunConfig(inject_pct=0.0, mode=Mode.REAL)
     path = tmp_path / "bench.csv"

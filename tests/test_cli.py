@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -10,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aeslab.cipher as cipher_mod
+import aeslab.cli as cli
+from aeslab.cipher import Key128
 from aeslab.cli import build_parser, main
-from aeslab.detect_forest import ModelFormatError, load_model, split_train_test
+from aeslab.detect_forest import ByteSource, ModelFormatError, load_model, split_train_test
 from aeslab.detect_threshold import fit_threshold
 from aeslab.metrics_report import read_blocks_csv, rows_to_vectors
-from aeslab.workload import MAX_WORKERS
+from aeslab.workload import MAX_WORKERS, InputDistribution, Mode
 
 
 def _run_flags(tmp_path, **overrides):
@@ -206,6 +209,86 @@ def test_invalid_environment_enum_is_a_usage_error(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as excinfo:
         main(["bench", "--block-counts", "8", "--out-dir", str(tmp_path)])
     assert excinfo.value.code == 2
+
+
+# every AESLAB_* variable: its flag, a valid value other than the flag's default, and what
+# that value parses to
+_ENV_VARIABLES = {
+    "AESLAB_BLOCKS": ("--blocks", "33", 33),
+    "AESLAB_WORKERS": ("--workers", "3", 3),
+    "AESLAB_MODE": ("--mode", "simulated", Mode.SIMULATED),
+    "AESLAB_DELAY_MIN_US": ("--delay-min-us", "6000.5", 6000.5),
+    "AESLAB_DELAY_MAX_US": ("--delay-max-us", "7000.5", 7000.5),
+    "AESLAB_INJECT_PCT": ("--inject-pct", "12.5", 12.5),
+    "AESLAB_SEED": ("--seed", "9", 9),
+    "AESLAB_INPUT_DIST": ("--input-dist", "uniform", InputDistribution.UNIFORM),
+    "AESLAB_WORK_AMP": ("--work-amp", "2", 2),
+    "AESLAB_KEY_HEX": ("--key-hex", "ff" * 16, Key128(b"\xff" * 16)),
+    "AESLAB_TREES": ("--trees", "7", 7),
+    "AESLAB_MAX_DEPTH": ("--max-depth", "none", None),
+    "AESLAB_TRAIN_FRACTION": ("--train-fraction", "0.5", 0.5),
+    "AESLAB_BYTE_SOURCE": ("--byte-source", "ciphertext", ByteSource.CIPHERTEXT),
+    "AESLAB_THRESHOLD_FIT": ("--threshold-fit", "train", "train"),
+    "AESLAB_OUT_DIR": ("--out-dir", "elsewhere", "elsewhere"),
+    "AESLAB_BLOCK_COUNTS": ("--block-counts", "8,16", [8, 16]),
+    "AESLAB_WORKER_COUNTS": ("--worker-counts", "2", [2]),
+}
+_NO_DEFAULT_FLAGS = {"--from-csv", "--model-out", "--model", "--csv"}
+# the least each subcommand needs to parse
+_MINIMAL_ARGV = {"run": [], "bench": [], "kat": [], "train": ["--model-out", "m.txt"],
+                 "predict": ["--model", "m.txt", "--csv", "b.csv"]}
+
+
+def _subcommand_options():
+    """(subcommand, option action) for every option of every subcommand but --help."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(name, action) for name, p in sub.choices.items() for action in p._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)]
+
+
+def test_every_defaulted_flag_follows_its_environment_variable(monkeypatch):
+    for name in _ENV_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    options = _subcommand_options()
+    defaulted = {a.option_strings[0] for _, a in options if a.default is not None}
+    assert defaulted == {flag for flag, _, _ in _ENV_VARIABLES.values()}
+    assert {a.option_strings[0] for _, a in options if a.default is None} == _NO_DEFAULT_FLAGS
+    by_flag = {flag: (name, text, want) for name, (flag, text, want) in _ENV_VARIABLES.items()}
+    for command, action in options:
+        if action.default is None:
+            continue
+        name, text, want = by_flag[action.option_strings[0]]
+        argv = [command, *_MINIMAL_ARGV[command]]
+        unset = getattr(build_parser().parse_args(argv), action.dest)
+        with monkeypatch.context() as m:
+            m.setenv(name, text)
+            got = getattr(build_parser().parse_args(argv), action.dest)
+        assert got == want != unset, (name, command)
+
+
+def test_flags_without_a_default_have_no_environment_variable(monkeypatch):
+    for flag in _NO_DEFAULT_FLAGS:
+        monkeypatch.setenv("AESLAB_" + flag[2:].upper().replace("-", "_"), "from-the-environment")
+    args = build_parser().parse_args(["train", "--model-out", "m.txt"])
+    assert args.from_csv is None and args.model_out == "m.txt"
+    for argv in (["train"], ["predict", "--csv", "b.csv"], ["predict", "--model", "m.txt"]):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 1.46 TiB for an array with shape (100000000000, 16)",
+     "error: Unable to allocate 1.46 TiB for an array with shape (100000000000, 16)\n"),
+    ("", "error: MemoryError\n"),  # Python's own MemoryError carries no message
+])
+def test_running_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch, message, line):
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_pipeline", no_memory)  # nothing is really allocated
+    assert main(_run_flags(tmp_path)) == 1
+    assert capsys.readouterr().err == line
 
 
 def test_run_real_mode_smoke(tmp_path, capsys):

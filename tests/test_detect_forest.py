@@ -271,7 +271,7 @@ def _walk(tree, values):
     node = 0
     while not _is_leaf(tree, node):
         go_left = values[tree.feature[node]] <= tree.threshold[node]
-        node = tree.left[node] if go_left else tree.right[node]
+        node = node + 1 if go_left else tree.right[node]  # the left child follows its parent
     c0, c1 = _class_counts(tree, node)
     return c1 > c0
 
@@ -299,7 +299,7 @@ def test_fit_tree_respects_max_depth():
     def depth(node):
         if _is_leaf(root, node):
             return 0
-        return 1 + max(depth(root.left[node]), depth(root.right[node]))
+        return 1 + max(depth(node + 1), depth(root.right[node]))
 
     assert depth(0) <= 1
 
@@ -421,7 +421,7 @@ _COLUMN_KINDS = {
 def _assert_same_trees(mine, reference):
     assert len(mine) == len(reference)
     for got, want in zip(mine, reference):
-        for name in ("feature", "threshold", "left", "right", "counts"):
+        for name in ("feature", "threshold", "right", "counts"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
@@ -497,7 +497,7 @@ def test_hyperparams_validation():
 
 
 def _leaf(c0, c1):
-    return Tree(feature=[-1], threshold=[0.0], left=[0], right=[0], counts=[(c0, c1)])
+    return Tree(feature=[-1], threshold=[0.0], right=[-1], counts=[(c0, c1)])
 
 
 def test_forest_vote_tie_stays_benign():
@@ -632,6 +632,30 @@ def test_model_round_trip_preserves_predictions(tmp_path):
     assert loaded.n_features == model.n_features
     probe = np.random.default_rng(2).random((64, 2)) * 10.0
     assert predict_all(loaded, probe) == predict_all(model, probe)
+
+
+def test_model_header_keeps_its_extreme_values_and_text(tmp_path):
+    split = Tree(feature=[2, -1, -1], threshold=[0.1 + 0.2, 0.0, 0.0], right=[2, -1, -1],
+                 counts=[(0, 0), (3, 1), (0, 4)])
+    hyper = ForestHyperparams(n_trees=1, max_depth=None, seed=2**64 - 1, train_fraction=0.1 + 0.2)
+    path = tmp_path / "model.txt"
+    save_model(ForestModel((split,), hyper, 17), str(path))
+    assert path.read_text() == (
+        "aeslab-forest 1\nn_features 17\nn_trees 1\nmax_depth none\nmin_samples_split 2\n"
+        "features_per_split 5\nseed 18446744073709551615\ntrain_fraction 0.30000000000000004\n"
+        "tree 0\ni 2 0.30000000000000004\nl 3 1\nl 0 4\nend\n"
+    )
+    loaded = load_model(str(path))
+    assert loaded.hyper == hyper and loaded.n_features == 17
+    assert loaded.hyper.max_depth is None and loaded.hyper.seed == 2**64 - 1
+    assert loaded.hyper.train_fraction == 0.1 + 0.2
+    for name in ("feature", "threshold", "right", "counts"):
+        assert np.array_equal(getattr(loaded.trees[0], name), getattr(split, name)), name
+    numpy_hyper = ForestHyperparams(n_trees=np.int64(1), max_depth=None, seed=np.uint64(2**64 - 1),
+                                    train_fraction=np.float64(0.1 + 0.2))
+    again = tmp_path / "numpy.txt"
+    save_model(ForestModel((split,), numpy_hyper, np.int64(17)), str(again))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_model_file_is_reproducible(tmp_path):

@@ -217,6 +217,17 @@ def test_export_rejects_a_table_without_predictions(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+def test_export_rejects_an_empty_report_list(tmp_path):
+    cfg, records, tp, fp, rt, rf = _scored_run()
+    with pytest.raises(ValueError, match="the summary needs at least one detector report"):
+        export_csv(
+            _table(records, tp, fp), [], 0.0, tmp_path,
+            cfg=cfg, byte_source=ByteSource.PLAINTEXT,
+            threshold_fit="all", threshold_us=3000.0,
+        )
+    assert not any(tmp_path.iterdir())
+
+
 def test_export_unwritable_path_reports_the_path(tmp_path):
     cfg, records, tp, fp, rt, rf = _scored_run(n=10)
     blocker = tmp_path / "occupied"
