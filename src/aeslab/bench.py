@@ -4,10 +4,10 @@ Each measurement runs the full pipeline once untimed to warm caches and
 the worker pool, then times a second run on the same pool. Mean latency
 comes from the per-block spans, throughput from blocks over the timed wall
 clock. Peak memory is reported where the platform exposes ru_maxrss, in
-two columns: peak_memory_mb for this process and peak_children_mb for the
-largest of its finished children (the pool workers). Both are process-lifetime
-high-water marks: they never fall, so a sweep cell reports at least the
-peak of every cell before it.
+two columns: peak_memory_mb for the measuring process and peak_children_mb
+for the largest of its finished children (the pool workers). A sweep runs
+each cell in a fresh process, so no earlier cell and no process started
+before the sweep shows in a cell's figures.
 """
 
 from __future__ import annotations
@@ -95,6 +95,15 @@ def _append_row(path: Path, record: BenchRecord) -> None:
         ])
 
 
+def _measure_cell(cfg: RunConfig, key: Key128) -> BenchRecord:
+    """measure_run in the cell's own process, with a failure as the cell's record."""
+    try:
+        return measure_run(cfg, key)
+    except Exception as exc:  # keep the sweep alive, report the cell
+        return BenchRecord(cfg.n_blocks, cfg.workers, None, None, None, None,
+                           error=str(exc) or type(exc).__name__)
+
+
 def sweep(
     block_counts: Sequence[int],
     worker_counts: Sequence[int],
@@ -104,8 +113,9 @@ def sweep(
 ) -> List[BenchRecord]:
     """Measure every (blocks, workers) cell in ascending order.
 
-    A failing cell is recorded with its error message instead of aborting
-    the rest of the sweep. Rows are appended to csv_path as they finish.
+    Each cell runs measure_run in a fresh process. A failing cell is
+    recorded with its error message instead of aborting the rest of the
+    sweep. Rows are appended to csv_path as they finish.
     """
     blocks = sorted(set(int(b) for b in block_counts))
     workers = sorted(set(int(w) for w in worker_counts))
@@ -120,10 +130,8 @@ def sweep(
     for b in blocks:
         for w in workers:
             cfg = replace(base_cfg, n_blocks=b, workers=w)
-            try:
-                record = measure_run(cfg, key)
-            except Exception as exc:  # keep the sweep alive, report the cell
-                record = BenchRecord(b, w, None, None, None, None, error=str(exc) or type(exc).__name__)
+            with ProcessPoolExecutor(1) as cell:
+                record = cell.submit(_measure_cell, cfg, key).result()
             results.append(record)
             if path is not None:
                 _append_row(path, record)

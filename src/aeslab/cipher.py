@@ -105,9 +105,6 @@ class Key128:
             raise ValueError(f"key is not valid hex: {text!r}") from exc
         return cls(data)
 
-    def hex(self) -> str:
-        return self.data.hex()
-
 
 DEFAULT_KEY_HEX = "000102030405060708090a0b0c0d0e0f"
 

@@ -17,7 +17,7 @@ search, and one per-class histogram over the ranks of those nodes' candidate
 columns, the latency and the bytes alike, scores them all. This is exact
 histogram split finding, so the counts, thresholds and gains are those of a
 sorted scan, and each tree keeps its own generator and pre-order, so it is
-the tree grown alone. Each tree is stored as flat pre-order arrays.
+the tree grown alone. Each tree is stored as three pre-order lists.
 Prediction partitions the row numbers down each tree in turn, so a row is
 compared only at the nodes on its path, and stops walking a row once its
 majority is settled.
@@ -31,19 +31,17 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from .files import atomic_write
+from .workload import _STREAM_SPLIT, _STREAM_TREE, _rng
 
 N_FEATURES = 17
 
 _T = TypeVar("_T")
-
-_STREAM_SPLIT = 3
-_STREAM_TREE = 4
 
 
 class ByteSource(enum.Enum):
@@ -98,42 +96,36 @@ class ForestHyperparams:
 
 @dataclass(frozen=True)
 class Tree:
-    """One CART tree as flat arrays with one entry per node, in pre-order.
+    """One CART tree as three lists with one entry per node, in pre-order.
 
-    Node 0 is the root and a split node's left child is the node after it;
-    right holds its right child. A split sends rows with X[:, feature] <=
-    threshold left, the rest right. A leaf has feature -1 and right -1 and
-    holds its (benign, anomalous) training counts; split nodes hold zero counts.
+    Node 0 is the root and a split node's left child is the node after it.
+    A split sends rows with X[:, feature] <= threshold left, the rest right.
+    A leaf has feature -1 and holds its (benign, anomalous) training counts;
+    split nodes hold zero counts. right, derived from the pre-order, holds
+    each split node's right child and -1 at a leaf.
     """
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    right: np.ndarray
-    counts: np.ndarray
+    feature: List[int]
+    threshold: List[float]
+    counts: List[Tuple[int, int]]
+    right: List[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        for name, dtype in (("feature", np.intp), ("threshold", np.float64), ("right", np.intp),
-                            ("counts", np.int64)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        n = self.feature.size
-        if n < 1 or self.counts.shape != (n, 2) or any(
-            a.shape != (n,) for a in (self.feature, self.threshold, self.right)
-        ):
-            raise ValueError("tree arrays must hold the same number (at least 1) of nodes")
-
-
-def _preorder_tree(
-    feature: List[int], threshold: List[float], counts: List[Tuple[int, int]]
-) -> Tree:
-    """Link a complete pre-order node sequence (feature -1 marks a leaf) into a Tree."""
-    right = [-1] * len(feature)
-    awaiting_right = []  # split nodes whose right child is still to come
-    for node, f in enumerate(feature):
-        if node and feature[node - 1] < 0:  # a node after a leaf is a right child
-            right[awaiting_right.pop()] = node
-        if f >= 0:
-            awaiting_right.append(node)
-    return Tree(feature, threshold, right, counts)
+        n = len(self.feature)
+        if n < 1 or len(self.threshold) != n or len(self.counts) != n:
+            raise ValueError("tree lists must hold the same number (at least 1) of nodes")
+        right = [-1] * n
+        awaiting_right = []  # split nodes whose right child is still to come
+        for node, f in enumerate(self.feature):
+            if node and self.feature[node - 1] < 0:  # a node after a leaf is a right child
+                if not awaiting_right:
+                    raise ValueError(f"tree is complete before node {node}")
+                right[awaiting_right.pop()] = node
+            if f >= 0:
+                awaiting_right.append(node)
+        if awaiting_right:
+            raise ValueError(f"split node {awaiting_right[-1]} has no right subtree")
+        object.__setattr__(self, "right", right)
 
 
 @dataclass(frozen=True)
@@ -164,7 +156,7 @@ def split_train_test(data: Dataset, train_fraction: float, seed: int) -> SplitRe
         raise ValueError("cannot split an empty dataset")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie strictly between 0 and 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_STREAM_SPLIT,)))
+    rng = _rng(seed, _STREAM_SPLIT)
     train_parts = []
     test_parts = []
     for cls in (False, True):
@@ -366,7 +358,7 @@ def _grower(
             goes_left = keys[feats[j]].take(rows) < 2 * rank + 2
         pending.append((rows.compress(~goes_left) if split_right else None, depth, right0, right1))
         pending.append((rows.compress(goes_left) if split_left else None, depth, left0, left1))
-    return _preorder_tree(feature, threshold, counts)
+    return Tree(feature, threshold, counts)
 
 
 _MAX_GROWING_TREES = 16  # trees grown in lock-step at once; bounds fit's memory
@@ -415,10 +407,6 @@ def _grow_lockstep(keys: np.ndarray, values: Sequence[np.ndarray], hyper: Forest
     return [trees[t] for t in range(len(trees))]
 
 
-def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_STREAM_TREE, tree_index)))
-
-
 def fit_forest(train: Dataset, hyper: ForestHyperparams) -> ForestModel:
     """Fit n_trees trees, each on its own bootstrap resample of train."""
     hyper.validate()
@@ -428,7 +416,7 @@ def fit_forest(train: Dataset, hyper: ForestHyperparams) -> ForestModel:
         raise ValueError("training set must contain both classes")
     n = len(train)
     keys, values = _rank_columns(train.X, train.y, range(train.X.shape[1]))
-    rngs = [_tree_rng(hyper.seed, t) for t in range(hyper.n_trees)]
+    rngs = [_rng(hyper.seed, _STREAM_TREE, t) for t in range(hyper.n_trees)]
     starts = ((rng, rng.integers(0, n, size=n)) for rng in rngs)  # bootstraps drawn as trees join
     return ForestModel(tuple(_grow_lockstep(keys, values, hyper, starts)), hyper, train.X.shape[1])
 
@@ -458,10 +446,8 @@ def predict_all(model: ForestModel, X: np.ndarray) -> List[bool]:
             open_rows = open_rows.compress((2 * held <= n_trees) & (2 * (held + rest) > n_trees))
             if not open_rows.size:
                 break
-        feature = tree.feature.tolist()
-        threshold = tree.threshold.tolist()
-        right = tree.right.tolist()
-        anomalous = (tree.counts[:, 1] > tree.counts[:, 0]).tolist()  # ties vote benign
+        feature, threshold, right = tree.feature, tree.threshold, tree.right
+        anomalous = [c1 > c0 for c0, c1 in tree.counts]  # ties vote benign
         pending = [(0, open_rows)]  # (node, the rows that reach it), next on top
         while pending:
             node, rows = pending.pop()
@@ -487,21 +473,22 @@ class ModelFormatError(ValueError):
 
 
 def save_model(model: ForestModel, path: str) -> None:
-    """Write a versioned line-oriented text dump (floats via repr, pre-order trees).
+    """Write a versioned line-oriented text dump (pre-order trees).
 
-    The dump replaces an earlier file at path only once it is complete.
+    Every number is written with str, which for an int or float, numpy's
+    too, is its shortest round trip. The dump replaces an earlier file at
+    path only once it is complete.
     """
     header = {"n_features": model.n_features, **vars(model.hyper)}
     with atomic_write(path, encoding="ascii") as out:
         out.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n")
         for name, _ in _HEADER_FIELDS:
-            value = header[name]  # str of an int or float, numpy's too, is its shortest round trip
+            value = header[name]
             out.write(f"{name} {'none' if value is None else value}\n")
         for i, tree in enumerate(model.trees):
             out.write(f"tree {i}\n")
-            nodes = zip(tree.feature.tolist(), tree.threshold.tolist(), tree.counts.tolist())
-            for f, t, (c0, c1) in nodes:
-                out.write(f"l {c0} {c1}\n" if f < 0 else f"i {f} {t!r}\n")
+            for f, t, (c0, c1) in zip(tree.feature, tree.threshold, tree.counts):
+                out.write(f"l {c0} {c1}\n" if f < 0 else f"i {f} {t}\n")
         out.write("end\n")
 
 
@@ -545,7 +532,7 @@ def _read_tree(lines: Iterator[str], hyper: ForestHyperparams, n_features: int) 
             threshold.append(b)
             counts.append((0, 0))
             pending += [depth + 1, depth + 1]
-    return _preorder_tree(feature, threshold, counts)
+    return Tree(feature, threshold, counts)
 
 
 def _int(text: str) -> int:
@@ -557,7 +544,7 @@ def _int(text: str) -> int:
 
 
 def _float(text: str) -> float:
-    """float() of text without "_", which float() takes between digits but repr never writes."""
+    """float() of text without "_", which float() takes between digits but str never writes."""
     if "_" in text:
         raise ValueError(text)
     return float(text)

@@ -30,14 +30,18 @@ MAX_DELAY_US = 3_600_000_000.0
 # far beyond the cores of one host; a process pool starts all its workers at once
 MAX_WORKERS = 64
 
-# spawn_key streams: block bytes, anomaly schedule, simulated timing jitter
+# spawn_key streams, one id each: block bytes, anomaly schedule and simulated
+# timing jitter of a run seed; the train/test split of a run seed; the trees of
+# a forest seed (keyed further by the tree index)
 _STREAM_BLOCKS = 0
 _STREAM_SCHEDULE = 1
 _STREAM_TIMING = 2
+_STREAM_SPLIT = 3
+_STREAM_TREE = 4
 
 
 def _rng(seed: int, stream: int, *key: int) -> np.random.Generator:
-    """Derive an independent generator for one stream of a run."""
+    """Derive an independent generator for one stream of a seed."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, *key)))
 
 

@@ -4,8 +4,8 @@ _rank_columns, _scan and _grow are the grower fit_forest used before trees
 grew in lock-step, kept as they were: each node of each tree is scored on
 its own, by one histogram over its candidate columns and a cumulative sum
 over every bin. fit_tree and fit_forest here wrap them as the library's
-functions of the same names did; the Gini arithmetic, the pre-order
-linking, the tree generators and the model type come from the library.
+functions of the same names did; the Gini arithmetic, the tree and model
+types and the seeded streams come from the library.
 """
 
 from typing import List, Sequence, Tuple
@@ -18,10 +18,9 @@ from aeslab.detect_forest import (
     ForestModel,
     Tree,
     _gains,
-    _preorder_tree,
-    _tree_rng,
     gini,
 )
+from aeslab.workload import _STREAM_TREE, _rng
 
 
 def _rank_columns(X: np.ndarray, features: Sequence[int]) -> Tuple[np.ndarray, List[np.ndarray]]:
@@ -124,7 +123,7 @@ def _grow(
         mask = cols[j] <= rank
         pending.append((rows[~mask], depth + 1))
         pending.append((rows[mask], depth + 1))
-    return _preorder_tree(feature, threshold, counts)
+    return Tree(feature, threshold, counts)
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, hyper: ForestHyperparams, rng: np.random.Generator) -> Tree:
@@ -137,7 +136,7 @@ def fit_forest(train: Dataset, hyper: ForestHyperparams) -> ForestModel:
     codes, values = _rank_columns(train.X, range(train.X.shape[1]))
     trees = []
     for t in range(hyper.n_trees):
-        rng = _tree_rng(hyper.seed, t)
+        rng = _rng(hyper.seed, _STREAM_TREE, t)
         boot = rng.integers(0, n, size=n)
         trees.append(_grow(codes[:, boot], values, train.y[boot], hyper, rng))
     return ForestModel(tuple(trees), hyper, train.X.shape[1])

@@ -1,4 +1,6 @@
 import csv
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -48,8 +50,26 @@ def test_measure_run_counts_the_pool_workers_memory(tmp_path):
     with open(path, newline="") as handle:
         (row,) = list(csv.DictReader(handle))
     assert list(row)[4:6] == ["peak_memory_mb", "peak_children_mb"]
-    assert row["peak_children_mb"] == ("" if record.peak_children_mb is None else
-                                       f"{peak_memory_mb(children=True):.1f}")
+    if record.peak_children_mb is None:
+        assert row["peak_children_mb"] == ""
+    else:  # the cell's workers are grandchildren of this process, reaped with the cell
+        assert 0 < float(row["peak_children_mb"]) <= peak_memory_mb(children=True) + 0.05
+
+
+def test_sweep_reports_each_cells_own_peaks():
+    if peak_memory_mb() is None:
+        pytest.skip("ru_maxrss is unavailable")
+    # a child of the sweeping process that ended before the sweep
+    subprocess.run([sys.executable, "-c", "b = bytearray(64 << 20)"], check=True)
+    assert peak_memory_mb(children=True) > 64
+    base = RunConfig(inject_pct=0.0, mode=Mode.REAL)
+    records = sweep([8, 16], [1, 2], base, KEY)
+    assert [(r.block_count, r.workers, r.error) for r in records] == [
+        (8, 1, None), (8, 2, None), (16, 1, None), (16, 2, None)]
+    # a one-worker cell starts no process: neither that child nor the pool of
+    # the (8, 2) cell before it shows in its figures
+    assert [r.peak_children_mb for r in records if r.workers == 1] == [0.0, 0.0]
+    assert all(r.peak_children_mb > 0 for r in records if r.workers == 2)
 
 
 def test_measure_run_warms_the_pool_it_times(monkeypatch):

@@ -281,7 +281,7 @@ def _is_leaf(tree, node=0):
 
 
 def _class_counts(tree, node=0):
-    return tuple(tree.counts[node].tolist())
+    return tuple(tree.counts[node])
 
 
 def test_fit_tree_pure_input_is_single_leaf():
@@ -497,7 +497,7 @@ def test_hyperparams_validation():
 
 
 def _leaf(c0, c1):
-    return Tree(feature=[-1], threshold=[0.0], right=[-1], counts=[(c0, c1)])
+    return Tree(feature=[-1], threshold=[0.0], counts=[(c0, c1)])
 
 
 def test_forest_vote_tie_stays_benign():
@@ -535,7 +535,7 @@ def _hand_trees(draw):
             grow(depth + 1)
 
     grow(0)
-    return detect_forest._preorder_tree(feature, threshold, counts)
+    return Tree(feature, threshold, counts)
 
 
 @settings(max_examples=300, deadline=None)
@@ -618,6 +618,62 @@ def test_build_dataset_rejects_empty_input():
         build_dataset([])
 
 
+# ---------------------------------------------------------------- Tree
+
+# a complete binary tree's shape: a leaf is None, a split the pair of its subtrees
+_TREE_SHAPES = st.recursive(st.none(), lambda subtrees: st.tuples(subtrees, subtrees), max_leaves=40)
+
+
+def _reference_preorder(shape):
+    """(feature, right) of a shape in pre-order, linked by recursion; splits use feature 0."""
+    feature, right = [], []
+
+    def visit(node):
+        at = len(feature)
+        feature.append(-1 if node is None else 0)
+        right.append(-1)
+        if node is not None:
+            visit(node[0])
+            right[at] = len(feature)
+            visit(node[1])
+
+    visit(shape)
+    return feature, right
+
+
+@given(_TREE_SHAPES)
+def test_tree_derives_the_right_links_of_its_preorder(shape):
+    feature, right = _reference_preorder(shape)
+    n = len(feature)
+    assert Tree(feature, [0.5] * n, [(1, 0)] * n).right == right
+
+
+@pytest.mark.parametrize("feature, threshold, counts", [
+    ([], [], []),
+    ([-1], [0.0, 0.0], [(1, 0)]),
+    ([-1, -1], [0.0], [(1, 0), (0, 1)]),
+    ([-1, -1], [0.0, 0.0], [(1, 0), (0, 1)]),  # a node after a complete tree
+    ([0, -1], [0.5, 0.0], [(0, 0), (1, 0)]),  # a split without its right subtree
+    ([0], [0.5], [(0, 0)]),
+])
+def test_tree_rejects_lists_that_are_not_one_complete_tree(feature, threshold, counts):
+    with pytest.raises(ValueError):
+        Tree(feature, threshold, counts)
+
+
+def test_a_tree_of_numpy_numbers_dumps_as_one_of_python_numbers(tmp_path):
+    feature, threshold, counts = [2, -1, -1], [0.1 + 0.2, 0.0, 0.0], [(0, 0), (3, 1), (0, 4)]
+    as_numpy = Tree(list(np.array(feature)), list(np.array(threshold)),
+                    [tuple(pair) for pair in np.array(counts)])
+    assert isinstance(as_numpy.threshold[0], np.float64)
+    paths = []
+    for tree in (Tree(feature, threshold, counts), as_numpy):
+        paths.append(tmp_path / f"model{len(paths)}.txt")
+        save_model(ForestModel((tree,), ForestHyperparams(n_trees=1), 17), str(paths[-1]))
+    assert paths[1].read_bytes() == paths[0].read_bytes()
+    assert load_model(str(paths[1])).trees == (Tree(feature, threshold, counts),)
+
+
 # ---------------------------------------------------------------- serialization
 
 
@@ -635,7 +691,7 @@ def test_model_round_trip_preserves_predictions(tmp_path):
 
 
 def test_model_header_keeps_its_extreme_values_and_text(tmp_path):
-    split = Tree(feature=[2, -1, -1], threshold=[0.1 + 0.2, 0.0, 0.0], right=[2, -1, -1],
+    split = Tree(feature=[2, -1, -1], threshold=[0.1 + 0.2, 0.0, 0.0],
                  counts=[(0, 0), (3, 1), (0, 4)])
     hyper = ForestHyperparams(n_trees=1, max_depth=None, seed=2**64 - 1, train_fraction=0.1 + 0.2)
     path = tmp_path / "model.txt"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aeslab.workload as workload
 from aeslab.workload import (
     ASCII_HIGH,
     ASCII_LOW,
@@ -252,3 +253,11 @@ def test_run_config_validation_rejects_bad_fields(field, value):
 def test_run_config_defaults_are_valid():
     RunConfig().validate()
     dataclasses.replace(RunConfig(), workers=MAX_WORKERS).validate()
+
+
+def test_seeded_stream_ids_are_distinct():
+    # every generator of the package is derived through workload._rng from one of these
+    ids = {name: value for name, value in vars(workload).items() if name.startswith("_STREAM_")}
+    assert sorted(ids) == ["_STREAM_BLOCKS", "_STREAM_SCHEDULE", "_STREAM_SPLIT", "_STREAM_TIMING",
+                           "_STREAM_TREE"]
+    assert len(set(ids.values())) == len(ids)
