@@ -11,28 +11,28 @@ the highest Gini gain wins. Ties resolve to the lowest feature index, then
 the lowest threshold; a node with no strictly positive gain becomes a leaf.
 
 Each training column is ranked once, replacing every value by its position
-among the column's sorted distinct values. A bounded pool of trees grows in
-lock-step: at each step every growing tree hands over the next node it must
-search, and one per-class histogram over the ranks of those nodes' candidate
-columns, the latency and the bytes alike, scores them all. This is exact
-histogram split finding, so the counts, thresholds and gains are those of a
-sorted scan, and each tree keeps its own generator and pre-order, so it is
-the tree grown alone. Each tree is stored as three pre-order lists.
-Prediction partitions the row numbers down each tree in turn, so a row is
-compared only at the nodes on its path, and stops walking a row once its
-majority is settled.
+among the column's sorted distinct values. Trees grow in batches, one depth
+at a time: every node of the batch's trees that must be searched at that
+depth is scored by one per-class histogram over the ranks of its candidate
+columns, the latency and the bytes alike. This is exact histogram split
+finding, so the counts, thresholds and gains are those of a sorted scan.
+Each tree is stored as three pre-order lists. Prediction partitions the row
+numbers down each tree in turn, so a row is compared only at the nodes on
+its path, and stops walking a row once its majority is settled.
 
 Everything is deterministic given (hyperparams, training data): each tree
-draws its bootstrap sample and feature subsets from a generator derived
-from the forest seed and the tree index.
+draws its bootstrap sample, then the feature subsets of each level's nodes,
+left to right, from a generator derived from the forest seed and the tree
+index. A tree is the same whichever trees grow beside it.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -229,7 +229,6 @@ def _rank_columns(
 
 _Node = Tuple[np.ndarray, np.ndarray, int, int]  # rows, candidate columns, class totals
 _Cut = Tuple[float, int, int, float, int, int]  # gain, j, rank, threshold, left class counts
-_Grower = Generator[_Node, Optional[_Cut], Tree]  # yields the nodes to search, returns the tree
 
 
 def _scan_batch(
@@ -309,102 +308,99 @@ def best_split(X: np.ndarray, y: np.ndarray, features: Sequence[int]) -> Optiona
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, hyper: ForestHyperparams, rng: np.random.Generator) -> Tree:
-    """Grow one CART tree on (X, y), drawing each node's candidate features from rng."""
+    """Grow one CART tree on (X, y), drawing each level's candidate features from rng."""
     hyper.validate()
     if y.size == 0:
         raise ValueError("cannot fit a tree on an empty sample set")
     keys, values = _rank_columns(X, np.asarray(y, dtype=bool), range(X.shape[1]))
-    return _grow_lockstep(keys, values, hyper, [(rng, np.arange(y.size))])[0]
+    return _grow_levels(keys, values, hyper, [(rng, np.arange(y.size))])[0]
 
 
-def _grower(
-    keys: np.ndarray, hyper: ForestHyperparams, rng: np.random.Generator, rows: np.ndarray,
-) -> _Grower:
-    """Grow one tree on rows (columns of keys, repeats allowed) and return it.
+_MAX_GROWING_TREES = 16  # trees grown together; bounds fit's memory
+_SCAN_CHUNK = 1 << 16  # (row, column) pairs plus histogram bins one _scan_batch call may hold
 
-    Nodes grow in pre-order from an explicit stack, which fixes the order of
-    rng draws. Each node that needs a split search is yielded and its cut sent
-    back. A child's class counts come from the cut; only a searched child keeps rows.
+
+def _grow_levels(keys: np.ndarray, values: Sequence[np.ndarray], hyper: ForestHyperparams,
+                 starts: Iterable[Tuple[np.random.Generator, np.ndarray]]) -> List[Tree]:
+    """One tree per (rng, rows) of starts; rows are columns of keys, repeats allowed.
+
+    The trees grow in batches of _MAX_GROWING_TREES, each batch one depth at
+    a time. At each depth a tree draws rng.random((m, d)) for the m nodes it
+    must search, left to right: a node's candidate columns are the first
+    features_per_split of its row's stable argsort, ascending. _scan_batch
+    scores the nodes of every tree in chunks of at most _SCAN_CHUNK (row,
+    column) pairs plus bins, or one larger node. A child's class counts come
+    from the cut; only a child that will be searched keeps rows.
     """
     d, k = keys.shape[0], min(hyper.features_per_split, keys.shape[0])
+    widths = np.array([v.size for v in values])
 
     def searched(c0: int, c1: int, depth: int) -> bool:  # whether a node gets a split search
         deep = hyper.max_depth is not None and depth >= hyper.max_depth
         return bool(c0 and c1 and c0 + c1 >= hyper.min_samples_split and not deep)
 
+    trees: List[Tree] = []
+    starts = iter(starts)
+    while batch := list(itertools.islice(starts, _MAX_GROWING_TREES)):
+        grown = []  # per tree: class counts by node id, and {node: (feature, threshold, left child)}
+        frontiers = []  # per tree: (node, rows) of the nodes to search at this depth, left to right
+        for _, rows in batch:
+            c1 = int(np.count_nonzero(keys[0].take(rows) & 1))  # a key's low bit is its row's class
+            grown.append(([(rows.size - c1, c1)], {}))
+            frontiers.append([(0, rows)] if searched(rows.size - c1, c1, 0) else [])
+        depth = 0
+        while any(frontiers):
+            depth += 1
+            level = []  # (tree, node, (rows, feats, c0, c1)) of every node searched at this depth
+            for t, ((rng, _), frontier) in enumerate(zip(batch, frontiers)):
+                if frontier:
+                    order = np.argsort(rng.random((len(frontier), d)), axis=1, kind="stable")
+                    draws, counts = np.sort(order[:, :k], axis=1), grown[t][0]
+                    level += [(t, node, (rows, feats, *counts[node]))
+                              for (node, rows), feats in zip(frontier, draws)]
+            chunks, size = [[]], 0
+            for _, _, node in level:
+                rows, feats, _, _ = node
+                cost = k * rows.size + int(widths[feats].sum())
+                if chunks[-1] and size + cost > _SCAN_CHUNK:
+                    chunks.append([])
+                    size = 0
+                chunks[-1].append(node)
+                size += cost
+            found = [cut for chunk in chunks for cut in _scan_batch(keys, values, chunk)]
+            frontiers = [[] for _ in batch]
+            for (t, node, (rows, feats, c0, c1)), cut in zip(level, found):
+                if cut is None:
+                    continue  # the node stays a leaf
+                counts, splits = grown[t]
+                _, j, rank, threshold, left0, left1 = cut
+                child = len(counts)  # the left child; the right one is child + 1
+                splits[node] = (int(feats[j]), threshold, child)
+                counts += [(left0, left1), (c0 - left0, c1 - left1)]
+                sides = [s for s in (0, 1) if searched(*counts[child + s], depth)]
+                if sides:
+                    goes_left = keys[feats[j]].take(rows) < 2 * rank + 2
+                    keep = (goes_left, ~goes_left)
+                    frontiers[t] += [(child + s, rows.compress(keep[s])) for s in sides]
+        trees += [_preorder(counts, splits) for counts, splits in grown]
+    return trees
+
+
+def _preorder(counts: List[Tuple[int, int]], splits: Dict[int, Tuple[int, float, int]]) -> Tree:
+    """The tree of counts and splits (see _grow_levels) as its pre-order lists."""
     feature: List[int] = []
     threshold: List[float] = []
-    counts: List[Tuple[int, int]] = []
-    c1 = int(np.count_nonzero(keys[0].take(rows) & 1))  # a key's low bit is its row's class
-    pending = [(rows, 0, rows.size - c1, c1)]  # rows (None: a leaf), depth, class counts; next on top
+    leaf_counts: List[Tuple[int, int]] = []
+    pending = [0]  # next on top
     while pending:
-        rows, depth, c0, c1 = pending.pop()
-        found = None
-        if rows is not None and searched(c0, c1, depth):
-            feats = np.sort(rng.choice(d, size=k, replace=False))
-            found = yield rows, feats, c0, c1
-        if found is None:
-            feature.append(-1)
-            threshold.append(0.0)
-            counts.append((c0, c1))
-            continue
-        _, j, rank, cut, left0, left1 = found
-        feature.append(int(feats[j]))
+        node = pending.pop()
+        f, cut, left = splits.get(node, (-1, 0.0, -1))
+        feature.append(f)
         threshold.append(cut)
-        counts.append((0, 0))
-        right0, right1, depth = c0 - left0, c1 - left1, depth + 1
-        split_right, split_left = searched(right0, right1, depth), searched(left0, left1, depth)
-        if split_left or split_right:
-            goes_left = keys[feats[j]].take(rows) < 2 * rank + 2
-        pending.append((rows.compress(~goes_left) if split_right else None, depth, right0, right1))
-        pending.append((rows.compress(goes_left) if split_left else None, depth, left0, left1))
-    return Tree(feature, threshold, counts)
-
-
-_MAX_GROWING_TREES = 16  # trees grown in lock-step at once; bounds fit's memory
-_SCAN_CHUNK = 1 << 16  # (row, column) pairs plus histogram bins one _scan_batch call may hold
-
-
-def _grow_lockstep(keys: np.ndarray, values: Sequence[np.ndarray], hyper: ForestHyperparams,
-                   starts: Iterable[Tuple[np.random.Generator, np.ndarray]]) -> List[Tree]:
-    """One tree per (rng, rows) of starts, with up to _MAX_GROWING_TREES growing in lock-step.
-
-    At each step every growing tree hands over the next node it must search,
-    and _scan_batch scores them in chunks of at most _SCAN_CHUNK (row, column)
-    pairs plus bins, or one larger node. A tree joins when there is room.
-    """
-    trees: dict[int, Tree] = {}
-    growing: List[Tuple[int, _Grower, _Node]] = []  # tree number, its grower, the node it waits on
-    widths = np.array([v.size for v in values])
-
-    def advance(t: int, grower: _Grower, found: Optional[_Cut]) -> None:
-        try:
-            growing.append((t, grower, grower.send(found)))
-        except StopIteration as done:
-            trees[t] = done.value
-
-    def step() -> None:
-        waiting, chunks, size = growing[:], [[]], 0
-        growing.clear()
-        for entry in waiting:
-            rows, feats, _, _ = entry[2]
-            cost = feats.size * rows.size + int(widths[feats].sum())
-            if chunks[-1] and size + cost > _SCAN_CHUNK:
-                chunks.append([])
-                size = 0
-            chunks[-1].append(entry)
-            size += cost
-        for chunk in chunks:
-            for (t, grower, _), found in zip(chunk, _scan_batch(keys, values, [e[2] for e in chunk])):
-                advance(t, grower, found)
-
-    for t, (rng, rows) in enumerate(starts):
-        advance(t, _grower(keys, hyper, rng, rows), None)
-        while len(growing) == _MAX_GROWING_TREES:
-            step()
-    while growing:
-        step()
-    return [trees[t] for t in range(len(trees))]
+        leaf_counts.append(counts[node] if f < 0 else (0, 0))
+        if f >= 0:
+            pending += [left + 1, left]
+    return Tree(feature, threshold, leaf_counts)
 
 
 def fit_forest(train: Dataset, hyper: ForestHyperparams) -> ForestModel:
@@ -417,8 +413,8 @@ def fit_forest(train: Dataset, hyper: ForestHyperparams) -> ForestModel:
     n = len(train)
     keys, values = _rank_columns(train.X, train.y, range(train.X.shape[1]))
     rngs = [_rng(hyper.seed, _STREAM_TREE, t) for t in range(hyper.n_trees)]
-    starts = ((rng, rng.integers(0, n, size=n)) for rng in rngs)  # bootstraps drawn as trees join
-    return ForestModel(tuple(_grow_lockstep(keys, values, hyper, starts)), hyper, train.X.shape[1])
+    starts = ((rng, rng.integers(0, n, size=n)) for rng in rngs)  # bootstraps drawn as batches start
+    return ForestModel(tuple(_grow_levels(keys, values, hyper, starts)), hyper, train.X.shape[1])
 
 
 def predict_all(model: ForestModel, X: np.ndarray) -> List[bool]:
@@ -514,8 +510,6 @@ def _read_tree(lines: Iterator[str], hyper: ForestHyperparams, n_features: int) 
         if parts[0] == "l":
             if min(a, b) < 0:
                 raise ModelFormatError(f"negative class count in leaf: {line!r}")
-            if max(a, b) >= 2**63:
-                raise ModelFormatError(f"class count beyond 64 bits in leaf: {line!r}")
             if a == b == 0:
                 raise ModelFormatError(f"leaf holds no training samples: {line!r}")
             feature.append(-1)
@@ -563,7 +557,7 @@ _HEADER_FIELDS = (
 )
 
 
-def _parse_header_field(lines: Iterator[str], name: str, kind: Callable[[str], _T] = str) -> _T:
+def _parse_header_field(lines: Iterator[str], name: str, kind: Callable[[str], _T]) -> _T:
     try:
         parts = next(lines).split()
     except StopIteration:
@@ -601,13 +595,15 @@ def load_model(path: str) -> ForestModel:
         hyper.validate()
     except ValueError as exc:
         raise ModelFormatError(f"invalid model header: {exc}") from None
-    if not 1 <= n_features < 2**63:
-        raise ModelFormatError("invalid model header: n_features must lie in [1, 2**63)")
+    if n_features < 1:
+        raise ModelFormatError("invalid model header: n_features must be at least 1")
     trees = []
     for i in range(hyper.n_trees):
-        marker = _parse_header_field(lines, "tree")
-        if marker != str(i):
-            raise ModelFormatError(f"expected tree {i}, got {marker!r}")
+        marker = next(lines, "end").split()
+        if marker == ["end"]:
+            raise ModelFormatError(f"model file ended before tree {i} of {hyper.n_trees}")
+        if marker != ["tree", str(i)]:
+            raise ModelFormatError(f"expected tree {i}, got {' '.join(marker)!r}")
         trees.append(_read_tree(lines, hyper, n_features))
     tail = list(lines)
     if tail != ["end"]:

@@ -1,11 +1,10 @@
-"""The one-tree-at-a-time pre-order grower that fit_tree and fit_forest must match.
+"""The one-tree-at-a-time level-wise grower that fit_tree and fit_forest must match.
 
-_rank_columns, _scan and _grow are the grower fit_forest used before trees
-grew in lock-step, kept as they were: each node of each tree is scored on
-its own, by one histogram over its candidate columns and a cumulative sum
-over every bin. fit_tree and fit_forest here wrap them as the library's
-functions of the same names did; the Gini arithmetic, the tree and model
-types and the seeded streams come from the library.
+_rank_columns, _scan and _grow grow each tree alone, one depth at a time,
+and score each node on its own, by one histogram over its candidate columns
+and a cumulative sum over every bin. fit_tree and fit_forest here wrap them
+as the library's functions of the same names do; the Gini arithmetic, the
+tree and model types and the seeded streams come from the library.
 """
 
 from typing import List, Sequence, Tuple
@@ -86,43 +85,54 @@ def _grow(
 ) -> Tree:
     """fit_tree on ranked columns: codes[f, i] is row i's rank in values[f].
 
-    Nodes are grown in pre-order (a node, its left subtree, its right
-    subtree) from an explicit stack, which fixes the order of rng draws.
+    The tree grows one depth at a time. The m nodes of a depth that get a
+    split search draw one rng.random((m, d)) between them, left to right,
+    and each takes the first k of its row's stable argsort as its candidate
+    columns. Each node is a dict; a split node's "children" are its left and
+    right nodes.
     """
     d, n = codes.shape
     k = min(hyper.features_per_split, d)
     flat = codes.ravel()  # feature f of row i at f * n + i
+    root = {"rows": np.arange(n), "depth": 0}
+    level = [root]
+    while level:
+        searched = []
+        for node in level:
+            c1 = int(np.count_nonzero(y[node["rows"]]))
+            node.update(counts=(node["rows"].size - c1, c1), feature=-1, threshold=0.0)
+            if (
+                c1
+                and node["rows"].size > c1
+                and node["rows"].size >= hyper.min_samples_split
+                and (hyper.max_depth is None or node["depth"] < hyper.max_depth)
+            ):
+                searched.append(node)
+        level = []
+        for node, draw in zip(searched, rng.random((len(searched), d))):
+            feats = np.sort(np.argsort(draw, kind="stable")[:k])
+            rows = node["rows"]
+            cols = flat.take(feats[:, None] * n + rows)
+            found = _scan(cols, [values[f] for f in feats], y[rows])
+            if found is None:
+                continue
+            _, j, rank, cut = found
+            mask = cols[j] <= rank
+            node.update(feature=int(feats[j]), threshold=cut, children=(
+                {"rows": rows[mask], "depth": node["depth"] + 1},
+                {"rows": rows[~mask], "depth": node["depth"] + 1},
+            ))
+            level += node["children"]
     feature: List[int] = []
     threshold: List[float] = []
     counts: List[Tuple[int, int]] = []
-    pending = [(np.arange(n), 0)]  # subtrees still to grow: row indices, depth; next on top
+    pending = [root]  # next on top
     while pending:
-        rows, depth = pending.pop()
-        yn = y[rows]
-        c1 = int(np.count_nonzero(yn))
-        c0 = rows.size - c1
-        found = None
-        if (
-            c0
-            and c1
-            and rows.size >= hyper.min_samples_split
-            and (hyper.max_depth is None or depth < hyper.max_depth)
-        ):
-            feats = np.sort(rng.choice(d, size=k, replace=False))
-            cols = flat.take(feats[:, None] * n + rows)
-            found = _scan(cols, [values[f] for f in feats], yn)
-        if found is None:
-            feature.append(-1)
-            threshold.append(0.0)
-            counts.append((c0, c1))
-            continue
-        _, j, rank, cut = found
-        feature.append(int(feats[j]))
-        threshold.append(cut)
-        counts.append((0, 0))
-        mask = cols[j] <= rank
-        pending.append((rows[~mask], depth + 1))
-        pending.append((rows[mask], depth + 1))
+        node = pending.pop()
+        feature.append(node["feature"])
+        threshold.append(node["threshold"])
+        counts.append(node["counts"] if node["feature"] < 0 else (0, 0))
+        pending += reversed(node.get("children", ()))
     return Tree(feature, threshold, counts)
 
 

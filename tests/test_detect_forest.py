@@ -427,7 +427,7 @@ def _assert_same_trees(mine, reference):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_lockstep_fit_equals_the_one_tree_grower(data):
+def test_level_wise_fit_equals_the_one_tree_oracle(data):
     n = data.draw(st.integers(2, 40), label="n")
     kinds = data.draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=5),
                       label="column kinds")
@@ -443,7 +443,7 @@ def test_lockstep_fit_equals_the_one_tree_grower(data):
         features_per_split=data.draw(st.integers(1, d + 1), label="features_per_split"),
         seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
     )
-    # a small pool and small chunks make trees join mid-fit and split every step's scan
+    # a small pool and small chunks make trees grow in several batches and split every level's scan
     pool = data.draw(st.integers(1, 3), label="growing trees")
     chunk = data.draw(st.sampled_from([1, 40, 1 << 16]), label="scan chunk")
     tree_seed = data.draw(st.integers(0, 2**32 - 1), label="tree seed")
@@ -746,9 +746,6 @@ def test_load_rejects_version_mismatch(tmp_path):
         "features_per_split 5\nseed 1\ntrain_fraction 0.7\nend\n",  # header fails validate()
         "aeslab-forest 1\nn_features 0\nn_trees 1\nmax_depth 16\nmin_samples_split 2\n"
         "features_per_split 5\nseed 1\ntrain_fraction 0.7\ntree 0\nl 1 0\nend\n",
-        "aeslab-forest 1\nn_features 9223372036854775808\nn_trees 1\nmax_depth 16\n"
-        "min_samples_split 2\nfeatures_per_split 5\nseed 1\ntrain_fraction 0.7\ntree 0\n"
-        "i 9223372036854775807 1.0\nl 1 0\nl 0 1\nend\n",  # indices beyond 64 bits
     ],
 )
 def test_load_rejects_malformed_files(tmp_path, content):
@@ -764,14 +761,45 @@ def test_load_rejects_truncated_tree_and_trailing_garbage(tmp_path):
     path = tmp_path / "model.txt"
     save_model(model, str(path))
     text = path.read_text()
+    lines = text.splitlines()
     truncated = tmp_path / "cut.txt"
-    truncated.write_text("\n".join(text.splitlines()[:-3]) + "\n")
-    with pytest.raises(ModelFormatError):
+    truncated.write_text("\n".join(lines[:-3]) + "\n")
+    with pytest.raises(ModelFormatError, match="ended inside a tree"):
         load_model(str(truncated))
+    second = lines.index("tree 1")
+    for name, tail, message in (("one_tree.txt", [], "ended before tree 1 of 2"),
+                                ("early_end.txt", ["end"], "ended before tree 1 of 2"),
+                                ("renumbered.txt", ["tree 5", *lines[second + 1:]],
+                                 "expected tree 1, got 'tree 5'")):
+        path = tmp_path / name
+        path.write_text("\n".join(lines[:second] + tail) + "\n")
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(str(path))
     padded = tmp_path / "padded.txt"
     padded.write_text(text + "extra stuff\n")
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError, match="trailing garbage"):
         load_model(str(padded))
+
+
+@pytest.mark.parametrize(
+    "model_text",
+    [
+        "aeslab-forest 1\nn_features 9223372036854775808\nn_trees 1\nmax_depth 16\n"
+        "min_samples_split 2\nfeatures_per_split 5\nseed 1\ntrain_fraction 0.7\ntree 0\n"
+        "i 9223372036854775807 1.0\nl 1 0\nl 0 1\nend\n",
+        "aeslab-forest 1\nn_features 1\nn_trees 1\nmax_depth 16\nmin_samples_split 2\n"
+        "features_per_split 1\nseed 1\ntrain_fraction 0.7\ntree 0\n"
+        "i 0 1.0\nl 9223372036854775808 1\nl 0 1\nend\n",
+    ],
+    ids=["feature index beyond 64 bits", "leaf count beyond 64 bits"],
+)
+def test_load_keeps_numbers_beyond_64_bits(tmp_path, model_text):
+    # trees are Python lists, so an index or count needs no fixed-width bound
+    path = tmp_path / "model.txt"
+    path.write_text(model_text)
+    again = tmp_path / "again.txt"
+    save_model(load_model(str(path)), str(again))
+    assert again.read_text() == model_text
 
 
 def _model_text(tmp_path):
@@ -783,8 +811,7 @@ def _model_text(tmp_path):
 
 @pytest.mark.parametrize(
     "bad_line",
-    ["i 2 1.0", "i -1 1.0", "l -5 3", "i x 1.0", "l 1", "l 9223372036854775808 1",
-     "i 1 nan", "i 0 -inf", "l 0 0",
+    ["i 2 1.0", "i -1 1.0", "l -5 3", "i x 1.0", "l 1", "i 1 nan", "i 0 -inf", "l 0 0",
      # int() and float() take these, but save_model never writes them
      "l 0_0 3", "l +1 3", "l 01 3", "i 0_0 1.0", "i 0 1_0.5"],
 )

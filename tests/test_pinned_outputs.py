@@ -1,12 +1,15 @@
 """Byte-level pins on the artifacts a fixed seed produces.
 
-All of them were re-recorded when simulated timing jitter moved from one
-generator per block to one stream indexed by block number: every latency
-changed, and with it the forest's splits. Before that they had held since
-the feature table became a single array pair (ASCII) and since the split
-search became one ranked-column histogram (uniform). Any change to feature
-assembly, splitting, fitting, serialization or voting that moves a single
-byte shows up here.
+The forest digests were last re-recorded when trees began to grow one
+depth at a time, drawing each level's candidate features together instead
+of one node at a time in pre-order: the same bootstrap rows, but different
+feature draws and so different splits. In ASCII plaintext mode only the
+model changed; its blocks, summary and predictions stayed the same. In the
+other three configurations all four digests changed. Before that, every
+digest was re-recorded when simulated timing jitter moved from one
+generator per block to one stream indexed by block number. Any change to
+feature assembly, splitting, fitting, serialization or voting that moves a
+single byte shows up here.
 Uniform inputs give every byte column up to 256 distinct values and grow
 deeper trees than ASCII inputs do.
 """
@@ -25,26 +28,26 @@ PINNED = {
     "plaintext": {
         "blocks": "eaae287eae5b2610c97920178aa1d2c3e77bdcbd98c05ac286e1794f0384acb6",
         "summary": "9cff51a2045f99ecb41db5863ecb41f37718d2cf742da8fc5f36a80a20a57d43",
-        "model": "1e78335e906a996d97e113e6238bef84c924676174f923c03ad07e0895bf1251",
+        "model": "1b09cf0c986649b909525a58269a3dfd05b27c410d5f4557dca7c8ac6a5813e4",
         "predict": "1017776e5a60e33325ddc0c8f736a04bfe9660064ced60c21d319dc0b8b65cdc",
     },
     "ciphertext": {
-        "blocks": "d633a8238127e22ca242078a167d4acec6022227639c40b828f6c9955cad6595",
-        "summary": "0ff20b31185ddc4485d7fa9756ebdb67fcfe98309dbc405c17f60bf231b91ab9",
-        "model": "649c68e41502bba93fdbda902ac9769f4b84c781e31461a707887fc067da0e48",
-        "predict": "53120d73a7fe7a1c9e0301954b68532ca977b3c842accafb94827a7108298f6d",
+        "blocks": "6ebaefad3917f82ddc242ad9a30529fa555030501647524da59738041aa57d87",
+        "summary": "4d9a53be40af5df4ffb4f67f59d32a4e19ca4cb27177665e41da3acba27e6839",
+        "model": "2e45cf50fae3d75d3681a7f16184cec4dd118b6692cdfadd2668a8878b9f5dea",
+        "predict": "5596746a14e947df3ee173cf3cba3b69b08018669588a9a4d81034798c6f540f",
     },
     "uniform-plaintext": {
-        "blocks": "4bfce3dad9f4eecade1eda8a7cbe48da7d3c04f5a0d7a8ca2ce31d27ade51045",
-        "summary": "37e6113fa041b89d758b05709b1acc4ac27bb54568edb7c7ce7ed72f269038d9",
-        "model": "d150270dd03922bec8e62a07168d08472da7a9be4b5c96f0d64b8f88acc7a6e9",
-        "predict": "634f6e46119a7537b5bd79b1b5fc0393161c9bfe66fc9a99ad6645a7b260d706",
+        "blocks": "e1690232850300710ef9f1aaeec212842ef429ce7e77a2463d2d8bd7c31fb73e",
+        "summary": "466cf86e8d9a41c1980b0c96e3351d2fefd733427c620edb09ecaa29b7707902",
+        "model": "9097766643aec2ed5aa12d9eec7400c97c2e6efc1b4d932bc4244f5abb3c2e27",
+        "predict": "e31f57657446ce3352a8aedb804dc652e8016a8b3f669620d28588967ed163d5",
     },
     "uniform-ciphertext": {
-        "blocks": "c253b82dc8a123d66f98fe4814f10e7a9e41b1cb4356ffa4573fc035d9c49934",
-        "summary": "dfae8d8e59ef733e1e63ac3a92571cf9a00a7684a1e62af8a830168593a178de",
-        "model": "650b834a2f7130a43bccb214ca79d2e19042b24c20b332199d3da509a762e412",
-        "predict": "edd7c69741dd357ced88936104b0b4abd2f068ce852c30d0bcbe3f44951b3ce3",
+        "blocks": "ac56b0687f4f125fdc3f67a0fe6e02902795e86b0859877c3a6d1152ec31e79b",
+        "summary": "d11b267f40ab142840e8842f8108ffc5d732d0ab06570988e191c099d6b803ec",
+        "model": "022ea6aa97c3ceab09754f1b944b4a4775cb3a1b8bcc4b031c8ca3563e7db449",
+        "predict": "a8117086da007bc533bb7f66be85735b1d72110153092030545f1da320b5cf58",
     },
 }
 
