@@ -49,8 +49,7 @@ from .workload import (
     BLOCK_SIZE,
     FAULT_MASK,
     KIND_FAULT,
-    AnomalyKind,
-    AnomalyTag,
+    TAGS,
     Blocks,
     Mode,
     RunConfig,
@@ -248,15 +247,14 @@ def run_known_answer_suite() -> List[KatResult]:
     return results
 
 
-@dataclass(frozen=True)
-class BlockRecord:
+class BlockRecord(NamedTuple):
     """One encrypted block: what went in (post-fault), what came out, and when."""
 
     index: int
     plaintext: bytes
     ciphertext: bytes
     time_us: float
-    tag: AnomalyTag
+    tag: tuple  # the workload.AnomalyTag of its kind, one of TAGS
 
     @property
     def truth_label(self) -> bool:
@@ -324,12 +322,10 @@ def encrypt_blocks(blocks: Blocks, key: Key128, cfg: RunConfig,
                 raise PipelineError(f"worker pool failed: {exc}") from exc
         cipher = b"".join(c for c, _ in parts)
         time_us = [t for _, times in parts for t in times]
-    none_tag, fault_tag = AnomalyTag(), AnomalyTag(AnomalyKind.FAULT)
-    tags = [AnomalyTag(AnomalyKind.DELAY, d) if d else fault_tag if k == KIND_FAULT else none_tag
-            for k, d in zip(blocks.kind.tolist(), delay_us.tolist())]
-    plain_bytes = plain.tobytes()
-    return [BlockRecord(i, plain_bytes[at:at + BLOCK_SIZE], cipher[at:at + BLOCK_SIZE], t, tag)
-            for i, at, t, tag in zip(index.tolist(), range(0, len(plain_bytes), BLOCK_SIZE), time_us, tags)]
+    block = np.dtype((np.void, BLOCK_SIZE))  # tolist gives one bytes object per block
+    return list(map(BlockRecord, index.tolist(), np.frombuffer(plain, block).tolist(),
+                    np.frombuffer(cipher, block).tolist(), time_us,
+                    map(TAGS.__getitem__, blocks.kind.tolist())))
 
 
 def run_pipeline(cfg: RunConfig, key: Key128, pool: Optional[Executor] = None) -> List[BlockRecord]:

@@ -263,8 +263,9 @@ def _scan_batch(
     n_cand = np.diff(first, append=held.size) - 1  # a segment's last held rank leaves no row right
     cand = np.ones(held.size, dtype=bool)
     cand[first + n_cand] = False
-    parents = [gini((t0, t1)) for t0, t1 in totals.tolist()]
-    per_cand = np.column_stack([totals.sum(axis=1), totals, parents]).repeat(n_cand, axis=0)
+    size = totals.sum(axis=1)
+    parent = _gini_vec(totals[:, 0], totals[:, 1], size)  # as gini does it, one per segment
+    per_cand = np.column_stack([size, totals, parent]).repeat(n_cand, axis=0)
     size, total0, total1, parent = per_cand.T  # float64, like every count below
     gains = _gains(np.add(left0, left1, dtype=np.float64).compress(cand),
                    left1.compress(cand).astype(np.float64), size, total0, total1, parent)

@@ -129,15 +129,15 @@ def build_dataset(
     feature_bytes are the bytes byte_source names."""
     if not records:
         raise ValueError("cannot build features from an empty run")
-    ordered = sorted(records, key=attrgetter("index"))
-    payload = attrgetter("plaintext" if byte_source is ByteSource.PLAINTEXT else "ciphertext")
-    feature_bytes = np.frombuffer(b"".join(map(payload, ordered)), dtype=np.uint8)
+    # by index alone: a whole-record sort would compare the tags' kinds on a tie
+    index, plaintext, ciphertext, time_us, tags = zip(*sorted(records, key=attrgetter("index")))
+    payload = plaintext if byte_source is ByteSource.PLAINTEXT else ciphertext
     return BlockTable(
-        np.array([r.index for r in ordered], dtype=np.int64),
-        np.array([r.time_us for r in ordered], dtype=np.float64),
-        feature_bytes.reshape(-1, len(BYTE_COLUMNS)),
-        tuple(r.tag.kind.value for r in ordered),
-        np.array([r.truth_label for r in ordered], dtype=bool),
+        np.array(index, dtype=np.int64),
+        np.array(time_us, dtype=np.float64),
+        np.frombuffer(b"".join(payload), dtype=np.uint8).reshape(-1, len(BYTE_COLUMNS)),
+        tuple(t.kind.value for t in tags),
+        np.array([t.is_anomaly for t in tags], dtype=bool),
     )
 
 

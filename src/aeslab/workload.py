@@ -3,15 +3,18 @@
 A run is a fixed-size batch of 16-byte blocks, held as columns (Blocks). Each
 block may carry one anomaly: a timing delay (extra latency before encryption)
 or a bit-flip fault (first plaintext byte XORed with 0xFF just before
-encryption). All randomness is drawn from numpy generators derived from the
-run seed, so a (seed, n_blocks, inject_pct) triple fully determines the run.
+encryption). A block's kind is a KIND_* code and its delay a column of its
+own; the cipher's records tag each block with one of the three shared TAGS,
+so a tag names the kind and nothing else. All randomness is drawn from numpy
+generators derived from the run seed, so a (seed, n_blocks, inject_pct) triple
+fully determines the run.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,19 +64,11 @@ class AnomalyKind(enum.Enum):
     FAULT = "fault"
 
 
-@dataclass(frozen=True)
-class AnomalyTag:
-    """Anomaly assigned to one block; delay_us is set only for DELAY tags."""
+class AnomalyTag(NamedTuple):
+    """The anomaly kind of one encrypted block. It stays only because perfbench
+    reads record.tag.kind; a block's delay lives in Blocks.delay_us."""
 
     kind: AnomalyKind = AnomalyKind.NONE
-    delay_us: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.kind is AnomalyKind.DELAY:
-            if self.delay_us is None or self.delay_us <= 0:
-                raise ValueError("delay tag requires a positive delay_us")
-        elif self.delay_us is not None:
-            raise ValueError(f"{self.kind.value} tag must not carry delay_us")
 
     @property
     def is_anomaly(self) -> bool:
@@ -82,6 +77,8 @@ class AnomalyTag:
 
 # codes of the Blocks.kind column, in AnomalyKind order
 KIND_NONE, KIND_DELAY, KIND_FAULT = range(len(AnomalyKind))
+# the tag of each code, shared by every block of that kind
+TAGS = tuple(map(AnomalyTag, AnomalyKind))
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,13 @@ from aeslab.workload import (
     KIND_DELAY,
     KIND_FAULT,
     KIND_NONE,
+    TAGS,
     AnomalyKind,
-    AnomalyTag,
     Blocks,
     InputDistribution,
     Mode,
     RunConfig,
+    assign_anomalies,
     generate_blocks,
 )
 
@@ -145,6 +146,8 @@ def test_fault_xor_flips_the_first_byte_of_fault_blocks_only(data, mode):
     kinds = [AnomalyKind.NONE, AnomalyKind.FAULT, AnomalyKind.DELAY]
     blocks = _blocks([0, 1, 2], [data] * 3, kinds, [0.0, 0.0, 1.0])
     clean, faulted, delayed = encrypt_blocks(blocks, key, RunConfig(mode=mode))
+    for record, code in zip((clean, faulted, delayed), blocks.kind.tolist()):
+        assert record.tag is TAGS[code]  # one shared tag per kind
     assert clean.plaintext == delayed.plaintext == data
     assert faulted.plaintext == bytes([data[0] ^ 0xFF]) + data[1:]
     for record in (clean, faulted, delayed):
@@ -209,7 +212,7 @@ def test_run_pipeline_anomaly_count_near_expectation():
 
 
 def _without_time(records):
-    return [dataclasses.replace(r, time_us=0.0) for r in records]
+    return [r._replace(time_us=0.0) for r in records]
 
 
 def test_run_pipeline_real_identical_across_worker_counts():
@@ -234,8 +237,11 @@ def test_records_identical_across_modes_and_worker_counts():
     assert [r.index for r in reference] == list(range(37))
     for records in runs[1:]:
         assert _without_time(records) == reference
+    delays = assign_anomalies(generate_blocks(37, base.input_dist, base.seed), base.inject_pct,
+                              base.seed, base.delay_min_us, base.delay_max_us).delay_us.tolist()
+    assert [d > 0 for d in delays] == [r.tag.kind is AnomalyKind.DELAY for r in runs[0]]
     for records in runs[:2]:  # real-mode latencies cover the injected sleep
-        assert all(r.time_us >= (r.tag.delay_us or 0.0) and r.time_us > 0 for r in records)
+        assert all(r.time_us >= d and r.time_us > 0 for r, d in zip(records, delays))
     # more workers than blocks leaves a worker an empty slice
     one = dataclasses.replace(base, n_blocks=1, workers=2)
     assert _without_time(run_pipeline(one, key)) == reference[:1]
@@ -270,7 +276,7 @@ def test_encrypt_blocks_matches_per_block_calls():
     for record, row in zip(via_pool, blocks.data):
         ciphertext, _ = encrypt_timed(row.tobytes(), [0.0], key.data, cfg.work_amplification)
         assert (record.plaintext, record.ciphertext) == (row.tobytes(), ciphertext)
-        assert record.tag == AnomalyTag()
+        assert record.tag is TAGS[KIND_NONE]
 
 
 class InlinePool:

@@ -462,8 +462,8 @@ def _sim_ascii_training_set():
 
 
 def test_fit_forest_memory_stays_bounded():
-    # 2.1 MiB before trees grew in lock-step and 2.6 MiB with 16 growing trees;
-    # all 101 trees growing at once take 6.1 MiB, and 30 MiB with unchunked scans
+    # trees grown level by level, 16 at a time, peak at 3.4 MiB; the peak follows
+    # _SCAN_CHUNK: 2.2 MiB at 2**14 and 7.9 MiB at 2**18 against 2**16
     train = _sim_ascii_training_set()
     assert train.X.shape == (2867, N_FEATURES)
     tracemalloc.start()

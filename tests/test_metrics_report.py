@@ -25,7 +25,7 @@ from aeslab.metrics_report import (
     run_id,
     score,
 )
-from aeslab.workload import AnomalyKind, AnomalyTag, Mode, RunConfig
+from aeslab.workload import TAGS, Mode, RunConfig
 
 import oracle_csv
 
@@ -380,13 +380,6 @@ def test_export_failing_midway_keeps_the_earlier_files(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
 
 
-_TAGS = {
-    AnomalyKind.NONE: AnomalyTag(),
-    AnomalyKind.DELAY: AnomalyTag(AnomalyKind.DELAY, 5000.0),
-    AnomalyKind.FAULT: AnomalyTag(AnomalyKind.FAULT),
-}
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_export_then_read_gives_back_the_dataset(data):
@@ -394,7 +387,7 @@ def test_export_then_read_gives_back_the_dataset(data):
     block = st.binary(min_size=16, max_size=16)
     records = [
         BlockRecord(i, data.draw(block), data.draw(block),
-                    data.draw(st.floats(0.0, 1e9)), _TAGS[data.draw(st.sampled_from(AnomalyKind))])
+                    data.draw(st.floats(0.0, 1e9)), data.draw(st.sampled_from(TAGS)))
         for i in range(n)
     ]
     byte_source = data.draw(st.sampled_from(ByteSource))

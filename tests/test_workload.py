@@ -15,8 +15,6 @@ from aeslab.workload import (
     KIND_DELAY,
     KIND_FAULT,
     KIND_NONE,
-    AnomalyKind,
-    AnomalyTag,
     Blocks,
     InputDistribution,
     Mode,
@@ -175,17 +173,6 @@ def test_apply_fault_ignores_untagged_blocks():
 def test_apply_fault_is_an_involution(data):
     (faulted,) = _encrypted_plaintexts(data, [KIND_FAULT])
     assert _encrypted_plaintexts(faulted, [KIND_FAULT]) == [data]
-
-
-def test_anomaly_tag_validation():
-    with pytest.raises(ValueError):
-        AnomalyTag(AnomalyKind.DELAY)
-    with pytest.raises(ValueError):
-        AnomalyTag(AnomalyKind.DELAY, -5.0)
-    with pytest.raises(ValueError):
-        AnomalyTag(AnomalyKind.NONE, 10.0)
-    with pytest.raises(ValueError):
-        AnomalyTag(AnomalyKind.FAULT, 10.0)
 
 
 def _columns(n=3):
