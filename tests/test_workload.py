@@ -15,6 +15,9 @@ from aeslab.workload import (
     KIND_DELAY,
     KIND_FAULT,
     KIND_NONE,
+    TAGS,
+    AnomalyKind,
+    AnomalyTag,
     Blocks,
     InputDistribution,
     Mode,
@@ -173,6 +176,17 @@ def test_apply_fault_ignores_untagged_blocks():
 def test_apply_fault_is_an_involution(data):
     (faulted,) = _encrypted_plaintexts(data, [KIND_FAULT])
     assert _encrypted_plaintexts(faulted, [KIND_FAULT]) == [data]
+
+
+def test_anomaly_tag_validation():
+    # one shared tag per KIND_* code; a delay belongs to Blocks.delay_us, not the tag
+    assert [tag.kind for tag in TAGS] == list(AnomalyKind)
+    assert TAGS[KIND_NONE] == AnomalyTag() and not AnomalyTag().is_anomaly
+    assert TAGS[KIND_DELAY].is_anomaly and TAGS[KIND_FAULT].is_anomaly
+    with pytest.raises(TypeError):
+        AnomalyTag(AnomalyKind.DELAY, 5000.0)
+    with pytest.raises(AttributeError):
+        TAGS[KIND_NONE].kind = AnomalyKind.FAULT
 
 
 def _columns(n=3):
