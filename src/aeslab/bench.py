@@ -4,10 +4,12 @@ Each measurement runs the full pipeline once untimed to warm caches and
 the worker pool, then times a second run on the same pool. Mean latency
 comes from the per-block spans, throughput from blocks over the timed wall
 clock. Peak memory is reported where the platform exposes ru_maxrss, in
-two columns: peak_memory_mb for the measuring process and peak_children_mb
-for the largest of its finished children (the pool workers). A sweep runs
-each cell in a fresh process, so no earlier cell and no process started
-before the sweep shows in a cell's figures.
+two columns: peak_memory_mb for how far the measuring process's peak rose
+above its mark when the measurement started, and peak_children_mb for the
+largest of its finished children (the pool workers). A sweep runs each cell
+in a fresh process, so no earlier cell and no process started before the
+sweep shows in a cell's figures; a forked cell starts with the sweeping
+process's size as its peak, which the rise leaves out.
 """
 
 from __future__ import annotations
@@ -55,22 +57,25 @@ def peak_memory_mb(children: bool = False) -> Optional[float]:
 
 def measure_run(cfg: RunConfig, key: Key128) -> BenchRecord:
     """Warm up, then time one pipeline run under cfg; with several workers
-    both runs share one pool, so the timed run starts no processes."""
+    both runs share one pool, so the timed run starts no processes. The
+    memory figure is the rise of this process's peak over its mark here."""
     if cfg.mode is not Mode.REAL:
         raise ValueError("benchmarks measure real mode only")
     cfg.validate()
+    start_mb = peak_memory_mb()
     with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
         run_pipeline(cfg, key, pool)
         start = time.perf_counter()
         records = run_pipeline(cfg, key, pool)
         wall_s = time.perf_counter() - start
     # read after the pool has shut down, so the children's peak covers its workers
+    peak_mb = peak_memory_mb()
     return BenchRecord(
         block_count=cfg.n_blocks,
         workers=cfg.workers,
         mean_latency_us=fmean(r.time_us for r in records),
         throughput_bps=cfg.n_blocks / wall_s,
-        peak_memory_mb=peak_memory_mb(),
+        peak_memory_mb=None if peak_mb is None else peak_mb - start_mb,
         peak_children_mb=peak_memory_mb(children=True),
         wall_time_s=wall_s,
     )

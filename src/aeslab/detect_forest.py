@@ -36,7 +36,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from .files import atomic_write
+from .files import atomic_write, digit_runs
 from .workload import _STREAM_SPLIT, _STREAM_TREE, _rng
 
 N_FEATURES = 17
@@ -476,17 +476,21 @@ def save_model(model: ForestModel, path: str) -> None:
     too, is its shortest round trip. The dump replaces an earlier file at
     path only once it is complete.
     """
-    header = {"n_features": model.n_features, **vars(model.hyper)}
     with atomic_write(path, encoding="ascii") as out:
-        out.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n")
-        for name, _ in _HEADER_FIELDS:
-            value = header[name]
-            out.write(f"{name} {'none' if value is None else value}\n")
+        out.write(_header_text(model.n_features, model.hyper))
         for i, tree in enumerate(model.trees):
             out.write(f"tree {i}\n")
             for f, t, (c0, c1) in zip(tree.feature, tree.threshold, tree.counts):
                 out.write(f"l {c0} {c1}\n" if f < 0 else f"i {f} {t}\n")
         out.write("end\n")
+
+
+def _header_text(n_features: int, hyper: ForestHyperparams) -> str:
+    """The magic line and the header lines of a save_model dump."""
+    header = {"n_features": n_features, **vars(hyper)}
+    return f"{MODEL_MAGIC} {MODEL_VERSION}\n" + "".join(
+        f"{name} {'none' if header[name] is None else header[name]}\n" for name, _ in _HEADER_FIELDS
+    )
 
 
 def _read_tree(lines: Iterator[str], hyper: ForestHyperparams, n_features: int) -> Tree:
@@ -571,16 +575,8 @@ def _parse_header_field(lines: Iterator[str], name: str, kind: Callable[[str], _
         raise ModelFormatError(f"unparsable value of header field {name!r}: {parts[1]!r}") from None
 
 
-def load_model(path: str) -> ForestModel:
-    """Re-read a save_model dump; refuses other versions or malformed files."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        lines = iter(data.decode("ascii").splitlines())
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(
-            f"model file is not ASCII: byte {data[exc.start]:#04x} at offset {exc.start}"
-        ) from None
+def _read_header(lines: Iterator[str]) -> Tuple[int, ForestHyperparams]:
+    """n_features and the hyperparameters from the magic line and header lines."""
     try:
         first = next(lines).split()
     except StopIteration:
@@ -598,6 +594,20 @@ def load_model(path: str) -> ForestModel:
         raise ModelFormatError(f"invalid model header: {exc}") from None
     if n_features < 1:
         raise ModelFormatError("invalid model header: n_features must be at least 1")
+    return n_features, hyper
+
+
+def _read_lines(data: bytes) -> ForestModel:
+    """The line pass: the model of any file load_model accepts, else a
+    ModelFormatError naming the first fault. Lines are split as
+    str.splitlines and str.split split them."""
+    try:
+        lines = iter(data.decode("ascii").splitlines())
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(
+            f"model file is not ASCII: byte {data[exc.start]:#04x} at offset {exc.start}"
+        ) from None
+    n_features, hyper = _read_header(lines)
     trees = []
     for i in range(hyper.n_trees):
         marker = next(lines, "end").split()
@@ -610,3 +620,148 @@ def load_model(path: str) -> ForestModel:
     if tail != ["end"]:
         raise ModelFormatError("model file has trailing garbage or a missing end marker")
     return ForestModel(tuple(trees), hyper, n_features)
+
+
+# the bytes of the trees as save_model writes them: the words tree and end,
+# the node kinds i and l, and the digits, signs, points and exponents of
+# numbers; with no other whitespace, lines end at b"\n" and cells at b" " only
+_TREE_BYTES = b"treendil0123456789+-. \n"
+_SPACE, _LINE_END, _SPLIT_NODE, _LEAF, _MARKER, _ZERO = b" \nilt0"
+
+
+def _canonical_ints(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
+    """digit_runs of buf[lo[k]:hi[k]] if each is as str writes it: no leading zero but in 0."""
+    values = digit_runs(buf, lo, hi)
+    if values is None or ((buf[lo] == _ZERO) & (hi - lo > 1)).any():
+        return None
+    return values
+
+
+def _read_exact(data: bytes) -> Optional[ForestModel]:
+    """The bulk pass: the model of a file laid out as save_model writes it, else None.
+
+    The header must be the text save_model writes for the values it holds.
+    Every later line ends in b"\n" and is "tree i" for the next i, a node
+    line or the final "end". A node line is its kind, a space, a feature
+    index or count, a space and a count or a threshold. Each integer is
+    canonical (no sign, no leading zero, at most 18 digits); a threshold is
+    any text of digits, signs, points and e that float() takes, as in the
+    line pass. Lines and cells are found by the offsets of their line ends
+    and spaces, the integers are decoded as digit runs, and every tree's
+    shape and depth are checked at once; only the thresholds pass through
+    Python one by one. None means the line pass gives the result, or names
+    the fault.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == _LINE_END)
+    n_head = len(_HEADER_FIELDS) + 1  # with the magic line
+    if ends.size < n_head + 3 or ends[-1] != buf.size - 1:  # a tree marker, a node and end
+        return None
+    head = int(ends[n_head - 1]) + 1
+    try:
+        text = data[:head].decode("ascii")
+        n_features, hyper = _read_header(iter(text.splitlines()))
+    except (UnicodeDecodeError, ModelFormatError):
+        return None
+    if text != _header_text(n_features, hyper) or data[head:].translate(None, _TREE_BYTES):
+        return None
+    ends = ends[n_head:]
+    starts = np.concatenate(([head], ends[:-1] + 1))
+    if data[starts[-1]:] != b"end\n":
+        return None
+    starts, ends = starts[:-1], ends[:-1]  # the lines of the trees
+    kind = buf[starts]  # a blank line's is its line end
+    marked = np.flatnonzero(kind == _MARKER)
+    if marked.size != hyper.n_trees or marked[0] != 0 or b"".join(
+        data[a:b + 1] for a, b in zip(starts[marked].tolist(), ends[marked].tolist())
+    ) != b"".join(b"tree %d\n" % i for i in range(marked.size)):
+        return None
+    is_node = np.ones(kind.size, dtype=bool)
+    is_node[marked] = False
+    nodes = np.diff(np.append(marked, kind.size)) - 1  # of each tree
+    if nodes.min() < 1:
+        return None
+
+    # A marker line holds one space and a node line two. With that many in
+    # all, each line holds its own iff its last lies before its line end and
+    # the next line's first after it.
+    spaces = np.flatnonzero(buf[head:] == _SPACE) + head  # none on the end line
+    held = np.cumsum(is_node + 1)  # spaces up to the end of each line
+    if spaces.size != held[-1] or (spaces[held - 1] > ends).any() or (
+        spaces[held[:-1]] < ends[:-1]
+    ).any():
+        return None
+    first, second = spaces[held[is_node] - 2], spaces[held[is_node] - 1]
+    starts, ends, kind = starts[is_node], ends[is_node], kind[is_node]
+    split, leaf = kind == _SPLIT_NODE, kind == _LEAF
+    if not (split | leaf).all() or (first != starts + 1).any():
+        return None
+    # the first number of each node line, a feature index or a benign count,
+    # then the second of each leaf line, its anomalous count
+    ints = _canonical_ints(buf, np.append(first, second[leaf]) + 1, np.append(second, ends[leaf]))
+    if ints is None:
+        return None
+    number, anomalous = ints[:kind.size], ints[kind.size:]
+    if ((number[leaf] == 0) & (anomalous == 0)).any():  # a leaf holds no training samples
+        return None
+    if split.any() and int(number[split].max()) >= n_features:
+        return None
+    # each threshold runs from after the second space through its line end
+    edge = np.zeros(buf.size + 1, dtype=np.int8)
+    edge[second[split] + 1], edge[ends[split] + 1] = 1, -1
+    inside = np.cumsum(edge[:-1], dtype=np.int8).view(bool)
+    try:
+        values = list(map(float, buf[inside].tobytes().decode("ascii").split("\n")[:-1]))
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, values)):
+        return None
+
+    # In pre-order a split opens one slot for a child and a leaf closes one,
+    # so tree t, which starts with running total -t, is one complete tree iff
+    # the total stays at least -t until its last node and ends at -t - 1.
+    total = np.cumsum(np.where(split, 1, -1))
+    tree = np.repeat(np.arange(nodes.size), nodes)
+    last = np.zeros(kind.size, dtype=bool)
+    last[np.cumsum(nodes) - 1] = True
+    if not np.where(last, total == -tree - 1, total >= -tree).all():
+        return None
+    if hyper.max_depth is not None and split.any():
+        # a node's depth is the number of splits before it less those whose
+        # subtree ended before it; split k's ends at the first later node
+        # where the running total is total[k] - 2
+        below = total.min()
+        keys = np.sort((total - below) * kind.size + np.arange(kind.size))
+        at = np.flatnonzero(split)
+        want = (total[at] - 2 - below) * kind.size
+        subtree_end = keys[np.searchsorted(keys, want + at)] - want
+        ended = np.cumsum(np.bincount(subtree_end + 1, minlength=kind.size + 1))[:-1]
+        depth = np.cumsum(split) - split - ended
+        if int(depth[at].max()) >= hyper.max_depth:
+            return None
+
+    # object arrays place the Python numbers, and let the leaves share one 0.0
+    # and the split nodes one (0, 0), as in the line pass
+    cut = np.full(kind.size, 0.0, dtype=object)
+    cut[split] = values
+    counts = np.full(kind.size, None, dtype=object)
+    counts.fill((0, 0))
+    counts[leaf] = np.fromiter(zip(number[leaf].tolist(), anomalous.tolist()), object, anomalous.size)
+    bounds = np.append(0, np.cumsum(nodes)).tolist()
+    feature, cut, counts = np.where(split, number, -1).tolist(), cut.tolist(), counts.tolist()
+    trees = (Tree(feature[x:y], cut[x:y], counts[x:y]) for x, y in zip(bounds, bounds[1:]))
+    return ForestModel(tuple(trees), hyper, n_features)
+
+
+def load_model(path: str) -> ForestModel:
+    """Re-read a save_model dump; refuses other versions or malformed files.
+
+    A file laid out as save_model writes it is read in bulk by _read_exact;
+    any other file, or one with a fault, is read line by line, which names
+    the first fault. Both give the same model, or refuse with the same
+    message.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    model = _read_exact(data)
+    return _read_lines(data) if model is None else model

@@ -1,11 +1,13 @@
-"""Artifact files that are either written whole or not at all."""
+"""Artifact files: each is written whole or not at all, and read back in bulk."""
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import IO, Iterator, Union
+from typing import IO, Iterator, Optional, Union
+
+import numpy as np
 
 
 @contextmanager
@@ -27,3 +29,37 @@ def atomic_write(path: Union[str, Path], **open_args) -> Iterator[IO[str]]:
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+_POWERS_OF_TEN = 10 ** np.arange(17, -1, -1)  # int64, 10**17 down to 1
+_ROWS = np.arange(len(_POWERS_OF_TEN) + 1)[:, None]
+
+
+def digit_runs(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+               point: int = 0) -> Optional[np.ndarray]:
+    """The int64 value of each run of 1 to 18 decimal digits buf[lo[k]:hi[k]]
+    of a file's bytes, or None if any run is not one. With point > 0 each
+    run has a decimal point before its last point digits, and its value is
+    that of its digits without the point ("1.250" is 1250 with point 3).
+
+    Column k of one array, as many rows deep as the longest run, holds the
+    bytes that end where run k does; the rows above a shorter run are
+    masked. So a column of cells takes a fixed number of array steps.
+    """
+    size = hi - lo
+    width = int(size.max())
+    if size.min() < point + 1 + (point > 0) or width > len(_POWERS_OF_TEN) + (point > 0):
+        return None
+    window = buf.take(hi + (_ROWS[:width] - width), mode="clip")  # masked rows may clip
+    digits = window - ord("0")  # uint8: a byte below "0" wraps past 9
+    inside = _ROWS[:width] >= width - size
+    powers = _POWERS_OF_TEN[-width:]
+    if point:
+        at = width - 1 - point
+        if (window[at] != ord(".")).any():
+            return None
+        inside[at] = False
+        powers = np.concatenate((_POWERS_OF_TEN[-at - point:-point], [0], powers[-point:]))
+    if (inside & (digits > 9)).any():
+        return None
+    return powers @ (digits * inside)

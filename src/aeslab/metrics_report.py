@@ -26,7 +26,7 @@ import numpy as np
 
 from .cipher import BlockRecord
 from .detect_forest import N_FEATURES, ByteSource, Dataset
-from .files import atomic_write
+from .files import atomic_write, digit_runs
 from .workload import RunConfig
 
 
@@ -228,9 +228,11 @@ _NIBBLE = np.full(256, 16, dtype=np.uint8)
 _NIBBLE[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
 _NIBBLE[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
 
-_COMMA, _CR, _LF = b",\r\n"
+_COMMA, _CR, _LF, _MINUS, _POINT = b",\r\n-."
 _BASE_16 = (16,) * len(BYTE_COLUMNS)
-_TRUE, _FALSE = (np.frombuffer(word, dtype=np.uint8) for word in (b"true", b"false"))
+# the flag words and the offsets of a cell's first five bytes, byte j in row j
+_TRUE, _FALSE = (np.frombuffer(word, dtype=np.uint8)[:, None, None] for word in (b"true", b"false"))
+_FIVE = np.arange(5)[:, None, None]
 
 _REQUIRED_COLUMNS = {"index", "time_us", *BYTE_COLUMNS}
 
@@ -244,6 +246,24 @@ def _cells(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> List[str]:
     picked = buf.take(at, mode="clip")  # the byte after the file's last cell may lie past its end
     picked[stops - 1] = _COMMA
     return picked.tobytes().decode("ascii").split(",")[:-1]
+
+
+def _whole_numbers(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
+    """int() of each cell buf[lo[k]:hi[k]] if every one is written -?[0-9]{1,18}, else None."""
+    minus = buf.take(lo, mode="clip") == _MINUS
+    values = digit_runs(buf, lo + minus, hi)
+    return None if values is None else np.where(minus, -values, values)
+
+
+def _thousandths(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
+    """float() of each cell buf[lo[k]:hi[k]] if every one is written
+    [0-9]{1,12}\\.[0-9]{3}, else None. Its digits make an integer below
+    10**15, which a double holds exactly, so one correctly rounded division
+    by 1000.0 gives the double nearest the decimal, as float() does."""
+    if (hi - lo).max() > 16:
+        return None
+    values = digit_runs(buf, lo, hi, point=3)
+    return None if values is None else values / 1000.0
 
 
 def _decode_lines(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
@@ -271,26 +291,33 @@ def _decode_lines(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
 
     flags = [name for name in FLAG_COLUMNS if name in where]
     if flags:
-        at = first[:, [where[name] for name in flags]]
-        size = last[:, [where[name] for name in flags]] - at
-        head = buf.take(at[:, :, None] + np.arange(5), mode="clip")  # each cell's first five bytes
-        is_true = (size == 4) & (head[:, :, :4] == _TRUE).all(axis=-1)
-        if not (is_true | (size == 5) & (head == _FALSE).all(axis=-1)).all():
+        # byte j of every cell of every flag column in head[j], so each numpy
+        # step runs along whole columns rather than along five bytes at a time
+        at = first[:, [where[name] for name in flags]].T
+        size = last[:, [where[name] for name in flags]].T - at
+        head = buf.take(at + _FIVE, mode="clip")
+        is_true = (size == 4) & (head[:4] == _TRUE).all(axis=0)
+        if not (is_true | (size == 5) & (head == _FALSE).all(axis=0)).all():
             return None
-        cols.update(zip(flags, is_true.T))
+        cols.update(zip(flags, is_true))
 
-    text = {name: _cells(buf, first[:, where[name]], last[:, where[name]])
-            for name in ("index", "time_us", "tag") if name in where}
-    try:
-        cols["index"] = np.fromiter(map(int, text["index"]), np.int64, m)
-        cols["time_us"] = np.fromiter(map(float, text["time_us"]), np.float64, m)
-    except (ValueError, OverflowError):
-        return None
+    # number cells in the form export_csv writes are decoded by their digits,
+    # a step with any other takes that column through int() or float()
+    for name, decode, parse, dtype in (("index", _whole_numbers, int, np.int64),
+                                       ("time_us", _thousandths, float, np.float64)):
+        lo, hi = first[:, where[name]], last[:, where[name]]
+        cols[name] = decode(buf, lo, hi)
+        if cols[name] is None:
+            try:
+                cols[name] = np.fromiter(map(parse, _cells(buf, lo, hi)), dtype, m)
+            except (ValueError, OverflowError):
+                return None
     if not np.isfinite(cols["time_us"]).all():
         return None
-    if "tag" in text:
+    if "tag" in where:
+        text = _cells(buf, first[:, where["tag"]], last[:, where["tag"]])
         unique = {}  # one string per distinct tag, not one per row, for the table to hold
-        cols["tag"] = list(map(unique.setdefault, text["tag"], text["tag"]))
+        cols["tag"] = list(map(unique.setdefault, text, text))
     return cols
 
 
@@ -301,15 +328,17 @@ def _read_canonical(path: Union[str, Path]) -> Optional[BlockTable]:
     a CRLF. Then csv splits a line at each comma and nowhere else, so the
     fields are found by their offsets. Each data line must hold exactly the
     header's fields, each byte cell two hex digits and each flag cell true or
-    false; only the index, time_us and tag cells become Python objects.
+    false. Index and time_us cells as export_csv writes them are decoded by
+    their digits; only tag cells, and a step's number cells in any other
+    form, become Python objects.
     """
     data = Path(path).read_bytes()
-    if not data.isascii() or b'"' in data or b"\0" in data or (
-        data.count(b"\r") != data.count(b"\r\n")
-    ):
+    if not data.isascii() or b'"' in data or b"\0" in data:
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
     stops = np.flatnonzero(buf == _LF)
+    if np.count_nonzero(buf == _CR) != np.count_nonzero(buf[np.maximum(stops - 1, 0)] == _CR):
+        return None  # a CR that does not start a CRLF
     if buf.size and buf[-1] != _LF:
         stops = np.append(stops, buf.size)  # the last line has no line end
     if stops.size < 2:

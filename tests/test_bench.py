@@ -62,14 +62,20 @@ def test_sweep_reports_each_cells_own_peaks():
     # a child of the sweeping process that ended before the sweep
     subprocess.run([sys.executable, "-c", "b = bytearray(64 << 20)"], check=True)
     assert peak_memory_mb(children=True) > 64
+    # 64 MiB written in the sweeping process, which each forked cell starts with
+    held = b"\1" * (64 << 20)
     base = RunConfig(inject_pct=0.0, mode=Mode.REAL)
     records = sweep([8, 16], [1, 2], base, KEY)
+    del held
     assert [(r.block_count, r.workers, r.error) for r in records] == [
         (8, 1, None), (8, 2, None), (16, 1, None), (16, 2, None)]
     # a one-worker cell starts no process: neither that child nor the pool of
     # the (8, 2) cell before it shows in its figures
     assert [r.peak_children_mb for r in records if r.workers == 1] == [0.0, 0.0]
     assert all(r.peak_children_mb > 0 for r in records if r.workers == 2)
+    # nor does the size the cell started with: a few blocks raise its peak by
+    # a few MiB (about 10 here, mostly pages of the libraries the run touches)
+    assert all(0 <= r.peak_memory_mb < 32 for r in records)
 
 
 def test_measure_run_warms_the_pool_it_times(monkeypatch):

@@ -5,6 +5,8 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from aeslab.detect_forest import ByteSource, ModelFormatError, load_model, split
 from aeslab.detect_threshold import fit_threshold
 from aeslab.metrics_report import read_blocks_csv, rows_to_vectors
 from aeslab.workload import MAX_WORKERS, InputDistribution, Mode
+
+import oracle_model
 
 
 def _run_flags(tmp_path, **overrides):
@@ -471,10 +475,7 @@ _EDITS = st.tuples(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(_EDITS, min_size=1, max_size=4))
-def test_mutated_model_files_load_or_fail_as_one_error_line(saved_model, tmp_path_factory, edits):
-    original, blocks_csv = saved_model
+def _edited(original, edits):
     data = bytearray(original)
     for op, where, byte in edits:
         at = int(where * len(data))
@@ -484,8 +485,15 @@ def test_mutated_model_files_load_or_fail_as_one_error_line(saved_model, tmp_pat
             data.insert(at, byte)
         elif data:
             del data[at]
+    return bytes(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_EDITS, min_size=1, max_size=4))
+def test_mutated_model_files_load_or_fail_as_one_error_line(saved_model, tmp_path_factory, edits):
+    original, blocks_csv = saved_model
     path = tmp_path_factory.mktemp("mutated") / "model.txt"
-    path.write_bytes(bytes(data))
+    path.write_bytes(_edited(original, edits))
     try:
         load_model(str(path))
     except ModelFormatError:
@@ -497,6 +505,24 @@ def test_mutated_model_files_load_or_fail_as_one_error_line(saved_model, tmp_pat
         status = main(["predict", "--model", str(path), "--csv", str(blocks_csv)])
     assert status == 1
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_EDITS, max_size=4))
+def test_mutated_model_files_load_as_the_line_reader_reads_them(saved_model, edits):
+    # the same model or the same message, whichever pass load_model takes
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.txt"
+        path.write_bytes(_edited(saved_model[0], edits))
+        try:
+            want = repr(oracle_model.load(path))
+        except ValueError as exc:
+            want = str(exc)
+        try:
+            got = repr(oracle_model.plain(load_model(str(path))))
+        except ModelFormatError as exc:
+            got = str(exc)
+    assert got == want
 
 
 def test_worker_counts_beyond_the_bound_are_usage_errors(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import random
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -31,6 +32,7 @@ from aeslab.metrics_report import build_dataset, rows_to_vectors
 from aeslab.workload import Mode, RunConfig
 
 import oracle_grow
+import oracle_model
 from oracle_split import brute_force_best_split
 
 
@@ -876,6 +878,169 @@ def test_load_reads_deep_trees_without_recursion(tmp_path):
         path.write_text(text)
         with pytest.raises(ModelFormatError):
             load_model(str(path))
+
+
+# ---------------------------------------------------------------- loader against the oracle
+
+
+def _load_outcome(load, path):
+    """repr of what load gives for path, or the message of its ModelFormatError: repr
+    tells -0.0 from 0.0 and a numpy number from a Python one."""
+    error = ValueError if load is oracle_model.load else ModelFormatError
+    try:
+        model = load(str(path))
+    except error as exc:
+        return str(exc)
+    return repr(model if load is oracle_model.load else oracle_model.plain(model))
+
+
+def _assert_loads_as_the_oracle(path):
+    """load_model gives what the oracle gives, and so does the bulk pass
+    where it takes the file; returns the bulk pass's model or None."""
+    want = _load_outcome(oracle_model.load, path)
+    assert _load_outcome(load_model, path) == want
+    exact = detect_forest._read_exact(Path(path).read_bytes())
+    assert exact is None or repr(oracle_model.plain(exact)) == want
+    return exact
+
+
+# thresholds save_model writes in every form str gives a float: subnormal,
+# signed zero, huge, exponent and 17-digit forms among them
+_ODD_THRESHOLDS = [5e-324, 2.5e-310, -0.0, 0.0, 1e308, -1.7976931348623157e308, 1e-05, 1e16,
+                   0.1 + 0.2, 64.5, 255.5]
+_THRESHOLDS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from(_ODD_THRESHOLDS))
+_COUNTS = st.one_of(
+    st.tuples(st.integers(0, 40), st.integers(0, 40)).filter(any),
+    st.integers(1, 40).map(lambda c: (c, c)),  # tied
+    st.tuples(st.integers(0, 10**18 - 1), st.integers(1, 10**18 - 1)),
+    st.tuples(st.integers(0, 2**70), st.integers(1, 2**70)),  # 19 digits and more
+)
+
+
+@st.composite
+def _random_trees(draw, n_features):
+    """A tree of a random shape, or a chain of 1,000 to 1,500 splits, each
+    with one leaf child, whose numbers come from a seeded generator."""
+    if draw(st.integers(0, 9)):
+        feature, threshold, counts = [], [], []
+        for split in _split_flags(draw(_TREE_SHAPES)):
+            feature.append(draw(st.integers(0, n_features)) if split else -1)  # n_features is out
+            threshold.append(draw(_THRESHOLDS) if split else 0.0)
+            counts.append((0, 0) if split else draw(_COUNTS))
+        return Tree(feature, threshold, counts)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kinds = []
+    goes_left = [rng.random() < 0.5 for _ in range(rng.randint(1000, 1500))]
+    for left in goes_left:
+        kinds += [True] if left else [True, False]  # a split, and a leaf left of the chain
+    kinds += [False] + [False for left in reversed(goes_left) if left]
+    feature = [rng.randrange(min(n_features, 17)) if split else -1 for split in kinds]
+    threshold = [rng.choice(_ODD_THRESHOLDS) if rng.random() < 0.2 else rng.uniform(-1e3, 1e3)
+                 if split else 0.0 for split in kinds]
+    counts = [(0, 0) if split else (rng.randint(0, 9), rng.randint(1, 9)) for split in kinds]
+    return Tree(feature, threshold, counts)
+
+
+def _split_flags(shape):
+    """Whether each node of a shape (see _TREE_SHAPES) splits, in pre-order."""
+    flags, pending = [], [shape]
+    while pending:
+        node = pending.pop()
+        flags.append(node is not None)
+        if node is not None:
+            pending += [node[1], node[0]]
+    return flags
+
+
+def _depth(tree):
+    depth, deepest = [0] * len(tree.feature), 0
+    for node, f in enumerate(tree.feature):
+        if f >= 0:
+            depth[node + 1] = depth[tree.right[node]] = depth[node] + 1
+            deepest = max(deepest, depth[node] + 1)
+    return deepest
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_load_model_agrees_with_the_line_reader(data):
+    n_features = data.draw(st.sampled_from([1, 2, 17, 2**63, 2**64 + 5]))
+    trees = data.draw(st.lists(_random_trees(n_features), min_size=1, max_size=4))
+    deepest = max(map(_depth, trees))
+    hyper = ForestHyperparams(
+        n_trees=len(trees) + data.draw(st.sampled_from([0, 0, 0, -1, 1])) or 1,
+        max_depth=data.draw(st.one_of(st.none(), st.integers(max(deepest - 1, 0), deepest + 1))),
+        seed=data.draw(st.integers(0, 2**64 - 1)),
+        train_fraction=data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "model.txt", Path(tmp) / "again.txt"
+        save_model(ForestModel(tuple(trees), hyper, n_features), str(path))
+        exact = _assert_loads_as_the_oracle(path)
+        if exact is not None or not isinstance(_load_outcome(load_model, path), str):
+            save_model(load_model(str(path)), str(again))
+            assert again.read_bytes() == path.read_bytes()
+    small = all(f < 10**18 and max(c) < 10**18 for tree in trees
+                for f, c in zip(tree.feature, tree.counts))
+    fits = (hyper.n_trees == len(trees) and all(f < n_features for tree in trees for f in tree.feature)
+            and (hyper.max_depth is None or deepest <= hyper.max_depth))
+    assert (exact is not None) == (small and fits)
+
+
+_ONE_TREE = ("aeslab-forest 1\nn_features 1\nn_trees 1\nmax_depth none\nmin_samples_split 2\n"
+             "features_per_split 1\nseed 1\ntrain_fraction 0.7\ntree 0\ni 0 1.0\nl 1 0\nl 0 1\nend\n")
+
+
+@pytest.mark.parametrize("edit", [
+    ("i 0 ", "i\t0 "), ("i 0 ", "i  0 "), ("i 0 ", "i 0  "), ("l ", " l "), ("\n", "\r\n"),
+    ("l 0 1\n", "l 0 1 \n"), ("i 0 ", "i\x0b0 "), ("i 0 ", "i 0\x0c "), ("l 0 1", "l 0\x1c 1"),
+    ("l 0 1", "l +0 1"), ("l 0 1", "l 00 1"), ("l 0 1", "l 0 01"), ("l 0 1", "l 0 1_0"),
+    ("l 0 1", "l -0 1"), ("i 0 1.0", "i 0 1E0"), ("i 0 1.0", "i 0 1_0.0"), ("i 0 1.0", "i 0 inf"),
+    ("i 0 1.0", "i 0 nan"), ("i 0 1.0", "i 0 1e999"), ("i 0 1.0", "i 0 1.0.0"), ("i 0 1.0", "i 0 "),
+    ("i 0 ", "i 1 "), ("i 0 ", "i 01 "), ("i 0 ", "i -0 "), ("i 0 ", f"i {2**63} "),
+    ("l 0 1", f"l 0 {2**63}"), ("l 0 1", f"l {2**64} 1"), ("l 0 1", "l 0 1000000000000000000"),
+    ("tree 0", "tree 00"), ("tree 0", "tree  0"), ("end\n", "end"), ("end\n", "end\n\n"),
+    ("end\n", "end \n"), ("l 0 1", "l 0 0"), ("max_depth none", "max_depth 0"),
+    ("i 0 1.0\nl 1 0\n", "l 1 0\ni 0 1.0\n"),  # the tree is complete before its last node
+    ("l 0 1\n", "l 0 1\nl 0 1\n"), ("l 1 0\n", ""),  # a node too many, one too few
+])
+def test_load_sends_what_split_takes_but_save_model_never_writes_to_the_line_reader(
+        tmp_path, edit):
+    path = tmp_path / "model.txt"
+    path.write_text(_ONE_TREE)
+    assert _assert_loads_as_the_oracle(path) is not None
+    path.write_bytes(_ONE_TREE.replace(*edit, 1).encode("ascii"))
+    assert _assert_loads_as_the_oracle(path) is None
+
+
+@pytest.mark.parametrize("edit", [
+    *(("i 0 1.0", f"i 0 {spelling}")
+      for spelling in ["1.00", "+1.0", "1e0", "01.0", "1.", "10e-1", "-0.0", "-1e+300"]),
+    ("l 0 1", "l 0 999999999999999999"), ("l 1 0", "l 999999999999999999 0"),
+])
+def test_load_reads_the_largest_counts_and_any_threshold_spelling_in_bulk(tmp_path, edit):
+    # as in the line pass, a threshold is float() of its text, however it is spelled
+    path = tmp_path / "model.txt"
+    path.write_text(_ONE_TREE.replace(*edit, 1))
+    assert _assert_loads_as_the_oracle(path) is not None
+
+
+@pytest.mark.parametrize("levels", [1000, 2000])
+def test_load_checks_max_depth_on_deep_trees_as_the_line_reader(tmp_path, levels):
+    left_chain = "".join(f"i 0 {k}.5\n" for k in range(levels)) + "l 0 1\n" * (levels + 1)
+    right_chain = "".join(f"i 0 {k}.5\nl 1 0\n" for k in range(levels)) + "l 0 1\n"
+    for chain in (left_chain, right_chain):
+        # the chain alone, and as the last of five trees after shallower ones
+        for trees in ([chain], ["l 1 1\n"] * 3 + ["i 0 2.5\n" * 2 + "l 0 1\n" * 3, chain]):
+            for max_depth in ("none", levels - 1, levels, levels + 1):
+                path = tmp_path / "deep.txt"
+                path.write_text(
+                    f"aeslab-forest 1\nn_features 1\nn_trees {len(trees)}\nmax_depth {max_depth}\n"
+                    "min_samples_split 2\nfeatures_per_split 1\nseed 1\ntrain_fraction 0.7\n"
+                    + "".join(f"tree {i}\n{tree}" for i, tree in enumerate(trees)) + "end\n")
+                exact = _assert_loads_as_the_oracle(path)
+                assert (exact is None) == (max_depth == levels - 1)
 
 
 def test_save_model_failing_midway_keeps_the_earlier_file(tmp_path):

@@ -458,7 +458,8 @@ _HEADERS = [
 ]
 _FLAG = st.sampled_from(["true", "false"])
 _VALID = {
-    "time_us": st.floats(0.0, 1e6).map(lambda t: f"{t:.3f}"),
+    # past 1e12 a time has more digits than the byte pass decodes itself
+    "time_us": st.one_of(st.floats(0.0, 1e6), st.floats(0.0, 1e14)).map(lambda t: f"{t:.3f}"),
     "tag": st.sampled_from(["none", "delay", "fault"]),
     "truth_label": _FLAG,
     "threshold_pred": _FLAG,
@@ -468,8 +469,17 @@ _VALID = {
 # cells the row-at-a-time reader accepted with a twist, or rejected
 _ODD = {
     "index": ["+3", " 4", "1_0", "-2", "0", "9223372036854775807", "9223372036854775808",
-              "-9223372036854775809", "x", "", "1.0"],
-    "time_us": ["nan", "inf", "-inf", "1e400", "abc", "", " 2.5 ", "1_0.5", "-0.0"],
+              "-9223372036854775809", "x", "", "1.0",
+              # in and out of the digits the byte pass decodes itself: -?[0-9]{1,18}
+              "+5", "5 ", "1e3", "-0", "007", "-007", "-", "--1", "-9223372036854775808",
+              "9223372036854775806", "-9223372036854775807", "999999999999999999",
+              "-999999999999999999", "1000000000000000000", "0000000000000000001"],
+    "time_us": ["nan", "inf", "-inf", "1e400", "abc", "", " 2.5 ", "1_0.5", "-0.0",
+                # in and out of the digits the byte pass decodes itself: [0-9]{1,12}\.[0-9]{3}
+                "+5.000", "1e3", "-0.000", ".5", ".500", "5.", "5.00", "5.0000", "1.5e3", "-1.500",
+                " 1.500", "1.500 ", "1_0.500", "0.000", "000.001", "999999999999.999",
+                "1000000000000.000", "9999999999999.999", "123456789012345.678", "1e500", "2-500", "9999999999999999.999", "5..000",
+                "5.0-0", "5.+00"],
     "tag": ["", "a,b", "x\ny"],
     "truth_label": ["True", "", "1", "true "],
     **{name: ["f", " ff", "0x1f", "FF", "1ff", "-1", "zz", "", "0_f", "+f", "100", "-0"]
@@ -563,6 +573,12 @@ _LINES = [
     ("\n".join(_LINES).replace(",delay,", "," + "x" * (csv.field_size_limit() + 1) + ",") + "\n",
      True),  # a field csv refuses
     ("\n".join(_LINES).replace(",ff,", ",f,", 1) + "\n", True),  # a one-digit hex cell
+    # number cells the byte pass does not decode itself go through int() or float()
+    ("\n".join(_LINES).replace("2.250", "9999999999999.999") + "\n", False),  # 16 digits
+    ("\n".join(_LINES).replace("2.250", "-0.000") + "\n", False),
+    ("\n".join(_LINES).replace("2.250", "2.25") + "\n", False),
+    ("\n".join(_LINES).replace("\n1,", "\n-9223372036854775808,") + "\n", False),
+    ("\n".join(_LINES).replace("\n1,", "\n+1,") + "\n", False),
 ])
 def test_read_blocks_csv_takes_the_byte_pass_only_for_files_in_export_form(
         tmp_path, content, row_pass):
