@@ -31,8 +31,8 @@ def atomic_write(path: Union[str, Path], **open_args) -> Iterator[IO[str]]:
         raise
 
 
-_POWERS_OF_TEN = 10 ** np.arange(17, -1, -1)  # int64, 10**17 down to 1
-_ROWS = np.arange(len(_POWERS_OF_TEN) + 1)[:, None]
+_MAX_DIGITS = 18  # so that every value fits in int64
+_ROWS = np.arange(_MAX_DIGITS + 1)[:, None]
 
 
 def digit_runs(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -48,18 +48,22 @@ def digit_runs(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     """
     size = hi - lo
     width = int(size.max())
-    if size.min() < point + 1 + (point > 0) or width > len(_POWERS_OF_TEN) + (point > 0):
+    if size.min() < point + 1 + (point > 0) or width > _MAX_DIGITS + (point > 0):
         return None
     window = buf.take(hi + (_ROWS[:width] - width), mode="clip")  # masked rows may clip
     digits = window - ord("0")  # uint8: a byte below "0" wraps past 9
     inside = _ROWS[:width] >= width - size
-    powers = _POWERS_OF_TEN[-width:]
+    at = width - 1 - point if point else None  # the row of the points
     if point:
-        at = width - 1 - point
         if (window[at] != ord(".")).any():
             return None
         inside[at] = False
-        powers = np.concatenate((_POWERS_OF_TEN[-at - point:-point], [0], powers[-point:]))
     if (inside & (digits > 9)).any():
         return None
-    return powers @ (digits * inside)
+    digits *= inside
+    value = np.zeros(size.size, dtype=np.int64)
+    for row in range(width):
+        if row != at:
+            value *= 10
+            value += digits[row]
+    return value
