@@ -629,14 +629,6 @@ _TREE_BYTES = b"treendil0123456789+-. \n"
 _SPACE, _LINE_END, _SPLIT_NODE, _LEAF, _MARKER, _ZERO = b" \nilt0"
 
 
-def _canonical_ints(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
-    """digit_runs of buf[lo[k]:hi[k]] if each is as str writes it: no leading zero but in 0."""
-    values = digit_runs(buf, lo, hi)
-    if values is None or ((buf[lo] == _ZERO) & (hi - lo > 1)).any():
-        return None
-    return values
-
-
 def _read_exact(data: bytes) -> Optional[ForestModel]:
     """The bulk pass: the model of a file laid out as save_model writes it, else None.
 
@@ -697,9 +689,11 @@ def _read_exact(data: bytes) -> Optional[ForestModel]:
     if not (split | leaf).all() or (first != starts + 1).any():
         return None
     # the first number of each node line, a feature index or a benign count,
-    # then the second of each leaf line, its anomalous count
-    ints = _canonical_ints(buf, np.append(first, second[leaf]) + 1, np.append(second, ends[leaf]))
-    if ints is None:
+    # then the second of each leaf line, its anomalous count; as str writes
+    # them, with no leading zero but in 0 itself
+    lo, hi = np.append(first, second[leaf]) + 1, np.append(second, ends[leaf])
+    ints = digit_runs(buf, lo, hi)
+    if ints is None or ((buf[lo] == _ZERO) & (hi - lo > 1)).any():
         return None
     number, anomalous = ints[:kind.size], ints[kind.size:]
     if ((number[leaf] == 0) & (anomalous == 0)).any():  # a leaf holds no training samples
