@@ -116,12 +116,14 @@ class Tree:
             raise ValueError("tree lists must hold the same number (at least 1) of nodes")
         right = [-1] * n
         awaiting_right = []  # split nodes whose right child is still to come
+        after_leaf = False  # a node after a leaf is a right child
         for node, f in enumerate(self.feature):
-            if node and self.feature[node - 1] < 0:  # a node after a leaf is a right child
+            if after_leaf:
                 if not awaiting_right:
                     raise ValueError(f"tree is complete before node {node}")
                 right[awaiting_right.pop()] = node
-            if f >= 0:
+            after_leaf = f < 0
+            if not after_leaf:
                 awaiting_right.append(node)
         if awaiting_right:
             raise ValueError(f"split node {awaiting_right[-1]} has no right subtree")
