@@ -954,6 +954,7 @@ def _split_flags(shape):
 
 
 def _depth(tree):
+    """The depth of the deepest leaf of a tree."""
     depth, deepest = [0] * len(tree.feature), 0
     for node, f in enumerate(tree.feature):
         if f >= 0:
@@ -978,8 +979,11 @@ def test_load_model_agrees_with_the_line_reader(data):
         path, again = Path(tmp) / "model.txt", Path(tmp) / "again.txt"
         save_model(ForestModel(tuple(trees), hyper, n_features), str(path))
         exact = _assert_loads_as_the_oracle(path)
-        if exact is not None or not isinstance(_load_outcome(load_model, path), str):
+        try:
             save_model(load_model(str(path)), str(again))
+        except ModelFormatError:
+            pass  # the oracle refuses it too
+        else:
             assert again.read_bytes() == path.read_bytes()
     small = all(f < 10**18 and max(c) < 10**18 for tree in trees
                 for f, c in zip(tree.feature, tree.counts))
@@ -1005,8 +1009,7 @@ _ONE_TREE = ("aeslab-forest 1\nn_features 1\nn_trees 1\nmax_depth none\nmin_samp
     ("i 0 1.0\nl 1 0\n", "l 1 0\ni 0 1.0\n"),  # the tree is complete before its last node
     ("l 0 1\n", "l 0 1\nl 0 1\n"), ("l 1 0\n", ""),  # a node too many, one too few
 ])
-def test_load_sends_what_split_takes_but_save_model_never_writes_to_the_line_reader(
-        tmp_path, edit):
+def test_load_sends_files_save_model_never_writes_to_the_line_reader(tmp_path, edit):
     path = tmp_path / "model.txt"
     path.write_text(_ONE_TREE)
     assert _assert_loads_as_the_oracle(path) is not None
