@@ -301,8 +301,10 @@ def _decode_lines(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
             return None
         cols.update(zip(flags, is_true))
 
-    # number cells in the form export_csv writes are decoded by their digits,
-    # a step with any other takes that column through int() or float()
+    # number cells in the usual form are decoded by their digits. export_csv
+    # writes %d of any int64 and %.3f of any finite double, so a 19-digit
+    # index or a negative or 10**12-plus time also occurs; a step with such a
+    # cell, or a hand-edited one, takes that column through int() or float()
     for name, decode, parse, dtype in (("index", _whole_numbers, int, np.int64),
                                        ("time_us", _thousandths, float, np.float64)):
         lo, hi = first[:, where[name]], last[:, where[name]]

@@ -507,7 +507,7 @@ def test_mutated_model_files_load_or_fail_as_one_error_line(saved_model, tmp_pat
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(st.lists(_EDITS, max_size=4))
 def test_mutated_model_files_load_as_the_line_reader_reads_them(saved_model, edits):
     # the same model or the same message, whichever pass load_model takes
