@@ -16,9 +16,11 @@ at a time: every node of the batch's trees that must be searched at that
 depth is scored by one per-class histogram over the ranks of its candidate
 columns, the latency and the bytes alike. This is exact histogram split
 finding, so the counts, thresholds and gains are those of a sorted scan.
-Each tree is stored as three pre-order lists. Prediction partitions the row
-numbers down each tree in turn, so a row is compared only at the nodes on
-its path, and stops walking a row once its majority is settled.
+Each tree is stored as three pre-order lists; building one checks its shape
+and derives its right-child links and depth, whether it was grown or loaded.
+Prediction partitions the row numbers down each tree in turn, so a row is
+compared only at the nodes on its path, and stops walking a row once its
+majority is settled.
 
 Everything is deterministic given (hyperparams, training data): each tree
 draws its bootstrap sample, then the feature subsets of each level's nodes,
@@ -36,7 +38,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from .files import atomic_write, digit_runs
+from .files import atomic_write, cell_texts, digit_runs
 from .workload import _STREAM_SPLIT, _STREAM_TREE, _rng
 
 N_FEATURES = 17
@@ -101,33 +103,42 @@ class Tree:
     Node 0 is the root and a split node's left child is the node after it.
     A split sends rows with X[:, feature] <= threshold left, the rest right.
     A leaf has feature -1 and holds its (benign, anomalous) training counts;
-    split nodes hold zero counts. right, derived from the pre-order, holds
-    each split node's right child and -1 at a leaf.
+    split nodes hold zero counts. Building a tree checks that the lists are
+    one complete pre-order tree and derives, in one walk, right, which holds
+    each split node's right child and -1 at a leaf, and depth, the most
+    splits on any path from the root to a leaf (0 for a lone leaf).
     """
 
     feature: List[int]
     threshold: List[float]
     counts: List[Tuple[int, int]]
     right: List[int] = field(init=False)
+    depth: int = field(init=False)
 
     def __post_init__(self) -> None:
         n = len(self.feature)
         if n < 1 or len(self.threshold) != n or len(self.counts) != n:
             raise ValueError("tree lists must hold the same number (at least 1) of nodes")
         right = [-1] * n
-        awaiting_right = []  # split nodes whose right child is still to come
+        awaiting_right = []  # (split node, its children's depth) whose right child is to come
+        depth = deepest = 0  # of the current node, and of the deepest node so far
         after_leaf = False  # a node after a leaf is a right child
         for node, f in enumerate(self.feature):
             if after_leaf:
                 if not awaiting_right:
                     raise ValueError(f"tree is complete before node {node}")
-                right[awaiting_right.pop()] = node
+                split, depth = awaiting_right.pop()
+                right[split] = node
             after_leaf = f < 0
             if not after_leaf:
-                awaiting_right.append(node)
+                depth += 1
+                if depth > deepest:
+                    deepest = depth
+                awaiting_right.append((node, depth))
         if awaiting_right:
-            raise ValueError(f"split node {awaiting_right[-1]} has no right subtree")
+            raise ValueError(f"split node {awaiting_right[-1][0]} has no right subtree")
         object.__setattr__(self, "right", right)
+        object.__setattr__(self, "depth", deepest)
 
 
 @dataclass(frozen=True)
@@ -181,17 +192,6 @@ def split_train_test(data: Dataset, train_fraction: float, seed: int) -> SplitRe
     )
 
 
-def gini(class_counts: Tuple[int, int]) -> float:
-    """Gini impurity 1 - sum(p^2); an empty node counts as pure."""
-    c0, c1 = class_counts
-    total = c0 + c1
-    if total == 0:
-        return 0.0
-    p0 = c0 / total
-    p1 = c1 / total
-    return 1.0 - (p0 * p0 + p1 * p1)
-
-
 @dataclass(frozen=True)
 class Split:
     feature_index: int
@@ -200,6 +200,7 @@ class Split:
 
 
 def _gini_vec(c0: np.ndarray, c1: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Gini impurity 1 - sum(p^2) of each node of total >= 1 samples, c0 and c1 of each class."""
     p0 = c0 / total
     p1 = c1 / total
     return 1.0 - (p0 * p0 + p1 * p1)
@@ -266,7 +267,7 @@ def _scan_batch(
     cand = np.ones(held.size, dtype=bool)
     cand[first + n_cand] = False
     size = totals.sum(axis=1)
-    parent = _gini_vec(totals[:, 0], totals[:, 1], size)  # as gini does it, one per segment
+    parent = _gini_vec(totals[:, 0], totals[:, 1], size)  # one per segment
     per_cand = np.column_stack([size, totals, parent]).repeat(n_cand, axis=0)
     size, total0, total1, parent = per_cand.T  # float64, like every count below
     gains = _gains(np.add(left0, left1, dtype=np.float64).compress(cand),
@@ -641,10 +642,10 @@ def _read_exact(data: bytes) -> Optional[ForestModel]:
     canonical (no sign, no leading zero, at most 18 digits); a threshold is
     any text of digits, signs, points and e that float() takes, as in the
     line pass. Lines and cells are found by the offsets of their line ends
-    and spaces, the integers are decoded as digit runs, and every tree's
-    shape and depth are checked at once; only the thresholds pass through
-    Python one by one. None means the line pass gives the result, or names
-    the fault.
+    and spaces, and the integers are decoded as digit runs; only the
+    thresholds pass through Python one by one. Building each Tree checks its
+    shape and gives its depth, which max_depth bounds. None means the line
+    pass gives the result, or names the fault.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf == _LINE_END)
@@ -673,8 +674,6 @@ def _read_exact(data: bytes) -> Optional[ForestModel]:
     is_node = np.ones(kind.size, dtype=bool)
     is_node[marked] = False
     nodes = np.diff(np.append(marked, kind.size)) - 1  # of each tree
-    if nodes.min() < 1:
-        return None
 
     # A marker line holds one space and a node line two. With that many in
     # all, each line holds its own iff its last lies before its line end and
@@ -702,39 +701,12 @@ def _read_exact(data: bytes) -> Optional[ForestModel]:
         return None
     if split.any() and int(number[split].max()) >= n_features:
         return None
-    # each threshold runs from after the second space through its line end
-    edge = np.zeros(buf.size + 1, dtype=np.int8)
-    edge[second[split] + 1], edge[ends[split] + 1] = 1, -1
-    inside = np.cumsum(edge[:-1], dtype=np.int8).view(bool)
-    try:
-        values = list(map(float, buf[inside].tobytes().decode("ascii").split("\n")[:-1]))
+    try:  # each threshold runs from after the second space to its line end
+        values = list(map(float, cell_texts(buf, second[split] + 1, ends[split])))
     except ValueError:
         return None
     if not all(map(math.isfinite, values)):
         return None
-
-    # In pre-order a split opens one slot for a child and a leaf closes one,
-    # so tree t, which starts with running total -t, is one complete tree iff
-    # the total stays at least -t until its last node and ends at -t - 1.
-    total = np.cumsum(np.where(split, 1, -1))
-    tree = np.repeat(np.arange(nodes.size), nodes)
-    last = np.zeros(kind.size, dtype=bool)
-    last[np.cumsum(nodes) - 1] = True
-    if not np.where(last, total == -tree - 1, total >= -tree).all():
-        return None
-    if hyper.max_depth is not None and split.any():
-        # a node's depth is the number of splits before it less those whose
-        # subtree ended before it; split k's ends at the first later node
-        # where the running total is total[k] - 2
-        below = total.min()
-        keys = np.sort((total - below) * kind.size + np.arange(kind.size))
-        at = np.flatnonzero(split)
-        want = (total[at] - 2 - below) * kind.size
-        subtree_end = keys[np.searchsorted(keys, want + at)] - want
-        ended = np.cumsum(np.bincount(subtree_end + 1, minlength=kind.size + 1))[:-1]
-        depth = np.cumsum(split) - split - ended
-        if int(depth[at].max()) >= hyper.max_depth:
-            return None
 
     # object arrays place the Python numbers, and let the leaves share one 0.0
     # and the split nodes one (0, 0), as in the line pass
@@ -745,8 +717,13 @@ def _read_exact(data: bytes) -> Optional[ForestModel]:
     counts[leaf] = np.fromiter(zip(number[leaf].tolist(), anomalous.tolist()), object, anomalous.size)
     bounds = np.append(0, np.cumsum(nodes)).tolist()
     feature, cut, counts = np.where(split, number, -1).tolist(), cut.tolist(), counts.tolist()
-    trees = (Tree(feature[x:y], cut[x:y], counts[x:y]) for x, y in zip(bounds, bounds[1:]))
-    return ForestModel(tuple(trees), hyper, n_features)
+    try:  # each Tree checks its own shape
+        trees = tuple(Tree(feature[x:y], cut[x:y], counts[x:y]) for x, y in zip(bounds, bounds[1:]))
+    except ValueError:
+        return None
+    if hyper.max_depth is not None and max(tree.depth for tree in trees) > hyper.max_depth:
+        return None
+    return ForestModel(trees, hyper, n_features)
 
 
 def load_model(path: str) -> ForestModel:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import IO, Iterator, Optional, Union
+from typing import IO, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -29,6 +29,20 @@ def atomic_write(path: Union[str, Path], **open_args) -> Iterator[IO[str]]:
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def cell_texts(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> List[str]:
+    """The text of buf[start[k]:end[k]] for each k, by one gather; no cell may
+    hold a comma. Each cell is taken with the byte after it, which then
+    becomes a comma to split at."""
+    if not start.size:
+        return []
+    width = end - start + 1
+    stops = np.cumsum(width)
+    at = np.arange(stops[-1]) + np.repeat(start - (stops - width), width)
+    picked = buf.take(at, mode="clip")  # the byte after the file's last cell may lie past its end
+    picked[stops - 1] = ord(",")
+    return picked.tobytes().decode("ascii").split(",")[:-1]
 
 
 _MAX_DIGITS = 18  # so that every value fits in int64

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import BinaryIO, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .cipher import BlockRecord
 from .detect_forest import N_FEATURES, ByteSource, Dataset
-from .files import atomic_write, digit_runs
+from .files import atomic_write, cell_texts, digit_runs
 from .workload import RunConfig
 
 
@@ -237,17 +237,6 @@ _FIVE = np.arange(5)[:, None, None]
 _REQUIRED_COLUMNS = {"index", "time_us", *BYTE_COLUMNS}
 
 
-def _cells(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> List[str]:
-    """The text of buf[start[k]:end[k]] for each k, by one gather: each cell is
-    taken with the byte after it, which then becomes a comma to split at."""
-    width = end - start + 1
-    stops = np.cumsum(width)
-    at = np.arange(stops[-1]) + np.repeat(start - (stops - width), width)
-    picked = buf.take(at, mode="clip")  # the byte after the file's last cell may lie past its end
-    picked[stops - 1] = _COMMA
-    return picked.tobytes().decode("ascii").split(",")[:-1]
-
-
 def _whole_numbers(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
     """int() of each cell buf[lo[k]:hi[k]] if every one is written -?[0-9]{1,18}, else None."""
     minus = buf.take(lo, mode="clip") == _MINUS
@@ -311,13 +300,13 @@ def _decode_lines(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
         cols[name] = decode(buf, lo, hi)
         if cols[name] is None:
             try:
-                cols[name] = np.fromiter(map(parse, _cells(buf, lo, hi)), dtype, m)
+                cols[name] = np.fromiter(map(parse, cell_texts(buf, lo, hi)), dtype, m)
             except (ValueError, OverflowError):
                 return None
     if not np.isfinite(cols["time_us"]).all():
         return None
     if "tag" in where:
-        text = _cells(buf, first[:, where["tag"]], last[:, where["tag"]])
+        text = cell_texts(buf, first[:, where["tag"]], last[:, where["tag"]])
         unique = {}  # one string per distinct tag, not one per row, for the table to hold
         cols["tag"] = list(map(unique.setdefault, text, text))
     return cols

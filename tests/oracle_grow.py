@@ -3,8 +3,9 @@
 _rank_columns, _scan and _grow grow each tree alone, one depth at a time,
 and score each node on its own, by one histogram over its candidate columns
 and a cumulative sum over every bin. fit_tree and fit_forest here wrap them
-as the library's functions of the same names do; the Gini arithmetic, the
-tree and model types and the seeded streams come from the library.
+as the library's functions of the same names do. A node's own impurity is
+oracle_split's; the gain arithmetic, the tree and model types and the
+seeded streams come from the library.
 """
 
 from typing import List, Sequence, Tuple
@@ -17,9 +18,9 @@ from aeslab.detect_forest import (
     ForestModel,
     Tree,
     _gains,
-    gini,
 )
 from aeslab.workload import _STREAM_TREE, _rng
+from oracle_split import gini_counts
 
 
 def _rank_columns(X: np.ndarray, features: Sequence[int]) -> Tuple[np.ndarray, List[np.ndarray]]:
@@ -65,7 +66,7 @@ def _scan(cols: np.ndarray, values: Sequence[np.ndarray], y: np.ndarray):
     cand = np.flatnonzero((n_left_all > 0) & (n_left_all < n))
     if cand.size == 0:
         return None
-    gains = _gains(n_left_all[cand], left[1][cand], n, total0, total1, gini((total0, total1)))
+    gains = _gains(n_left_all[cand], left[1][cand], n, total0, total1, gini_counts(total0, total1))
     pick = int(np.argmax(gains))
     if not gains[pick] > 0.0:
         return None

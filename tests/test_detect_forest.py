@@ -19,10 +19,10 @@ from aeslab.detect_forest import (
     ForestModel,
     ModelFormatError,
     Tree,
+    _gini_vec,
     best_split,
     fit_forest,
     fit_tree,
-    gini,
     load_model,
     predict_all,
     save_model,
@@ -33,7 +33,7 @@ from aeslab.workload import Mode, RunConfig
 
 import oracle_grow
 import oracle_model
-from oracle_split import brute_force_best_split
+from oracle_split import brute_force_best_split, gini_counts
 
 
 def _dataset(X, y):
@@ -48,18 +48,16 @@ def _best_split(data, features):
 
 
 def test_gini_known_values():
-    assert gini((3, 1)) == 0.375
-    assert gini((1, 3)) == 0.375
-    assert gini((0, 0)) == 0.0
-    assert gini((5, 0)) == 0.0
-    assert gini((4, 4)) == 0.5
+    # _scan_batch scores only nodes that hold a sample, so no count pair is (0, 0)
+    c0, c1 = np.array([3, 1, 5, 4]), np.array([1, 3, 0, 4])
+    assert _gini_vec(c0, c1, c0 + c1).tolist() == [0.375, 0.375, 0.0, 0.5]
 
 
-@given(st.integers(0, 10_000), st.integers(0, 10_000))
+@given(st.integers(0, 10_000), st.integers(1, 10_000))
 def test_gini_bounds(c0, c1):
-    value = gini((c0, c1))
+    value = _gini_vec(np.array(c0), np.array(c1), np.array(c0 + c1))
     assert 0.0 <= value <= 0.5
-    assert value == gini((c1, c0))
+    assert value == _gini_vec(np.array(c1), np.array(c0), np.array(c0 + c1))
 
 
 # ---------------------------------------------------------------- best_split
@@ -117,7 +115,7 @@ def test_best_split_handles_duplicate_values():
     split = _best_split(samples, [0])
     assert split is not None
     assert split.threshold == 3.0
-    assert split.gain == pytest.approx(gini((3, 2)), rel=1e-12)
+    assert split.gain == pytest.approx(gini_counts(3, 2), rel=1e-12)
 
 
 @settings(max_examples=120, deadline=None)
@@ -627,27 +625,30 @@ _TREE_SHAPES = st.recursive(st.none(), lambda subtrees: st.tuples(subtrees, subt
 
 
 def _reference_preorder(shape):
-    """(feature, right) of a shape in pre-order, linked by recursion; splits use feature 0."""
+    """(feature, right, depth) of a shape in pre-order, by recursion; splits use feature 0."""
     feature, right = [], []
 
-    def visit(node):
+    def visit(node):  # the depth of node's subtree
         at = len(feature)
         feature.append(-1 if node is None else 0)
         right.append(-1)
-        if node is not None:
-            visit(node[0])
-            right[at] = len(feature)
-            visit(node[1])
+        if node is None:
+            return 0
+        left = visit(node[0])
+        right[at] = len(feature)
+        return 1 + max(left, visit(node[1]))
 
-    visit(shape)
-    return feature, right
+    depth = visit(shape)
+    return feature, right, depth
 
 
 @given(_TREE_SHAPES)
 def test_tree_derives_the_right_links_of_its_preorder(shape):
-    feature, right = _reference_preorder(shape)
+    feature, right, depth = _reference_preorder(shape)
     n = len(feature)
-    assert Tree(feature, [0.5] * n, [(1, 0)] * n).right == right
+    tree = Tree(feature, [0.5] * n, [(1, 0)] * n)
+    assert tree.right == right
+    assert tree.depth == depth
 
 
 @pytest.mark.parametrize("feature, threshold, counts", [
@@ -1008,6 +1009,8 @@ _ONE_TREE = ("aeslab-forest 1\nn_features 1\nn_trees 1\nmax_depth none\nmin_samp
     ("end\n", "end \n"), ("l 0 1", "l 0 0"), ("max_depth none", "max_depth 0"),
     ("i 0 1.0\nl 1 0\n", "l 1 0\ni 0 1.0\n"),  # the tree is complete before its last node
     ("l 0 1\n", "l 0 1\nl 0 1\n"), ("l 1 0\n", ""),  # a node too many, one too few
+    # two trees, the first with no node
+    (_ONE_TREE, _ONE_TREE.replace("n_trees 1", "n_trees 2").replace("tree 0\n", "tree 0\ntree 1\n")),
 ])
 def test_load_sends_files_save_model_never_writes_to_the_line_reader(tmp_path, edit):
     path = tmp_path / "model.txt"
