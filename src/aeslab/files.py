@@ -35,11 +35,9 @@ def cell_texts(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> List[str]
     """The text of buf[start[k]:end[k]] for each k, by one gather; no cell may
     hold a comma. Each cell is taken with the byte after it, which then
     becomes a comma to split at."""
-    if not start.size:
-        return []
     width = end - start + 1
     stops = np.cumsum(width)
-    at = np.arange(stops[-1]) + np.repeat(start - (stops - width), width)
+    at = np.arange(width.sum()) + np.repeat(start - (stops - width), width)
     picked = buf.take(at, mode="clip")  # the byte after the file's last cell may lie past its end
     picked[stops - 1] = ord(",")
     return picked.tobytes().decode("ascii").split(",")[:-1]
@@ -61,6 +59,8 @@ def digit_runs(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     masked. So a column of cells takes a fixed number of array steps.
     """
     size = hi - lo
+    if not size.size:
+        return np.zeros(0, dtype=np.int64)
     width = int(size.max())
     if size.min() < point + 1 + (point > 0) or width > _MAX_DIGITS + (point > 0):
         return None

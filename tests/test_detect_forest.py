@@ -1009,8 +1009,10 @@ _ONE_TREE = ("aeslab-forest 1\nn_features 1\nn_trees 1\nmax_depth none\nmin_samp
     ("end\n", "end \n"), ("l 0 1", "l 0 0"), ("max_depth none", "max_depth 0"),
     ("i 0 1.0\nl 1 0\n", "l 1 0\ni 0 1.0\n"),  # the tree is complete before its last node
     ("l 0 1\n", "l 0 1\nl 0 1\n"), ("l 1 0\n", ""),  # a node too many, one too few
-    # two trees, the first with no node
+    # two trees, the first or both with no node
     (_ONE_TREE, _ONE_TREE.replace("n_trees 1", "n_trees 2").replace("tree 0\n", "tree 0\ntree 1\n")),
+    (_ONE_TREE, _ONE_TREE.replace("n_trees 1", "n_trees 2").replace(
+        "tree 0\ni 0 1.0\nl 1 0\nl 0 1\n", "tree 0\ntree 1\n")),
 ])
 def test_load_sends_files_save_model_never_writes_to_the_line_reader(tmp_path, edit):
     path = tmp_path / "model.txt"
