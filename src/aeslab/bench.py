@@ -15,6 +15,7 @@ process's size as its peak, which the rise leaves out.
 from __future__ import annotations
 
 import csv
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -52,7 +53,8 @@ def peak_memory_mb(children: bool = False) -> Optional[float]:
     if resource is None:
         return None
     who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
-    return resource.getrusage(who).ru_maxrss / 1024.0  # Linux reports KiB
+    # macOS reports bytes, Linux KiB
+    return resource.getrusage(who).ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
 
 
 def measure_run(cfg: RunConfig, key: Key128) -> BenchRecord:

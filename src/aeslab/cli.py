@@ -45,6 +45,7 @@ from .detect_forest import (
     split_train_test,
 )
 from .metrics_report import (
+    FLAG_WORDS,
     DetectionReport,
     build_dataset,
     compare,
@@ -355,8 +356,7 @@ def cmd_predict(args) -> int:
     table = read_blocks_csv(args.csv)
     data, has_labels = rows_to_vectors(table)
     preds = predict_all(model, data.X)
-    words = ("false", "true")
-    rows = "".join([f"{i},{words[p]}\n" for i, p in zip(table.index.tolist(), preds)])
+    rows = "".join([f"{i},{FLAG_WORDS[p]}\n" for i, p in zip(table.index.tolist(), preds)])
     sys.stdout.write("index,predicted\n" + rows)
     if has_labels:
         report = score(preds, data.y, "forest")

@@ -89,10 +89,7 @@ def run_id(seed: int, n_blocks: int, inject_pct: float) -> str:
     return f"s{seed}_n{n_blocks}_p{pct}"
 
 
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
+FLAG_WORDS = ("false", "true")  # a flag cell's text, indexed by its value
 BYTE_COLUMNS = tuple(f"b{i}" for i in range(16))
 FLAG_COLUMNS = ("truth_label", "threshold_pred", "forest_pred")
 BLOCK_COLUMNS = ["index", "time_us", "tag", *FLAG_COLUMNS, *BYTE_COLUMNS]
@@ -181,7 +178,7 @@ def export_csv(
     rows = [",".join(BLOCK_COLUMNS) + "\r\n"]
     rows += [
         "%d,%.3f,%s,%s,%s,%s,%s\r\n" % (
-            index, time_us, tag, _fmt_bool(truth), _fmt_bool(thresh), _fmt_bool(forest),
+            index, time_us, tag, FLAG_WORDS[truth], FLAG_WORDS[thresh], FLAG_WORDS[forest],
             hexes[at:at + width - 1],
         )
         for index, time_us, tag, truth, thresh, forest, at in zip(
@@ -228,20 +225,14 @@ _NIBBLE = np.full(256, 16, dtype=np.uint8)
 _NIBBLE[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
 _NIBBLE[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
 
-_COMMA, _CR, _LF, _MINUS, _POINT = b",\r\n-."
+_COMMA, _CR, _LF = b",\r\n"
 _BASE_16 = (16,) * len(BYTE_COLUMNS)
 # the flag words and the offsets of a cell's first five bytes, byte j in row j
-_TRUE, _FALSE = (np.frombuffer(word, dtype=np.uint8)[:, None, None] for word in (b"true", b"false"))
+_FALSE, _TRUE = (np.frombuffer(word.encode("ascii"), dtype=np.uint8)[:, None, None]
+                 for word in FLAG_WORDS)
 _FIVE = np.arange(5)[:, None, None]
 
 _REQUIRED_COLUMNS = {"index", "time_us", *BYTE_COLUMNS}
-
-
-def _whole_numbers(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
-    """int() of each cell buf[lo[k]:hi[k]] if every one is written -?[0-9]{1,18}, else None."""
-    minus = buf.take(lo, mode="clip") == _MINUS
-    values = digit_runs(buf, lo + minus, hi)
-    return None if values is None else np.where(minus, -values, values)
 
 
 def _thousandths(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
@@ -258,7 +249,8 @@ def _thousandths(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Optional[np
 def _decode_lines(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
                   where: Mapping[str, int], width: int) -> Optional[dict]:
     """One step's columns from the lines buf[start[k]:end[k]] of width fields,
-    or None if any line or cell is not in the form export_csv writes."""
+    or None if any line or cell is not in the form _read_canonical reads.
+    Number cells are decoded by their digits; only tag cells become Python objects."""
     m = start.size
     commas = np.flatnonzero(buf[start[0]:end[-1]] == _COMMA) + start[0]
     if commas.size != m * (width - 1):
@@ -290,21 +282,10 @@ def _decode_lines(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
             return None
         cols.update(zip(flags, is_true))
 
-    # number cells in the usual form are decoded by their digits. export_csv
-    # writes %d of any int64 and %.3f of any finite double, so a 19-digit
-    # index or a negative or 10**12-plus time also occurs; a step with such a
-    # cell, or a hand-edited one, takes that column through int() or float()
-    for name, decode, parse, dtype in (("index", _whole_numbers, int, np.int64),
-                                       ("time_us", _thousandths, float, np.float64)):
-        lo, hi = first[:, where[name]], last[:, where[name]]
-        cols[name] = decode(buf, lo, hi)
+    for name, decode in (("index", digit_runs), ("time_us", _thousandths)):
+        cols[name] = decode(buf, first[:, where[name]], last[:, where[name]])
         if cols[name] is None:
-            try:
-                cols[name] = np.fromiter(map(parse, cell_texts(buf, lo, hi)), dtype, m)
-            except (ValueError, OverflowError):
-                return None
-    if not np.isfinite(cols["time_us"]).all():
-        return None
+            return None
     if "tag" in where:
         text = cell_texts(buf, first[:, where["tag"]], last[:, where["tag"]])
         unique = {}  # one string per distinct tag, not one per row, for the table to hold
@@ -318,10 +299,12 @@ def _read_canonical(path: Union[str, Path]) -> Optional[BlockTable]:
     The file must be ASCII with no quote and no NUL, and every CR must start
     a CRLF. Then csv splits a line at each comma and nowhere else, so the
     fields are found by their offsets. Each data line must hold exactly the
-    header's fields, each byte cell two hex digits and each flag cell true or
-    false. Index and time_us cells as export_csv writes them are decoded by
-    their digits; only tag cells, and a step's number cells in any other
-    form, become Python objects.
+    header's fields, each byte cell two hex digits, each flag cell true or
+    false, each index cell [0-9]{1,18} and each time_us cell
+    [0-9]{1,12}\\.[0-9]{3}: the form of every run's export. Number cells are
+    decoded by their digits, and only tag cells become Python objects, as
+    only thresholds do in load_model's bulk pass. Any other file, such as one
+    with a negative index or a hand-edited +5 or 2.25, gives None.
     """
     data = Path(path).read_bytes()
     if not data.isascii() or b'"' in data or b"\0" in data:
@@ -408,7 +391,7 @@ def _read_rows(path: Union[str, Path]) -> Union[BlockTable, str]:
                     if not -2**63 <= (block := int(cell)) < 2**63:
                         raise ValueError(f"{cell!r} does not fit in 64 bits")
                     for j in flag_at:
-                        if (cell := row[j]) not in ("true", "false"):
+                        if (cell := row[j]) not in FLAG_WORDS:
                             raise ValueError(f"expected true/false, got {cell!r}")
                     # bytes() takes the map lazily: the first cell that fails, in either way, wins
                     payload = bytes(map(int, byte_cells(row), _BASE_16))
@@ -431,7 +414,7 @@ def _read_rows(path: Union[str, Path]) -> Union[BlockTable, str]:
     if not index:
         return "no data rows"
     feature_bytes = np.frombuffer(bytearray().join(payloads), dtype=np.uint8).reshape(-1, 16)
-    flags = (np.array([cell == "true" for cell in text[name]]) if name in where else None
+    flags = (np.array([cell == FLAG_WORDS[True] for cell in text[name]]) if name in where else None
              for name in FLAG_COLUMNS)
     return BlockTable(np.array(index, dtype=np.int64), np.array(time_us, dtype=np.float64),
                       feature_bytes, tuple(text["tag"]) if "tag" in where else None, *flags)
@@ -447,7 +430,7 @@ def read_blocks_csv(path: Union[str, Path]) -> BlockTable:
     column counts. A malformed row, a non-finite time_us, an index beyond
     64 bits, or a repeated index raises ValueError naming the file line; a
     byte that is not ASCII raises one naming its offset in the file. A file
-    in the form export_csv writes is read by byte offset, _STEP_ROWS lines
+    as export_csv writes a run's is read by byte offset, _STEP_ROWS lines
     at a time; any other file, or one with a fault, is read row by row.
     """
     table = _read_canonical(path)

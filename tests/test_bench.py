@@ -2,6 +2,7 @@ import csv
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import pytest
 
@@ -36,6 +37,17 @@ def test_peak_memory_is_positive_where_available():
     assert mem is None or mem > 0
 
 
+@pytest.mark.parametrize("platform, maxrss", [("linux", 3 * 2**10), ("darwin", 3 * 2**20)])
+def test_peak_memory_reads_ru_maxrss_in_the_platform_unit(monkeypatch, platform, maxrss):
+    # Linux reports ru_maxrss in KiB, macOS in bytes: 3 MiB either way
+    resource = pytest.importorskip("resource")
+    usage = {resource.RUSAGE_SELF: maxrss, resource.RUSAGE_CHILDREN: 2 * maxrss}
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(resource, "getrusage", lambda who: mock.Mock(ru_maxrss=usage[who]))
+    assert peak_memory_mb() == 3.0
+    assert peak_memory_mb(children=True) == 6.0
+
+
 def test_measure_run_counts_the_pool_workers_memory(tmp_path):
     # ru_maxrss of RUSAGE_CHILDREN covers the workers once the pool has shut down
     cfg = RunConfig(n_blocks=32, inject_pct=0.0, workers=2, mode=Mode.REAL)
@@ -47,7 +59,7 @@ def test_measure_run_counts_the_pool_workers_memory(tmp_path):
         assert record.peak_children_mb == peak_memory_mb(children=True)
     path = tmp_path / "bench.csv"
     sweep([32], [2], cfg, KEY, path)
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="ascii") as handle:
         (row,) = list(csv.DictReader(handle))
     assert list(row)[4:6] == ["peak_memory_mb", "peak_children_mb"]
     if record.peak_children_mb is None:
@@ -115,7 +127,7 @@ def test_sweep_covers_cells_in_ascending_order(tmp_path):
     path = tmp_path / "bench.csv"
     records = sweep([64, 32], [1], base, KEY, path)
     assert [(r.block_count, r.workers) for r in records] == [(32, 1), (64, 1)]
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="ascii") as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == 2
     assert rows[0]["block_count"] == "32"
@@ -140,7 +152,7 @@ def test_sweep_records_failing_cells_and_continues(tmp_path, monkeypatch):
     assert len(failed) == 1
     assert failed[0].block_count == 64
     assert failed[0].mean_latency_us is None
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="ascii") as handle:
         rows = list(csv.DictReader(handle))
     assert rows[1]["error"] == "synthetic cell failure"
     assert rows[1]["mean_latency_us"] == ""

@@ -76,10 +76,10 @@ def test_run_looks_up_pipeline_and_exports_recoverable_split(tmp_path, capsys, m
     data, has_labels = rows_to_vectors(read_blocks_csv(blocks))
     assert has_labels and len(data) == 200
     test = split_train_test(data, fraction, seed).test_indices
-    with open(blocks, newline="") as handle:
+    with open(blocks, newline="", encoding="ascii") as handle:
         truths = [row["truth_label"] for row in csv.DictReader(handle)]
     picked = [truths[i] for i in test]  # plain list indexing, as the benchmark does
-    with open(tmp_path / "summary_s5_n200_p30.csv", newline="") as handle:
+    with open(tmp_path / "summary_s5_n200_p30.csv", newline="", encoding="ascii") as handle:
         for row in csv.DictReader(handle):
             assert sum(int(row[k]) for k in ("tp", "fp", "fn", "tn")) == len(picked)
             assert int(row["tp"]) + int(row["fn"]) == picked.count("true")
@@ -90,7 +90,7 @@ def test_saved_model_keeps_the_preorder_dump(tmp_path, capsys):
     assert cli.main(["train", "--mode", "simulated", "--blocks", "120", "--inject-pct", "40",
                      "--trees", "3", "--model-out", str(model_path)]) == 0
     capsys.readouterr()
-    lines = model_path.read_text().splitlines()
+    lines = model_path.read_text(encoding="ascii").splitlines()
     assert [l for l in lines if l.startswith("tree ")] == ["tree 0", "tree 1", "tree 2"]
     assert all(l.split()[0] in ("i", "l") for l in lines[8:-1] if not l.startswith("tree "))
     model = load_model(str(model_path))
@@ -136,5 +136,5 @@ def _blocks_csv(tmp_path):
     path = tmp_path / "probe.csv"
     header = ["index", "time_us"] + [f"b{i}" for i in range(16)]
     body = [",".join([str(i), f"{100.0 + i}"] + ["41"] * 16) for i in range(4)]
-    path.write_text("\n".join([",".join(header)] + body) + "\n")
+    path.write_text("\n".join([",".join(header)] + body) + "\n", encoding="ascii")
     return path

@@ -314,7 +314,8 @@ def test_threshold_fit_train_fits_on_the_train_rows(tmp_path, capsys):
         assert main(["run", "--mode", "simulated", "--blocks", "256", "--inject-pct", "30",
                      "--seed", "7", "--threshold-fit", fit, "--out-dir", str(tmp_path / fit)]) == 0
         assert f"(fit={fit})" in capsys.readouterr().out
-        with open(tmp_path / fit / "summary_s7_n256_p30.csv", newline="") as handle:
+        summary = tmp_path / fit / "summary_s7_n256_p30.csv"
+        with open(summary, newline="", encoding="ascii") as handle:
             (cut[fit],) = {float(row["threshold_us"]) for row in csv.DictReader(handle)}
     # the train rows, recovered from the exported blocks as the run split them
     table = read_blocks_csv(tmp_path / "train" / "blocks_s7_n256_p30.csv")
@@ -387,7 +388,8 @@ def test_predict_without_labels_emits_no_metrics(tmp_path, capsys):
     capsys.readouterr()
 
     stripped = tmp_path / "nolabels.csv"
-    with open(blocks_csv, newline="") as src, open(stripped, "w", newline="") as dst:
+    with open(blocks_csv, newline="", encoding="ascii") as src, \
+            open(stripped, "w", newline="", encoding="ascii") as dst:
         reader = csv.DictReader(src)
         keep = [c for c in reader.fieldnames if c != "truth_label"]
         writer = csv.DictWriter(dst, fieldnames=keep)
@@ -413,10 +415,11 @@ def test_predict_requires_model_flag():
 
 def test_predict_rejects_wrong_model_version(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
-    bad.write_text("aeslab-forest 99\n")
+    bad.write_text("aeslab-forest 99\n", encoding="ascii")
     csv_path = tmp_path / "in.csv"
     header = ["index", "time_us"] + [f"b{i}" for i in range(16)]
-    csv_path.write_text(",".join(header) + "\n0,1.0," + ",".join(["00"] * 16) + "\n")
+    csv_path.write_text(",".join(header) + "\n0,1.0," + ",".join(["00"] * 16) + "\n",
+                        encoding="ascii")
     assert main(["predict", "--model", str(bad), "--csv", str(csv_path)]) == 1
     assert "error:" in capsys.readouterr().err
 
@@ -428,14 +431,14 @@ def test_bad_csv_or_model_is_a_one_line_error(tmp_path, capsys):
     assert main(["train", "--from-csv", str(blocks_csv), "--model-out", str(model_path),
                  "--trees", "3"]) == 0
     capsys.readouterr()
-    lines = blocks_csv.read_text().splitlines()
+    lines = blocks_csv.read_text(encoding="ascii").splitlines()
 
     def with_field(line_no, col, value):
         fields = lines[line_no].split(",")
         fields[col] = value
         return "\n".join(lines[:line_no] + [",".join(fields)] + lines[line_no + 1:]) + "\n"
 
-    model_lines = model_path.read_text().splitlines()
+    model_lines = model_path.read_text(encoding="ascii").splitlines()
     first_split = next(i for i, l in enumerate(model_lines) if l.startswith("i "))
     first_leaf = next(i for i, l in enumerate(model_lines) if l.startswith("l "))
     bad_csvs = {"nan.csv": with_field(3, 1, "nan"), "dup.csv": with_field(5, 0, "1")}
@@ -445,10 +448,10 @@ def test_bad_csv_or_model_is_a_one_line_error(tmp_path, capsys):
     }
     cases = []
     for name, text in bad_csvs.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text, encoding="ascii")
         cases.append((model_path, tmp_path / name))
     for name, body in bad_models.items():
-        (tmp_path / name).write_text("\n".join(body) + "\n")
+        (tmp_path / name).write_text("\n".join(body) + "\n", encoding="ascii")
         cases.append((tmp_path / name, blocks_csv))
     for model, csv_path in cases:
         assert main(["predict", "--model", str(model), "--csv", str(csv_path)]) == 1
@@ -562,7 +565,7 @@ def test_bench_writes_csv_and_table(tmp_path, capsys):
     assert "peak_mb peak_children_mb" in out
     bench_files = list(tmp_path.glob("bench_*.csv"))
     assert len(bench_files) == 1
-    with open(bench_files[0], newline="") as handle:
+    with open(bench_files[0], newline="", encoding="ascii") as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == 1
     assert rows[0]["block_count"] == "48"
@@ -572,7 +575,7 @@ def test_bench_accepts_comma_lists(tmp_path):
     assert main(["bench", "--block-counts", "32,48", "--worker-counts", "1",
                  "--out-dir", str(tmp_path)]) == 0
     bench_files = list(tmp_path.glob("bench_*.csv"))
-    with open(bench_files[0], newline="") as handle:
+    with open(bench_files[0], newline="", encoding="ascii") as handle:
         rows = list(csv.DictReader(handle))
     assert [r["block_count"] for r in rows] == ["32", "48"]
 
@@ -586,7 +589,7 @@ def test_bench_rejects_bad_counts(tmp_path):
 def test_module_entry_point_runs():
     # the child imports the package from wherever this process found it, installed or not
     proc = subprocess.run(
-        [sys.executable, "-m", "aeslab", "kat"], capture_output=True, text=True,
+        [sys.executable, "-m", "aeslab", "kat"], capture_output=True, encoding="ascii",
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0

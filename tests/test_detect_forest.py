@@ -699,7 +699,7 @@ def test_model_header_keeps_its_extreme_values_and_text(tmp_path):
     hyper = ForestHyperparams(n_trees=1, max_depth=None, seed=2**64 - 1, train_fraction=0.1 + 0.2)
     path = tmp_path / "model.txt"
     save_model(ForestModel((split,), hyper, 17), str(path))
-    assert path.read_text() == (
+    assert path.read_text(encoding="ascii") == (
         "aeslab-forest 1\nn_features 17\nn_trees 1\nmax_depth none\nmin_samples_split 2\n"
         "features_per_split 5\nseed 18446744073709551615\ntrain_fraction 0.30000000000000004\n"
         "tree 0\ni 2 0.30000000000000004\nl 3 1\nl 0 4\nend\n"
@@ -731,9 +731,9 @@ def test_load_rejects_version_mismatch(tmp_path):
     model = fit_forest(train, ForestHyperparams(n_trees=3, features_per_split=2))
     path = tmp_path / "model.txt"
     save_model(model, str(path))
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="ascii").splitlines()
     lines[0] = "aeslab-forest 2"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
     with pytest.raises(ModelFormatError):
         load_model(str(path))
 
@@ -753,7 +753,7 @@ def test_load_rejects_version_mismatch(tmp_path):
 )
 def test_load_rejects_malformed_files(tmp_path, content):
     path = tmp_path / "model.txt"
-    path.write_text(content)
+    path.write_text(content, encoding="ascii")
     with pytest.raises(ModelFormatError):
         load_model(str(path))
 
@@ -763,10 +763,10 @@ def test_load_rejects_truncated_tree_and_trailing_garbage(tmp_path):
     model = fit_forest(train, ForestHyperparams(n_trees=2, features_per_split=2))
     path = tmp_path / "model.txt"
     save_model(model, str(path))
-    text = path.read_text()
+    text = path.read_text(encoding="ascii")
     lines = text.splitlines()
     truncated = tmp_path / "cut.txt"
-    truncated.write_text("\n".join(lines[:-3]) + "\n")
+    truncated.write_text("\n".join(lines[:-3]) + "\n", encoding="ascii")
     with pytest.raises(ModelFormatError, match="ended inside a tree"):
         load_model(str(truncated))
     second = lines.index("tree 1")
@@ -775,11 +775,11 @@ def test_load_rejects_truncated_tree_and_trailing_garbage(tmp_path):
                                 ("renumbered.txt", ["tree 5", *lines[second + 1:]],
                                  "expected tree 1, got 'tree 5'")):
         path = tmp_path / name
-        path.write_text("\n".join(lines[:second] + tail) + "\n")
+        path.write_text("\n".join(lines[:second] + tail) + "\n", encoding="ascii")
         with pytest.raises(ModelFormatError, match=message):
             load_model(str(path))
     padded = tmp_path / "padded.txt"
-    padded.write_text(text + "extra stuff\n")
+    padded.write_text(text + "extra stuff\n", encoding="ascii")
     with pytest.raises(ModelFormatError, match="trailing garbage"):
         load_model(str(padded))
 
@@ -799,17 +799,17 @@ def test_load_rejects_truncated_tree_and_trailing_garbage(tmp_path):
 def test_load_keeps_numbers_beyond_64_bits(tmp_path, model_text):
     # trees are Python lists, so an index or count needs no fixed-width bound
     path = tmp_path / "model.txt"
-    path.write_text(model_text)
+    path.write_text(model_text, encoding="ascii")
     again = tmp_path / "again.txt"
     save_model(load_model(str(path)), str(again))
-    assert again.read_text() == model_text
+    assert again.read_text(encoding="ascii") == model_text
 
 
 def _model_text(tmp_path):
     model = fit_forest(_separable_training_set(n=40), ForestHyperparams(n_trees=2, features_per_split=2))
     path = tmp_path / "model.txt"
     save_model(model, str(path))
-    return path.read_text().splitlines()
+    return path.read_text(encoding="ascii").splitlines()
 
 
 @pytest.mark.parametrize(
@@ -825,7 +825,7 @@ def test_load_rejects_bad_node_lines(tmp_path, bad_line):
                       if lines[k][:2] == bad_line[:2])
     lines[first_node] = bad_line
     path = tmp_path / "bad.txt"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
     with pytest.raises(ModelFormatError):
         load_model(str(path))
 
@@ -842,7 +842,7 @@ def test_load_names_an_unparsable_header_field(tmp_path, field, value):
     at = next(k for k, line in enumerate(lines) if line.split()[0] == field)
     lines[at] = f"{field} {value}"
     path = tmp_path / "bad.txt"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
     with pytest.raises(ModelFormatError, match=field):
         load_model(str(path))
 
@@ -866,17 +866,17 @@ def _deep_model(max_depth, levels, leaves=True):
 
 def test_load_reads_deep_trees_without_recursion(tmp_path):
     path = tmp_path / "deep.txt"
-    path.write_text(_deep_model("none", 5000))
+    path.write_text(_deep_model("none", 5000), encoding="ascii")
     model = load_model(str(path))
     assert predict_all(model, np.asarray([[-1.0], [1e9]])) == [True, True]
     again = tmp_path / "again.txt"
     save_model(model, str(again))
-    assert again.read_text() == path.read_text()
+    assert again.read_text(encoding="ascii") == path.read_text(encoding="ascii")
 
     for name, text in (("truncated.txt", _deep_model("none", 5000, leaves=False)),
                        ("too_deep.txt", _deep_model(16, 5000))):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_text(text, encoding="ascii")
         with pytest.raises(ModelFormatError):
             load_model(str(path))
 
@@ -1016,7 +1016,7 @@ _ONE_TREE = ("aeslab-forest 1\nn_features 1\nn_trees 1\nmax_depth none\nmin_samp
 ])
 def test_load_sends_files_save_model_never_writes_to_the_line_reader(tmp_path, edit):
     path = tmp_path / "model.txt"
-    path.write_text(_ONE_TREE)
+    path.write_text(_ONE_TREE, encoding="ascii")
     assert _assert_loads_as_the_oracle(path) is not None
     path.write_bytes(_ONE_TREE.replace(*edit, 1).encode("ascii"))
     assert _assert_loads_as_the_oracle(path) is None
@@ -1030,7 +1030,7 @@ def test_load_sends_files_save_model_never_writes_to_the_line_reader(tmp_path, e
 def test_load_reads_the_largest_counts_and_any_threshold_spelling_in_bulk(tmp_path, edit):
     # as in the line pass, a threshold is float() of its text, however it is spelled
     path = tmp_path / "model.txt"
-    path.write_text(_ONE_TREE.replace(*edit, 1))
+    path.write_text(_ONE_TREE.replace(*edit, 1), encoding="ascii")
     assert _assert_loads_as_the_oracle(path) is not None
 
 
@@ -1046,7 +1046,8 @@ def test_load_checks_max_depth_on_deep_trees_as_the_line_reader(tmp_path, levels
                 path.write_text(
                     f"aeslab-forest 1\nn_features 1\nn_trees {len(trees)}\nmax_depth {max_depth}\n"
                     "min_samples_split 2\nfeatures_per_split 1\nseed 1\ntrain_fraction 0.7\n"
-                    + "".join(f"tree {i}\n{tree}" for i, tree in enumerate(trees)) + "end\n")
+                    + "".join(f"tree {i}\n{tree}" for i, tree in enumerate(trees)) + "end\n",
+                    encoding="ascii")
                 exact = _assert_loads_as_the_oracle(path)
                 assert (exact is None) == (max_depth == levels - 1)
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -167,9 +168,9 @@ def test_export_row_counts_and_naming(tmp_path):
     blocks_path, summary_path = _export(tmp_path, cfg, records, tp, fp, rt, rf)
     assert blocks_path.name == "blocks_s7_n100_p30.csv"
     assert summary_path.name == "summary_s7_n100_p30.csv"
-    block_lines = blocks_path.read_text().splitlines()
+    block_lines = blocks_path.read_text(encoding="ascii").splitlines()
     assert len(block_lines) == 101  # header + one row per block
-    summary_lines = summary_path.read_text().splitlines()
+    summary_lines = summary_path.read_text(encoding="ascii").splitlines()
     assert len(summary_lines) == 3  # header + one row per detector
 
 
@@ -231,7 +232,7 @@ def test_export_rejects_an_empty_report_list(tmp_path):
 def test_export_unwritable_path_reports_the_path(tmp_path):
     cfg, records, tp, fp, rt, rf = _scored_run(n=10)
     blocker = tmp_path / "occupied"
-    blocker.write_text("not a directory")
+    blocker.write_text("not a directory", encoding="ascii")
     with pytest.raises(OSError) as excinfo:
         _export(blocker, cfg, records, tp, fp, rt, rf)
     assert "occupied" in str(excinfo.value)
@@ -239,7 +240,7 @@ def test_export_unwritable_path_reports_the_path(tmp_path):
 
 def test_read_blocks_csv_requires_core_columns(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("index,time_us\n0,1.0\n")
+    path.write_text("index,time_us\n0,1.0\n", encoding="ascii")
     with pytest.raises(ValueError):
         read_blocks_csv(path)
 
@@ -247,7 +248,7 @@ def test_read_blocks_csv_requires_core_columns(tmp_path):
 def test_read_blocks_csv_rejects_empty_table(tmp_path):
     path = tmp_path / "empty.csv"
     header = ",".join(["index", "time_us"] + [f"b{i}" for i in range(16)])
-    path.write_text(header + "\n")
+    path.write_text(header + "\n", encoding="ascii")
     with pytest.raises(ValueError):
         read_blocks_csv(path)
 
@@ -273,7 +274,7 @@ ZERO_BYTES = ",".join(["00"] * 16)
 def test_read_blocks_csv_rejects_bad_rows_by_line(tmp_path, row, message):
     header = ",".join(["index", "time_us"] + [f"b{i}" for i in range(16)])
     path = tmp_path / "bad.csv"
-    path.write_text("\n".join([header, "0,1.0," + ZERO_BYTES, row]) + "\n")
+    path.write_text("\n".join([header, "0,1.0," + ZERO_BYTES, row]) + "\n", encoding="ascii")
     for step_rows in (2, 1024):
         with mock.patch.object(metrics_report, "_STEP_ROWS", step_rows):
             with pytest.raises(ValueError, match=message):
@@ -286,7 +287,7 @@ def test_read_blocks_csv_names_the_line_of_an_oversized_field(tmp_path):
     path = tmp_path / "big.csv"
     path.write_text("\n".join([header, "0,1.0,none," + ZERO_BYTES,
                                "1,1.0," + "x" * (csv.field_size_limit() + 1) + "," + ZERO_BYTES])
-                    + "\n")
+                    + "\n", encoding="ascii")
     with pytest.raises(ValueError, match="line 3: field larger than field limit"):
         read_blocks_csv(path)
     with pytest.raises(ValueError, match="line 3: field larger than field limit"):
@@ -351,7 +352,8 @@ def test_rows_to_vectors_with_and_without_labels(tmp_path):
 
     # drop the label column and parse again
     stripped = tmp_path / "nolabel.csv"
-    with open(blocks_path, newline="") as src, open(stripped, "w", newline="") as dst:
+    with open(blocks_path, newline="", encoding="ascii") as src, \
+            open(stripped, "w", newline="", encoding="ascii") as dst:
         reader = csv.DictReader(src)
         keep = [c for c in reader.fieldnames if c != "truth_label"]
         writer = csv.DictWriter(dst, fieldnames=keep)
@@ -367,6 +369,8 @@ def test_rows_to_vectors_with_and_without_labels(tmp_path):
 class _Exploding:
     def __bool__(self):
         raise RuntimeError("stop writing here")
+
+    __index__ = __bool__  # a flag cell's word is picked by indexing with the flag
 
 
 def test_export_failing_midway_keeps_the_earlier_files(tmp_path):
@@ -400,7 +404,7 @@ def test_export_then_read_gives_back_the_dataset(data):
             cfg=RunConfig(n_blocks=n), byte_source=byte_source,
             threshold_fit="all", threshold_us=1.0,
         )
-        # every file export_csv writes takes the byte pass
+        # indices in [0, n) and times below 10**12 us: the byte pass takes the file
         with mock.patch.object(metrics_report, "_read_rows", side_effect=AssertionError):
             got, has_labels = rows_to_vectors(read_blocks_csv(blocks_path))
     want, _ = rows_to_vectors(build_dataset(records, byte_source))
@@ -436,9 +440,15 @@ def test_export_then_read_gives_back_the_table(table):
             table, [report], 0.0, tmp, cfg=RunConfig(n_blocks=len(table)),
             byte_source=ByteSource.PLAINTEXT, threshold_fit="all", threshold_us=1.0,
         )
-        # every file export_csv writes takes the byte pass
-        with mock.patch.object(metrics_report, "_read_rows", side_effect=AssertionError):
+        # the byte pass takes every file whose numbers are in the form of a run's
+        # (indices in [0, n), times in [0, 3.6e9 + 110] us); any other goes to the row pass
+        with mock.patch.object(metrics_report, "_read_rows",
+                               wraps=metrics_report._read_rows) as rows:
             got = read_blocks_csv(blocks_path)
+    run_form = (all(0 <= i < 10**18 for i in table.index.tolist())
+                and all(re.fullmatch(r"[0-9]{1,12}\.[0-9]{3}", "%.3f" % t)
+                        for t in table.time_us.tolist()))
+    assert rows.called != run_form
     assert got.index.tolist() == table.index.tolist()
     assert got.tag == table.tag
     for name in ("truth_label", "threshold_pred", "forest_pred"):
@@ -573,12 +583,13 @@ _LINES = [
     ("\n".join(_LINES).replace(",delay,", "," + "x" * (csv.field_size_limit() + 1) + ",") + "\n",
      True),  # a field csv refuses
     ("\n".join(_LINES).replace(",ff,", ",f,", 1) + "\n", True),  # a one-digit hex cell
-    # number cells the byte pass does not decode itself go through int() or float()
-    ("\n".join(_LINES).replace("2.250", "9999999999999.999") + "\n", False),  # 16 digits
-    ("\n".join(_LINES).replace("2.250", "-0.000") + "\n", False),
-    ("\n".join(_LINES).replace("2.250", "2.25") + "\n", False),
-    ("\n".join(_LINES).replace("\n1,", "\n-9223372036854775808,") + "\n", False),
-    ("\n".join(_LINES).replace("\n1,", "\n+1,") + "\n", False),
+    # number cells not of the forms [0-9]{1,18} and [0-9]{1,12}\.[0-9]{3}, which the
+    # byte pass decodes by their digits, send the whole file to the row pass
+    ("\n".join(_LINES).replace("2.250", "9999999999999.999") + "\n", True),  # 16 digits
+    ("\n".join(_LINES).replace("2.250", "-0.000") + "\n", True),
+    ("\n".join(_LINES).replace("2.250", "2.25") + "\n", True),
+    ("\n".join(_LINES).replace("\n1,", "\n-9223372036854775808,") + "\n", True),
+    ("\n".join(_LINES).replace("\n1,", "\n+1,") + "\n", True),
 ])
 def test_read_blocks_csv_takes_the_byte_pass_only_for_files_in_export_form(
         tmp_path, content, row_pass):
