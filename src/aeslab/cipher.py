@@ -4,23 +4,31 @@ The scalar cipher runs the 32-bit T-table form of the FIPS-197 rounds
 (Daemen & Rijmen, "The Design of Rijndael", 2002, section 4.2). The state is
 four big-endian column words. Four 256-entry word tables Te0..Te3, built
 from the S-box and xtime, fold SubBytes, ShiftRows and MixColumns into one
-lookup per state byte, so each of rounds 1 to 9 is 16 lookups and 16 XORs,
-four of them with the round key's words. The final round, which has no
-MixColumns, reads the S-box itself. Pure Python keeps the per-block cost
-measurable (about 20 microseconds), which is what the real-mode timing
-experiments need.
+lookup per state byte. Each key gets its own copies of Te0, one per round
+and column, with that round key word XORed into every entry, so each of
+rounds 1 to 9 is 16 lookups and 12 XORs and loads no round key. The final
+round, which has no MixColumns, reads four keyed tables of sbox[x] << 24
+and two shared ones of sbox[x] << 16 and sbox[x] << 8: 16 lookups and 12
+XORs as well. Pure Python keeps the per-block cost measurable (about 17
+microseconds of CPU per block in a real-mode run), which is what the
+real-mode timing experiments need.
 
 T-tables are the textbook target of cache-timing attacks (Bernstein 2005,
 "Cache-timing attacks on AES"; Osvik, Shamir & Tromer 2006, "Cache Attacks
 and Countermeasures: the Case of AES"): each lookup's address depends on a
-key-mixed state byte. The byte-wise kernel they replaced made the same kind
-of secret-indexed S-box and xtime lookups, as any CPython tuple lookup
-does, so the lab gains no new class of leak. Neither kernel is
+key-mixed state byte. Folding the round keys into the tables changes none
+of that: the keyed tables are still indexed by secret bytes, and the kernel
+is still not constant-time. The byte-wise kernel the T-tables replaced made
+the same kind of secret-indexed S-box and xtime lookups, as any CPython
+tuple lookup does, so the lab gains no new class of leak. Neither kernel is
 constant-time; neither is fit to protect data.
 
-The tables and each key's round-key words are built on first use from the
-S-box the module holds at that moment, and cached under it, so nothing
-derived from one S-box is used with another.
+The tables, each key's round-key words and each key's keyed tables are
+built on first use from the S-box the module holds at that moment, and
+cached under it, so nothing derived from one S-box is used with another.
+The keyed tables take about 0.4 MB and 1 to 2 ms to build per key, so the
+first block under a new key costs that much more; only the scalar kernel
+builds them.
 
 Simulated mode measures no latency, so it encrypts a whole run in one batch
 in the calling process: the byte-wise rounds (ShiftRows as a flat 16-element
@@ -40,6 +48,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import repeat
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -121,24 +130,14 @@ def _t_tables(sbox: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tables)
 
 
-class _Schedule(NamedTuple):
-    """One key's 44 round-key words and the tables its rounds read."""
-
-    words: Tuple[int, ...]
-    te0: Tuple[int, ...]
-    te1: Tuple[int, ...]
-    te2: Tuple[int, ...]
-    te3: Tuple[int, ...]
-    sbox: Tuple[int, ...]
-
-
 _WORDS = struct.Struct(">4I")
 
 
 @lru_cache(maxsize=32)
-def _expand_key(key: bytes, sbox: Tuple[int, ...]) -> _Schedule:
+def _expand_key(key: bytes, sbox: Tuple[int, ...]) -> Tuple[int, ...]:
     """Expand 16 key bytes under sbox into 11 round keys of four big-endian
-    words each. Callers pass the module's SBOX as it is at call time."""
+    words each, 44 words in all. Callers pass the module's SBOX as it is at
+    call time. encrypt_batch reads only these words."""
     words = list(_WORDS.unpack(key))
     for i in range(4, 4 * (N_ROUNDS + 1)):
         w = words[i - 1]
@@ -146,29 +145,62 @@ def _expand_key(key: bytes, sbox: Tuple[int, ...]) -> _Schedule:
             w = (sbox[w >> 16 & 0xFF] << 24 | sbox[w >> 8 & 0xFF] << 16 | sbox[w & 0xFF] << 8
                  | sbox[w >> 24]) ^ RCON[i // 4 - 1] << 24
         words.append(words[i - 4] ^ w)
-    return _Schedule(tuple(words), *_t_tables(sbox), sbox)
+    return tuple(words)
+
+
+class _Schedule(NamedTuple):
+    """One key's tables for the scalar kernel, with each round key folded in.
+
+    first is round key 0, XORed into the state before round 1. rounds holds,
+    for each of rounds 1 to 9, four copies of Te0, one per output column c,
+    each XORed with that round's key word c; Te1..Te3 are shared. last holds
+    sbox[x] << 24 XORed with round key 10's word c, for each column c, and
+    byte16 and byte8 are sbox[x] << 16 and sbox[x] << 8, shared by all four
+    columns. So a round is 16 lookups and 12 XORs, with no round-key loads.
+    """
+
+    first: Tuple[int, ...]
+    rounds: Tuple[Tuple[Tuple[int, ...], ...], ...]
+    te1: Tuple[int, ...]
+    te2: Tuple[int, ...]
+    te3: Tuple[int, ...]
+    last: Tuple[Tuple[int, ...], ...]
+    byte16: Tuple[int, ...]
+    byte8: Tuple[int, ...]
+    sbox: Tuple[int, ...]
+
+
+# about 0.4 MB of tables per key; one run encrypts under one key
+@lru_cache(maxsize=4)
+def _schedule(key: bytes, sbox: Tuple[int, ...]) -> _Schedule:
+    """Build the scalar kernel's tables for one key under sbox, about 1 to 2
+    ms of work per new key. Callers pass the module's SBOX as it is at call
+    time."""
+    w = _expand_key(key, sbox)
+    te0, te1, te2, te3 = _t_tables(sbox)
+    rounds = tuple(tuple(tuple(t ^ k for t in te0) for k in w[i:i + 4])
+                   for i in range(4, 4 * N_ROUNDS, 4))
+    last = tuple(tuple(s << 24 ^ k for s in sbox) for k in w[40:])
+    return _Schedule(w[:4], rounds, te1, te2, te3, last,
+                     tuple(s << 16 for s in sbox), tuple(s << 8 for s in sbox), sbox)
 
 
 def _encrypt(block: bytes, schedule: _Schedule) -> bytes:
-    w, te0, te1, te2, te3, sbox = schedule
+    (k0, k1, k2, k3), rounds, te1, te2, te3, (l0, l1, l2, l3), b16, b8, sbox = schedule
     s0, s1, s2, s3 = _WORDS.unpack(block)
-    s0, s1, s2, s3 = s0 ^ w[0], s1 ^ w[1], s2 ^ w[2], s3 ^ w[3]
-    for i in range(4, 4 * N_ROUNDS, 4):
+    s0, s1, s2, s3 = s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3
+    for t0, t1, t2, t3 in rounds:
         s0, s1, s2, s3 = (
-            te0[s0 >> 24] ^ te1[s1 >> 16 & 255] ^ te2[s2 >> 8 & 255] ^ te3[s3 & 255] ^ w[i],
-            te0[s1 >> 24] ^ te1[s2 >> 16 & 255] ^ te2[s3 >> 8 & 255] ^ te3[s0 & 255] ^ w[i + 1],
-            te0[s2 >> 24] ^ te1[s3 >> 16 & 255] ^ te2[s0 >> 8 & 255] ^ te3[s1 & 255] ^ w[i + 2],
-            te0[s3 >> 24] ^ te1[s0 >> 16 & 255] ^ te2[s1 >> 8 & 255] ^ te3[s2 & 255] ^ w[i + 3],
+            t0[s0 >> 24] ^ te1[s1 >> 16 & 255] ^ te2[s2 >> 8 & 255] ^ te3[s3 & 255],
+            t1[s1 >> 24] ^ te1[s2 >> 16 & 255] ^ te2[s3 >> 8 & 255] ^ te3[s0 & 255],
+            t2[s2 >> 24] ^ te1[s3 >> 16 & 255] ^ te2[s0 >> 8 & 255] ^ te3[s1 & 255],
+            t3[s3 >> 24] ^ te1[s0 >> 16 & 255] ^ te2[s1 >> 8 & 255] ^ te3[s2 & 255],
         )
     return _WORDS.pack(
-        (sbox[s0 >> 24] << 24 | sbox[s1 >> 16 & 255] << 16 | sbox[s2 >> 8 & 255] << 8
-         | sbox[s3 & 255]) ^ w[40],
-        (sbox[s1 >> 24] << 24 | sbox[s2 >> 16 & 255] << 16 | sbox[s3 >> 8 & 255] << 8
-         | sbox[s0 & 255]) ^ w[41],
-        (sbox[s2 >> 24] << 24 | sbox[s3 >> 16 & 255] << 16 | sbox[s0 >> 8 & 255] << 8
-         | sbox[s1 & 255]) ^ w[42],
-        (sbox[s3 >> 24] << 24 | sbox[s0 >> 16 & 255] << 16 | sbox[s1 >> 8 & 255] << 8
-         | sbox[s2 & 255]) ^ w[43],
+        l0[s0 >> 24] ^ b16[s1 >> 16 & 255] ^ b8[s2 >> 8 & 255] ^ sbox[s3 & 255],
+        l1[s1 >> 24] ^ b16[s2 >> 16 & 255] ^ b8[s3 >> 8 & 255] ^ sbox[s0 & 255],
+        l2[s2 >> 24] ^ b16[s3 >> 16 & 255] ^ b8[s0 >> 8 & 255] ^ sbox[s1 & 255],
+        l3[s3 >> 24] ^ b16[s0 >> 16 & 255] ^ b8[s1 >> 8 & 255] ^ sbox[s2 & 255],
     )
 
 
@@ -181,7 +213,7 @@ _NEXT_IN_COLUMN = [1, 2, 3, 0]
 def encrypt_batch(states: np.ndarray, key: bytes) -> np.ndarray:
     """Encrypt uint8[n, 16] blocks in ECB mode: the byte-wise FIPS-197 rounds,
     each one numpy gather or XOR over all n states at once."""
-    words = np.array(_expand_key(key, SBOX).words, dtype=">u4")
+    words = np.array(_expand_key(key, SBOX), dtype=">u4")
     round_keys = words.view(np.uint8).reshape(N_ROUNDS + 1, BLOCK_SIZE)
     s = states ^ round_keys[0]
     for rnd in range(1, N_ROUNDS):
@@ -193,10 +225,12 @@ def encrypt_batch(states: np.ndarray, key: bytes) -> np.ndarray:
 
 
 def aes128_encrypt_block(block: bytes, key: Key128) -> bytes:
-    """Encrypt one 16-byte block in ECB mode."""
+    """Encrypt one 16-byte block in ECB mode. The first block under a new key
+    also builds that key's tables, about 1 to 2 ms; the four most recent
+    keys' tables stay cached."""
     if len(block) != BLOCK_SIZE:
         raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    return _encrypt(block, _expand_key(key.data, SBOX))
+    return _encrypt(block, _schedule(key.data, SBOX))
 
 
 # FIPS-197 appendix B/C example vectors plus NIST SP 800-38A F.1.1 ECB cases
@@ -270,7 +304,7 @@ def encrypt_timed(plain: bytes, delays_us: Sequence[float], key: bytes,
     """Encrypt 16-byte blocks laid end to end one at a time; return the
     ciphertexts laid end to end and each block's latency in microseconds: a
     monotonic span over its sleep (delays_us[j] > 0) and every encryption pass."""
-    schedule = _expand_key(key, SBOX)
+    schedule = _schedule(key, SBOX)
     ciphertexts, times = [], []
     for at, delay_us in zip(range(0, len(plain), BLOCK_SIZE), delays_us):
         block = plain[at:at + BLOCK_SIZE]
@@ -323,9 +357,11 @@ def encrypt_blocks(blocks: Blocks, key: Key128, cfg: RunConfig,
         cipher = b"".join(c for c, _ in parts)
         time_us = [t for _, times in parts for t in times]
     block = np.dtype((np.void, BLOCK_SIZE))  # tolist gives one bytes object per block
-    return list(map(BlockRecord, index.tolist(), np.frombuffer(plain, block).tolist(),
-                    np.frombuffer(cipher, block).tolist(), time_us,
-                    map(TAGS.__getitem__, blocks.kind.tolist())))
+    # tuple.__new__ skips the named tuple's Python-level __new__ frame
+    return list(map(tuple.__new__, repeat(BlockRecord),
+                    zip(index.tolist(), np.frombuffer(plain, block).tolist(),
+                        np.frombuffer(cipher, block).tolist(), time_us,
+                        map(TAGS.__getitem__, blocks.kind.tolist()))))
 
 
 def run_pipeline(cfg: RunConfig, key: Key128, pool: Optional[Executor] = None) -> List[BlockRecord]:

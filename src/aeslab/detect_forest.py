@@ -192,13 +192,6 @@ def split_train_test(data: Dataset, train_fraction: float, seed: int) -> SplitRe
     )
 
 
-@dataclass(frozen=True)
-class Split:
-    feature_index: int
-    threshold: float
-    gain: float
-
-
 def _gini_vec(c0: np.ndarray, c1: np.ndarray, total: np.ndarray) -> np.ndarray:
     """Gini impurity 1 - sum(p^2) of each node of total >= 1 samples, c0 and c1 of each class."""
     p0 = c0 / total
@@ -288,36 +281,6 @@ def _scan_batch(
             mid = (lo + hi) / 2.0
             found[s // k] = (gain, s % k, rank, mid if mid < hi else lo, l0, l1)
     return found
-
-
-def best_split(X: np.ndarray, y: np.ndarray, features: Sequence[int]) -> Optional[Split]:
-    """Highest-gain (feature, threshold) over the candidate features, or None.
-
-    y holds one 0/1 label per row of X. Ties break to the lowest feature
-    index, then the lowest threshold. Returns None when no candidate split
-    has gain strictly above zero.
-    """
-    if y.size == 0:
-        raise ValueError("cannot split an empty sample set")
-    feats = sorted({int(f) for f in features})
-    if not feats:
-        raise ValueError("candidate features must not be empty")
-    if feats[0] < 0 or feats[-1] >= X.shape[1]:
-        raise ValueError("candidate feature index out of range")
-    y = np.asarray(y, dtype=bool)
-    c1 = int(np.count_nonzero(y))
-    node = (np.arange(y.size), np.arange(len(feats)), y.size - c1, c1)
-    found = _scan_batch(*_rank_columns(X, y, feats), [node])[0]
-    return None if found is None else Split(feats[found[1]], found[3], found[0])
-
-
-def fit_tree(X: np.ndarray, y: np.ndarray, hyper: ForestHyperparams, rng: np.random.Generator) -> Tree:
-    """Grow one CART tree on (X, y), drawing each level's candidate features from rng."""
-    hyper.validate()
-    if y.size == 0:
-        raise ValueError("cannot fit a tree on an empty sample set")
-    keys, values = _rank_columns(X, np.asarray(y, dtype=bool), range(X.shape[1]))
-    return _grow_levels(keys, values, hyper, [(rng, np.arange(y.size))])[0]
 
 
 _MAX_GROWING_TREES = 16  # trees grown together; bounds fit's memory

@@ -3,9 +3,9 @@
 _rank_columns, _scan and _grow grow each tree alone, one depth at a time,
 and score each node on its own, by one histogram over its candidate columns
 and a cumulative sum over every bin. fit_tree and fit_forest here wrap them
-as the library's functions of the same names do. A node's own impurity is
-oracle_split's; the gain arithmetic, the tree and model types and the
-seeded streams come from the library.
+as tree_helpers.fit_tree and the library's fit_forest do. A node's own
+impurity is oracle_split's; the gain arithmetic, the tree and model types
+and the seeded streams come from the library.
 """
 
 from typing import List, Sequence, Tuple

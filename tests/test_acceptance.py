@@ -22,7 +22,6 @@ from aeslab.cipher import (
 from aeslab.cli import main
 from aeslab.detect_forest import (
     ForestHyperparams,
-    best_split,
     fit_forest,
     predict_all,
     split_train_test,
@@ -41,6 +40,7 @@ from aeslab.workload import (
 )
 
 from oracle_split import brute_force_best_split
+from tree_helpers import best_split
 from test_detect_forest import _dataset
 
 KEY = Key128.from_hex("000102030405060708090a0b0c0d0e0f")

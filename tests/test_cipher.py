@@ -13,7 +13,7 @@ from aeslab.cipher import (
     Key128,
     PipelineError,
     _encrypt,
-    _expand_key,
+    _schedule,
     aes128_encrypt_block,
     encrypt_batch,
     encrypt_blocks,
@@ -267,6 +267,20 @@ def test_simulated_mode_starts_no_pool(monkeypatch):
     assert run_pipeline(dataclasses.replace(base, workers=2), key) == reference
 
 
+def test_only_real_mode_builds_the_scalar_tables():
+    # the keyed tables cost about 0.4 MB and 1 to 2 ms per key; the batch
+    # kernel of simulated mode reads only the round-key words
+    key = Key128(bytes(range(16)))
+    for cache in (cipher_mod._t_tables, cipher_mod._expand_key, cipher_mod._schedule):
+        cache.cache_clear()
+    run_pipeline(RunConfig(n_blocks=64, inject_pct=30.0, seed=3, mode=Mode.SIMULATED), key)
+    assert cipher_mod._expand_key.cache_info().currsize == 1
+    assert cipher_mod._schedule.cache_info().currsize == 0
+    assert cipher_mod._t_tables.cache_info().currsize == 0
+    run_pipeline(RunConfig(n_blocks=4, inject_pct=0.0, seed=3, mode=Mode.REAL), key)
+    assert cipher_mod._schedule.cache_info().currsize == 1
+
+
 def test_encrypt_blocks_matches_per_block_calls():
     key = Key128(bytes(16))
     cfg = RunConfig(mode=Mode.REAL, seed=2, inject_pct=0.0, workers=2)  # through the pool
@@ -317,7 +331,7 @@ def test_batched_aes_matches_scalar_and_library_on_uniform_blocks(n):
     key = rng.bytes(16)
     blocks = [rng.bytes(16) for _ in range(n)]
     got = [row.tobytes() for row in encrypt_batch(_batch(blocks), key)]
-    assert got == [_encrypt(b, _expand_key(key, cipher_mod.SBOX)) for b in blocks]
+    assert got == [_encrypt(b, _schedule(key, cipher_mod.SBOX)) for b in blocks]
     assert b"".join(got) == _library_encrypt(key, b"".join(blocks))
 
 

@@ -48,31 +48,53 @@ def test_kat_passes_and_lists_vectors(capsys):
     assert "result: pass" in out
 
 
-def test_kat_fails_when_cipher_is_corrupted(capsys, monkeypatch):
+def _clear_kernel_caches():
+    for cache in (cipher_mod._t_tables, cipher_mod._expand_key, cipher_mod._schedule):
+        cache.cache_clear()
+
+
+def _timed_kernel_matches():
+    """Whether real mode's timed path gives each vector's published ciphertext."""
+    return [cipher_mod.encrypt_timed(bytes.fromhex(pt_hex), [0.0], bytes.fromhex(key_hex), 1)[0]
+            == bytes.fromhex(ct_hex) for _, key_hex, pt_hex, ct_hex in cipher_mod.KAT_VECTORS]
+
+
+def _break_sbox(monkeypatch):
     broken = list(cipher_mod.SBOX)
     broken[0], broken[1] = broken[1], broken[0]
     monkeypatch.setattr(cipher_mod, "SBOX", tuple(broken))
+
+
+def test_kat_fails_when_cipher_is_corrupted(capsys, monkeypatch):
+    _break_sbox(monkeypatch)
     try:
         assert main(["kat"]) == 1
         assert "FAIL" in capsys.readouterr().out
+        assert not any(_timed_kernel_matches())
+        monkeypatch.undo()
+        assert all(_timed_kernel_matches())
     finally:
-        # schedules expanded under the corrupted S-box must not outlive it
-        cipher_mod._expand_key.cache_clear()
+        # tables and schedules built under the corrupted S-box must not outlive it
+        _clear_kernel_caches()
 
 
 def test_kat_fails_when_cipher_is_corrupted_after_schedules_are_cached(capsys, monkeypatch):
     # schedules and tables built under the good S-box must not serve a
     # corrupted one, and must serve again once the good one is back
-    for _, key_hex, pt_hex, _ in cipher_mod.KAT_VECTORS:
-        cipher_mod.aes128_encrypt_block(bytes.fromhex(pt_hex), cipher_mod.Key128.from_hex(key_hex))
-    broken = list(cipher_mod.SBOX)
-    broken[0], broken[1] = broken[1], broken[0]
-    monkeypatch.setattr(cipher_mod, "SBOX", tuple(broken))
-    assert main(["kat"]) == 1
-    assert "FAIL" in capsys.readouterr().out
-    monkeypatch.undo()
-    assert main(["kat"]) == 0
-    assert "result: pass" in capsys.readouterr().out
+    try:
+        for _, key_hex, pt_hex, _ in cipher_mod.KAT_VECTORS:
+            cipher_mod.aes128_encrypt_block(bytes.fromhex(pt_hex), cipher_mod.Key128.from_hex(key_hex))
+        assert all(_timed_kernel_matches())
+        _break_sbox(monkeypatch)
+        assert main(["kat"]) == 1
+        assert "FAIL" in capsys.readouterr().out
+        assert not any(_timed_kernel_matches())
+        monkeypatch.undo()
+        assert main(["kat"]) == 0
+        assert "result: pass" in capsys.readouterr().out
+        assert all(_timed_kernel_matches())
+    finally:
+        _clear_kernel_caches()
 
 
 def test_kat_names_the_kernel_that_disagrees(capsys, monkeypatch):

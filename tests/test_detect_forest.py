@@ -20,9 +20,7 @@ from aeslab.detect_forest import (
     ModelFormatError,
     Tree,
     _gini_vec,
-    best_split,
     fit_forest,
-    fit_tree,
     load_model,
     predict_all,
     save_model,
@@ -34,6 +32,7 @@ from aeslab.workload import Mode, RunConfig
 import oracle_grow
 import oracle_model
 from oracle_split import brute_force_best_split, gini_counts
+from tree_helpers import best_split, fit_tree
 
 
 def _dataset(X, y):

@@ -416,15 +416,20 @@ def test_export_then_read_gives_back_the_dataset(data):
 
 @st.composite
 def _block_tables(draw):
-    """A BlockTable with every column set, indices increasing."""
-    index = sorted(draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=64,
-                                 unique=True)))
+    """A BlockTable with every column set, indices increasing. About half are
+    run-shaped, drawn from the ranges the byte pass takes (indices below
+    10**18, times up to 10**12), so each reader pass sees about half."""
+    if draw(st.booleans()):
+        indices, times = st.integers(0, 10**18 - 1), st.floats(0.0, 1e12)
+    else:
+        indices, times = st.integers(-2**63, 2**63 - 1), st.floats(allow_nan=False,
+                                                                  allow_infinity=False)
+    index = sorted(draw(st.lists(indices, min_size=1, max_size=64, unique=True)))
     n = len(index)
     flags = [np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))) for _ in range(3)]
     return BlockTable(
         np.array(index, dtype=np.int64),
-        np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                               min_size=n, max_size=n)), dtype=np.float64),
+        np.array(draw(st.lists(times, min_size=n, max_size=n)), dtype=np.float64),
         np.frombuffer(draw(st.binary(min_size=16 * n, max_size=16 * n)), np.uint8).reshape(n, 16),
         tuple(draw(st.lists(st.sampled_from(["none", "delay", "fault"]), min_size=n, max_size=n))),
         *flags,
