@@ -7,7 +7,8 @@ than raising, so sweeps over degenerate runs keep working.
 A run reaches the detectors as one BlockTable, the columns of its blocks,
 and two files describe it, named by runid s{seed}_n{blocks}_p{pct}:
   blocks_<runid>.csv   the table written out, one row per block (times to 3
-                       decimals, bytes hex); read_blocks_csv reads it back
+                       decimals, bytes hex); read_blocks_csv reads back every
+                       column but tag, which the detectors do not use
   summary_<runid>.csv  one row per detector with config and metrics
 """
 
@@ -17,7 +18,6 @@ import csv
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import BinaryIO, Iterator, Mapping, Optional, Sequence, Tuple, Union
@@ -26,8 +26,8 @@ import numpy as np
 
 from .cipher import BlockRecord
 from .detect_forest import N_FEATURES, ByteSource, Dataset
-from .files import atomic_write, cell_texts, digit_runs
-from .workload import RunConfig
+from .files import atomic_write, digit_runs
+from .workload import AnomalyKind, RunConfig
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,11 @@ class BlockTable:
     block, ordered by index in a run and in file order in a CSV.
 
     index is int64[n], time_us float64[n] and feature_bytes uint8[n, 16].
-    tag holds one string per row and each flag column one bool per row; a
-    CSV that lacks a column leaves it None, and a run leaves the two
-    prediction columns None until its detectors have run.
+    Each flag column holds one bool per row; a CSV that lacks a column
+    leaves it None, and a run leaves the two prediction columns None until
+    its detectors have run. tag, one kind name per row, is a run's column
+    only: build_dataset writes it for export_csv, and read_blocks_csv
+    leaves it None.
     """
 
     index: np.ndarray
@@ -129,12 +131,13 @@ def build_dataset(
     # by index alone: a whole-record sort would compare the tags' kinds on a tie
     index, plaintext, ciphertext, time_us, tags = zip(*sorted(records, key=attrgetter("index")))
     payload = plaintext if byte_source is ByteSource.PLAINTEXT else ciphertext
+    kinds = tuple(t.kind.value for t in tags)
     return BlockTable(
         np.array(index, dtype=np.int64),
         np.array(time_us, dtype=np.float64),
         np.frombuffer(b"".join(payload), dtype=np.uint8).reshape(-1, len(BYTE_COLUMNS)),
-        tuple(t.kind.value for t in tags),
-        np.array([t.is_anomaly for t in tags], dtype=bool),
+        kinds,
+        np.array(kinds) != AnomalyKind.NONE.value,
     )
 
 
@@ -215,9 +218,9 @@ def export_csv(
     return blocks_path, summary_path
 
 
-# lines the byte pass decodes per step: only one step's field offsets and
-# text cells are held at a time, which keeps peak memory near that of the
-# file's bytes and the finished arrays
+# lines the byte pass decodes per step: only one step's field offsets are
+# held at a time, which keeps peak memory near that of the file's bytes and
+# the finished arrays
 _STEP_ROWS = 1024
 
 # value of each ASCII code as a hex digit, 16 where it is none
@@ -250,7 +253,7 @@ def _decode_lines(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
                   where: Mapping[str, int], width: int) -> Optional[dict]:
     """One step's columns from the lines buf[start[k]:end[k]] of width fields,
     or None if any line or cell is not in the form _read_canonical reads.
-    Number cells are decoded by their digits; only tag cells become Python objects."""
+    Number cells are decoded by their digits; no cell becomes a Python object."""
     m = start.size
     commas = np.flatnonzero(buf[start[0]:end[-1]] == _COMMA) + start[0]
     if commas.size != m * (width - 1):
@@ -286,10 +289,6 @@ def _decode_lines(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
         cols[name] = decode(buf, first[:, where[name]], last[:, where[name]])
         if cols[name] is None:
             return None
-    if "tag" in where:
-        text = cell_texts(buf, first[:, where["tag"]], last[:, where["tag"]])
-        unique = {}  # one string per distinct tag, not one per row, for the table to hold
-        cols["tag"] = list(map(unique.setdefault, text, text))
     return cols
 
 
@@ -302,9 +301,9 @@ def _read_canonical(path: Union[str, Path]) -> Optional[BlockTable]:
     header's fields, each byte cell two hex digits, each flag cell true or
     false, each index cell [0-9]{1,18} and each time_us cell
     [0-9]{1,12}\\.[0-9]{3}: the form of every run's export. Number cells are
-    decoded by their digits, and only tag cells become Python objects, as
-    only thresholds do in load_model's bulk pass. Any other file, such as one
-    with a negative index or a hand-edited +5 or 2.25, gives None.
+    decoded by their digits, and the cells of columns the table does not
+    read, tag among them, are not decoded at all. Any other file, such as
+    one with a negative index or a hand-edited +5 or 2.25, gives None.
     """
     data = Path(path).read_bytes()
     if not data.isascii() or b'"' in data or b"\0" in data:
@@ -342,8 +341,7 @@ def _read_canonical(path: Union[str, Path]) -> Optional[BlockTable]:
     ranked = np.sort(index)  # np.unique would import numpy.ma, about 1 MiB, on first use
     if (ranked[1:] == ranked[:-1]).any():
         return None
-    tags = tuple(chain.from_iterable(s["tag"] for s in steps)) if "tag" in where else None
-    return BlockTable(index, joined("time_us"), joined("feature_bytes"), tags,
+    return BlockTable(index, joined("time_us"), joined("feature_bytes"), None,
                       *(joined(name) for name in FLAG_COLUMNS))
 
 
@@ -365,7 +363,7 @@ def _read_rows(path: Union[str, Path]) -> Union[BlockTable, str]:
     byte that is not ASCII, else that byte.
     """
     index, time_us, payloads = [], [], []
-    text = {name: [] for name in ("tag", *FLAG_COLUMNS)}  # the cells of the optional columns
+    text = {name: [] for name in FLAG_COLUMNS}  # the cells of the optional columns
     seen = set()
     try:
         with open(path, "rb") as handle:
@@ -417,16 +415,17 @@ def _read_rows(path: Union[str, Path]) -> Union[BlockTable, str]:
     flags = (np.array([cell == FLAG_WORDS[True] for cell in text[name]]) if name in where else None
              for name in FLAG_COLUMNS)
     return BlockTable(np.array(index, dtype=np.int64), np.array(time_us, dtype=np.float64),
-                      feature_bytes, tuple(text["tag"]) if "tag" in where else None, *flags)
+                      feature_bytes, None, *flags)
 
 
 def read_blocks_csv(path: Union[str, Path]) -> BlockTable:
     """Parse a per-block CSV into columns.
 
-    index, time_us, and the 16 byte columns are required; tag, truth_label,
-    and the prediction columns are optional so externally produced feature
-    tables can be scored too. Blank lines are skipped and fields beyond the
-    header's are ignored; where a name repeats in the header, its last
+    index, time_us, and the 16 byte columns are required; truth_label and
+    the prediction columns are optional so externally produced feature
+    tables can be scored too. Any other column, tag included, is passed over,
+    and the table's tag is None. Blank lines are skipped and fields beyond
+    the header's are ignored; where a name repeats in the header, its last
     column counts. A malformed row, a non-finite time_us, an index beyond
     64 bits, or a repeated index raises ValueError naming the file line; a
     byte that is not ASCII raises one naming its offset in the file. A file

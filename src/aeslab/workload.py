@@ -5,9 +5,10 @@ block may carry one anomaly: a timing delay (extra latency before encryption)
 or a bit-flip fault (first plaintext byte XORed with 0xFF just before
 encryption). A block's kind is a KIND_* code and its delay a column of its
 own; the cipher's records tag each block with one of the three shared TAGS,
-so a tag names the kind and nothing else. All randomness is drawn from numpy
-generators derived from the run seed, so a (seed, n_blocks, inject_pct) triple
-fully determines the run.
+so a tag names the kind and nothing else, and a block is anomalous exactly
+when its kind is not NONE. All randomness is drawn from numpy generators
+derived from the run seed, so a (seed, n_blocks, inject_pct) triple fully
+determines the run.
 """
 
 from __future__ import annotations
@@ -65,14 +66,11 @@ class AnomalyKind(enum.Enum):
 
 
 class AnomalyTag(NamedTuple):
-    """The anomaly kind of one encrypted block. It stays only because perfbench
-    reads record.tag.kind; a block's delay lives in Blocks.delay_us."""
+    """The anomaly kind of one encrypted block, and nothing else. It stays only
+    because perfbench reads record.tag.kind; a block's delay lives in
+    Blocks.delay_us, and its truth label is derived from the kind."""
 
     kind: AnomalyKind = AnomalyKind.NONE
-
-    @property
-    def is_anomaly(self) -> bool:
-        return self.kind is not AnomalyKind.NONE
 
 
 # codes of the Blocks.kind column, in AnomalyKind order

@@ -27,7 +27,7 @@ from aeslab.detect_forest import (
     split_train_test,
 )
 from aeslab.metrics_report import build_dataset, rows_to_vectors
-from aeslab.workload import Mode, RunConfig
+from aeslab.workload import AnomalyKind, Mode, RunConfig
 
 import oracle_grow
 import oracle_model
@@ -599,7 +599,7 @@ def test_build_dataset_layout():
     for rec, row, label in zip(records, data.X, data.y):
         assert row[0] == rec.time_us
         assert bytes(int(b) for b in row[1:]) == rec.plaintext
-        assert label == rec.truth_label
+        assert label == (rec.tag.kind is not AnomalyKind.NONE)
 
 
 def test_build_dataset_orders_by_index_and_supports_ciphertext():

@@ -26,7 +26,7 @@ from aeslab.metrics_report import (
     run_id,
     score,
 )
-from aeslab.workload import TAGS, Mode, RunConfig
+from aeslab.workload import TAGS, AnomalyKind, Mode, RunConfig
 
 import oracle_csv
 
@@ -142,7 +142,7 @@ def test_run_id_format():
 def _scored_run(n=100, seed=7):
     cfg = RunConfig(n_blocks=n, inject_pct=30.0, seed=seed, mode=Mode.SIMULATED)
     records = run_pipeline(cfg, Key128(bytes(16)))
-    truths = [r.truth_label for r in records]
+    truths = [r.tag.kind is not AnomalyKind.NONE for r in records]
     threshold_preds = [r.time_us > 3000.0 for r in records]
     forest_preds = truths[:]  # stand-in perfect detector
     report_t = score(threshold_preds, truths, "threshold")
@@ -190,11 +190,14 @@ def test_export_round_trip_reproduces_rows(tmp_path):
     assert table.index.tolist() == [rec.index for rec in records]
     # 3-decimal file
     assert table.time_us.tolist() == pytest.approx([rec.time_us for rec in records], abs=5e-4)
-    assert table.truth_label.tolist() == [rec.truth_label for rec in records]
+    assert table.truth_label.tolist() == [rec.tag.kind is not AnomalyKind.NONE for rec in records]
     assert table.threshold_pred.tolist() == tp
     assert table.forest_pred.tolist() == fp
     assert [bytes(row) for row in table.feature_bytes] == [rec.plaintext for rec in records]
-    assert list(table.tag) == [rec.tag.kind.value for rec in records]
+    assert table.tag is None  # the reader passes the tag column over
+    with open(blocks_path, newline="", encoding="ascii") as handle:
+        tags = [row["tag"] for row in csv.DictReader(handle)]
+    assert tags == [rec.tag.kind.value for rec in records]
 
 
 def test_export_rejects_prediction_length_mismatch(tmp_path):
@@ -344,7 +347,7 @@ def test_rows_to_vectors_with_and_without_labels(tmp_path):
     table = read_blocks_csv(blocks_path)
     data, has_labels = rows_to_vectors(table)
     assert has_labels
-    assert data.y.tolist() == [r.truth_label for r in records]
+    assert data.y.tolist() == [r.tag.kind is not AnomalyKind.NONE for r in records]
     assert data.X.shape == (20, 17)
     assert data.X[:, 0].tolist() == table.time_us.tolist()
     payloads = [bytes(r) for r in table.feature_bytes]
@@ -395,7 +398,7 @@ def test_export_then_read_gives_back_the_dataset(data):
         for i in range(n)
     ]
     byte_source = data.draw(st.sampled_from(ByteSource))
-    truths = [r.truth_label for r in records]
+    truths = [r.tag.kind is not AnomalyKind.NONE for r in records]
     preds = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     rt, rf = score(preds, truths, "threshold"), score(truths, truths, "forest")
     with tempfile.TemporaryDirectory() as tmp:
@@ -455,7 +458,7 @@ def test_export_then_read_gives_back_the_table(table):
                         for t in table.time_us.tolist()))
     assert rows.called != run_form
     assert got.index.tolist() == table.index.tolist()
-    assert got.tag == table.tag
+    assert got.tag is None
     for name in ("truth_label", "threshold_pred", "forest_pred"):
         assert getattr(got, name).tolist() == getattr(table, name).tolist()
     assert got.feature_bytes.tobytes() == table.feature_bytes.tobytes()
@@ -549,13 +552,14 @@ def _block_csvs(draw):
 
 
 def _table_rows(table):
+    """The table as oracle_csv rows without their tag, which neither pass reads."""
+    assert table.tag is None
     n = len(table)
 
     def optional(col):
         return [None] * n if col is None else col.tolist()
 
-    tags = [None] * n if table.tag is None else list(table.tag)
-    return list(zip(table.index.tolist(), table.time_us.tolist(), tags,
+    return list(zip(table.index.tolist(), table.time_us.tolist(),
                     optional(table.truth_label), optional(table.threshold_pred),
                     optional(table.forest_pred), [bytes(r) for r in table.feature_bytes]))
 
@@ -565,6 +569,12 @@ def _outcome(read, path):
         return read(path)
     except ValueError as exc:  # anything else fails the test
         return type(exc), str(exc)
+
+
+def _oracle_outcome(path):
+    """oracle_csv's error, or its rows with the tag element dropped."""
+    want = _outcome(oracle_csv.read_rows, path)
+    return want if isinstance(want, tuple) else [row[:2] + row[3:] for row in want]
 
 
 _LINES = [
@@ -600,7 +610,7 @@ def test_read_blocks_csv_takes_the_byte_pass_only_for_files_in_export_form(
         tmp_path, content, row_pass):
     path = tmp_path / "blocks.csv"
     path.write_bytes(content.encode("ascii"))
-    want = _outcome(oracle_csv.read_rows, path)
+    want = _oracle_outcome(path)
     with mock.patch.object(metrics_report, "_read_rows", wraps=metrics_report._read_rows) as rows:
         got = _outcome(read_blocks_csv, path)
     assert (got if isinstance(got, tuple) else _table_rows(got)) == want
@@ -614,10 +624,36 @@ def test_read_blocks_csv_agrees_with_the_row_reader(step_rows, content):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "blocks.csv"
         path.write_bytes(content)
-        want = _outcome(oracle_csv.read_rows, path)
+        want = _oracle_outcome(path)
         with mock.patch.object(metrics_report, "_STEP_ROWS", step_rows):
             got = _outcome(read_blocks_csv, path)
     if isinstance(got, tuple):
         assert got == want
     else:
         assert _table_rows(got) == want
+
+
+def _columns(table):
+    return {field.name: None if (column := getattr(table, field.name)) is None
+            else np.asarray(column).tolist() for field in dataclasses.fields(table)}
+
+
+@pytest.mark.parametrize("tag", [*_ODD["tag"], None])  # None: the tag column dropped
+def test_read_blocks_csv_passes_over_the_tag_column(tmp_path, tag):
+    cfg, records, tp, fp, rt, rf = _scored_run(n=40)
+    blocks_path, _ = _export(tmp_path, cfg, records, tp, fp, rt, rf)
+    want = read_blocks_csv(blocks_path)
+    edited = tmp_path / "edited.csv"
+    with open(blocks_path, newline="", encoding="ascii") as src, \
+            open(edited, "w", newline="", encoding="ascii") as dst:
+        reader = csv.DictReader(src)
+        keep = [c for c in reader.fieldnames if tag is not None or c != "tag"]
+        writer = csv.DictWriter(dst, fieldnames=keep)
+        writer.writeheader()
+        for row in reader:
+            writer.writerow({k: tag if k == "tag" else row[k] for k in keep})
+    # a quoted cell sends the file to the row pass; an empty cell or no column leaves
+    # it in the form the byte pass reads
+    assert (metrics_report._read_canonical(edited) is None) == (tag in ("a,b", "x\ny"))
+    for read in (read_blocks_csv, metrics_report._read_rows):
+        assert _columns(read(edited)) == _columns(want)

@@ -181,8 +181,7 @@ def test_apply_fault_is_an_involution(data):
 def test_anomaly_tag_validation():
     # one shared tag per KIND_* code; a delay belongs to Blocks.delay_us, not the tag
     assert [tag.kind for tag in TAGS] == list(AnomalyKind)
-    assert TAGS[KIND_NONE] == AnomalyTag() and not AnomalyTag().is_anomaly
-    assert TAGS[KIND_DELAY].is_anomaly and TAGS[KIND_FAULT].is_anomaly
+    assert TAGS[KIND_NONE] == AnomalyTag()
     with pytest.raises(TypeError):
         AnomalyTag(AnomalyKind.DELAY, 5000.0)
     with pytest.raises(AttributeError):
