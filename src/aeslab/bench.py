@@ -22,7 +22,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import fmean
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, TextIO, Union
 
 from .cipher import Key128, run_pipeline
 from .workload import Mode, RunConfig
@@ -90,16 +90,22 @@ _BENCH_FORMATS = {
 }
 
 
+def write_rows(handle: TextIO, records: Sequence[BenchRecord], header: bool,
+               lineterminator: str = "\r\n") -> None:
+    """Write records to handle as bench CSV rows, after the column names if header."""
+    writer = csv.writer(handle, lineterminator=lineterminator)
+    if header:
+        writer.writerow(_BENCH_FORMATS)
+    writer.writerows([
+        "" if (value := getattr(record, column)) is None else format(value, spec)
+        for column, spec in _BENCH_FORMATS.items()
+    ] for record in records)
+
+
 def _append_row(path: Path, record: BenchRecord) -> None:
     new_file = not path.exists()
     with open(path, "a", newline="", encoding="ascii") as handle:
-        writer = csv.writer(handle)
-        if new_file:
-            writer.writerow(_BENCH_FORMATS)
-        writer.writerow([
-            "" if (value := getattr(record, column)) is None else format(value, spec)
-            for column, spec in _BENCH_FORMATS.items()
-        ])
+        write_rows(handle, [record], header=new_file)
 
 
 def _measure_cell(cfg: RunConfig, key: Key128) -> BenchRecord:

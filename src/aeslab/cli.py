@@ -9,9 +9,9 @@ Subcommands:
 
 Every flag with a default can also be set through an environment variable
 named AESLAB_<FLAG> (dashes become underscores, e.g. AESLAB_INJECT_PCT);
-command-line values win over the environment. The four flags without a
-default, train's --from-csv and --model-out and predict's --model and
---csv, have no variable.
+command-line values win over the environment, and --help shows the default
+in force. The four flags without a default, train's --from-csv and
+--model-out and predict's --model and --csv, have no variable.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .bench import sweep
+from .bench import sweep, write_rows
 from .cipher import (
     DEFAULT_KEY_HEX,
     Key128,
@@ -61,11 +61,20 @@ from .workload import MAX_DELAY_US, MAX_WORKERS, InputDistribution, Mode, RunCon
 ENV_PREFIX = "AESLAB_"
 
 
-def _flag(p: argparse.ArgumentParser, flag: str, default, **kwargs) -> None:
+def _flag(p: argparse.ArgumentParser, flag: str, default, help: str, **kwargs) -> None:
     """Add flag to p with its default overridden by AESLAB_<FLAG> (dashes become
-    underscores) where that is set; command-line values still take precedence."""
+    underscores) where that is set; command-line values still take precedence.
+    Its help ends with the default in force."""
     env = ENV_PREFIX + flag.lstrip("-").upper().replace("-", "_")
-    p.add_argument(flag, default=os.environ.get(env, default), **kwargs)
+    p.add_argument(flag, default=os.environ.get(env, default),
+                   help=help + " (default %(default)s)", **kwargs)
+
+
+def _field(p: argparse.ArgumentParser, flag: str, config, dest: str, **kwargs) -> None:
+    """A _flag that sets the config field dest, by default to its value in config
+    (an enum by its value)."""
+    default = getattr(config, dest)
+    _flag(p, flag, getattr(default, "value", default), dest=dest, **kwargs)
 
 
 def _bounded(kind: type, low: float, high: float = math.inf, *, strict: bool = False):
@@ -129,45 +138,45 @@ def _key(text: str) -> Key128:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _add_input_flags(p: argparse.ArgumentParser, inject_pct: float) -> None:
+def _add_input_flags(p: argparse.ArgumentParser, cfg: RunConfig) -> None:
     """Flags of every command that generates and encrypts blocks."""
-    _flag(p, "--inject-pct", inject_pct, type=_bounded(float, 0.0, 100.0),
-          help=f"percentage of blocks tagged anomalous (default {inject_pct:g})")
-    _flag(p, "--seed", 1, type=_bounded(int, 0, 2**64 - 1), help="run seed (default 1)")
-    _flag(p, "--input-dist", "ascii", type=InputDistribution,
-          help="plaintext byte distribution: uniform or ascii (default ascii)")
-    _flag(p, "--work-amp", 1, type=_bounded(int, 1),
-          help="encryption passes per block in real mode (default 1)")
+    _field(p, "--inject-pct", cfg, "inject_pct", type=_bounded(float, 0.0, 100.0),
+           help="percentage of blocks tagged anomalous")
+    _field(p, "--seed", cfg, "seed", type=_bounded(int, 0, 2**64 - 1), help="run seed")
+    _field(p, "--input-dist", cfg, "input_dist", type=InputDistribution,
+           help="plaintext byte distribution: uniform or ascii")
+    _field(p, "--work-amp", cfg, "work_amplification", type=_bounded(int, 1),
+           help="encryption passes per block in real mode")
     _flag(p, "--key-hex", DEFAULT_KEY_HEX, type=_key, help="AES-128 key as 32 hex digits")
 
 
-def _add_workload_flags(p: argparse.ArgumentParser) -> None:
-    _flag(p, "--blocks", 1024, type=_bounded(int, 1), help="blocks per run (default 1024)")
-    _flag(p, "--workers", 1, type=_bounded(int, 1, MAX_WORKERS),
-          help=f"worker processes for real mode, at most {MAX_WORKERS} (default 1); "
-               "simulated mode encrypts in one batch in this process")
-    _flag(p, "--mode", "real", type=Mode,
-          help="timing source: real (measured wall clock) or simulated (seeded model) "
-               "(default real)")
-    _flag(p, "--delay-min-us", 5000.0, type=_bounded(float, 0.0, MAX_DELAY_US, strict=True),
-          help=f"minimum injected delay in microseconds, below {MAX_DELAY_US:g} (default 5000)")
-    _flag(p, "--delay-max-us", 20000.0, type=_bounded(float, 0.0, MAX_DELAY_US, strict=True),
-          help=f"maximum injected delay in microseconds, below {MAX_DELAY_US:g} (default 20000)")
-    _add_input_flags(p, inject_pct=20.0)
+def _add_workload_flags(p: argparse.ArgumentParser, cfg: RunConfig) -> None:
+    _field(p, "--blocks", cfg, "n_blocks", type=_bounded(int, 1), help="blocks per run")
+    _field(p, "--workers", cfg, "workers", type=_bounded(int, 1, MAX_WORKERS),
+           help=f"worker processes for real mode, at most {MAX_WORKERS}; "
+                "simulated mode encrypts in one batch in this process")
+    _field(p, "--mode", cfg, "mode", type=Mode,
+           help="timing source: real (measured wall clock) or simulated (seeded model)")
+    delay = _bounded(float, 0.0, MAX_DELAY_US, strict=True)
+    _field(p, "--delay-min-us", cfg, "delay_min_us", type=delay,
+           help=f"minimum injected delay in microseconds, below {MAX_DELAY_US:g}")
+    _field(p, "--delay-max-us", cfg, "delay_max_us", type=delay,
+           help=f"maximum injected delay in microseconds, below {MAX_DELAY_US:g}")
+    _add_input_flags(p, cfg)
 
 
-def _add_forest_flags(p: argparse.ArgumentParser) -> None:
-    _flag(p, "--trees", 101, type=_bounded(int, 1), help="trees in the forest (default 101)")
-    _flag(p, "--max-depth", 16, type=_depth, help="tree depth limit, or 'none' (default 16)")
-    _flag(p, "--train-fraction", 0.7, type=_bounded(float, 0.0, 1.0, strict=True),
-          help="stratified train share (default 0.7)")
-    _flag(p, "--byte-source", "plaintext", type=ByteSource,
-          help="which bytes feed the 16 byte features: plaintext or ciphertext "
-               "(default plaintext)")
+def _add_forest_flags(p: argparse.ArgumentParser, hyper: ForestHyperparams) -> None:
+    _field(p, "--trees", hyper, "n_trees", type=_bounded(int, 1), help="trees in the forest")
+    _field(p, "--max-depth", hyper, "max_depth", type=_depth,
+           help="tree depth limit, or 'none'")
+    _field(p, "--train-fraction", hyper, "train_fraction",
+           type=_bounded(float, 0.0, 1.0, strict=True), help="stratified train share")
+    _flag(p, "--byte-source", ByteSource.PLAINTEXT.value, type=ByteSource,
+          help="which bytes feed the 16 byte features: plaintext or ciphertext")
 
 
 def _add_out_dir_flag(p: argparse.ArgumentParser) -> None:
-    _flag(p, "--out-dir", "results", help="directory for CSV artifacts (default results)")
+    _flag(p, "--out-dir", "results", help="directory for CSV artifacts")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,22 +185,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="AES-128-ECB anomaly-injection lab with threshold and forest detectors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cfg, hyper = RunConfig(), ForestHyperparams()
 
     p_run = sub.add_parser("run", help="full pipeline: inject, encrypt, detect, export")
-    _add_workload_flags(p_run)
-    _add_forest_flags(p_run)
+    _add_workload_flags(p_run, cfg)
+    _add_forest_flags(p_run, hyper)
     _flag(p_run, "--threshold-fit", "all", type=_one_of("all", "train"), metavar="{all,train}",
-          help="fit the timing cut-off on the whole run (all) or the train subset (train) "
-               "(default all)")
+          help="fit the timing cut-off on the whole run (all) or the train subset (train)")
     _add_out_dir_flag(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_bench = sub.add_parser("bench", help="latency/throughput sweep (real mode)")
-    _flag(p_bench, "--block-counts", [1024, 4096, 8192, 16384], type=_counts(),
-          help="comma-separated block counts (default 1024,4096,8192,16384)")
-    _flag(p_bench, "--worker-counts", [1, 2, 4], type=_counts(MAX_WORKERS),
-          help=f"comma-separated worker counts, each at most {MAX_WORKERS} (default 1,2,4)")
-    _add_input_flags(p_bench, inject_pct=0.0)
+    _flag(p_bench, "--block-counts", "1024,4096,8192,16384", type=_counts(),
+          help="comma-separated block counts")
+    _flag(p_bench, "--worker-counts", "1,2,4", type=_counts(MAX_WORKERS),
+          help=f"comma-separated worker counts, each at most {MAX_WORKERS}")
+    _add_input_flags(p_bench, RunConfig(inject_pct=0.0))
     _add_out_dir_flag(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
@@ -202,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--from-csv", default=None,
                          help="per-block CSV with truth labels; omit to train on a fresh run")
     p_train.add_argument("--model-out", required=True, help="where to write the model file")
-    _add_workload_flags(p_train)
-    _add_forest_flags(p_train)
+    _add_workload_flags(p_train, cfg)
+    _add_forest_flags(p_train, hyper)
     p_train.set_defaults(func=cmd_train)
 
     p_predict = sub.add_parser("predict", help="classify a per-block CSV with a saved forest")
@@ -216,40 +225,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(base, args):
+    """base with each of its fields that args holds, under the field's name, taken from args."""
+    given = vars(args)
+    return dataclasses.replace(
+        base, **{f.name: given[f.name] for f in dataclasses.fields(base) if f.name in given})
+
+
 def _build_run_config(args, cp: argparse.ArgumentParser) -> RunConfig:
     if args.delay_min_us > args.delay_max_us:
         cp.error("--delay-min-us must not exceed --delay-max-us")
-    return RunConfig(
-        n_blocks=args.blocks,
-        inject_pct=args.inject_pct,
-        workers=args.workers,
-        seed=args.seed,
-        mode=args.mode,
-        delay_min_us=args.delay_min_us,
-        delay_max_us=args.delay_max_us,
-        input_dist=args.input_dist,
-        work_amplification=args.work_amp,
-    )
+    return _config(RunConfig(), args)
 
 
 def _build_hyper(args) -> ForestHyperparams:
-    hyper = ForestHyperparams(
-        n_trees=args.trees,
-        max_depth=args.max_depth,
-        seed=args.seed,
-        train_fraction=args.train_fraction,
-    )
+    hyper = _config(ForestHyperparams(), args)
     hyper.validate()
     return hyper
 
 
 def _print_report(report: DetectionReport) -> None:
-    c = report.counts
-    print(
-        f"{report.detector}: tp={c.tp} fp={c.fp} fn={c.fn} tn={c.tn} "
-        f"accuracy={report.accuracy:.6f} precision={report.precision:.6f} "
-        f"recall={report.recall:.6f} f1={report.f1:.6f}"
-    )
+    cells = report.cells()
+    detector = cells.pop("detector")
+    print(f"{detector}: " + " ".join(f"{name}={value}" for name, value in cells.items()))
 
 
 def cmd_run(args) -> int:
@@ -293,27 +291,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    base = RunConfig(
-        inject_pct=args.inject_pct,
-        seed=args.seed,
-        mode=Mode.REAL,
-        input_dist=args.input_dist,
-        work_amplification=args.work_amp,
-    )
+    base = _config(RunConfig(mode=Mode.REAL), args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"bench_{time.strftime('%Y%m%d-%H%M%S')}.csv"
     results = sweep(args.block_counts, args.worker_counts, base, args.key_hex, csv_path)
-    print(f"{'blocks':>8} {'workers':>7} {'mean_us':>12} {'blocks_per_s':>14} {'peak_mb':>9} "
-          f"{'peak_children_mb':>16} {'wall_s':>9}")
-    for r in results:
-        if r.error is not None:
-            print(f"{r.block_count:>8} {r.workers:>7} error: {r.error}")
-            continue
-        mem, children = ("n/a" if mb is None else f"{mb:.1f}"
-                         for mb in (r.peak_memory_mb, r.peak_children_mb))
-        print(f"{r.block_count:>8} {r.workers:>7} {r.mean_latency_us:>12.3f} "
-              f"{r.throughput_bps:>14.3f} {mem:>9} {children:>16} {r.wall_time_s:>9.3f}")
+    write_rows(sys.stdout, results, header=True, lineterminator="\n")
     print(f"wrote {csv_path}")
     return 1 if any(r.error is not None for r in results) else 0
 

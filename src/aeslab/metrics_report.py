@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import BinaryIO, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,6 +50,15 @@ class DetectionReport:
     precision: float
     recall: float
     f1: float
+
+    def cells(self) -> Dict[str, Union[str, int]]:
+        """The report's cells of its summary CSV row, by column; the CLI prints the same."""
+        c = self.counts
+        return {
+            "detector": self.detector, "tp": c.tp, "fp": c.fp, "fn": c.fn, "tn": c.tn,
+            "accuracy": f"{self.accuracy:.6f}", "precision": f"{self.precision:.6f}",
+            "recall": f"{self.recall:.6f}", "f1": f"{self.f1:.6f}",
+        }
 
 
 def score(predictions: Sequence[bool], truths: Sequence[bool], detector: str) -> DetectionReport:
@@ -195,11 +204,7 @@ def export_csv(
 
     summaries = [
         {
-            "detector": report.detector,
-            "tp": report.counts.tp, "fp": report.counts.fp,
-            "fn": report.counts.fn, "tn": report.counts.tn,
-            "accuracy": f"{report.accuracy:.6f}", "precision": f"{report.precision:.6f}",
-            "recall": f"{report.recall:.6f}", "f1": f"{report.f1:.6f}",
+            **report.cells(),
             "accuracy_gain": f"{accuracy_gain:.6f}",
             "n_blocks": cfg.n_blocks, "inject_pct": f"{cfg.inject_pct:g}", "seed": cfg.seed,
             "mode": cfg.mode.value,

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,12 +15,15 @@ from hypothesis import strategies as st
 
 import aeslab.cipher as cipher_mod
 import aeslab.cli as cli
+from aeslab.bench import BenchRecord
 from aeslab.cipher import Key128
 from aeslab.cli import build_parser, main
-from aeslab.detect_forest import ByteSource, ModelFormatError, load_model, split_train_test
+from aeslab.detect_forest import (
+    ByteSource, ForestHyperparams, ModelFormatError, load_model, split_train_test,
+)
 from aeslab.detect_threshold import fit_threshold
 from aeslab.metrics_report import read_blocks_csv, rows_to_vectors
-from aeslab.workload import MAX_WORKERS, InputDistribution, Mode
+from aeslab.workload import MAX_WORKERS, InputDistribution, Mode, RunConfig
 
 import oracle_model
 
@@ -347,6 +351,57 @@ def test_threshold_fit_train_fits_on_the_train_rows(tmp_path, capsys):
     assert (cut["train"], cut["all"]) == (2870.444, 2642.883)
 
 
+@pytest.mark.parametrize("command", sorted(_MINIMAL_ARGV))
+def test_help_shows_each_default_once(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # no help text is wrapped
+    for name in _ENV_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("AESLAB_SEED", "9")  # the default in force is the environment's
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    # one entry an option: its flags, then its help on the same line or the next
+    entries = [" ".join(entry.split()) for entry in re.split(r"\n(?=  -)", out)]
+    defaulted = [a for c, a in _subcommand_options() if c == command and a.default is not None]
+    assert out.count("(default") == len(defaulted)
+    for action in defaulted:
+        (entry,) = [e for e in entries if e.startswith(action.option_strings[0] + " ")]
+        shown = "9" if action.dest == "seed" else action.default
+        assert entry.endswith(f" (default {shown})"), entry
+
+
+def test_bare_commands_parse_to_the_default_configs(monkeypatch):
+    for name in _ENV_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for argv in (["run"], ["train", "--model-out", "m.txt"]):
+        args = build_parser().parse_args(argv)
+        assert cli._build_run_config(args, args.command_parser) == RunConfig()
+        assert cli._build_hyper(args) == ForestHyperparams()
+
+
+@pytest.mark.parametrize("text, depth", [("5", 5), ("0", 0), ("none", None), ("None", None)])
+def test_max_depth_parses_to_a_limit_or_none(text, depth):
+    args = build_parser().parse_args(["run", "--max-depth", text])
+    assert cli._build_hyper(args).max_depth == depth
+
+
+@pytest.mark.parametrize("text", ["-1", "2.5"])
+def test_bad_depths_are_usage_errors(text, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["run", "--max-depth", text])
+    assert excinfo.value.code == 2
+    assert "--max-depth" in capsys.readouterr().err
+
+
+def test_predict_of_an_empty_csv_is_a_one_line_error(saved_model, tmp_path, capsys):
+    model, empty = tmp_path / "model.txt", tmp_path / "empty.csv"
+    model.write_bytes(saved_model[0])
+    empty.write_bytes(b"")
+    assert main(["predict", "--model", str(model), "--csv", str(empty)]) == 1
+    assert capsys.readouterr().err == f"error: {empty}: empty CSV\n"
+
+
 def test_help_documents_flags_with_units(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "--help"])
@@ -363,7 +418,7 @@ def test_help_documents_flags_with_units(capsys):
 def test_every_run_flag_has_a_default():
     parser = build_parser()
     args = parser.parse_args(["run"])
-    assert args.blocks >= 1
+    assert args.n_blocks >= 1
     assert args.key_hex is not None
     assert args.out_dir
 
@@ -581,15 +636,32 @@ def test_missing_input_file_exits_nonzero(tmp_path, capsys):
 def test_bench_writes_csv_and_table(tmp_path, capsys):
     assert main(["bench", "--block-counts", "48", "--worker-counts", "1",
                  "--out-dir", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "blocks_per_s" in out
-    assert "peak_mb peak_children_mb" in out
     bench_files = list(tmp_path.glob("bench_*.csv"))
     assert len(bench_files) == 1
+    written = bench_files[0].read_text(encoding="ascii")
+    assert capsys.readouterr().out == written.replace("\r\n", "\n") + f"wrote {bench_files[0]}\n"
     with open(bench_files[0], newline="", encoding="ascii") as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == 1
-    assert rows[0]["block_count"] == "48"
+    assert rows[0]["block_count"] == "48" and rows[0]["throughput_bps"]
+
+
+def test_a_failing_bench_cell_is_printed_and_fails_the_command(tmp_path, capsys, monkeypatch):
+    def failing_sweep(block_counts, worker_counts, base, key, csv_path):
+        assert base == RunConfig(inject_pct=0.0, mode=Mode.REAL)
+        return [BenchRecord(block_counts[0], worker_counts[0], None, None, None, None,
+                            error="no pool, says the cell")]
+
+    monkeypatch.setattr(cli, "sweep", failing_sweep)
+    assert main(["bench", "--block-counts", "8", "--worker-counts", "2",
+                 "--out-dir", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "block_count,workers,mean_latency_us,throughput_bps,peak_memory_mb,peak_children_mb,"
+        "wall_time_s,error",
+        '8,2,,,,,,"no pool, says the cell"',
+    ]
+    assert lines[2].startswith("wrote ") and len(lines) == 3
 
 
 def test_bench_accepts_comma_lists(tmp_path):
@@ -602,9 +674,10 @@ def test_bench_accepts_comma_lists(tmp_path):
 
 
 def test_bench_rejects_bad_counts(tmp_path):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "--block-counts", "0", "--out-dir", str(tmp_path)])
-    assert excinfo.value.code == 2
+    for counts in ("0", "8,x"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--block-counts", counts, "--out-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
 
 
 def test_module_entry_point_runs():

@@ -233,6 +233,14 @@ def test_split_clamps_tiny_classes():
     assert result.test.y.sum() == 1
 
 
+def test_split_of_one_class_data_stratifies_that_class():
+    data = _dataset([[float(i)] for i in range(10)], [0] * 10)
+    result = split_train_test(data, 0.7, seed=1)
+    assert (len(result.train), len(result.test)) == (7, 3)
+    assert not result.train.y.any() and not result.test.y.any()
+    assert sorted(result.train_indices.tolist() + result.test_indices.tolist()) == list(range(10))
+
+
 def test_split_rejects_singleton_class():
     data = _dataset([[1.0], [2.0], [3.0]], [0, 0, 1])
     with pytest.raises(ValueError):
@@ -492,7 +500,10 @@ def test_hyperparams_validation():
         ForestHyperparams(train_fraction=1.5).validate()
     with pytest.raises(ValueError):
         ForestHyperparams(max_depth=-1).validate()
+    with pytest.raises(ValueError, match="64-bit"):
+        ForestHyperparams(seed=2**64).validate()
     ForestHyperparams().validate()
+    ForestHyperparams(seed=2**64 - 1).validate()
 
 
 def _leaf(c0, c1):
@@ -1008,6 +1019,7 @@ _ONE_TREE = ("aeslab-forest 1\nn_features 1\nn_trees 1\nmax_depth none\nmin_samp
     ("end\n", "end \n"), ("l 0 1", "l 0 0"), ("max_depth none", "max_depth 0"),
     ("i 0 1.0\nl 1 0\n", "l 1 0\ni 0 1.0\n"),  # the tree is complete before its last node
     ("l 0 1\n", "l 0 1\nl 0 1\n"), ("l 1 0\n", ""),  # a node too many, one too few
+    ("l 1 0", "e 2124 0"), ("i 0 1.0", "ii 0 1.5"),  # a node line of no kind
     # two trees, the first or both with no node
     (_ONE_TREE, _ONE_TREE.replace("n_trees 1", "n_trees 2").replace("tree 0\n", "tree 0\ntree 1\n")),
     (_ONE_TREE, _ONE_TREE.replace("n_trees 1", "n_trees 2").replace(

@@ -605,6 +605,16 @@ _LINES = [
     ("\n".join(_LINES).replace("2.250", "2.25") + "\n", True),
     ("\n".join(_LINES).replace("\n1,", "\n-9223372036854775808,") + "\n", True),
     ("\n".join(_LINES).replace("\n1,", "\n+1,") + "\n", True),
+    # cells that one per-line guard of the byte pass alone refuses; without that
+    # guard the byte pass would read the file wrong
+    ("\n".join(_LINES).replace(",ff,", ",0ff,", 1) + "\n", True),  # three characters
+    ("\n".join(_LINES).replace(",ff,", ",zz,", 1) + "\n", True),  # not hex digits
+    ("\n".join(_LINES).replace(",delay,true,", ",delay,maybe,") + "\n", True),  # no flag word
+    # the commas add up to the header's, but a tag cell is missing from the first row
+    # and the second has one cell too many in front
+    ("\n".join([",".join(["u", "index", "time_us", "truth_label", *_BYTE_NAMES, "v", "tag"]),
+                "3,0,1.500,true," + ZERO_BYTES + ",7",
+                "x,4,5,2.250,false," + ZERO_BYTES + ",7,none"]) + "\n", True),
 ])
 def test_read_blocks_csv_takes_the_byte_pass_only_for_files_in_export_form(
         tmp_path, content, row_pass):
