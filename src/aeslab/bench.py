@@ -9,22 +9,25 @@ above its mark when the measurement started, and peak_children_mb for the
 largest of its finished children (the pool workers). A sweep runs each cell
 in a fresh process, so no earlier cell and no process started before the
 sweep shows in a cell's figures; a forked cell starts with the sweeping
-process's size as its peak, which the rise leaves out.
+process's size as its peak, which the rise leaves out. Cells and pools come
+from cipher.process_pool, which forks where the start method in force is
+forkserver, so the pool workers are children of their cell and its
+peak_children_mb covers them.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
-from statistics import fmean
 from typing import List, Optional, Sequence, TextIO, Union
 
-from .cipher import Key128, run_pipeline
+from .cipher import Key128, process_pool, run_pipeline
 from .workload import Mode, RunConfig
 
 try:
@@ -65,7 +68,7 @@ def measure_run(cfg: RunConfig, key: Key128) -> BenchRecord:
         raise ValueError("benchmarks measure real mode only")
     cfg.validate()
     start_mb = peak_memory_mb()
-    with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
+    with process_pool(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
         run_pipeline(cfg, key, pool)
         start = time.perf_counter()
         records = run_pipeline(cfg, key, pool)
@@ -75,7 +78,7 @@ def measure_run(cfg: RunConfig, key: Key128) -> BenchRecord:
     return BenchRecord(
         block_count=cfg.n_blocks,
         workers=cfg.workers,
-        mean_latency_us=fmean(r.time_us for r in records),
+        mean_latency_us=math.fsum(r.time_us for r in records) / len(records),
         throughput_bps=cfg.n_blocks / wall_s,
         peak_memory_mb=None if peak_mb is None else peak_mb - start_mb,
         peak_children_mb=peak_memory_mb(children=True),
@@ -108,13 +111,16 @@ def _append_row(path: Path, record: BenchRecord) -> None:
         write_rows(handle, [record], header=new_file)
 
 
+def _failed(cfg: RunConfig, error: str) -> BenchRecord:
+    return BenchRecord(cfg.n_blocks, cfg.workers, None, None, None, None, error=error)
+
+
 def _measure_cell(cfg: RunConfig, key: Key128) -> BenchRecord:
     """measure_run in the cell's own process, with a failure as the cell's record."""
     try:
         return measure_run(cfg, key)
     except Exception as exc:  # keep the sweep alive, report the cell
-        return BenchRecord(cfg.n_blocks, cfg.workers, None, None, None, None,
-                           error=str(exc) or type(exc).__name__)
+        return _failed(cfg, str(exc) or type(exc).__name__)
 
 
 def sweep(
@@ -127,8 +133,9 @@ def sweep(
     """Measure every (blocks, workers) cell in ascending order.
 
     Each cell runs measure_run in a fresh process. A failing cell is
-    recorded with its error message instead of aborting the rest of the
-    sweep. Rows are appended to csv_path as they finish.
+    recorded with empty figures and its error message instead of aborting
+    the rest of the sweep, and so is a cell whose process dies (killed, or
+    out of memory). Rows are appended to csv_path as they finish.
     """
     blocks = sorted(set(int(b) for b in block_counts))
     workers = sorted(set(int(w) for w in worker_counts))
@@ -143,8 +150,11 @@ def sweep(
     for b in blocks:
         for w in workers:
             cfg = replace(base_cfg, n_blocks=b, workers=w)
-            with ProcessPoolExecutor(1) as cell:
-                record = cell.submit(_measure_cell, cfg, key).result()
+            with process_pool(1) as cell:
+                try:
+                    record = cell.submit(_measure_cell, cfg, key).result()
+                except BrokenProcessPool as exc:
+                    record = _failed(cfg, f"cell process died: {exc}")
             results.append(record)
             if path is not None:
                 _append_row(path, record)

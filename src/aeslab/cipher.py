@@ -37,20 +37,21 @@ permutation, MixColumns through an xtime table) as numpy gathers over every
 block at once. Real mode times each block and scales across a process pool
 of cfg.workers processes, which take a few contiguous slices of the run each
 as they free up; threads would serialize on the interpreter lock for this
-CPU-bound work.
+CPU-bound work. Every pool comes from process_pool, which imports
+concurrent.futures and multiprocessing on its first call, so a command that
+starts no pool (a simulated or one-worker run, train, predict, kat) never
+loads them.
 """
 
 from __future__ import annotations
 
 import struct
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import repeat
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +68,9 @@ from .workload import (
     assign_anomalies,
     generate_blocks,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 SBOX = (
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
@@ -306,6 +310,23 @@ def encrypt_timed(plain: bytes, delays_us: Sequence[float], key: bytes,
     return b"".join(ciphertexts), times
 
 
+def process_pool(workers: int) -> Executor:
+    """Start a pool of workers processes; the first call imports
+    concurrent.futures and multiprocessing.
+
+    The pool uses the start method in force, except that forkserver (Linux's
+    default from Python 3.14) becomes fork: under forkserver the workers are
+    children of the server process, not of the caller, so the caller's
+    RUSAGE_CHILDREN, which bench reads as peak_children_mb, would miss them.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    method = multiprocessing.get_start_method()
+    context = multiprocessing.get_context("fork" if method == "forkserver" else method)
+    return ProcessPoolExecutor(workers, mp_context=context)
+
+
 # real mode with several workers cuts a run into this many slices per worker,
 # so a worker that finishes early takes another slice instead of idling
 _SLICES_PER_WORKER = 4
@@ -319,8 +340,8 @@ def encrypt_blocks(blocks: Blocks, key: Key128, cfg: RunConfig,
     block i's latency as (base + U(0, jitter)) + delay, where the jitter is
     draw i of one stream of the run seed, so it depends on (seed, index)
     alone. Real mode times each block across cfg.workers processes: those of
-    pool, an executor with cfg.workers processes, or else of a pool started
-    and shut down within this call.
+    pool, an executor with cfg.workers processes, or else of a process_pool
+    started and shut down within this call.
     """
     index, delay_us = blocks.index, blocks.delay_us
     plain = blocks.data.copy()
@@ -337,8 +358,10 @@ def encrypt_blocks(blocks: Blocks, key: Key128, cfg: RunConfig,
         if cfg.workers == 1:
             parts = list(map(encrypt, plains, delays))
         else:
+            from concurrent.futures.process import BrokenProcessPool
+
             try:
-                with ProcessPoolExecutor(cfg.workers) if pool is None else nullcontext(pool) as live:
+                with process_pool(cfg.workers) if pool is None else nullcontext(pool) as live:
                     parts = list(live.map(encrypt, plains, delays))
             except (OSError, BrokenProcessPool) as exc:
                 raise PipelineError(f"worker pool failed: {exc}") from exc

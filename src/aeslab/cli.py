@@ -27,7 +27,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .bench import sweep, write_rows
 from .cipher import (
     DEFAULT_KEY_HEX,
     Key128,
@@ -291,6 +290,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import sweep, write_rows  # bench and the pool code it loads serve this command only
+
     base = _config(RunConfig(mode=Mode.REAL), args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -11,8 +11,8 @@ invisible to it by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from statistics import fmean
 from typing import Sequence
 
 import numpy as np
@@ -30,14 +30,15 @@ class ThresholdModel:
 def fit_threshold(times_us: Sequence[float]) -> ThresholdModel:
     """Fit the cut-off from a latency sample.
 
-    The sample is summed as Python floats by fmean, which adds exactly
-    (math.fsum); numpy's pairwise summation can move the cut-off's last bit.
+    The mean is math.fsum of the sample as Python floats over its size,
+    which is statistics.fmean's arithmetic: fsum adds exactly, while numpy's
+    pairwise summation can move the cut-off's last bit.
     """
     times = np.asarray(times_us, dtype=np.float64).tolist()
     if not times:
         raise ValueError("cannot fit a threshold on an empty sample")
     n = len(times)
-    mean = fmean(times)
+    mean = math.fsum(times) / n
     lo = min(times)
     hi = max(times)
     return ThresholdModel(mean, lo, hi, n, mean + 3.0 * (hi - lo) / n)

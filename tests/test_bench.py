@@ -1,7 +1,8 @@
 import csv
+import multiprocessing
+import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import pytest
@@ -92,17 +93,17 @@ def test_sweep_reports_each_cells_own_peaks():
 
 def test_measure_run_warms_the_pool_it_times(monkeypatch):
     started = []
+    real_pool = cipher_mod.process_pool
 
-    class CountingPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(args)
-            super().__init__(*args, **kwargs)
+    def counting_pool(*args, **kwargs):
+        started.append(args)
+        return real_pool(*args, **kwargs)
 
     def no_own_pool(*args, **kwargs):
         raise AssertionError("encrypt_blocks started a pool of its own")
 
-    monkeypatch.setattr(bench_mod, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(cipher_mod, "ProcessPoolExecutor", no_own_pool)
+    monkeypatch.setattr(bench_mod, "process_pool", counting_pool)
+    monkeypatch.setattr(cipher_mod, "process_pool", no_own_pool)
     record = measure_run(RunConfig(n_blocks=64, inject_pct=0.0, workers=2, mode=Mode.REAL), KEY)
     assert started == [(2,)]
     assert record.error is None and record.throughput_bps > 0
@@ -157,6 +158,59 @@ def test_sweep_records_failing_cells_and_continues(tmp_path, monkeypatch):
     assert rows[1]["error"] == "synthetic cell failure"
     assert rows[1]["mean_latency_us"] == ""
     assert rows[2]["error"] == ""
+
+
+def test_sweep_records_a_cell_whose_process_dies(tmp_path, monkeypatch):
+    real_measure = bench_mod.measure_run
+
+    def dying(cfg, key):
+        if cfg.n_blocks == 64:
+            os._exit(3)  # ends the cell as a kill would, with nothing raised in it
+        return real_measure(cfg, key)
+
+    monkeypatch.setattr(bench_mod, "measure_run", dying)
+    base = RunConfig(inject_pct=0.0, mode=Mode.REAL)
+    path = tmp_path / "bench.csv"
+    records = sweep([32, 64, 96], [1], base, KEY, path)
+    assert [(r.block_count, r.error is None) for r in records] == [
+        (32, True), (64, False), (96, True)]
+    died = records[1]
+    assert died.error.startswith("cell process died: ")
+    assert (died.mean_latency_us, died.throughput_bps, died.peak_memory_mb,
+            died.peak_children_mb, died.wall_time_s) == (None,) * 5
+    assert all(r.throughput_bps > 0 and r.mean_latency_us > 0 for r in records[::2])
+    with open(path, newline="", encoding="ascii") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["error"] for row in rows] == ["", died.error, ""]
+    assert rows[1]["mean_latency_us"] == rows[1]["wall_time_s"] == ""
+
+
+# a 2-worker cell swept under the forkserver start method, Linux's default from Python 3.14
+_FORKSERVER_SWEEP = """
+import multiprocessing
+from aeslab.bench import sweep
+from aeslab.cipher import Key128
+from aeslab.workload import Mode, RunConfig
+
+multiprocessing.set_start_method("forkserver")
+(record,) = sweep([256], [2], RunConfig(inject_pct=0.0, mode=Mode.REAL), Key128(bytes(16)))
+print(record.error, record.peak_children_mb)
+"""
+
+
+def test_a_cell_under_forkserver_counts_its_pool_workers():
+    # forkserver would make the workers children of its server, not of the
+    # cell, and the cell would read 0.0 MiB for them; the pool forks instead
+    if "forkserver" not in multiprocessing.get_all_start_methods() or peak_memory_mb() is None:
+        pytest.skip("needs the forkserver start method and ru_maxrss")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORKSERVER_SWEEP], capture_output=True, encoding="utf-8",
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    error, children_mb = proc.stdout.split()
+    assert error == "None"
+    assert float(children_mb) > 0
 
 
 def test_sweep_validates_inputs():

@@ -253,7 +253,7 @@ class ExplodingPool:
 
 
 def test_worker_pool_failure_raises_pipeline_error(monkeypatch):
-    monkeypatch.setattr(cipher_mod, "ProcessPoolExecutor", ExplodingPool)
+    monkeypatch.setattr(cipher_mod, "process_pool", ExplodingPool)
     cfg = RunConfig(n_blocks=32, inject_pct=0.0, workers=2, mode=Mode.REAL)
     with pytest.raises(PipelineError):
         run_pipeline(cfg, Key128(bytes(16)))
@@ -263,7 +263,7 @@ def test_simulated_mode_starts_no_pool(monkeypatch):
     key = Key128(bytes(16))
     base = RunConfig(n_blocks=96, inject_pct=30.0, seed=3, mode=Mode.SIMULATED)
     reference = run_pipeline(base, key)
-    monkeypatch.setattr(cipher_mod, "ProcessPoolExecutor", ExplodingPool)
+    monkeypatch.setattr(cipher_mod, "process_pool", ExplodingPool)
     assert run_pipeline(dataclasses.replace(base, workers=2), key) == reference
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aeslab.bench as bench_mod
 import aeslab.cipher as cipher_mod
 import aeslab.cli as cli
 from aeslab.bench import BenchRecord
@@ -652,7 +653,7 @@ def test_a_failing_bench_cell_is_printed_and_fails_the_command(tmp_path, capsys,
         return [BenchRecord(block_counts[0], worker_counts[0], None, None, None, None,
                             error="no pool, says the cell")]
 
-    monkeypatch.setattr(cli, "sweep", failing_sweep)
+    monkeypatch.setattr(bench_mod, "sweep", failing_sweep)
     assert main(["bench", "--block-counts", "8", "--worker-counts", "2",
                  "--out-dir", str(tmp_path)]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -662,6 +663,28 @@ def test_a_failing_bench_cell_is_printed_and_fails_the_command(tmp_path, capsys,
         '8,2,,,,,,"no pool, says the cell"',
     ]
     assert lines[2].startswith("wrote ") and len(lines) == 3
+
+
+def test_a_bench_cell_whose_process_dies_is_printed_and_fails_the_command(
+        tmp_path, capsys, monkeypatch):
+    real_measure = bench_mod.measure_run
+
+    def dying(cfg, key):
+        if cfg.n_blocks == 16:
+            os._exit(3)
+        return real_measure(cfg, key)
+
+    monkeypatch.setattr(bench_mod, "measure_run", dying)
+    assert main(["bench", "--block-counts", "8,16,24", "--worker-counts", "1",
+                 "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    *table, wrote = captured.out.splitlines()
+    assert wrote.startswith("wrote ")
+    rows = list(csv.DictReader(table))
+    assert [row["block_count"] for row in rows] == ["8", "16", "24"]
+    assert rows[1]["error"].startswith("cell process died: ") and rows[1]["wall_time_s"] == ""
+    assert rows[0]["error"] == rows[2]["error"] == "" and rows[0]["wall_time_s"]
 
 
 def test_bench_accepts_comma_lists(tmp_path):

@@ -1,12 +1,21 @@
-"""Which modules of the package see a run's per-block records.
+"""Which modules of the package see a run's per-block records, and which
+modules a command loads.
 
 A run reaches the detectors as one columnar BlockTable. Only the cipher,
 which makes the BlockRecord list, and metrics_report, whose build_dataset
 turns it into that table, may name the record type, and neither detector
 imports anything from the cipher.
+
+Start-up loads only what the default commands run: the process pool's
+modules, statistics and the bench module load when a pooled real-mode run
+or aeslab bench first needs them.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +73,48 @@ def test_the_guards_see_what_they_look_for():
         assert _imports_the_cipher(ast.parse(source))
     assert _names_block_record(ast.parse("def f(r: cipher.BlockRecord): pass"))
     assert not _imports_the_cipher(ast.parse("from .files import atomic_write"))
+
+
+# in a fresh interpreter: the modules of DEFERRED loaded after start-up and
+# each command, as one JSON object on the last line
+_STARTUP_PROBE = """
+import contextlib, io, json, sys
+from pathlib import Path
+import aeslab.cli as cli
+
+DEFERRED = ("concurrent.futures", "multiprocessing", "statistics", "aeslab.bench")
+out = Path(sys.argv[1])
+loaded = {}
+
+def command(point, *argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, point
+    loaded[point] = [name for name in DEFERRED if name in sys.modules]
+
+cli.build_parser()
+loaded["build_parser"] = [name for name in DEFERRED if name in sys.modules]
+command("simulated run", "run", "--mode", "simulated", "--blocks", "256", "--trees", "5",
+        "--out-dir", str(out))
+(blocks,) = out.glob("blocks_*.csv")
+command("train", "train", "--from-csv", str(blocks), "--trees", "5",
+        "--model-out", str(out / "model.txt"))
+command("predict", "predict", "--model", str(out / "model.txt"), "--csv", str(blocks))
+command("pooled run", "run", "--mode", "real", "--workers", "2", "--blocks", "32",
+        "--delay-min-us", "1", "--delay-max-us", "2", "--trees", "3",
+        "--out-dir", str(out / "real"))
+print(json.dumps(loaded))
+"""
+
+
+def test_start_up_and_the_default_commands_load_no_pool_code(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, str(tmp_path)], capture_output=True,
+        encoding="utf-8", env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    for point in ("build_parser", "simulated run", "train", "predict"):
+        assert loaded[point] == [], point
+    # a 2-worker real-mode run still works, and loads the pool's modules as it starts one
+    assert loaded["pooled run"] == ["concurrent.futures", "multiprocessing"]
