@@ -14,8 +14,10 @@ Each training column is ranked once, replacing every value by its position
 among the column's sorted distinct values. Trees grow in batches, one depth
 at a time: every node of the batch's trees that must be searched at that
 depth is scored by one per-class histogram over the ranks of its candidate
-columns, the latency and the bytes alike. This is exact histogram split
-finding, so the counts, thresholds and gains are those of a sorted scan.
+columns, the latency and the bytes alike. A node whose columns hold many
+more values than it holds rows sorts its keys instead, which gives the same
+counts in time bounded by its rows. This is exact histogram split finding,
+so the counts, thresholds and gains are those of a sorted scan.
 Each tree is stored as three pre-order lists; building one checks its shape
 and derives its right-child links and depth, whether it was grown or loaded.
 Prediction partitions the row numbers down each tree in turn, so a row is
@@ -34,7 +36,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -141,6 +143,26 @@ class Tree:
         object.__setattr__(self, "depth", deepest)
 
 
+def _trees(feature: np.ndarray, cut: Sequence[float], leaf0: Sequence[int], leaf1: Sequence[int],
+           bounds: Sequence[int]) -> List[Tree]:
+    """The trees whose pre-order nodes lie end to end, tree i from bounds[i] to bounds[i + 1].
+
+    feature holds -1 at a leaf; cut holds the split nodes' thresholds, and
+    leaf0 and leaf1 the leaves' counts, in node order. Object arrays place the
+    Python numbers, and let the leaves share one 0.0 and the split nodes one
+    (0, 0), as the line pass of load_model does. Building each Tree checks
+    its shape, and raises ValueError for one that is not a complete tree.
+    """
+    split = feature >= 0
+    threshold = np.full(feature.size, 0.0, dtype=object)
+    threshold[split] = cut
+    counts = np.full(feature.size, None, dtype=object)
+    counts.fill((0, 0))
+    counts[~split] = np.fromiter(zip(leaf0, leaf1), object, len(leaf0))
+    feature, threshold, counts = feature.tolist(), threshold.tolist(), counts.tolist()
+    return [Tree(feature[a:b], threshold[a:b], counts[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 @dataclass(frozen=True)
 class ForestModel:
     trees: Tuple[Tree, ...]
@@ -195,179 +217,341 @@ def split_train_test(data: Dataset, train_fraction: float, seed: int) -> SplitRe
 def _gini_vec(c0: np.ndarray, c1: np.ndarray, total: np.ndarray) -> np.ndarray:
     """Gini impurity 1 - sum(p^2) of each node of total >= 1 samples, c0 and c1 of each class."""
     p0 = c0 / total
+    p0 *= p0
     p1 = c1 / total
-    return 1.0 - (p0 * p0 + p1 * p1)
+    p1 *= p1
+    p0 += p1
+    return 1.0 - p0
 
 
-def _gains(n_left, left1, n: int, total0: int, total1: int, parent: float) -> np.ndarray:
-    """Gini gain of each cut with n_left of the n samples, left1 of them anomalous, on the left."""
+def _gains(n_left: np.ndarray, left1: np.ndarray, n: np.ndarray, total0: np.ndarray,
+           total1: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """Gini gain of each cut with n_left of the n samples, left1 of them anomalous, on the left.
+
+    Every argument holds one entry per cut: the class totals and impurity of
+    a cut's node repeat along its cuts. A count is a float64 holding an
+    integer, so each step before the impurities is exact.
+    """
     left0 = n_left - left1
     right1 = total1 - left1
     right0 = total0 - left0
     n_right = n - n_left
-    child = n_left * _gini_vec(left0, left1, n_left) + n_right * _gini_vec(right0, right1, n_right)
-    return parent - child / n
+    child = _gini_vec(left0, left1, n_left)
+    child *= n_left
+    right = _gini_vec(right0, right1, n_right)
+    right *= n_right
+    child += right
+    child /= n
+    return parent - child
 
 
-def _rank_columns(
-    X: np.ndarray, y: np.ndarray, features: Sequence[int]
-) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """(keys, values) of the listed columns of X with the 0/1 labels y.
+class _Columns(NamedTuple):
+    """The ranked training columns that fit searches; see _rank_columns."""
 
-    values[j] holds the sorted distinct values of column features[j], and keys[j, i]
-    is 2 * (the position in values[j] of row i's entry) + y[i]: its (rank, class) bin.
+    keys: np.ndarray  # keys[f, i]: 2 * the rank of row i's value in column f, plus row i's class
+    values: np.ndarray  # each column's sorted distinct values, column after column
+    first: np.ndarray  # the position in values of each column's first value
+    widths: np.ndarray  # each column's number of distinct values
+
+
+def _rank_columns(X: np.ndarray, y: np.ndarray, features: Sequence[int]) -> _Columns:
+    """The listed columns of X with the 0/1 labels y, each ranked once.
+
+    Row j of keys and the j-th run of values describe column features[j] of
+    X: keys[j, i] is 2 * (the position among that column's sorted distinct
+    values of row i's entry) + y[i], row i's (rank, class) bin.
     """
     if not len(features):
         raise ValueError("cannot fit on a feature matrix with no columns")
     ranked = [np.unique(X[:, f], return_inverse=True) for f in features]
-    return np.array([2 * rank + y for _, rank in ranked], dtype=np.intp), [v for v, _ in ranked]
-
-
-_Node = Tuple[np.ndarray, np.ndarray, int, int]  # rows, candidate columns, class totals
-_Cut = Tuple[float, int, int, float, int, int]  # gain, j, rank, threshold, left class counts
-
-
-def _scan_batch(
-    keys: np.ndarray, values: Sequence[np.ndarray], nodes: Sequence[_Node]
-) -> List[Optional[_Cut]]:
-    """The best cut of each node (rows, feats, total0, total1), or None where no gain is above zero.
-
-    rows are columns of keys (repeats allowed); feats, as many for every node,
-    ascend. Each (node, column) is a histogram segment as wide as the column's
-    values, and one np.bincount counts every (segment, rank, class). A cumulative
-    sum over the held ranks' bins, restarted at each segment, gives the class
-    counts left of a cut after each; the first maximum gain wins (lowest column,
-    then threshold). The threshold is the midpoint between the held value and
-    the next held one, or the value itself where the midpoint rounds up to the
-    next, so exactly the rows of rank at most the cut's lie at or below it. A cut
-    is (gain, j, rank, threshold, left0, left1) for column feats[j].
-    """
-    n, k = keys.shape[1], len(nodes[0][1])
-    feats = np.concatenate([f for _, f, _, _ in nodes])  # segment s: node s // k, column feats[s]
-    widths = np.array([v.size for v in values])[feats]
-    starts = np.cumsum(widths) - widths  # each segment's first rank bin
-    gather, shift = (feats * n).reshape(-1, k, 1), (2 * starts).reshape(-1, k, 1)
-    bins = np.concatenate([keys.take(g + r) + h for (r, *_), g, h in zip(nodes, gather, shift)], None)
-    hist = np.bincount(bins, minlength=2 * int(widths.sum()))
-    held = np.flatnonzero(np.logical_or(hist[0::2], hist[1::2]))
-    first = np.searchsorted(held, starts)  # every segment holds its node's rows
-    totals = np.array([(t0, t1) for _, _, t0, t1 in nodes]).repeat(k, axis=0)  # per segment
-    h0, h1 = hist[0::2][held], hist[1::2][held]
-    h0[first[1:]] -= totals[:-1, 0]  # each segment restarts the sums
-    h1[first[1:]] -= totals[:-1, 1]
-    left0, left1 = h0.cumsum(), h1.cumsum()
-    n_cand = np.diff(first, append=held.size) - 1  # a segment's last held rank leaves no row right
-    cand = np.ones(held.size, dtype=bool)
-    cand[first + n_cand] = False
-    size = totals.sum(axis=1)
-    parent = _gini_vec(totals[:, 0], totals[:, 1], size)  # one per segment
-    per_cand = np.column_stack([size, totals, parent]).repeat(n_cand, axis=0)
-    size, total0, total1, parent = per_cand.T  # float64, like every count below
-    gains = _gains(np.add(left0, left1, dtype=np.float64).compress(cand),
-                   left1.compress(cand).astype(np.float64), size, total0, total1, parent)
-    node_cand = n_cand.reshape(-1, k).sum(axis=1)
-    node_first = (np.cumsum(node_cand) - node_cand)[node_cand > 0]
-    best = np.maximum.reduceat(gains, node_first)
-    top = np.flatnonzero(gains == best.repeat(node_cand[node_cand > 0]))
-    pick = np.flatnonzero(cand)[top[np.searchsorted(top, node_first)]]  # each node's first maximum
-    seg = np.searchsorted(first, pick, side="right") - 1
-    found: List[Optional[_Cut]] = [None] * len(nodes)
-    for gain, s, rank, above, l0, l1 in zip(  # pick + 1 is the next rank held
-        best.tolist(), seg.tolist(), (held[pick] - starts[seg]).tolist(),
-        (held[pick + 1] - starts[seg]).tolist(), left0[pick].tolist(), left1[pick].tolist(),
-    ):
-        if gain > 0.0:
-            lo, hi = float(values[feats[s]][rank]), float(values[feats[s]][above])
-            mid = (lo + hi) / 2.0
-            found[s // k] = (gain, s % k, rank, mid if mid < hi else lo, l0, l1)
-    return found
+    widths = np.array([v.size for v, _ in ranked])
+    return _Columns(np.array([2 * rank + y for _, rank in ranked], dtype=np.intp),
+                    np.concatenate([v for v, _ in ranked]), np.cumsum(widths) - widths, widths)
 
 
 _MAX_GROWING_TREES = 16  # trees grown together; bounds fit's memory
 _SCAN_CHUNK = 1 << 16  # (row, column) pairs plus histogram bins one _scan_batch call may hold
+_SPARSE_RATIO = 4  # rank bins per (row, column) pair above which a node is scored by sorting
 
 
-def _grow_levels(keys: np.ndarray, values: Sequence[np.ndarray], hyper: ForestHyperparams,
-                 starts: Iterable[Tuple[np.random.Generator, np.ndarray]]) -> List[Tree]:
-    """One tree per (rng, rows) of starts; rows are columns of keys, repeats allowed.
+def _sparse(cols: _Columns, sizes: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """Whether each node of sizes[i] rows and candidate columns feats[i] is scored by sorting.
 
-    The trees grow in batches of _MAX_GROWING_TREES, each batch one depth at
-    a time. At each depth a tree draws rng.random((m, d)) for the m nodes it
-    must search, left to right: a node's candidate columns are the first
-    features_per_split of its row's stable argsort, ascending. _scan_batch
-    scores the nodes of every tree in chunks of at most _SCAN_CHUNK (row,
-    column) pairs plus bins, or one larger node. A child's class counts come
-    from the cut; only a child that will be searched keeps rows.
+    A node whose columns hold more than _SPARSE_RATIO distinct values per
+    (row, column) pair would spend its histogram mostly on empty bins.
     """
-    d, k = keys.shape[0], min(hyper.features_per_split, keys.shape[0])
-    widths = np.array([v.size for v in values])
+    return cols.widths.take(feats).sum(axis=1) > _SPARSE_RATIO * feats.shape[1] * sizes
 
-    def searched(c0: int, c1: int, depth: int) -> bool:  # whether a node gets a split search
-        deep = hyper.max_depth is not None and depth >= hyper.max_depth
-        return bool(c0 and c1 and c0 + c1 >= hyper.min_samples_split and not deep)
 
+def _held(cols: _Columns, rows: np.ndarray, sizes: np.ndarray, feats: np.ndarray,
+          shift: np.ndarray, sparse: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(held, n_held, held1): the held bins, ascending, and the rows and anomalous rows of each.
+
+    The nodes are laid out as in _scan_batch, and shift[i, j] is twice the
+    first bin of node i's segment for column feats[i, j]: adding it to a
+    (row, column) pair's key gives the pair's (bin, class). One histogram
+    counts the shifted keys, or where sparse one sort lines them up in runs
+    of one bin: the same counts, in time bounded by the bins or by the pairs.
+    """
+    at = (feats.T * cols.keys.shape[1]).repeat(sizes, axis=1)  # (column, pair): each key's index
+    at += rows
+    bins = cols.keys.take(at).ravel()
+    del at
+    bins += shift.T.repeat(sizes, axis=1).ravel()
+    if sparse:
+        bins.sort()
+        pair_bin = bins >> 1  # a shifted key is 2 * its bin + its class
+        last = np.empty(bins.size, dtype=bool)  # whether a pair ends its run of one bin
+        last[-1] = True
+        np.not_equal(pair_bin[1:], pair_bin[:-1], out=last[:-1])
+        end = last.nonzero()[0] + 1
+        n_held = end.copy()
+        n_held[1:] -= end[:-1]
+        return pair_bin[end - 1], n_held, np.add.reduceat(bins & 1, end - n_held)
+    hist = np.bincount(bins, minlength=int(shift[-1, -1]) + 2 * int(cols.widths[feats[-1, -1]]))
+    held1 = hist[1::2]
+    n_held = hist[0::2] + held1
+    held = (n_held > 0).nonzero()[0]
+    return held, n_held[held], held1[held]
+
+
+def _scan_batch(cols: _Columns, rows: np.ndarray, sizes: np.ndarray, feats: np.ndarray,
+                stats: np.ndarray, n_dense: int) -> Tuple[np.ndarray, ...]:
+    """(node, gain, j, rank, above, n_left, left1) of each node whose best cut has gain above zero.
+
+    Node i holds sizes[i] rows, which follow those of node i - 1 in rows
+    (repeats allowed), and its candidate columns feats[i] ascend; stats[:, i]
+    holds its rows, benign rows and anomalous rows as floats, and its Gini
+    impurity. Each (node, column) is a segment as wide as the column's
+    values, laid end to end. _held counts the first n_dense nodes by
+    histogram and the rest by sorting. A cumulative sum over the held bins,
+    restarted at each segment, gives the class counts left of a cut after
+    each; gains are computed at held bins only, and the first maximum wins
+    (lowest column, then threshold). The cut of column feats[node, j] sends
+    the n_left rows of rank at most rank left, left1 of them anomalous; above
+    is the next rank held.
+    """
+    m, k = feats.shape
+    wide = cols.widths.take(feats)
+    starts = wide.cumsum() - wide.ravel()  # first bins; segment s: node s // k, column feats.flat[s]
+    shift = 2 * starts.reshape(m, k)
+    split = sizes[:n_dense].sum()
+    parts = []  # (held, n_held, held1) of the nodes counted by histogram, then of the rest
+    if n_dense:
+        parts.append(_held(cols, rows[:split], sizes[:n_dense], feats[:n_dense], shift[:n_dense],
+                           sparse=False))
+    if n_dense < m:
+        parts.append(_held(cols, rows[split:], sizes[n_dense:], feats[n_dense:], shift[n_dense:],
+                           sparse=True))
+    held, n_held, held1 = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    n, total0, total1, parent = stats
+    first = held.searchsorted(starts)  # every segment holds its node's rows
+    n_left = n_held.astype(np.float64)  # exact: counts stay far below 2**53
+    left1 = held1.astype(np.float64)
+    n_left[first[1:]] -= n.repeat(k)[:-1]  # each segment restarts the sums
+    left1[first[1:]] -= total1.repeat(k)[:-1]
+    n_left.cumsum(out=n_left)
+    left1.cumsum(out=left1)
+    bounds = np.concatenate((first, [held.size]))
+    node_first = first[::k]
+    per_node = bounds[k::k] - node_first
+    with np.errstate(invalid="ignore"):  # a segment's last held rank leaves no row right: 0 / 0
+        gains = _gains(n_left, left1, *stats.repeat(per_node, axis=1))
+    gains[bounds[1:] - 1] = -np.inf
+    best = np.maximum.reduceat(gains, node_first)
+    node = (best > 0.0).nonzero()[0]
+    top = (gains == best.repeat(per_node)).nonzero()[0]
+    pick = top[top.searchsorted(node_first[node])]  # each node's first maximum
+    seg = first.searchsorted(pick, side="right") - 1
+    base = starts[seg]
+    return (node, best[node], seg - k * node, held[pick] - base, held[pick + 1] - base,
+            n_left[pick], left1[pick])
+
+
+class _Cuts(NamedTuple):
+    """The cuts of a depth's nodes that have one; each field holds one entry per cut."""
+
+    node: np.ndarray  # the node's position among the depth's nodes
+    gain: np.ndarray
+    feature: np.ndarray  # the column of keys cut
+    rank: np.ndarray  # the rows of rank at most rank in that column go left
+    threshold: np.ndarray  # ... which are the rows at or below threshold
+    left0: np.ndarray  # the class counts of the rows going left
+    left1: np.ndarray
+
+
+def _split_level(cols: _Columns, rows: np.ndarray, sizes: np.ndarray, feats: np.ndarray,
+                 c1: np.ndarray, n_dense: int) -> _Cuts:
+    """The best cut of each node (see _scan_batch); the first n_dense are counted by histogram.
+
+    Nodes are scored in chunks of consecutive nodes, each of at most
+    _SCAN_CHUNK (row, column) pairs plus histogram bins, or one larger node.
+    The threshold is the midpoint between the cut's value and the next one
+    held, or the value itself where the midpoint rounds up to the next, so
+    exactly the rows of rank at most the cut's lie at or below it.
+    """
+    k = feats.shape[1]
+    n = sizes.astype(np.float64)
+    total1 = c1.astype(np.float64)
+    total0 = n - total1
+    stats = np.stack((n, total0, total1, _gini_vec(total0, total1, n)))
+    cost = 2 * k * sizes  # a node scored by sorting holds its sorted pairs in place of bins
+    cost[:n_dense] = k * sizes[:n_dense] + cols.widths.take(feats[:n_dense]).sum(axis=1)
+    cost = cost.cumsum()
+    row_end = sizes.cumsum()
+    parts = []
+    a = 0
+    while a < sizes.size:
+        b = max(int(cost.searchsorted((cost[a - 1] if a else 0) + _SCAN_CHUNK, side="right")), a + 1)
+        node, *found = _scan_batch(cols, rows[row_end[a] - sizes[a]:row_end[b - 1]], sizes[a:b],
+                                   feats[a:b], stats[:, a:b], min(max(n_dense - a, 0), b - a))
+        parts.append((node + a, *found))
+        a = b
+    node, gain, j, rank, above, n_left, left1 = (np.concatenate(part) for part in zip(*parts))
+    feature = feats[node, j]
+    lo, hi = cols.values[cols.first[feature] + rank], cols.values[cols.first[feature] + above]
+    mid = (lo + hi) / 2.0
+    return _Cuts(node, gain, feature, rank, np.where(mid < hi, mid, lo),
+                 (n_left - left1).astype(np.intp), left1.astype(np.intp))
+
+
+def _grow_levels(cols: _Columns, hyper: ForestHyperparams,
+                 starts: Iterable[Tuple[np.random.Generator, np.ndarray]]) -> List[Tree]:
+    """One tree per (rng, rows) of starts; rows are columns of cols.keys, repeats allowed.
+
+    The trees grow in batches of _MAX_GROWING_TREES; see _grow_batch.
+    """
+    # glibc hands freed heap memory back to the OS once more than twice the
+    # largest mmap-ed block freed so far lies unused at the heap's top, and the
+    # next chunk's arrays then fault it back in, zero-filled: some 25k page
+    # faults per sim-ascii fit. Freeing one untouched block of 4 chunks' worth
+    # of float64 first raises that mark above a chunk's working set.
+    np.empty(4 * _SCAN_CHUNK)
     trees: List[Tree] = []
     starts = iter(starts)
     while batch := list(itertools.islice(starts, _MAX_GROWING_TREES)):
-        grown = []  # per tree: class counts by node id, and {node: (feature, threshold, left child)}
-        frontiers = []  # per tree: (node, rows) of the nodes to search at this depth, left to right
-        for _, rows in batch:
-            c1 = int(np.count_nonzero(keys[0].take(rows) & 1))  # a key's low bit is its row's class
-            grown.append(([(rows.size - c1, c1)], {}))
-            frontiers.append([(0, rows)] if searched(rows.size - c1, c1, 0) else [])
-        depth = 0
-        while any(frontiers):
-            depth += 1
-            level = []  # (tree, node, (rows, feats, c0, c1)) of every node searched at this depth
-            for t, ((rng, _), frontier) in enumerate(zip(batch, frontiers)):
-                if frontier:
-                    order = np.argsort(rng.random((len(frontier), d)), axis=1, kind="stable")
-                    draws, counts = np.sort(order[:, :k], axis=1), grown[t][0]
-                    level += [(t, node, (rows, feats, *counts[node]))
-                              for (node, rows), feats in zip(frontier, draws)]
-            chunks, size = [[]], 0
-            for _, _, node in level:
-                rows, feats, _, _ = node
-                cost = k * rows.size + int(widths[feats].sum())
-                if chunks[-1] and size + cost > _SCAN_CHUNK:
-                    chunks.append([])
-                    size = 0
-                chunks[-1].append(node)
-                size += cost
-            found = [cut for chunk in chunks for cut in _scan_batch(keys, values, chunk)]
-            frontiers = [[] for _ in batch]
-            for (t, node, (rows, feats, c0, c1)), cut in zip(level, found):
-                if cut is None:
-                    continue  # the node stays a leaf
-                counts, splits = grown[t]
-                _, j, rank, threshold, left0, left1 = cut
-                child = len(counts)  # the left child; the right one is child + 1
-                splits[node] = (int(feats[j]), threshold, child)
-                counts += [(left0, left1), (c0 - left0, c1 - left1)]
-                sides = [s for s in (0, 1) if searched(*counts[child + s], depth)]
-                if sides:
-                    goes_left = keys[feats[j]].take(rows) < 2 * rank + 2
-                    keep = (goes_left, ~goes_left)
-                    frontiers[t] += [(child + s, rows.compress(keep[s])) for s in sides]
-        trees += [_preorder(counts, splits) for counts, splits in grown]
+        trees += _grow_batch(cols, hyper, batch)
     return trees
 
 
-def _preorder(counts: List[Tuple[int, int]], splits: Dict[int, Tuple[int, float, int]]) -> Tree:
-    """The tree of counts and splits (see _grow_levels) as its pre-order lists."""
-    feature: List[int] = []
-    threshold: List[float] = []
-    leaf_counts: List[Tuple[int, int]] = []
-    pending = [0]  # next on top
-    while pending:
-        node = pending.pop()
-        f, cut, left = splits.get(node, (-1, 0.0, -1))
-        feature.append(f)
-        threshold.append(cut)
-        leaf_counts.append(counts[node] if f < 0 else (0, 0))
-        if f >= 0:
-            pending += [left + 1, left]
-    return Tree(feature, threshold, leaf_counts)
+def _pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left[0], right[0], left[1], right[1], ..."""
+    both = np.empty(2 * left.size, dtype=left.dtype)
+    both[0::2] = left
+    both[1::2] = right
+    return both
+
+
+def _partition(cols: _Columns, rows: np.ndarray, sizes: np.ndarray, node: np.ndarray,
+               feature: np.ndarray, rank: np.ndarray, n_left: np.ndarray,
+               children: np.ndarray, child_sizes: np.ndarray) -> np.ndarray:
+    """The rows of the listed children of a depth's split nodes, child after child.
+
+    The depth's nodes hold sizes[i] rows each, one after another in rows.
+    Split node node[i] was cut at rank[i] of column feature[i], sending
+    n_left[i] rows left, and its children are 2 * i (left) and 2 * i + 1.
+    One pass puts the rows left of each cut first, node by node, and every
+    other row after them; each listed child's run of child_sizes rows is
+    then copied out.
+    """
+    key_at, cut, lefts = (np.zeros(sizes.size, dtype=np.intp) for _ in range(3))
+    key_at[node] = feature * cols.keys.shape[1]
+    cut[node] = 2 * rank + 2  # the keys of ranks up to rank lie below
+    lefts[node] = n_left
+    goes_left = cols.keys.take(key_at.repeat(sizes) + rows) < cut.repeat(sizes)
+    parted = np.empty_like(rows)
+    n_lefts = int(lefts.sum())  # as many as go left: compress checks it
+    np.compress(goes_left, rows, out=parted[:n_lefts])
+    np.compress(~goes_left, rows, out=parted[n_lefts:])
+    rights = sizes - lefts
+    start = _pairs((lefts.cumsum() - lefts)[node], (rights.cumsum() - rights + n_lefts)[node])
+    return parted.take(np.arange(child_sizes.sum())
+                       + (start[children] - child_sizes.cumsum() + child_sizes).repeat(child_sizes))
+
+
+def _grow_batch(cols: _Columns, hyper: ForestHyperparams,
+                batch: Sequence[Tuple[np.random.Generator, np.ndarray]]) -> List[Tree]:
+    """The trees of one batch, grown together one depth at a time.
+
+    At each depth a tree draws rng.random((m, d)) for the m nodes it must
+    search, left to right: a node's candidate columns are the first
+    features_per_split of its row's stable argsort, ascending. The depth's
+    nodes of every tree are scored by one _split_level call, with the nodes
+    to count by histogram first. A child's class counts come from the cut,
+    and one _partition of the depth's rows gives the rows of the children to
+    search. Nodes are numbered by depth, and within a depth tree by tree,
+    left to right; _grown_trees lays the trees out.
+    """
+    d = cols.keys.shape[0]
+    k = min(hyper.features_per_split, d)
+    rngs = [rng for rng, _ in batch]
+    # of the newest depth's nodes, in id order from base: their tree and class counts
+    tree = np.arange(len(batch))
+    c1 = np.array([np.count_nonzero(cols.keys[0].take(rows) & 1) for _, rows in batch])
+    c0 = np.array([rows.size for _, rows in batch]) - c1
+    nodes = [(tree, c0, c1)]
+    splits = []  # per depth: (ids, features, thresholds, left children) of its split nodes
+    base, depth = 0, 0
+    while hyper.max_depth is None or depth < hyper.max_depth:
+        level = ((c0 > 0) & (c1 > 0) & (c0 + c1 >= hyper.min_samples_split)).nonzero()[0]
+        if not level.size:
+            break
+        drawn = np.bincount(tree[level], minlength=len(rngs)).tolist()
+        draws = np.concatenate([rng.random((m, d)) for rng, m in zip(rngs, drawn) if m])
+        feats = np.sort(draws.argsort(axis=1, kind="stable")[:, :k], axis=1)
+        del draws  # (m, d) floats the scan has no use for
+        sizes = c0[level] + c1[level]
+        sparse = _sparse(cols, sizes, feats)
+        order = sparse.argsort(kind="stable")  # the depth's nodes in their rows' order
+        level, feats, sizes = level[order], feats[order], sizes[order]
+        if depth:
+            rows = _partition(cols, rows, *splitting, level, sizes)
+        else:
+            rows = np.concatenate([batch[t][1] for t in level.tolist()])
+        cuts = _split_level(cols, rows, sizes, feats, c1[level], sizes.size - int(sparse.sum()))
+        found = level[cuts.node].argsort()  # the split nodes in id order
+        node = cuts.node[found]
+        parent = level[node]
+        left0, left1 = cuts.left0[found], cuts.left1[found]
+        base, ids = base + c0.size, base + parent
+        left = base + 2 * np.arange(node.size)
+        splits.append((ids, cuts.feature[found], cuts.threshold[found], left))
+        splitting = (sizes, node, cuts.feature[found], cuts.rank[found], left0 + left1)
+        tree = tree[parent].repeat(2)
+        c0 = _pairs(left0, c0[parent] - left0)
+        c1 = _pairs(left1, c1[parent] - left1)
+        nodes.append((tree, c0, c1))
+        depth += 1
+    return _grown_trees(nodes, splits)
+
+
+def _grown_trees(nodes: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+                    splits: Sequence[Tuple[np.ndarray, ...]]) -> List[Tree]:
+    """The trees of _grow_batch's nodes and splits, in pre-order.
+
+    Subtree sizes, summed from the deepest split nodes up, place every node
+    in its tree: a left child follows its parent, and the right child
+    follows the left child's subtree.
+    """
+    tree, c0, c1 = (np.concatenate(part) for part in zip(*nodes))
+    feature = np.full(tree.size, -1)
+    threshold = np.zeros(tree.size)
+    size = np.ones(tree.size, dtype=np.intp)  # of each node's subtree
+    for ids, f, t, left in reversed(splits):
+        feature[ids], threshold[ids] = f, t
+        size[ids] += size[left] + size[left + 1]
+    at = np.zeros(tree.size, dtype=np.intp)  # each node's pre-order position in its tree
+    for ids, _, _, left in splits:
+        at[left] = at[ids] + 1
+        at[left + 1] = at[left] + size[left]
+    n_trees = nodes[0][0].size
+    bounds = np.concatenate(([0], np.cumsum(size[:n_trees])))
+    order = np.empty(tree.size, dtype=np.intp)
+    order[bounds[tree] + at] = np.arange(tree.size)
+    feature = feature[order]
+    split, leaf = order[feature >= 0], order[feature < 0]
+    return _trees(feature, threshold[split].tolist(), c0[leaf].tolist(), c1[leaf].tolist(),
+                  bounds.tolist())
 
 
 def fit_forest(train: Dataset, hyper: ForestHyperparams) -> ForestModel:
@@ -378,10 +562,10 @@ def fit_forest(train: Dataset, hyper: ForestHyperparams) -> ForestModel:
     if train.y.all() or not train.y.any():
         raise ValueError("training set must contain both classes")
     n = len(train)
-    keys, values = _rank_columns(train.X, train.y, range(train.X.shape[1]))
+    cols = _rank_columns(train.X, train.y, range(train.X.shape[1]))
     rngs = [_rng(hyper.seed, _STREAM_TREE, t) for t in range(hyper.n_trees)]
     starts = ((rng, rng.integers(0, n, size=n)) for rng in rngs)  # bootstraps drawn as batches start
-    return ForestModel(tuple(_grow_levels(keys, values, hyper, starts)), hyper, train.X.shape[1])
+    return ForestModel(tuple(_grow_levels(cols, hyper, starts)), hyper, train.X.shape[1])
 
 
 def predict_all(model: ForestModel, X: np.ndarray) -> List[bool]:
@@ -671,17 +855,9 @@ def _read_exact(data: bytes) -> Optional[ForestModel]:
     if not all(map(math.isfinite, values)):
         return None
 
-    # object arrays place the Python numbers, and let the leaves share one 0.0
-    # and the split nodes one (0, 0), as in the line pass
-    cut = np.full(kind.size, 0.0, dtype=object)
-    cut[split] = values
-    counts = np.full(kind.size, None, dtype=object)
-    counts.fill((0, 0))
-    counts[leaf] = np.fromiter(zip(number[leaf].tolist(), anomalous.tolist()), object, anomalous.size)
-    bounds = np.append(0, np.cumsum(nodes)).tolist()
-    feature, cut, counts = np.where(split, number, -1).tolist(), cut.tolist(), counts.tolist()
-    try:  # each Tree checks its own shape
-        trees = tuple(Tree(feature[x:y], cut[x:y], counts[x:y]) for x, y in zip(bounds, bounds[1:]))
+    try:
+        trees = tuple(_trees(np.where(split, number, -1), values, number[leaf].tolist(),
+                             anomalous.tolist(), np.append(0, np.cumsum(nodes)).tolist()))
     except ValueError:
         return None
     if hyper.max_depth is not None and max(tree.depth for tree in trees) > hyper.max_depth:

@@ -131,7 +131,8 @@ def test_best_split_matches_brute_force(data):
     )
     y = rng.integers(0, 2, size=n)
     samples = _dataset(X, y)
-    mine = _best_split(samples, range(d))
+    with mock.patch.object(detect_forest, "_SPARSE_RATIO", data.draw(st.sampled_from([0, 4]))):
+        mine = _best_split(samples, range(d))
     reference = brute_force_best_split(X, y, range(d))
     if reference is None:
         assert mine is None
@@ -172,7 +173,8 @@ def test_best_split_matches_brute_force_on_byte_and_other_columns(data):
     X = _mixed_columns(rng, n)
     y = rng.integers(0, 2, size=n)
     features = data.draw(st.sets(st.integers(0, X.shape[1] - 1), min_size=1))
-    mine = _best_split(_dataset(X, y), features)
+    with mock.patch.object(detect_forest, "_SPARSE_RATIO", data.draw(st.sampled_from([0, 4]))):
+        mine = _best_split(_dataset(X, y), features)
     reference = brute_force_best_split(X, y, features)
     if reference is None:
         assert mine is None
@@ -450,12 +452,15 @@ def test_level_wise_fit_equals_the_one_tree_oracle(data):
         features_per_split=data.draw(st.integers(1, d + 1), label="features_per_split"),
         seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
     )
-    # a small pool and small chunks make trees grow in several batches and split every level's scan
+    # a small pool and small chunks make trees grow in several batches and split every level's scan;
+    # the sparse ratio sends every node (0), none (2**30) or the nodes of few rows to the sorting scan
     pool = data.draw(st.integers(1, 3), label="growing trees")
     chunk = data.draw(st.sampled_from([1, 40, 1 << 16]), label="scan chunk")
+    ratio = data.draw(st.sampled_from([0, 1, 4, 1 << 30]), label="sparse ratio")
     tree_seed = data.draw(st.integers(0, 2**32 - 1), label="tree seed")
     with mock.patch.object(detect_forest, "_MAX_GROWING_TREES", pool), \
-            mock.patch.object(detect_forest, "_SCAN_CHUNK", chunk):
+            mock.patch.object(detect_forest, "_SCAN_CHUNK", chunk), \
+            mock.patch.object(detect_forest, "_SPARSE_RATIO", ratio):
         model = fit_forest(_dataset(X, y), hyper)
         tree = fit_tree(X, y, hyper, _rng_stream(tree_seed))
     _assert_same_trees(model.trees, oracle_grow.fit_forest(_dataset(X, y), hyper).trees)
@@ -469,8 +474,9 @@ def _sim_ascii_training_set():
 
 
 def test_fit_forest_memory_stays_bounded():
-    # trees grown level by level, 16 at a time, peak at 3.4 MiB; the peak follows
-    # _SCAN_CHUNK: 2.2 MiB at 2**14 and 7.9 MiB at 2**18 against 2**16
+    # trees grown level by level, 16 at a time, peak at 2.8 MiB; the peak follows
+    # _SCAN_CHUNK: 2.7 MiB at 2**14 and 8.5 MiB at 2**18 against 2**16, most of
+    # it then the untouched block of 4 * _SCAN_CHUNK float64 that fit frees first
     train = _sim_ascii_training_set()
     assert train.X.shape == (2867, N_FEATURES)
     tracemalloc.start()

@@ -12,13 +12,21 @@ feature assembly, splitting, fitting, serialization or voting that moves a
 single byte shows up here.
 Uniform inputs give every byte column up to 256 distinct values and grow
 deeper trees than ASCII inputs do.
+
+Two more digests pin whole forests at the benchmark's scale (101 trees on
+thousands of rows), where most nodes are small and the split search takes
+paths that 11 trees on 256 blocks barely reach.
 """
 
 import hashlib
 
 import pytest
 
+from aeslab.cipher import Key128, run_pipeline
 from aeslab.cli import main
+from aeslab.detect_forest import ForestHyperparams, fit_forest, save_model, split_train_test
+from aeslab.metrics_report import build_dataset, rows_to_vectors
+from aeslab.workload import InputDistribution, Mode, RunConfig
 
 RUN_FLAGS = ["--blocks", "256", "--inject-pct", "30", "--seed", "7",
              "--mode", "simulated", "--trees", "11"]
@@ -78,3 +86,28 @@ def artifact_digests(tmp_path, capsys, key):
 @pytest.mark.parametrize("key", sorted(PINNED))
 def test_artifacts_match_pinned_digests(tmp_path, capsys, key):
     assert artifact_digests(tmp_path, capsys, key) == PINNED[key]
+
+
+# save_model digests of fit_forest(train, ForestHyperparams(seed=7)) on the
+# plaintext training split of a seed-7 simulated run; sim-ascii is the
+# benchmark's configuration, uniform-40 a noise configuration
+PINNED_FORESTS = {
+    "sim-ascii": (
+        RunConfig(n_blocks=4096, inject_pct=20.0, seed=7, mode=Mode.SIMULATED),
+        "ef654bf2b0af26dbb488475e74585c9f7f499603e656fec826a1db61925a36bb",
+    ),
+    "uniform-40": (
+        RunConfig(n_blocks=2048, inject_pct=40.0, seed=7, mode=Mode.SIMULATED,
+                  input_dist=InputDistribution.UNIFORM),
+        "0044d8d32fcce7e98e2457efa0b4d6b1f8a1c99043684a6204ff39ea3be56d06",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FORESTS))
+def test_benchmark_scale_forest_matches_pinned_digest(tmp_path, name):
+    cfg, digest = PINNED_FORESTS[name]
+    data, _ = rows_to_vectors(build_dataset(run_pipeline(cfg, Key128(bytes(range(16))))))
+    model = fit_forest(split_train_test(data, 0.7, cfg.seed).train, ForestHyperparams(seed=7))
+    save_model(model, str(tmp_path / "model.txt"))
+    assert _sha((tmp_path / "model.txt").read_bytes()) == digest

@@ -1,9 +1,10 @@
 """One-node and one-tree entry points over the library's batched grower.
 
-best_split scores one node with _scan_batch, and fit_tree grows one tree with
-_grow_levels, each on columns ranked by _rank_columns. fit_forest runs the
-same three functions, so criterion 6's brute-force split oracle and the
-one-tree grow oracle gate the code that fits every forest.
+best_split scores one node with _split_level, by histogram or by sorting as
+_sparse chooses, and fit_tree grows one tree with _grow_levels, each on
+columns ranked by _rank_columns. fit_forest runs the same functions, so
+criterion 6's brute-force split oracle and the one-tree grow oracle gate the
+code that fits every forest.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from aeslab.detect_forest import ForestHyperparams, Tree, _grow_levels, _rank_columns, _scan_batch
+from aeslab.detect_forest import ForestHyperparams, Tree, _grow_levels, _rank_columns, _sparse, _split_level
 
 
 @dataclass(frozen=True)
@@ -36,10 +37,13 @@ def best_split(X: np.ndarray, y: np.ndarray, features: Sequence[int]) -> Optiona
     if feats[0] < 0 or feats[-1] >= X.shape[1]:
         raise ValueError("candidate feature index out of range")
     y = np.asarray(y, dtype=bool)
-    c1 = int(np.count_nonzero(y))
-    node = (np.arange(y.size), np.arange(len(feats)), y.size - c1, c1)
-    found = _scan_batch(*_rank_columns(X, y, feats), [node])[0]
-    return None if found is None else Split(feats[found[1]], found[3], found[0])
+    cols = _rank_columns(X, y, feats)
+    sizes, candidates = np.array([y.size]), np.arange(len(feats))[None, :]
+    cuts = _split_level(cols, np.arange(y.size), sizes, candidates, np.array([np.count_nonzero(y)]),
+                        int(not _sparse(cols, sizes, candidates)[0]))
+    if not cuts.node.size:
+        return None
+    return Split(feats[cuts.feature[0]], float(cuts.threshold[0]), float(cuts.gain[0]))
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, hyper: ForestHyperparams, rng: np.random.Generator) -> Tree:
@@ -47,5 +51,5 @@ def fit_tree(X: np.ndarray, y: np.ndarray, hyper: ForestHyperparams, rng: np.ran
     hyper.validate()
     if y.size == 0:
         raise ValueError("cannot fit a tree on an empty sample set")
-    keys, values = _rank_columns(X, np.asarray(y, dtype=bool), range(X.shape[1]))
-    return _grow_levels(keys, values, hyper, [(rng, np.arange(y.size))])[0]
+    cols = _rank_columns(X, np.asarray(y, dtype=bool), range(X.shape[1]))
+    return _grow_levels(cols, hyper, [(rng, np.arange(y.size))])[0]
