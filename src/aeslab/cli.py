@@ -37,6 +37,8 @@ from .cipher import (
 from .detect_forest import (
     ByteSource,
     ForestHyperparams,
+    ForestModel,
+    SplitResult,
     fit_forest,
     load_model,
     predict_all,
@@ -45,6 +47,7 @@ from .detect_forest import (
 )
 from .metrics_report import (
     FLAG_WORDS,
+    BlockTable,
     DetectionReport,
     build_dataset,
     compare,
@@ -54,7 +57,7 @@ from .metrics_report import (
     run_id,
     score,
 )
-from .detect_threshold import classify_threshold, fit_threshold
+from .detect_threshold import ThresholdModel, classify_threshold, fit_threshold
 from .workload import MAX_DELAY_US, MAX_WORKERS, InputDistribution, Mode, RunConfig
 
 ENV_PREFIX = "AESLAB_"
@@ -249,41 +252,63 @@ def _print_report(report: DetectionReport) -> None:
     print(f"{detector}: " + " ".join(f"{name}={value}" for name, value in cells.items()))
 
 
-def cmd_run(args) -> int:
-    cfg = _build_run_config(args, args.command_parser)
-    hyper = _build_hyper(args)
+@dataclasses.dataclass(frozen=True)
+class Experiment:
+    """One scored run: its table with both prediction columns filled, the split,
+    both fitted detectors, their reports on the test rows and the forest's gain."""
 
-    table = build_dataset(run_pipeline(cfg, args.key_hex), args.byte_source)
+    table: BlockTable
+    split: SplitResult
+    threshold_model: ThresholdModel
+    forest_model: ForestModel
+    threshold_report: DetectionReport
+    forest_report: DetectionReport
+    accuracy_gain: float
+
+
+def run_experiment(cfg: RunConfig, hyper: ForestHyperparams, key: Key128,
+                   byte_source: ByteSource, threshold_fit: str) -> Experiment:
+    """Run cfg, fit the timing cut-off on "all" rows or the "train" rows (threshold_fit)
+    and the forest on the train rows, and score both detectors on the test rows. Each
+    stage is looked up in this module's globals at call time, where callers wrap it."""
+    if threshold_fit not in ("all", "train"):
+        raise ValueError(f"threshold_fit must be 'all' or 'train', got {threshold_fit!r}")
+    table = build_dataset(run_pipeline(cfg, key), byte_source)
     data, _ = rows_to_vectors(table)
     split = split_train_test(data, hyper.train_fraction, cfg.seed)
-
-    fit_times = table.time_us[split.train_indices] if args.threshold_fit == "train" else table.time_us
+    fit_times = table.time_us[split.train_indices] if threshold_fit == "train" else table.time_us
     threshold_model = fit_threshold(fit_times)
     threshold_preds = classify_threshold(table.time_us, threshold_model)
-
     forest_model = fit_forest(split.train, hyper)
     forest_preds = np.array(predict_all(forest_model, data.X))
-
     test, truths = split.test_indices, split.test.y
     report_t = score(threshold_preds[test], truths, "threshold")
     report_f = score(forest_preds[test], truths, "forest")
-    accuracy_gain = compare(report_t, report_f)
-
     table = dataclasses.replace(table, threshold_pred=threshold_preds, forest_pred=forest_preds)
+    return Experiment(table, split, threshold_model, forest_model, report_t, report_f,
+                      compare(report_t, report_f))
+
+
+def cmd_run(args) -> int:
+    cfg = _build_run_config(args, args.command_parser)
+    run = run_experiment(cfg, _build_hyper(args), args.key_hex, args.byte_source,
+                         args.threshold_fit)
+    reports = [run.threshold_report, run.forest_report]
+    threshold_us = run.threshold_model.threshold_us
     blocks_path, summary_path = export_csv(
-        table, [report_t, report_f], accuracy_gain, args.out_dir,
+        run.table, reports, run.accuracy_gain, args.out_dir,
         cfg=cfg, byte_source=args.byte_source,
-        threshold_fit=args.threshold_fit, threshold_us=threshold_model.threshold_us,
+        threshold_fit=args.threshold_fit, threshold_us=threshold_us,
     )
 
-    anomalous = table.truth_label.sum()
+    anomalous = run.table.truth_label.sum()
     print(f"run {run_id(cfg.seed, cfg.n_blocks, cfg.inject_pct)}: "
           f"{cfg.n_blocks} blocks ({anomalous} anomalous), mode={cfg.mode.value}, "
-          f"workers={cfg.workers}, test size={len(truths)}")
-    print(f"threshold_us={threshold_model.threshold_us:.3f} (fit={args.threshold_fit})")
-    _print_report(report_t)
-    _print_report(report_f)
-    print(f"accuracy_gain={accuracy_gain:+.6f}")
+          f"workers={cfg.workers}, test size={len(run.split.test_indices)}")
+    print(f"threshold_us={threshold_us:.3f} (fit={args.threshold_fit})")
+    for report in reports:
+        _print_report(report)
+    print(f"accuracy_gain={run.accuracy_gain:+.6f}")
     print(f"wrote {blocks_path}")
     print(f"wrote {summary_path}")
     return 0

@@ -19,14 +19,9 @@ from aeslab.cipher import (
     run_known_answer_suite,
     run_pipeline,
 )
-from aeslab.cli import main
-from aeslab.detect_forest import (
-    ForestHyperparams,
-    fit_forest,
-    predict_all,
-    split_train_test,
-)
-from aeslab.metrics_report import build_dataset, compare, rows_to_vectors, score
+from aeslab.cli import main, run_experiment
+from aeslab.detect_forest import ByteSource, ForestHyperparams
+from aeslab.metrics_report import build_dataset, score
 from aeslab.detect_threshold import classify_threshold, fit_threshold
 from aeslab.workload import (
     KIND_FAULT,
@@ -147,29 +142,18 @@ def test_criterion_5_forest_dominates_threshold(report):
             n_blocks=4096, inject_pct=pct, seed=7, mode=Mode.SIMULATED,
             input_dist=InputDistribution.ASCII,
         )
-        records = run_pipeline(cfg, KEY)
-        table = build_dataset(records)
-        data, _ = rows_to_vectors(table)
-        hyper = ForestHyperparams(seed=7)
-        split = split_train_test(data, hyper.train_fraction, cfg.seed)
-
-        threshold_model = fit_threshold(table.time_us)
-        threshold_flags = classify_threshold(table.time_us, threshold_model)
-        forest_model = fit_forest(split.train, hyper)
-        forest_flags = predict_all(forest_model, data.X)
-
-        truths = split.test.y.tolist()
-        report_t = score([threshold_flags[i] for i in split.test_indices], truths, "threshold")
-        report_f = score([forest_flags[i] for i in split.test_indices], truths, "forest")
-        gains[pct] = compare(report_t, report_f)
+        run = run_experiment(cfg, ForestHyperparams(seed=7), KEY, ByteSource.PLAINTEXT, "all")
+        report_t, report_f = run.threshold_report, run.forest_report
+        gains[pct] = run.accuracy_gain
 
         assert report_f.f1 >= report_t.f1, (
             f"at {pct:.0f}% injection forest F1 {report_f.f1:.4f} "
             f"fell below threshold F1 {report_t.f1:.4f}"
         )
-        fault_test = [i for i in split.test_indices if records[i].tag.kind is AnomalyKind.FAULT]
-        assert fault_test
-        fault_recall = sum(forest_flags[i] for i in fault_test) / len(fault_test)
+        test = run.split.test_indices
+        fault = np.array(run.table.tag)[test] == AnomalyKind.FAULT.value
+        assert fault.any()
+        fault_recall = run.table.forest_pred[test][fault].mean()
         assert fault_recall >= 0.95, f"fault recall {fault_recall:.4f} at {pct:.0f}%"
     assert gains[80.0] > 0.0, f"accuracy gain at 80% was {gains[80.0]:+.4f}"
     elapsed = time.perf_counter() - start

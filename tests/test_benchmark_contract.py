@@ -21,12 +21,16 @@ TRACED = {
           "fit_threshold", "classify_threshold", "score", "export_csv", "read_blocks_csv",
           "rows_to_vectors"),
 }
+# the TRACED[cli] names `aeslab run` calls: score once per detector, each other once
+RUN_STAGES = ("build_dataset", "rows_to_vectors", "split_train_test", "fit_threshold",
+              "classify_threshold", "fit_forest", "predict_all", "score", "export_csv")
 
 
 def test_traced_names_exist():
     for module, names in TRACED.items():
         for name in names:
             assert callable(getattr(module, name)), f"{module.__name__}.{name}"
+    assert set(RUN_STAGES) <= set(TRACED[cli])
     assert list(inspect.signature(cipher.encrypt_blocks).parameters)[2] == "cfg"
 
 
@@ -49,21 +53,23 @@ def test_block_counters_count_blocks_and_real_records_carry_latency(monkeypatch)
 
 
 def test_run_looks_up_pipeline_and_exports_recoverable_split(tmp_path, capsys, monkeypatch):
-    captured = []
-    original = cli.run_pipeline
-
-    def capture(*args, **kwargs):
-        captured.append(original(*args, **kwargs))
-        return captured[-1]
-
-    monkeypatch.setattr(cli, "run_pipeline", capture)
+    # the benchmark captures the records and times each stage by replacing its name in
+    # aeslab.cli, so run_experiment must look every stage up there
+    returned = {name: [] for name in ("run_pipeline", *RUN_STAGES)}
+    for name, kept in returned.items():
+        def wrapped(*args, _original=getattr(cli, name), _kept=kept, **kwargs):
+            _kept.append(_original(*args, **kwargs))
+            return _kept[-1]
+        monkeypatch.setattr(cli, name, wrapped)
     seed, fraction = 5, 0.7
     assert cli.main(["run", "--mode", "simulated", "--blocks", "200", "--inject-pct", "30",
                      "--trees", "5", "--train-fraction", str(fraction), "--seed", str(seed),
                      "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
+    assert {name: len(kept) for name, kept in returned.items()} == {
+        name: 2 if name == "score" else 1 for name in returned}
 
-    (records,) = captured
+    (records,) = returned["run_pipeline"]
     assert [r.index for r in records] == list(range(200))
     # the benchmark joins the records' bytes and reads their attributes
     assert all(type(r.plaintext) is bytes and type(r.ciphertext) is bytes for r in records)

@@ -352,6 +352,12 @@ def test_threshold_fit_train_fits_on_the_train_rows(tmp_path, capsys):
     assert (cut["train"], cut["all"]) == (2870.444, 2642.883)
 
 
+def test_run_experiment_refuses_an_unknown_threshold_fit():
+    with pytest.raises(ValueError, match="threshold_fit must be 'all' or 'train', got 'test'"):
+        cli.run_experiment(RunConfig(mode=Mode.SIMULATED), ForestHyperparams(),
+                           Key128(bytes(16)), ByteSource.PLAINTEXT, "test")
+
+
 @pytest.mark.parametrize("command", sorted(_MINIMAL_ARGV))
 def test_help_shows_each_default_once(command, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "1000")  # no help text is wrapped
