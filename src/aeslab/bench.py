@@ -6,11 +6,13 @@ comes from the per-block spans, throughput from blocks over the timed wall
 clock. Peak memory is reported where the platform exposes ru_maxrss, in
 two columns: peak_memory_mb for how far the measuring process's peak rose
 above its mark when the measurement started, and peak_children_mb for the
-largest of its finished children (the pool workers). A sweep runs each cell
-in a fresh process, so no earlier cell and no process started before the
-sweep shows in a cell's figures; a forked cell starts with the sweeping
-process's size as its peak, which the rise leaves out. Cells and pools come
-from cipher.process_pool, which forks where the start method in force is
+largest of its finished children (the pool workers). A sweep builds, and so
+checks, every cell's RunConfig before it starts the first cell, so a count the
+config refuses stops it before any process starts. It runs each cell in a
+fresh process, so no earlier cell and no process started before the sweep
+shows in a cell's figures; a forked cell starts with the sweeping process's
+size as its peak, which the rise leaves out. Cells and pools come from
+cipher.process_pool, which forks where the start method in force is
 forkserver, so the pool workers are children of their cell and its
 peak_children_mb covers them.
 """
@@ -66,7 +68,6 @@ def measure_run(cfg: RunConfig, key: Key128) -> BenchRecord:
     memory figure is the rise of this process's peak over its mark here."""
     if cfg.mode is not Mode.REAL:
         raise ValueError("benchmarks measure real mode only")
-    cfg.validate()
     start_mb = peak_memory_mb()
     with process_pool(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
         run_pipeline(cfg, key, pool)
@@ -132,30 +133,29 @@ def sweep(
 ) -> List[BenchRecord]:
     """Measure every (blocks, workers) cell in ascending order.
 
-    Each cell runs measure_run in a fresh process. A failing cell is
-    recorded with empty figures and its error message instead of aborting
-    the rest of the sweep, and so is a cell whose process dies (killed, or
-    out of memory). Rows are appended to csv_path as they finish.
+    A count that RunConfig refuses raises its ValueError before any process
+    starts or any row is written. Each cell runs measure_run in a fresh
+    process. A failing cell is recorded with empty figures and its error
+    message instead of aborting the rest of the sweep, and so is a cell whose
+    process dies (killed, or out of memory). Rows are appended to csv_path as
+    they finish.
     """
     blocks = sorted(set(int(b) for b in block_counts))
     workers = sorted(set(int(w) for w in worker_counts))
     if not blocks or not workers:
         raise ValueError("block_counts and worker_counts must be non-empty")
-    if blocks[0] < 1 or workers[0] < 1:
-        raise ValueError("block and worker counts must be positive")
+    cells = [replace(base_cfg, n_blocks=b, workers=w) for b in blocks for w in workers]
     path = Path(csv_path) if csv_path is not None else None
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
     results: List[BenchRecord] = []
-    for b in blocks:
-        for w in workers:
-            cfg = replace(base_cfg, n_blocks=b, workers=w)
-            with process_pool(1) as cell:
-                try:
-                    record = cell.submit(_measure_cell, cfg, key).result()
-                except BrokenProcessPool as exc:
-                    record = _failed(cfg, f"cell process died: {exc}")
-            results.append(record)
-            if path is not None:
-                _append_row(path, record)
+    for cfg in cells:
+        with process_pool(1) as cell:
+            try:
+                record = cell.submit(_measure_cell, cfg, key).result()
+            except BrokenProcessPool as exc:
+                record = _failed(cfg, f"cell process died: {exc}")
+        results.append(record)
+        if path is not None:
+            _append_row(path, record)
     return results

@@ -378,7 +378,6 @@ def encrypt_blocks(blocks: Blocks, key: Key128, cfg: RunConfig,
 def run_pipeline(cfg: RunConfig, key: Key128, pool: Optional[Executor] = None) -> List[BlockRecord]:
     """Generate, tag, and encrypt one run; records come back sorted by index.
     A real-mode run with several workers runs on pool when one is given."""
-    cfg.validate()
     blocks = generate_blocks(cfg.n_blocks, cfg.input_dist, cfg.seed)
     blocks = assign_anomalies(blocks, cfg.inject_pct, cfg.seed, cfg.delay_min_us, cfg.delay_max_us)
     return encrypt_blocks(blocks, key, cfg, pool)

@@ -228,22 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(base, args):
-    """base with each of its fields that args holds, under the field's name, taken from args."""
+    """base with each of its fields that args holds, under the field's name, taken from args.
+    A combination of values the config refuses, such as an inverted delay range, is a
+    usage error of args' command (exit 2) carrying the config's own message."""
     given = vars(args)
-    return dataclasses.replace(
-        base, **{f.name: given[f.name] for f in dataclasses.fields(base) if f.name in given})
-
-
-def _build_run_config(args, cp: argparse.ArgumentParser) -> RunConfig:
-    if args.delay_min_us > args.delay_max_us:
-        cp.error("--delay-min-us must not exceed --delay-max-us")
-    return _config(RunConfig(), args)
-
-
-def _build_hyper(args) -> ForestHyperparams:
-    hyper = _config(ForestHyperparams(), args)
-    hyper.validate()
-    return hyper
+    try:
+        return dataclasses.replace(
+            base, **{f.name: given[f.name] for f in dataclasses.fields(base) if f.name in given})
+    except ValueError as exc:
+        args.command_parser.error(str(exc))
 
 
 def _print_report(report: DetectionReport) -> None:
@@ -290,9 +283,9 @@ def run_experiment(cfg: RunConfig, hyper: ForestHyperparams, key: Key128,
 
 
 def cmd_run(args) -> int:
-    cfg = _build_run_config(args, args.command_parser)
-    run = run_experiment(cfg, _build_hyper(args), args.key_hex, args.byte_source,
-                         args.threshold_fit)
+    cfg = _config(RunConfig(), args)
+    run = run_experiment(cfg, _config(ForestHyperparams(), args), args.key_hex,
+                         args.byte_source, args.threshold_fit)
     reports = [run.threshold_report, run.forest_report]
     threshold_us = run.threshold_model.threshold_us
     blocks_path, summary_path = export_csv(
@@ -341,14 +334,13 @@ def cmd_kat(args) -> int:
 
 
 def cmd_train(args) -> int:
-    hyper = _build_hyper(args)
+    hyper = _config(ForestHyperparams(), args)
     if args.from_csv is not None:
         data, has_labels = rows_to_vectors(read_blocks_csv(args.from_csv))
         if not has_labels:
-            print("error: training input needs a truth_label column", file=sys.stderr)
-            return 1
+            raise ValueError("training input needs a truth_label column")
     else:
-        cfg = _build_run_config(args, args.command_parser)
+        cfg = _config(RunConfig(), args)
         data, _ = rows_to_vectors(build_dataset(run_pipeline(cfg, args.key_hex), args.byte_source))
     model = fit_forest(data, hyper)
     Path(args.model_out).parent.mkdir(parents=True, exist_ok=True)

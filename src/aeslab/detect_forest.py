@@ -76,6 +76,9 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ForestHyperparams:
+    """How a forest is grown. Building one, dataclasses.replace included, checks
+    every field and raises ValueError on a bad value, so one that exists is valid."""
+
     n_trees: int = 101
     max_depth: Optional[int] = 16
     min_samples_split: int = 2
@@ -83,7 +86,7 @@ class ForestHyperparams:
     seed: int = 1
     train_fraction: float = 0.7
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_trees < 1:
             raise ValueError("n_trees must be at least 1")
         if self.max_depth is not None and self.max_depth < 0:
@@ -556,7 +559,6 @@ def _grown_trees(nodes: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
 
 def fit_forest(train: Dataset, hyper: ForestHyperparams) -> ForestModel:
     """Fit n_trees trees, each on its own bootstrap resample of train."""
-    hyper.validate()
     if not len(train):
         raise ValueError("cannot fit a forest on an empty training set")
     if train.y.all() or not train.y.any():
@@ -737,9 +739,8 @@ def _read_header(lines: Iterator[str]) -> Tuple[int, ForestHyperparams]:
         raise ModelFormatError(f"unsupported model format version {first[1]}")
     fields = {name: _parse_header_field(lines, name, parse) for name, parse in _HEADER_FIELDS}
     n_features = fields.pop("n_features")
-    hyper = ForestHyperparams(**fields)
     try:
-        hyper.validate()
+        hyper = ForestHyperparams(**fields)
     except ValueError as exc:
         raise ModelFormatError(f"invalid model header: {exc}") from None
     if n_features < 1:

@@ -14,6 +14,7 @@ determines the run.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -116,7 +117,9 @@ class Blocks:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that determines a pipeline run except the key."""
+    """Everything that determines a pipeline run except the key. Building one,
+    dataclasses.replace included, checks every field and raises ValueError on a
+    bad value, so a RunConfig that exists is valid."""
 
     n_blocks: int = 1024
     inject_pct: float = 20.0
@@ -131,7 +134,10 @@ class RunConfig:
     base_time_us: float = 100.0
     jitter_us: float = 10.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for name, kind in (("mode", Mode), ("input_dist", InputDistribution)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__} member, got {getattr(self, name)!r}")
         if self.n_blocks < 1:
             raise ValueError("n_blocks must be at least 1")
         if not 0.0 <= self.inject_pct <= 100.0:
@@ -144,8 +150,9 @@ class RunConfig:
             raise ValueError(f"delay range must satisfy 0 < min <= max <= {MAX_DELAY_US:g}")
         if self.work_amplification < 1:
             raise ValueError("work_amplification must be at least 1")
-        if self.base_time_us < 0 or self.jitter_us < 0:
-            raise ValueError("simulated timing parameters must be non-negative")
+        # NaN fails both comparisons
+        if not (0 <= self.base_time_us < math.inf and 0 <= self.jitter_us < math.inf):
+            raise ValueError("simulated timing parameters must be finite and non-negative")
 
 
 def generate_blocks(n: int, dist: InputDistribution, seed: int) -> Blocks:

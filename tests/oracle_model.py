@@ -42,7 +42,7 @@ _FIELDS = (
 
 
 def _validate(h: Dict[str, object]) -> None:
-    """ForestHyperparams.validate, in its order and words."""
+    """The checks of ForestHyperparams.__post_init__, in its order and words."""
     if h["n_trees"] < 1:
         raise ValueError("n_trees must be at least 1")
     if h["max_depth"] is not None and h["max_depth"] < 0:

@@ -11,7 +11,7 @@ import aeslab.bench as bench_mod
 import aeslab.cipher as cipher_mod
 from aeslab.bench import BenchRecord, measure_run, peak_memory_mb, sweep
 from aeslab.cipher import Key128
-from aeslab.workload import Mode, RunConfig
+from aeslab.workload import MAX_WORKERS, Mode, RunConfig
 
 KEY = Key128(bytes(16))
 
@@ -219,6 +219,17 @@ def test_sweep_validates_inputs():
         sweep([], [1], base, KEY)
     with pytest.raises(ValueError):
         sweep([32], [0], base, KEY)
+
+
+def test_sweep_refuses_a_bad_count_before_any_cell_starts(tmp_path):
+    # the first cell is valid; the config of the second refuses its worker count
+    base = RunConfig(inject_pct=0.0, mode=Mode.REAL)
+    csv_path = tmp_path / "out" / "bench.csv"
+    with mock.patch.object(bench_mod, "process_pool", side_effect=AssertionError("cell started")):
+        with pytest.raises(ValueError, match="workers"):
+            sweep([32], [1, MAX_WORKERS + 1], base, KEY, csv_path)
+    assert not list(tmp_path.iterdir())
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_without_csv_path_writes_nothing(tmp_path):

@@ -182,6 +182,19 @@ def test_run_rejects_inverted_delay_range(tmp_path):
     assert excinfo.value.code == 2
 
 
+def test_a_refused_config_is_a_usage_error_with_the_configs_message(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    for command in (_run_flags(out_dir), ["train", "--mode", "simulated", "--model-out",
+                                          str(out_dir / "m.txt")]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--delay-min-us", "9000", "--delay-max-us", "100"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"aeslab {command[0]}: error: delay range must satisfy 0 < min <= max" in err
+        assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_run_rejects_bad_key(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(_run_flags(tmp_path, **{"--key-hex": "nothex"}))
@@ -383,14 +396,14 @@ def test_bare_commands_parse_to_the_default_configs(monkeypatch):
         monkeypatch.delenv(name, raising=False)
     for argv in (["run"], ["train", "--model-out", "m.txt"]):
         args = build_parser().parse_args(argv)
-        assert cli._build_run_config(args, args.command_parser) == RunConfig()
-        assert cli._build_hyper(args) == ForestHyperparams()
+        assert cli._config(RunConfig(), args) == RunConfig()
+        assert cli._config(ForestHyperparams(), args) == ForestHyperparams()
 
 
 @pytest.mark.parametrize("text, depth", [("5", 5), ("0", 0), ("none", None), ("None", None)])
 def test_max_depth_parses_to_a_limit_or_none(text, depth):
     args = build_parser().parse_args(["run", "--max-depth", text])
-    assert cli._build_hyper(args).max_depth == depth
+    assert cli._config(ForestHyperparams(), args).max_depth == depth
 
 
 @pytest.mark.parametrize("text", ["-1", "2.5"])
@@ -485,9 +498,13 @@ def test_predict_without_labels_emits_no_metrics(tmp_path, capsys):
     assert "index,predicted" in out
     assert "forest:" not in out
 
-    # and a label-free table cannot train a model
+    # and a label-free table cannot train a model: main's handler prints one line
     assert main(["train", "--from-csv", str(stripped),
                  "--model-out", str(tmp_path / "nope.txt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: training input needs a truth_label column\n"
+    assert captured.out == ""
+    assert not (tmp_path / "nope.txt").exists()
 
 
 def test_predict_requires_model_flag():

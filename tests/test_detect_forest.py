@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tempfile
 import tracemalloc
@@ -354,6 +355,7 @@ def test_fit_tree_rejects_empty_input():
     ("features_per_split", 0, "features_per_split"),  # failed inside numpy's reshape
 ])
 def test_fit_tree_validates_its_hyperparameters(field, value, message):
+    # the hyperparameters refuse the value as they are built, before fit_tree sees them
     X = np.asarray([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]])
     y = np.asarray([False, False, True, True])
     with pytest.raises(ValueError, match=message):
@@ -497,19 +499,21 @@ def test_dataset_rejects_non_finite_features(bad):
 
 def test_hyperparams_validation():
     with pytest.raises(ValueError):
-        ForestHyperparams(n_trees=0).validate()
+        ForestHyperparams(n_trees=0)
     with pytest.raises(ValueError):
-        ForestHyperparams(min_samples_split=1).validate()
+        ForestHyperparams(min_samples_split=1)
     with pytest.raises(ValueError):
-        ForestHyperparams(features_per_split=0).validate()
+        ForestHyperparams(features_per_split=0)
     with pytest.raises(ValueError):
-        ForestHyperparams(train_fraction=1.5).validate()
+        ForestHyperparams(train_fraction=1.5)
     with pytest.raises(ValueError):
-        ForestHyperparams(max_depth=-1).validate()
+        ForestHyperparams(max_depth=-1)
     with pytest.raises(ValueError, match="64-bit"):
-        ForestHyperparams(seed=2**64).validate()
-    ForestHyperparams().validate()
-    ForestHyperparams(seed=2**64 - 1).validate()
+        ForestHyperparams(seed=2**64)
+    with pytest.raises(ValueError, match="train_fraction"):
+        dataclasses.replace(ForestHyperparams(), train_fraction=float("nan"))
+    ForestHyperparams()
+    ForestHyperparams(seed=2**64 - 1)
 
 
 def _leaf(c0, c1):
@@ -762,7 +766,7 @@ def test_load_rejects_version_mismatch(tmp_path):
         "aeslab-forest 1\nn_features 17\n",  # truncated header
         "aeslab-forest 1\nbogus 17\n",
         "aeslab-forest 1\nn_features 17\nn_trees 0\nmax_depth 16\nmin_samples_split 2\n"
-        "features_per_split 5\nseed 1\ntrain_fraction 0.7\nend\n",  # header fails validate()
+        "features_per_split 5\nseed 1\ntrain_fraction 0.7\nend\n",  # header ForestHyperparams refuses
         "aeslab-forest 1\nn_features 0\nn_trees 1\nmax_depth 16\nmin_samples_split 2\n"
         "features_per_split 5\nseed 1\ntrain_fraction 0.7\ntree 0\nl 1 0\nend\n",
     ],

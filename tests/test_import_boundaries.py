@@ -9,6 +9,9 @@ imports anything from the cipher.
 Start-up loads only what the default commands run: the process pool's
 modules, statistics and the bench module load when a pooled real-mode run
 or aeslab bench first needs them.
+
+A config checks itself as it is built, so no module defines or calls a
+validate step that an entry point could forget.
 """
 
 import ast
@@ -53,6 +56,17 @@ def _names_block_record(tree):
     return False
 
 
+def _names_validate(tree):
+    """Whether tree defines, or calls, a function or method named validate."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "validate":
+            return True
+        if isinstance(node, ast.Call) and "validate" in (getattr(node.func, "id", None),
+                                                         getattr(node.func, "attr", None)):
+            return True
+    return False
+
+
 @pytest.mark.parametrize("name", ["detect_forest.py", "detect_threshold.py"])
 def test_detectors_import_nothing_from_the_cipher(name):
     assert not _imports_the_cipher(_tree(PACKAGE / name))
@@ -65,6 +79,12 @@ def test_only_the_cipher_and_the_table_builder_name_block_record():
     assert naming == {"cipher.py", "metrics_report.py"}
 
 
+def test_no_module_defines_or_calls_validate():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 2
+    assert [path.name for path in modules if _names_validate(_tree(path))] == []
+
+
 def test_the_guards_see_what_they_look_for():
     seen = _tree(PACKAGE / "metrics_report.py")
     assert _imports_the_cipher(seen) and _names_block_record(seen)
@@ -73,6 +93,10 @@ def test_the_guards_see_what_they_look_for():
         assert _imports_the_cipher(ast.parse(source))
     assert _names_block_record(ast.parse("def f(r: cipher.BlockRecord): pass"))
     assert not _imports_the_cipher(ast.parse("from .files import atomic_write"))
+    for source in ("class C:\n    def validate(self): pass", "cfg.validate()", "validate(cfg)",
+                   "async def validate(): pass"):
+        assert _names_validate(ast.parse(source)), source
+    assert not _names_validate(ast.parse("def __post_init__(self): check(self.validated)"))
 
 
 # in a fresh interpreter: the modules of DEFERRED loaded after start-up and

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -242,17 +243,30 @@ def test_blocks_reject_an_empty_run_and_keep_read_only_columns():
         ("delay_max_us", 1e300),  # beyond MAX_DELAY_US: real mode could not sleep it
         ("work_amplification", 0),
         ("jitter_us", -1.0),
+        # numpy's uniform raised OverflowError on these, past cli.main's handler
+        ("jitter_us", math.nan),
+        ("jitter_us", math.inf),
+        # these gave NaN or infinite latencies
+        ("base_time_us", math.nan),
+        ("base_time_us", math.inf),
+        ("base_time_us", -1.0),
+        # a string mode took encrypt_blocks' real-mode path and timed the wall clock
+        ("mode", "simulated"),
+        ("input_dist", "ascii"),
     ],
 )
 def test_run_config_validation_rejects_bad_fields(field, value):
-    cfg = dataclasses.replace(RunConfig(), **{field: value})
     with pytest.raises(ValueError):
-        cfg.validate()
+        dataclasses.replace(RunConfig(), **{field: value})
+    with pytest.raises(ValueError):
+        RunConfig(**{field: value})
 
 
 def test_run_config_defaults_are_valid():
-    RunConfig().validate()
-    dataclasses.replace(RunConfig(), workers=MAX_WORKERS).validate()
+    RunConfig()
+    dataclasses.replace(RunConfig(), workers=MAX_WORKERS)
+    RunConfig(mode=Mode.SIMULATED, input_dist=InputDistribution.UNIFORM, jitter_us=0.0,
+              base_time_us=0.0)
 
 
 def test_seeded_stream_ids_are_distinct():

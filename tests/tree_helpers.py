@@ -48,7 +48,6 @@ def best_split(X: np.ndarray, y: np.ndarray, features: Sequence[int]) -> Optiona
 
 def fit_tree(X: np.ndarray, y: np.ndarray, hyper: ForestHyperparams, rng: np.random.Generator) -> Tree:
     """Grow one CART tree on (X, y), drawing each level's candidate features from rng."""
-    hyper.validate()
     if y.size == 0:
         raise ValueError("cannot fit a tree on an empty sample set")
     cols = _rank_columns(X, np.asarray(y, dtype=bool), range(X.shape[1]))
