@@ -20,9 +20,9 @@ counts in time bounded by its rows. This is exact histogram split finding,
 so the counts, thresholds and gains are those of a sorted scan.
 Each tree is stored as three pre-order lists; building one checks its shape
 and derives its right-child links and depth, whether it was grown or loaded.
-Prediction partitions the row numbers down each tree in turn, so a row is
-compared only at the nodes on its path, and stops walking a row once its
-majority is settled.
+Prediction partitions the row numbers down each tree in turn, smallest tree
+first, so a row is compared only at the nodes on its path, and stops walking
+a row once its majority is settled.
 
 Everything is deterministic given (hyperparams, training data): each tree
 draws its bootstrap sample, then the feature subsets of each level's nodes,
@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Seq
 import numpy as np
 
 from .files import atomic_write, cell_texts, digit_runs
-from .workload import _STREAM_SPLIT, _STREAM_TREE, _rng
+from .workload import _STREAM_SPLIT, _STREAM_TREE, _check_integers, _rng
 
 N_FEATURES = 17
 
@@ -77,7 +77,8 @@ class Dataset:
 @dataclass(frozen=True)
 class ForestHyperparams:
     """How a forest is grown. Building one, dataclasses.replace included, checks
-    every field and raises ValueError on a bad value, so one that exists is valid."""
+    every field, the integer fields' types too, and raises ValueError on a bad
+    value, so one that exists is valid."""
 
     n_trees: int = 101
     max_depth: Optional[int] = 16
@@ -87,10 +88,13 @@ class ForestHyperparams:
     train_fraction: float = 0.7
 
     def __post_init__(self) -> None:
+        _check_integers(self, "n_trees", "min_samples_split", "features_per_split", "seed")
         if self.n_trees < 1:
             raise ValueError("n_trees must be at least 1")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be None or non-negative")
+        if self.max_depth is not None:
+            _check_integers(self, "max_depth")
+            if self.max_depth < 0:
+                raise ValueError("max_depth must be None or non-negative")
         if self.min_samples_split < 2:
             raise ValueError("min_samples_split must be at least 2")
         if self.features_per_split < 1:
@@ -579,7 +583,12 @@ def predict_all(model: ForestModel, X: np.ndarray) -> List[bool]:
     leaf adds a vote to its rows if it holds more anomalous than benign
     counts. Once half the trees have voted, a row whose vote no remaining
     tree can change is settled: later trees walk only the open rows, and the
-    walk ends when none are left. The result is that of every tree voting.
+    walk ends when none are left. The trees are walked smallest first, in
+    ascending node count with ties in index order, so the rows that settle
+    do so before the deep trees, which cost the most per row. A vote count
+    does not depend on the order its trees are added in, and the settle test
+    reads only how many trees are left, so the result is that of every tree
+    voting, in any order.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
@@ -588,7 +597,7 @@ def predict_all(model: ForestModel, X: np.ndarray) -> List[bool]:
     votes = np.zeros(X.shape[0], dtype=np.int64)
     open_rows = np.arange(X.shape[0])
     n_trees = len(model.trees)
-    for t, tree in enumerate(model.trees):
+    for t, tree in enumerate(sorted(model.trees, key=lambda tree: len(tree.feature))):
         if 2 * t >= n_trees:  # before that, no row can be settled
             # settled anomalous once 2 * held > n_trees, benign once 2 * (held + rest) <= n_trees
             held, rest = votes.take(open_rows), n_trees - t

@@ -50,6 +50,15 @@ def _rng(seed: int, stream: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, *key)))
 
 
+def _check_integers(config: object, *names: str) -> None:
+    """Raise ValueError unless each named field of config holds an int or a numpy
+    integer: a bool, a float such as 2.0 and any other type are refused."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class InputDistribution(enum.Enum):
     UNIFORM = "uniform"
     ASCII = "ascii"
@@ -118,8 +127,8 @@ class Blocks:
 @dataclass(frozen=True)
 class RunConfig:
     """Everything that determines a pipeline run except the key. Building one,
-    dataclasses.replace included, checks every field and raises ValueError on a
-    bad value, so a RunConfig that exists is valid."""
+    dataclasses.replace included, checks every field, the integer fields' types
+    too, and raises ValueError on a bad value, so a RunConfig that exists is valid."""
 
     n_blocks: int = 1024
     inject_pct: float = 20.0
@@ -138,6 +147,7 @@ class RunConfig:
         for name, kind in (("mode", Mode), ("input_dist", InputDistribution)):
             if not isinstance(getattr(self, name), kind):
                 raise ValueError(f"{name} must be a {kind.__name__} member, got {getattr(self, name)!r}")
+        _check_integers(self, "n_blocks", "workers", "seed", "work_amplification")
         if self.n_blocks < 1:
             raise ValueError("n_blocks must be at least 1")
         if not 0.0 <= self.inject_pct <= 100.0:
@@ -153,6 +163,9 @@ class RunConfig:
         # NaN fails both comparisons
         if not (0 <= self.base_time_us < math.inf and 0 <= self.jitter_us < math.inf):
             raise ValueError("simulated timing parameters must be finite and non-negative")
+        # base + U(0, jitter) + delay overflows to inf though each term is finite
+        if not math.isfinite(self.base_time_us + self.jitter_us + self.delay_max_us):
+            raise ValueError("base_time_us + jitter_us + delay_max_us must be finite")
 
 
 def generate_blocks(n: int, dist: InputDistribution, seed: int) -> Blocks:

@@ -516,6 +516,24 @@ def test_hyperparams_validation():
     ForestHyperparams(seed=2**64 - 1)
 
 
+@pytest.mark.parametrize("field, value", [
+    # each of these was accepted
+    ("n_trees", 2.5),
+    ("n_trees", 3.0),
+    ("max_depth", 3.5),
+    ("seed", 1.5),
+    ("min_samples_split", 2.5),
+    ("features_per_split", True),
+    ("n_trees", True),
+    ("seed", "1"),
+])
+def test_hyperparams_refuse_non_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ForestHyperparams(**{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        dataclasses.replace(ForestHyperparams(), **{field: value})
+
+
 def _leaf(c0, c1):
     return Tree(feature=[-1], threshold=[0.0], counts=[(c0, c1)])
 
@@ -566,6 +584,52 @@ def test_settled_vote_equals_every_tree_voting(trees):
     model = ForestModel(tuple(trees), ForestHyperparams(n_trees=len(trees)), 2)
     every_tree = [2 * sum(_walk(tree, row) for tree in trees) > len(trees) for row in grid]
     assert predict_all(model, grid) == every_tree
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_hand_trees(), min_size=1, max_size=12), st.randoms(use_true_random=False))
+def test_settled_vote_does_not_depend_on_tree_order(trees, rnd):
+    grid = np.array([[a, b] for a in range(5) for b in range(5)], dtype=np.float64)
+    every_tree = [2 * sum(_walk(tree, row) for tree in trees) > len(trees) for row in grid]
+    shuffled = list(trees)
+    rnd.shuffle(shuffled)
+    for order in (trees, trees[::-1], shuffled):
+        model = ForestModel(tuple(order), ForestHyperparams(n_trees=len(order)), 2)
+        assert predict_all(model, grid) == every_tree
+
+
+class _CountingTree:
+    """A stand-in for a tree that counts the reads of its threshold and counts.
+    Reads of its feature list are not counted: the walk's sort key reads it."""
+
+    def __init__(self, tree):
+        self._tree, self.reads = tree, 0
+        self.feature, self.right = tree.feature, tree.right
+
+    @property
+    def threshold(self):
+        self.reads += 1
+        return self._tree.threshold
+
+    @property
+    def counts(self):
+        self.reads += 1
+        return self._tree.counts
+
+
+def test_the_small_trees_settle_the_vote_before_a_large_tree_is_walked():
+    split = Tree([0, -1, -1], [0.5, 0.0, 0.0], [(0, 0), (3, 0), (0, 3)])
+    rows = np.array([[0.0], [1.0]])
+    # first in index order, but the two one-leaf trees settle every row before it
+    large = _CountingTree(split)
+    model = ForestModel((large, _leaf(0, 2), _leaf(0, 2)), ForestHyperparams(n_trees=3), 1)
+    assert predict_all(model, rows) == [True, True]
+    assert large.reads == 0
+    # where the leaves disagree, every row stays open and the stand-in is walked
+    large = _CountingTree(split)
+    model = ForestModel((large, _leaf(0, 2), _leaf(2, 0)), ForestHyperparams(n_trees=3), 1)
+    assert predict_all(model, rows) == [False, True]
+    assert large.reads > 0
 
 
 @settings(max_examples=40, deadline=None)

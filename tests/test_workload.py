@@ -253,6 +253,16 @@ def test_blocks_reject_an_empty_run_and_keep_read_only_columns():
         # a string mode took encrypt_blocks' real-mode path and timed the wall clock
         ("mode", "simulated"),
         ("input_dist", "ascii"),
+        # a non-integer count raised numpy's or SeedSequence's TypeError, or ran
+        ("n_blocks", 2.5),
+        ("n_blocks", 8.0),
+        ("n_blocks", True),
+        ("seed", 1.5),
+        ("seed", False),
+        ("work_amplification", 1.5),
+        ("workers", 1.5),
+        ("workers", True),
+        ("workers", "2"),
     ],
 )
 def test_run_config_validation_rejects_bad_fields(field, value):
@@ -260,6 +270,18 @@ def test_run_config_validation_rejects_bad_fields(field, value):
         dataclasses.replace(RunConfig(), **{field: value})
     with pytest.raises(ValueError):
         RunConfig(**{field: value})
+
+
+def test_run_config_refuses_an_infinite_longest_latency():
+    # each finite, but latencies of about 1.2e308 came out, with numpy's overflow warning
+    with pytest.raises(ValueError, match="must be finite"):
+        RunConfig(mode=Mode.SIMULATED, base_time_us=1e308, jitter_us=1e308)
+    RunConfig(mode=Mode.SIMULATED, base_time_us=1e308, jitter_us=0.0)
+
+
+def test_run_config_takes_numpy_integers():
+    cfg = RunConfig(n_blocks=np.int64(8), seed=np.uint64(2**64 - 1), workers=np.int32(2))
+    assert (cfg.n_blocks, cfg.workers) == (8, 2)
 
 
 def test_run_config_defaults_are_valid():
