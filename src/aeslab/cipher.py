@@ -1,27 +1,31 @@
 """AES-128-ECB encryption with per-block timing.
 
 The scalar cipher runs the 32-bit T-table form of the FIPS-197 rounds
-(Daemen & Rijmen, "The Design of Rijndael", 2002, section 4.2). The state is
-four big-endian column words. Four 256-entry word tables Te0..Te3, built
-from the S-box and xtime, fold SubBytes, ShiftRows and MixColumns into one
-lookup per state byte. Each key gets its own copies of Te0, one per round
-and column, with that round key word XORed into every entry, so each of
-rounds 1 to 9 is 16 lookups and 12 XORs and loads no round key. The final
-round, which has no MixColumns, reads four keyed tables of sbox[x] << 24
-and two shared ones of sbox[x] << 16 and sbox[x] << 8: 16 lookups and 12
-XORs as well. Pure Python keeps the per-block cost measurable (about 17
+(Daemen & Rijmen, "The Design of Rijndael", 2002, section 4.2). Each round
+computes the state as four big-endian column words. Four 256-entry word
+tables Te0..Te3, built from the S-box and xtime, fold SubBytes, ShiftRows
+and MixColumns into one lookup per state byte. Each key gets its own copies
+of Te0, one per round and column, with that round key word XORed into every
+entry, so each of rounds 1 to 9 is 16 lookups and 12 XORs and loads no
+round key. The final round, which has no MixColumns, reads four keyed
+tables of sbox[x] << 24 and two shared ones of sbox[x] << 16 and
+sbox[x] << 8: 16 lookups and 12 XORs as well. Between rounds the state is
+carried as its 16 bytes: each round packs its four words and unpacks the
+bytes into 16 locals, one pack per round in place of 12 shifts and 12
+masks. Pure Python keeps the per-block cost measurable (about 13
 microseconds of CPU per block in a real-mode run), which is what the
 real-mode timing experiments need.
 
 T-tables are the textbook target of cache-timing attacks (Bernstein 2005,
 "Cache-timing attacks on AES"; Osvik, Shamir & Tromer 2006, "Cache Attacks
 and Countermeasures: the Case of AES"): each lookup's address depends on a
-key-mixed state byte. Folding the round keys into the tables changes none
-of that: the keyed tables are still indexed by secret bytes, and the kernel
-is still not constant-time. The byte-wise kernel the T-tables replaced made
-the same kind of secret-indexed S-box and xtime lookups, as any CPython
-tuple lookup does, so the lab gains no new class of leak. Neither kernel is
-constant-time; neither is fit to protect data.
+key-mixed state byte. Folding the round keys into the tables, or carrying
+the state as bytes, changes none of that: the keyed tables are still
+indexed by secret bytes, and the kernel is still not constant-time. The
+byte-wise kernel the T-tables replaced made the same kind of
+secret-indexed S-box and xtime lookups, as any CPython tuple lookup does,
+so the lab gains no new class of leak. Neither kernel is constant-time;
+neither is fit to protect data.
 
 Each key's tables for the scalar kernel, T-tables, round keys and keyed
 tables alike, are built on first use from the S-box the module holds at
@@ -182,21 +186,33 @@ def _schedule(key: bytes, sbox: Tuple[int, ...]) -> _Schedule:
 
 
 def _encrypt(block: bytes, schedule: _Schedule) -> bytes:
+    """Encrypt one 16-byte block under schedule's tables.
+
+    Between rounds the state is carried as its 16 bytes a0..a15, the four
+    big-endian column words laid end to end (column c is a[4c] to a[4c + 3],
+    row 0 first). Each round packs its four output words and unpacks the
+    bytes into the 16 locals, so every table index is a plain local, and
+    iterating bytes yields small ints, which CPython caches. Taking the
+    index bytes out of four words instead costs 12 shifts and 12 masks per
+    round, about as long in CPython as the 16 lookups themselves; one pack
+    per round costs far less.
+    """
     (k0, k1, k2, k3), rounds, te1, te2, te3, (l0, l1, l2, l3), b16, b8, sbox = schedule
     s0, s1, s2, s3 = _WORDS.unpack(block)
-    s0, s1, s2, s3 = s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = _WORDS.pack(
+        s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3)
     for t0, t1, t2, t3 in rounds:
-        s0, s1, s2, s3 = (
-            t0[s0 >> 24] ^ te1[s1 >> 16 & 255] ^ te2[s2 >> 8 & 255] ^ te3[s3 & 255],
-            t1[s1 >> 24] ^ te1[s2 >> 16 & 255] ^ te2[s3 >> 8 & 255] ^ te3[s0 & 255],
-            t2[s2 >> 24] ^ te1[s3 >> 16 & 255] ^ te2[s0 >> 8 & 255] ^ te3[s1 & 255],
-            t3[s3 >> 24] ^ te1[s0 >> 16 & 255] ^ te2[s1 >> 8 & 255] ^ te3[s2 & 255],
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = _WORDS.pack(
+            t0[a0] ^ te1[a5] ^ te2[a10] ^ te3[a15],
+            t1[a4] ^ te1[a9] ^ te2[a14] ^ te3[a3],
+            t2[a8] ^ te1[a13] ^ te2[a2] ^ te3[a7],
+            t3[a12] ^ te1[a1] ^ te2[a6] ^ te3[a11],
         )
     return _WORDS.pack(
-        l0[s0 >> 24] ^ b16[s1 >> 16 & 255] ^ b8[s2 >> 8 & 255] ^ sbox[s3 & 255],
-        l1[s1 >> 24] ^ b16[s2 >> 16 & 255] ^ b8[s3 >> 8 & 255] ^ sbox[s0 & 255],
-        l2[s2 >> 24] ^ b16[s3 >> 16 & 255] ^ b8[s0 >> 8 & 255] ^ sbox[s1 & 255],
-        l3[s3 >> 24] ^ b16[s0 >> 16 & 255] ^ b8[s1 >> 8 & 255] ^ sbox[s2 & 255],
+        l0[a0] ^ b16[a5] ^ b8[a10] ^ sbox[a15],
+        l1[a4] ^ b16[a9] ^ b8[a14] ^ sbox[a3],
+        l2[a8] ^ b16[a13] ^ b8[a2] ^ sbox[a7],
+        l3[a12] ^ b16[a1] ^ b8[a6] ^ sbox[a11],
     )
 
 
@@ -295,7 +311,14 @@ def encrypt_timed(plain: bytes, delays_us: Sequence[float], key: bytes,
                   work_amplification: int) -> Tuple[bytes, List[float]]:
     """Encrypt 16-byte blocks laid end to end one at a time; return the
     ciphertexts laid end to end and each block's latency in microseconds: a
-    monotonic span over its sleep (delays_us[j] > 0) and every encryption pass."""
+    monotonic span over its sleep (delays_us[j] > 0) and every encryption pass.
+    Raises ValueError, before any block is timed, unless plain holds exactly
+    one block per delay and work_amplification is at least 1."""
+    if len(plain) != BLOCK_SIZE * len(delays_us):
+        raise ValueError(f"plain must hold {len(delays_us)} blocks of {BLOCK_SIZE} bytes, "
+                         f"one per delay, got {len(plain)} bytes")
+    if work_amplification < 1:
+        raise ValueError(f"work_amplification must be at least 1, got {work_amplification}")
     schedule = _schedule(key, SBOX)
     ciphertexts, times = [], []
     for at, delay_us in zip(range(0, len(plain), BLOCK_SIZE), delays_us):

@@ -114,6 +114,33 @@ def test_ecb_is_deterministic_and_chain_free():
     assert rec_a.ciphertext == rec_b.ciphertext == first
 
 
+# two fixed keys; a plaintext that differs from a base block in one byte only
+# sends that byte through its own lane of the round's index pattern
+_WIRING_KEYS = ("000102030405060708090a0b0c0d0e0f", "2b7e151628aed2a6abf7158809cf4f3c")
+
+
+@pytest.mark.parametrize("key_hex", _WIRING_KEYS, ids=["key-fips197", "key-sp800-38a"])
+@pytest.mark.parametrize("position", range(16), ids=[f"byte{i}" for i in range(16)])
+def test_each_plaintext_byte_alone_matches_independent_library(key_hex, position):
+    key = Key128.from_hex(key_hex)
+    base = bytes.fromhex("3243f6a8885a308d313198a2e0370734")
+    flipped = bytearray(base)
+    flipped[position] ^= 0xA5
+    out = aes128_encrypt_block(bytes(flipped), key)
+    assert out == _library_encrypt(key.data, bytes(flipped))
+    assert out != aes128_encrypt_block(base, key)
+
+
+@pytest.mark.parametrize("plain, delays_us, work_amplification", [
+    (bytes(48), [0.0], 1),  # three blocks, one delay
+    (bytes(20), [0.0, 0.0], 1),  # not a whole number of blocks
+    (bytes(16), [0.0], 0),  # no encryption pass to time
+], ids=["blocks-outnumber-delays", "partial-block", "zero-amplification"])
+def test_encrypt_timed_refuses_mismatched_arguments(plain, delays_us, work_amplification):
+    with pytest.raises(ValueError):
+        encrypt_timed(plain, delays_us, bytes(16), work_amplification)
+
+
 def test_input_validation():
     key = Key128(bytes(16))
     with pytest.raises(ValueError):
