@@ -111,8 +111,10 @@ class Key128:
     data: bytes
 
     def __post_init__(self) -> None:
-        if len(self.data) != BLOCK_SIZE:
-            raise ValueError(f"key must be {BLOCK_SIZE} bytes, got {len(self.data)}")
+        # bytes only: the keyed tables are cached by key, and struct unpacks it
+        if not isinstance(self.data, bytes) or len(self.data) != BLOCK_SIZE:
+            got = f"{len(self.data)} bytes" if isinstance(self.data, bytes) else type(self.data).__name__
+            raise ValueError(f"key must be {BLOCK_SIZE} bytes, got {got}")
 
     @classmethod
     def from_hex(cls, text: str) -> "Key128":
@@ -401,6 +403,4 @@ def encrypt_blocks(blocks: Blocks, key: Key128, cfg: RunConfig,
 def run_pipeline(cfg: RunConfig, key: Key128, pool: Optional[Executor] = None) -> List[BlockRecord]:
     """Generate, tag, and encrypt one run; records come back sorted by index.
     A real-mode run with several workers runs on pool when one is given."""
-    blocks = generate_blocks(cfg.n_blocks, cfg.input_dist, cfg.seed)
-    blocks = assign_anomalies(blocks, cfg.inject_pct, cfg.seed, cfg.delay_min_us, cfg.delay_max_us)
-    return encrypt_blocks(blocks, key, cfg, pool)
+    return encrypt_blocks(assign_anomalies(generate_blocks(cfg), cfg), key, cfg, pool)

@@ -295,7 +295,7 @@ def cmd_run(args) -> int:
     )
 
     anomalous = run.table.truth_label.sum()
-    print(f"run {run_id(cfg.seed, cfg.n_blocks, cfg.inject_pct)}: "
+    print(f"run {run_id(cfg)}: "
           f"{cfg.n_blocks} blocks ({anomalous} anomalous), mode={cfg.mode.value}, "
           f"workers={cfg.workers}, test size={len(run.split.test_indices)}")
     print(f"threshold_us={threshold_us:.3f} (fit={args.threshold_fit})")

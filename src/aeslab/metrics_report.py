@@ -93,9 +93,8 @@ def compare(threshold_report: DetectionReport, forest_report: DetectionReport) -
     return forest_report.accuracy - threshold_report.accuracy
 
 
-def run_id(seed: int, n_blocks: int, inject_pct: float) -> str:
-    pct = f"{inject_pct:g}"
-    return f"s{seed}_n{n_blocks}_p{pct}"
+def run_id(cfg: RunConfig) -> str:
+    return f"s{cfg.seed}_n{cfg.n_blocks}_p{cfg.inject_pct:g}"
 
 
 FLAG_WORDS = ("false", "true")  # a flag cell's text, indexed by its value
@@ -131,10 +130,11 @@ class BlockTable:
 
 def build_dataset(
     records: Sequence[BlockRecord],
-    byte_source: ByteSource = ByteSource.PLAINTEXT,
+    byte_source: Union[ByteSource, str] = ByteSource.PLAINTEXT,
 ) -> BlockTable:
     """The table of a run: one row per record, ordered by block index, whose
-    feature_bytes are the bytes byte_source names."""
+    feature_bytes are the bytes byte_source, a ByteSource or its value, names."""
+    byte_source = ByteSource(byte_source)
     if not records:
         raise ValueError("cannot build features from an empty run")
     # by index alone: a whole-record sort would compare the tags' kinds on a tie
@@ -157,7 +157,7 @@ def export_csv(
     out_dir: Union[str, Path],
     *,
     cfg: RunConfig,
-    byte_source: ByteSource,
+    byte_source: Union[ByteSource, str],
     threshold_fit: str,
     threshold_us: float,
 ) -> Tuple[Path, Path]:
@@ -174,9 +174,10 @@ def export_csv(
             raise ValueError(f"{name} covers {held} of {len(table)} rows")
     if not reports:
         raise ValueError("the summary needs at least one detector report")
+    byte_source = ByteSource(byte_source)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rid = run_id(cfg.seed, cfg.n_blocks, cfg.inject_pct)
+    rid = run_id(cfg)
     blocks_path = out / f"blocks_{rid}.csv"
     summary_path = out / f"summary_{rid}.csv"
 

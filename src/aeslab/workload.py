@@ -7,8 +7,9 @@ encryption). A block's kind is a KIND_* code and its delay a column of its
 own; the cipher's records tag each block with one of the three shared TAGS,
 so a tag names the kind and nothing else, and a block is anomalous exactly
 when its kind is not NONE. All randomness is drawn from numpy generators
-derived from the run seed, so a (seed, n_blocks, inject_pct) triple fully
-determines the run.
+derived from the run seed. generate_blocks and assign_anomalies take the
+run's RunConfig, which checked every field when it was built, so neither
+checks a field again, and the config alone determines the run.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ FAULT_MASK = 0xFF
 ASCII_LOW = 0x20
 ASCII_HIGH = 0x7E
 
-DEFAULT_DELAY_MIN_US = 5_000.0
-DEFAULT_DELAY_MAX_US = 20_000.0
 # one hour: far beyond any useful injected delay, and well inside what
 # time.sleep accepts in real mode
 MAX_DELAY_US = 3_600_000_000.0
@@ -93,8 +92,9 @@ TAGS = tuple(map(AnomalyTag, AnomalyKind))
 class Blocks:
     """A run of n >= 1 blocks as read-only columns: index int64[n] (block
     numbers, non-negative and increasing), data uint8[n, 16] (pre-fault
-    plaintexts), kind int8[n] (KIND_* codes) and delay_us float64[n] (positive
-    for a delay block, 0 for any other). Each column is checked as a whole."""
+    plaintexts), kind int8[n] (KIND_* codes) and delay_us float64[n] (in
+    (0, MAX_DELAY_US] for a delay block, 0 for any other). Each column is
+    checked as a whole."""
 
     index: np.ndarray
     data: np.ndarray
@@ -115,10 +115,11 @@ class Blocks:
         if n < 1 or self.index[0] < 0 or (np.diff(self.index) <= 0).any():
             raise ValueError("a run needs at least one block, with non-negative, increasing indices")
         delayed = self.kind == KIND_DELAY
+        delays = self.delay_us[delayed]
         if (not np.isin(self.kind, (KIND_NONE, KIND_DELAY, KIND_FAULT)).all()
-                or not (self.delay_us[delayed] > 0).all() or self.delay_us[~delayed].any()):
-            raise ValueError("each block needs a KIND_* code, and a positive delay_us if and "
-                             "only if it is a delay block")
+                or not ((0 < delays) & (delays <= MAX_DELAY_US)).all() or self.delay_us[~delayed].any()):
+            raise ValueError(f"each block needs a KIND_* code, and a delay_us in (0, {MAX_DELAY_US:g}] "
+                             "if and only if it is a delay block")
 
     def __len__(self) -> int:
         return len(self.index)
@@ -135,8 +136,8 @@ class RunConfig:
     workers: int = 1
     seed: int = 1
     mode: Mode = Mode.REAL
-    delay_min_us: float = DEFAULT_DELAY_MIN_US
-    delay_max_us: float = DEFAULT_DELAY_MAX_US
+    delay_min_us: float = 5_000.0
+    delay_max_us: float = 20_000.0
     input_dist: InputDistribution = InputDistribution.ASCII
     work_amplification: int = 1
     # simulated-mode timing model: time_us = base + U(0, jitter) + delay
@@ -168,41 +169,31 @@ class RunConfig:
             raise ValueError("base_time_us + jitter_us + delay_max_us must be finite")
 
 
-def generate_blocks(n: int, dist: InputDistribution, seed: int) -> Blocks:
-    """Produce n untagged blocks with indices 0..n-1."""
-    rng = _rng(seed, _STREAM_BLOCKS)
-    if dist is InputDistribution.UNIFORM:
-        raw = rng.integers(0, 256, size=(n, BLOCK_SIZE), dtype=np.uint8)
-    elif dist is InputDistribution.ASCII:
-        raw = rng.integers(ASCII_LOW, ASCII_HIGH + 1, size=(n, BLOCK_SIZE), dtype=np.uint8)
-    else:
-        raise ValueError(f"unknown input distribution: {dist!r}")
+def generate_blocks(cfg: RunConfig) -> Blocks:
+    """Produce cfg.n_blocks untagged blocks with indices 0..n-1, drawn from
+    cfg.input_dist under cfg.seed."""
+    n = cfg.n_blocks
+    low, high = (0, 255) if cfg.input_dist is InputDistribution.UNIFORM else (ASCII_LOW, ASCII_HIGH)
+    raw = _rng(cfg.seed, _STREAM_BLOCKS).integers(low, high + 1, size=(n, BLOCK_SIZE), dtype=np.uint8)
     return Blocks(np.arange(n, dtype=np.int64), raw, np.zeros(n, np.int8), np.zeros(n))
 
 
-def assign_anomalies(
-    blocks: Blocks,
-    inject_pct: float,
-    seed: int,
-    delay_min_us: float = DEFAULT_DELAY_MIN_US,
-    delay_max_us: float = DEFAULT_DELAY_MAX_US,
-) -> Blocks:
-    """Tag each block independently: anomalous with probability inject_pct/100.
+def assign_anomalies(blocks: Blocks, cfg: RunConfig) -> Blocks:
+    """Tag each block of blocks independently: anomalous with probability
+    cfg.inject_pct/100.
 
     An anomalous block is a delay or a fault with equal probability. Delay
-    magnitudes are uniform in [delay_min_us, delay_max_us]. Draws happen in
-    block order from a dedicated stream, so the schedule is a pure function
-    of (seed, inject_pct, delay range). Index and data columns are shared.
+    magnitudes are uniform in [cfg.delay_min_us, cfg.delay_max_us]. Draws
+    happen in block order from a dedicated stream of cfg.seed, one schedule
+    entry per block of blocks, so the schedule is a pure function of
+    (len(blocks), seed, inject_pct, delay range); no other field is read.
+    Index and data columns are shared.
     """
-    if not 0.0 <= inject_pct <= 100.0:
-        raise ValueError("inject_pct must be within [0, 100]")
-    if delay_min_us <= 0 or delay_max_us < delay_min_us:
-        raise ValueError("delay range must satisfy 0 < min <= max")
     # one double per random() or uniform() call of the block-by-block schedule,
     # drawn at once; a delay is lo + (hi - lo) * u, as Generator.uniform computes it
-    u = _rng(seed, _STREAM_SCHEDULE).random(3 * len(blocks)).tolist()
-    p = inject_pct / 100.0
-    span = delay_max_us - delay_min_us
+    u = _rng(cfg.seed, _STREAM_SCHEDULE).random(3 * len(blocks)).tolist()
+    p = cfg.inject_pct / 100.0
+    low, span = cfg.delay_min_us, cfg.delay_max_us - cfg.delay_min_us
     kind, delay_us = bytearray(len(blocks)), [0.0] * len(blocks)
     k = 0
     for i in range(len(blocks)):
@@ -211,5 +202,5 @@ def assign_anomalies(
         elif u[k + 1] >= 0.5:
             kind[i], k = KIND_FAULT, k + 2
         else:
-            kind[i], delay_us[i], k = KIND_DELAY, delay_min_us + span * u[k + 2], k + 3
+            kind[i], delay_us[i], k = KIND_DELAY, low + span * u[k + 2], k + 3
     return replace(blocks, kind=np.frombuffer(kind, np.int8), delay_us=np.array(delay_us))

@@ -94,8 +94,7 @@ def test_criterion_3_threshold_is_blind_to_faults(report):
     cfg = RunConfig(
         n_blocks=4096, inject_pct=40.0, seed=11, mode=Mode.SIMULATED, jitter_us=0.0
     )
-    blocks = generate_blocks(cfg.n_blocks, cfg.input_dist, cfg.seed)
-    blocks = assign_anomalies(blocks, cfg.inject_pct, cfg.seed)
+    blocks = assign_anomalies(generate_blocks(cfg), cfg)
     # force every anomaly to be a fault: delays would also perturb timing
     fault_only = dataclasses.replace(
         blocks, kind=np.where(blocks.kind == KIND_NONE, KIND_NONE, KIND_FAULT).astype(np.int8),

@@ -28,7 +28,6 @@ from aeslab.workload import (
     TAGS,
     AnomalyKind,
     Blocks,
-    InputDistribution,
     Mode,
     RunConfig,
     assign_anomalies,
@@ -149,6 +148,11 @@ def test_input_validation():
         Key128(bytes(7))
     with pytest.raises(ValueError):
         Key128.from_hex("zz")
+    # 16 of something else than bytes: a str key used to fail at its first
+    # block in struct, a bytearray in the table cache
+    for data in ("a" * 16, bytearray(16)):
+        with pytest.raises(ValueError, match="key must be 16 bytes"):
+            Key128(data)
 
 
 def test_fault_tag_changes_ciphertext_and_survives_decryption():
@@ -264,8 +268,7 @@ def test_records_identical_across_modes_and_worker_counts():
     assert [r.index for r in reference] == list(range(37))
     for records in runs[1:]:
         assert _without_time(records) == reference
-    delays = assign_anomalies(generate_blocks(37, base.input_dist, base.seed), base.inject_pct,
-                              base.seed, base.delay_min_us, base.delay_max_us).delay_us.tolist()
+    delays = assign_anomalies(generate_blocks(base), base).delay_us.tolist()
     assert [d > 0 for d in delays] == [r.tag.kind is AnomalyKind.DELAY for r in runs[0]]
     for records in runs[:2]:  # real-mode latencies cover the injected sleep
         assert all(r.time_us >= d and r.time_us > 0 for r, d in zip(records, delays))
@@ -307,8 +310,8 @@ def test_only_real_mode_builds_the_scalar_tables():
 
 def test_encrypt_blocks_matches_per_block_calls():
     key = Key128(bytes(16))
-    cfg = RunConfig(mode=Mode.REAL, seed=2, inject_pct=0.0, workers=2)  # through the pool
-    blocks = generate_blocks(24, InputDistribution.ASCII, seed=2)
+    cfg = RunConfig(n_blocks=24, mode=Mode.REAL, seed=2, inject_pct=0.0, workers=2)  # through the pool
+    blocks = generate_blocks(cfg)
     via_pool = encrypt_blocks(blocks, key, cfg)
     assert [r.index for r in via_pool] == list(range(24))
     for record, row in zip(via_pool, blocks.data):
@@ -332,7 +335,7 @@ class InlinePool:
 
 def test_real_mode_hands_out_a_few_slices_per_worker_on_a_given_pool():
     key = Key128(bytes(16))
-    blocks = generate_blocks(50, InputDistribution.ASCII, seed=6)
+    blocks = generate_blocks(RunConfig(n_blocks=50, seed=6))
     cfg = RunConfig(mode=Mode.REAL, inject_pct=0.0, workers=3)
     pool = InlinePool()
     records = encrypt_blocks(blocks, key, cfg, pool)

@@ -132,8 +132,8 @@ def test_compare_rejects_mismatched_subsets():
 
 
 def test_run_id_format():
-    assert run_id(7, 512, 30.0) == "s7_n512_p30"
-    assert run_id(1, 4096, 12.5) == "s1_n4096_p12.5"
+    assert run_id(RunConfig(seed=7, n_blocks=512, inject_pct=30.0)) == "s7_n512_p30"
+    assert run_id(RunConfig(seed=1, n_blocks=4096, inject_pct=12.5)) == "s1_n4096_p12.5"
 
 
 # ---------------------------------------------------------------- export / re-read
@@ -230,6 +230,29 @@ def test_export_rejects_an_empty_report_list(tmp_path):
             threshold_fit="all", threshold_us=3000.0,
         )
     assert not any(tmp_path.iterdir())
+
+
+def test_byte_source_may_be_given_by_value(tmp_path):
+    # "plaintext" used to select the ciphertext bytes in build_dataset, and
+    # export_csv raised AttributeError on it
+    cfg, records, tp, fp, rt, rf = _scored_run(n=20)
+    for value in ("plaintext", "ciphertext"):
+        table = build_dataset(records, value)
+        assert [bytes(row) for row in table.feature_bytes] == [getattr(r, value) for r in records]
+    _, summary_path = export_csv(
+        _table(records, tp, fp), [rt, rf], compare(rt, rf), tmp_path,
+        cfg=cfg, byte_source="plaintext", threshold_fit="all", threshold_us=3000.0,
+    )
+    with open(summary_path, newline="", encoding="ascii") as handle:
+        assert {row["byte_source"] for row in csv.DictReader(handle)} == {"plaintext"}
+    with pytest.raises(ValueError):
+        build_dataset(records, "Plaintext")
+    with pytest.raises(ValueError):
+        export_csv(
+            _table(records, tp, fp), [rt, rf], compare(rt, rf), tmp_path / "bad",
+            cfg=cfg, byte_source="bytes", threshold_fit="all", threshold_us=3000.0,
+        )
+    assert not (tmp_path / "bad").exists()
 
 
 def test_export_unwritable_path_reports_the_path(tmp_path):

@@ -32,8 +32,19 @@ from aeslab.cipher import Key128, encrypt_blocks
 import oracle_schedule
 
 
+def _uniform(n, **fields):
+    """The config of an n-block run of uniform bytes."""
+    return RunConfig(n_blocks=n, input_dist=InputDistribution.UNIFORM, **fields)
+
+
+def _tagged(n, inject_pct, seed, **delays):
+    """An n-block uniform run under seed, tagged at inject_pct."""
+    cfg = _uniform(n, inject_pct=inject_pct, seed=seed, **delays)
+    return assign_anomalies(generate_blocks(cfg), cfg)
+
+
 def test_generate_blocks_count_and_indices():
-    blocks = generate_blocks(3, InputDistribution.UNIFORM, seed=11)
+    blocks = generate_blocks(_uniform(3, seed=11))
     assert len(blocks) == 3
     assert blocks.index.tolist() == [0, 1, 2]
     assert blocks.data.shape == (3, BLOCK_SIZE)
@@ -42,24 +53,24 @@ def test_generate_blocks_count_and_indices():
 
 
 def test_generate_blocks_deterministic():
-    a = generate_blocks(64, InputDistribution.UNIFORM, seed=5)
-    b = generate_blocks(64, InputDistribution.UNIFORM, seed=5)
+    a = generate_blocks(_uniform(64, seed=5))
+    b = generate_blocks(_uniform(64, seed=5))
     assert np.array_equal(a.data, b.data)
 
 
 def test_generate_blocks_seed_changes_bytes():
-    a = generate_blocks(16, InputDistribution.UNIFORM, seed=5)
-    b = generate_blocks(16, InputDistribution.UNIFORM, seed=6)
+    a = generate_blocks(_uniform(16, seed=5))
+    b = generate_blocks(_uniform(16, seed=6))
     assert not np.array_equal(a.data, b.data)
 
 
 def test_ascii_distribution_stays_printable():
-    blocks = generate_blocks(4096, InputDistribution.ASCII, seed=3)
+    blocks = generate_blocks(RunConfig(n_blocks=4096, seed=3))
     assert ASCII_LOW <= blocks.data.min() and blocks.data.max() <= ASCII_HIGH
 
 
 def test_uniform_distribution_leaves_printable_range():
-    blocks = generate_blocks(2048, InputDistribution.UNIFORM, seed=3)
+    blocks = generate_blocks(_uniform(2048, seed=3))
     flat = blocks.data.tobytes()
     assert min(flat) < ASCII_LOW
     assert max(flat) > ASCII_HIGH
@@ -68,7 +79,7 @@ def test_uniform_distribution_leaves_printable_range():
 
 def test_generate_blocks_rejects_empty_workload():
     with pytest.raises(ValueError):
-        generate_blocks(0, InputDistribution.UNIFORM, seed=1)
+        generate_blocks(_uniform(0, seed=1))
 
 
 _KIND_NAMES = {KIND_NONE: "none", KIND_DELAY: "delay", KIND_FAULT: "fault"}
@@ -81,34 +92,32 @@ def _tags(blocks):
 
 
 def test_assign_anomalies_deterministic():
-    blocks = generate_blocks(256, InputDistribution.UNIFORM, seed=9)
-    first = assign_anomalies(blocks, 35.0, seed=9)
-    second = assign_anomalies(blocks, 35.0, seed=9)
+    cfg = _uniform(256, inject_pct=35.0, seed=9)
+    blocks = generate_blocks(cfg)
+    first = assign_anomalies(blocks, cfg)
+    second = assign_anomalies(blocks, cfg)
     assert _tags(first) == _tags(second)
     assert np.array_equal(first.data, blocks.data)
     assert np.array_equal(first.index, blocks.index)
 
 
 def test_assign_anomalies_extremes():
-    blocks = generate_blocks(128, InputDistribution.UNIFORM, seed=2)
-    none = assign_anomalies(blocks, 0.0, seed=2)
+    none = _tagged(128, 0.0, seed=2)
     assert (none.kind == KIND_NONE).all()
-    full = assign_anomalies(blocks, 100.0, seed=2)
+    full = _tagged(128, 100.0, seed=2)
     assert (full.kind != KIND_NONE).all()
 
 
 def test_assign_anomalies_rate_tracks_percentage():
     n = 10_000
-    blocks = generate_blocks(n, InputDistribution.UNIFORM, seed=4)
-    tagged = assign_anomalies(blocks, 20.0, seed=4)
+    tagged = _tagged(n, 20.0, seed=4)
     hits = int((tagged.kind != KIND_NONE).sum())
     sigma = (n * 0.2 * 0.8) ** 0.5
     assert abs(hits - 0.2 * n) <= 3 * sigma
 
 
 def test_anomaly_kinds_near_fair_coin():
-    blocks = generate_blocks(20_000, InputDistribution.UNIFORM, seed=6)
-    tagged = assign_anomalies(blocks, 100.0, seed=6)
+    tagged = _tagged(20_000, 100.0, seed=6)
     kinds = tagged.kind.tolist()
     delays = kinds.count(KIND_DELAY)
     assert delays + kinds.count(KIND_FAULT) == len(kinds)
@@ -116,19 +125,25 @@ def test_anomaly_kinds_near_fair_coin():
 
 
 def test_delay_magnitudes_stay_in_range():
-    blocks = generate_blocks(2000, InputDistribution.UNIFORM, seed=8)
-    tagged = assign_anomalies(blocks, 100.0, seed=8, delay_min_us=1500.0, delay_max_us=2500.0)
+    tagged = _tagged(2000, 100.0, seed=8, delay_min_us=1500.0, delay_max_us=2500.0)
     delays = tagged.delay_us[tagged.kind == KIND_DELAY]
     assert delays.size
     assert ((1500.0 <= delays) & (delays <= 2500.0)).all()
 
 
 def test_assign_anomalies_validates_inputs():
-    blocks = generate_blocks(4, InputDistribution.UNIFORM, seed=1)
+    # the config refuses both before a schedule is drawn
     with pytest.raises(ValueError):
-        assign_anomalies(blocks, 120.0, seed=1)
+        _tagged(4, 120.0, seed=1)
     with pytest.raises(ValueError):
-        assign_anomalies(blocks, 10.0, seed=1, delay_min_us=500.0, delay_max_us=100.0)
+        _tagged(4, 10.0, seed=1, delay_min_us=500.0, delay_max_us=100.0)
+
+
+def test_assign_anomalies_draws_one_entry_per_given_block():
+    # the schedule covers the blocks handed in, not cfg.n_blocks
+    cfg = _uniform(64, inject_pct=50.0, seed=3)
+    tagged = assign_anomalies(generate_blocks(_uniform(40, seed=3)), cfg)
+    assert _tags(tagged) == oracle_schedule.schedule(40, 50.0, 3, cfg.delay_min_us, cfg.delay_max_us)
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,9 +155,12 @@ def test_assign_anomalies_validates_inputs():
     seed=st.integers(0, 2**64 - 1),
 )
 def test_assign_anomalies_matches_the_scalar_draw_loop(n, inject_pct, delay_min_us, width, seed):
-    delay_max_us = delay_min_us + width * (MAX_DELAY_US - delay_min_us)
-    blocks = generate_blocks(n, InputDistribution.UNIFORM, seed)
-    tagged = assign_anomalies(blocks, inject_pct, seed, delay_min_us, delay_max_us)
+    # min + 1.0 * (MAX - min) can round above MAX, which the config refuses
+    delay_max_us = min(delay_min_us + width * (MAX_DELAY_US - delay_min_us), MAX_DELAY_US)
+    cfg = _uniform(n, inject_pct=inject_pct, seed=seed,
+                   delay_min_us=delay_min_us, delay_max_us=delay_max_us)
+    blocks = generate_blocks(cfg)
+    tagged = assign_anomalies(blocks, cfg)
     want = oracle_schedule.schedule(n, inject_pct, seed, delay_min_us, delay_max_us)
     assert _tags(tagged) == want
     assert np.array_equal(tagged.index, blocks.index) and np.array_equal(tagged.data, blocks.data)
@@ -208,6 +226,8 @@ def _columns(n=3):
     pytest.param("delay_us", np.array([0.0, 0.0, 0.0]), id="delay-block-without-delay"),
     pytest.param("delay_us", np.array([0.0, -5.0, 0.0]), id="negative-delay"),
     pytest.param("delay_us", np.array([0.0, np.nan, 0.0]), id="nan-delay"),
+    pytest.param("delay_us", np.array([0.0, np.inf, 0.0]), id="infinite-delay"),
+    pytest.param("delay_us", np.array([0.0, 2 * MAX_DELAY_US, 0.0]), id="delay-beyond-bound"),
     pytest.param("delay_us", np.array([1.0, 5.0, 0.0]), id="delay-on-clean-block"),
     pytest.param("delay_us", np.array([0.0, 5.0, 1.0]), id="delay-on-fault-block"),
     pytest.param("delay_us", np.array([0.0, 5.0]), id="short-delay-column"),
