@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-  run      generate, inject, encrypt, detect with both detectors, export CSVs
+  run      generate, inject, encrypt, detect with each detector, export CSVs
   bench    latency/throughput sweep over block and worker counts
   kat      known-answer self-test of the cipher
   train    fit a forest on a per-block CSV or a fresh run and save it
@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .cipher import (
 from .detect_forest import (
     ByteSource,
     ForestHyperparams,
-    ForestModel,
     SplitResult,
     fit_forest,
     load_model,
@@ -57,7 +56,7 @@ from .metrics_report import (
     run_id,
     score,
 )
-from .detect_threshold import ThresholdModel, classify_threshold, fit_threshold
+from .detect_threshold import classify_threshold, fit_threshold
 from .workload import MAX_DELAY_US, MAX_WORKERS, InputDistribution, Mode, RunConfig
 
 ENV_PREFIX = "AESLAB_"
@@ -245,51 +244,57 @@ def _print_report(report: DetectionReport) -> None:
     print(f"{detector}: " + " ".join(f"{name}={value}" for name, value in cells.items()))
 
 
+# A run's detectors, in the order of their summary rows and <name>_pred columns, as
+# (name, fit, predict): fit(data, split, hyper, threshold_fit) returns a model, predict(model,
+# X) one bool per row of X. Each looks its stages up here at call time, where callers wrap them.
+DETECTORS = [
+    ("threshold", lambda data, split, hyper, threshold_fit: fit_threshold(
+        (split.train if threshold_fit == "train" else data).X[:, 0]),
+     lambda model, X: classify_threshold(X[:, 0], model)),
+    ("forest", lambda data, split, hyper, threshold_fit: fit_forest(split.train, hyper),
+     lambda model, X: np.array(predict_all(model, X))),
+]
+
+
 @dataclasses.dataclass(frozen=True)
 class Experiment:
-    """One scored run: its table with both prediction columns filled, the split,
-    both fitted detectors, their reports on the test rows and the forest's gain."""
+    """One scored run: its table with a prediction column per detector, the split,
+    each detector's model and its report on the test rows, by name in DETECTORS'
+    order, and the forest's accuracy gain over the threshold."""
 
     table: BlockTable
     split: SplitResult
-    threshold_model: ThresholdModel
-    forest_model: ForestModel
-    threshold_report: DetectionReport
-    forest_report: DetectionReport
+    models: Mapping[str, object]
+    reports: Mapping[str, DetectionReport]
     accuracy_gain: float
 
 
 def run_experiment(cfg: RunConfig, hyper: ForestHyperparams, key: Key128,
                    byte_source: ByteSource, threshold_fit: str) -> Experiment:
-    """Run cfg, fit the timing cut-off on "all" rows or the "train" rows (threshold_fit)
-    and the forest on the train rows, and score both detectors on the test rows. Each
-    stage is looked up in this module's globals at call time, where callers wrap it."""
+    """Run cfg, fit each of DETECTORS, the timing cut-off on "all" rows or the "train"
+    rows (threshold_fit) and the forest on the train rows, have each classify every
+    row, and score it on the test rows."""
     if threshold_fit not in ("all", "train"):
         raise ValueError(f"threshold_fit must be 'all' or 'train', got {threshold_fit!r}")
     table = build_dataset(run_pipeline(cfg, key), byte_source)
     data, _ = rows_to_vectors(table)
     split = split_train_test(data, hyper.train_fraction, cfg.seed)
-    fit_times = table.time_us[split.train_indices] if threshold_fit == "train" else table.time_us
-    threshold_model = fit_threshold(fit_times)
-    threshold_preds = classify_threshold(table.time_us, threshold_model)
-    forest_model = fit_forest(split.train, hyper)
-    forest_preds = np.array(predict_all(forest_model, data.X))
-    test, truths = split.test_indices, split.test.y
-    report_t = score(threshold_preds[test], truths, "threshold")
-    report_f = score(forest_preds[test], truths, "forest")
-    table = dataclasses.replace(table, threshold_pred=threshold_preds, forest_pred=forest_preds)
-    return Experiment(table, split, threshold_model, forest_model, report_t, report_f,
-                      compare(report_t, report_f))
+    models, preds, reports = {}, {}, {}
+    for name, fit, predict in DETECTORS:
+        models[name] = fit(data, split, hyper, threshold_fit)
+        preds[name] = predict(models[name], data.X)
+        reports[name] = score(preds[name][split.test_indices], split.test.y, name)
+    return Experiment(dataclasses.replace(table, preds=preds), split, models, reports,
+                      compare(reports["threshold"], reports["forest"]))
 
 
 def cmd_run(args) -> int:
     cfg = _config(RunConfig(), args)
     run = run_experiment(cfg, _config(ForestHyperparams(), args), args.key_hex,
                          args.byte_source, args.threshold_fit)
-    reports = [run.threshold_report, run.forest_report]
-    threshold_us = run.threshold_model.threshold_us
+    threshold_us = run.models["threshold"].threshold_us
     blocks_path, summary_path = export_csv(
-        run.table, reports, run.accuracy_gain, args.out_dir,
+        run.table, list(run.reports.values()), run.accuracy_gain, args.out_dir,
         cfg=cfg, byte_source=args.byte_source,
         threshold_fit=args.threshold_fit, threshold_us=threshold_us,
     )
@@ -299,7 +304,7 @@ def cmd_run(args) -> int:
           f"{cfg.n_blocks} blocks ({anomalous} anomalous), mode={cfg.mode.value}, "
           f"workers={cfg.workers}, test size={len(run.split.test_indices)}")
     print(f"threshold_us={threshold_us:.3f} (fit={args.threshold_fit})")
-    for report in reports:
+    for report in run.reports.values():
         _print_report(report)
     print(f"accuracy_gain={run.accuracy_gain:+.6f}")
     print(f"wrote {blocks_path}")

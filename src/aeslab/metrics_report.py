@@ -7,8 +7,8 @@ than raising, so sweeps over degenerate runs keep working.
 A run reaches the detectors as one BlockTable, the columns of its blocks,
 and two files describe it, named by runid s{seed}_n{blocks}_p{pct}:
   blocks_<runid>.csv   the table written out, one row per block (times to 3
-                       decimals, bytes hex); read_blocks_csv reads back every
-                       column but tag, which the detectors do not use
+                       decimals, bytes hex, a <name>_pred column per detector);
+                       read_blocks_csv reads back every column but tag
   summary_<runid>.csv  one row per detector with config and metrics
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import BinaryIO, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
@@ -99,8 +99,8 @@ def run_id(cfg: RunConfig) -> str:
 
 FLAG_WORDS = ("false", "true")  # a flag cell's text, indexed by its value
 BYTE_COLUMNS = tuple(f"b{i}" for i in range(16))
-FLAG_COLUMNS = ("truth_label", "threshold_pred", "forest_pred")
-BLOCK_COLUMNS = ["index", "time_us", "tag", *FLAG_COLUMNS, *BYTE_COLUMNS]
+PRED_SUFFIX = "_pred"  # a detector's prediction column is named <detector>_pred
+_FLAG_COLUMN = re.compile("(?s)truth_label|.+" + PRED_SUFFIX)  # a flag column's name
 
 
 @dataclass(frozen=True)
@@ -109,11 +109,11 @@ class BlockTable:
     block, ordered by index in a run and in file order in a CSV.
 
     index is int64[n], time_us float64[n] and feature_bytes uint8[n, 16].
-    Each flag column holds one bool per row; a CSV that lacks a column
-    leaves it None, and a run leaves the two prediction columns None until
-    its detectors have run. tag, one kind name per row, is a run's column
-    only: build_dataset writes it for export_csv, and read_blocks_csv
-    leaves it None.
+    truth_label and each of preds, a detector's column by its name in the
+    order of the <name>_pred columns, hold one bool per row. A CSV without
+    truth_label leaves it None; a run's preds are empty until its detectors
+    have run. tag, one kind name per row, is a run's column only:
+    build_dataset writes it for export_csv, and read_blocks_csv leaves it None.
     """
 
     index: np.ndarray
@@ -121,8 +121,7 @@ class BlockTable:
     feature_bytes: np.ndarray
     tag: Optional[Tuple[str, ...]]
     truth_label: Optional[np.ndarray]
-    threshold_pred: Optional[np.ndarray] = None
-    forest_pred: Optional[np.ndarray] = None
+    preds: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.index.size
@@ -163,17 +162,20 @@ def export_csv(
 ) -> Tuple[Path, Path]:
     """Write the per-block and summary files; returns their paths.
 
-    table must hold every column, its predictions covering the whole run,
-    not just the scored subset; the blocks file is that table written out.
-    Each of reports, of which there must be at least one, is a summary row.
+    table must hold every column and a prediction column or more, each covering
+    the whole run, not just the scored subset; the blocks file is that table
+    written out. reports are the summary rows, one per prediction column in order.
     """
-    for name in ("tag", *FLAG_COLUMNS):
-        column = getattr(table, name)
+    if not table.preds:
+        raise ValueError("the table has no prediction column")
+    columns = {"tag": table.tag, "truth_label": table.truth_label,
+               **{name + PRED_SUFFIX: col for name, col in table.preds.items()}}
+    for name, column in columns.items():
         if column is None or len(column) != len(table):
             held = 0 if column is None else len(column)
             raise ValueError(f"{name} covers {held} of {len(table)} rows")
-    if not reports:
-        raise ValueError("the summary needs at least one detector report")
+    if (named := [r.detector for r in reports]) != list(table.preds):
+        raise ValueError(f"the reports name {named}, the prediction columns {list(table.preds)}")
     byte_source = ByteSource(byte_source)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -185,21 +187,15 @@ def export_csv(
     # digits: none holds a comma, quote or line break, so csv.writer would quote none of
     # them, and each row is written as it would, with its \r\n line end.
     # The byte cells of every row are one hex string, three characters a byte: row i's
-    # 16 cells are its characters [48i, 48i + 47).
+    # 16 cells are its characters [48i, 48i + 47). Its flag cells are joined once per row.
     hexes = table.feature_bytes.tobytes().hex(",")
     width = 3 * len(BYTE_COLUMNS)
-    rows = [",".join(BLOCK_COLUMNS) + "\r\n"]
-    rows += [
-        "%d,%.3f,%s,%s,%s,%s,%s\r\n" % (
-            index, time_us, tag, FLAG_WORDS[truth], FLAG_WORDS[thresh], FLAG_WORDS[forest],
-            hexes[at:at + width - 1],
-        )
-        for index, time_us, tag, truth, thresh, forest, at in zip(
-            table.index.tolist(), table.time_us.tolist(), table.tag, table.truth_label.tolist(),
-            table.threshold_pred.tolist(), table.forest_pred.tolist(),
-            range(0, len(hexes), width),
-        )
-    ]
+    flags = map(",".join, zip(*([FLAG_WORDS[flag] for flag in col.tolist()]
+                                for name, col in columns.items() if name != "tag")))
+    rows = [",".join(["index", "time_us", *columns, *BYTE_COLUMNS]) + "\r\n"]
+    rows += ["%d,%.3f,%s,%s,%s\r\n" % (index, time_us, tag, flag, hexes[at:at + width - 1])
+             for index, time_us, tag, flag, at in zip(table.index.tolist(), table.time_us.tolist(),
+                                                      table.tag, flags, range(0, len(hexes), width))]
     with atomic_write(blocks_path, newline="", encoding="ascii") as handle:
         handle.write("".join(rows))
 
@@ -256,9 +252,9 @@ def _thousandths(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Optional[np
 
 
 def _decode_lines(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
-                  where: Mapping[str, int], width: int) -> Optional[dict]:
-    """One step's columns from the lines buf[start[k]:end[k]] of width fields,
-    or None if any line or cell is not in the form _read_canonical reads.
+                  where: Mapping[str, int], width: int, flags: Sequence[str]) -> Optional[dict]:
+    """One step's columns, flags among them, from the lines buf[start[k]:end[k]] of width
+    fields, or None if any line or cell is not in the form _read_canonical reads.
     Number cells are decoded by their digits; no cell becomes a Python object."""
     m = start.size
     commas = np.flatnonzero(buf[start[0]:end[-1]] == _COMMA) + start[0]
@@ -279,17 +275,15 @@ def _decode_lines(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
         return None
     cols = {"feature_bytes": high << 4 | low}
 
-    flags = [name for name in FLAG_COLUMNS if name in where]
-    if flags:
-        # byte j of every cell of every flag column in head[j], so each numpy
-        # step runs along whole columns rather than along five bytes at a time
-        at = first[:, [where[name] for name in flags]].T
-        size = last[:, [where[name] for name in flags]].T - at
-        head = buf.take(at + _FIVE, mode="clip")
-        is_true = (size == 4) & (head[:4] == _TRUE).all(axis=0)
-        if not (is_true | (size == 5) & (head == _FALSE).all(axis=0)).all():
-            return None
-        cols.update(zip(flags, is_true))
+    # byte j of every cell of every flag column in head[j], so each numpy
+    # step runs along whole columns rather than along five bytes at a time
+    at = first[:, [where[name] for name in flags]].T
+    size = last[:, [where[name] for name in flags]].T - at
+    head = buf.take(at + _FIVE, mode="clip")
+    is_true = (size == 4) & (head[:4] == _TRUE).all(axis=0)
+    if not (is_true | (size == 5) & (head == _FALSE).all(axis=0)).all():
+        return None
+    cols.update(zip(flags, is_true))
 
     for name, decode in (("index", digit_runs), ("time_us", _thousandths)):
         cols[name] = decode(buf, first[:, where[name]], last[:, where[name]])
@@ -328,27 +322,33 @@ def _read_canonical(path: Union[str, Path]) -> Optional[BlockTable]:
     if not _REQUIRED_COLUMNS <= set(header):
         return None
     where = {name: j for j, name in enumerate(header)}
+    flags = [name for name in where if _FLAG_COLUMN.fullmatch(name)]
     limit = csv.field_size_limit()
     steps = []
     for a in range(1, stops.size, _STEP_ROWS):
         b = min(a + _STEP_ROWS, stops.size)
         if (ends[a:b] - starts[a:b]).max() > limit:  # csv would refuse a field this long
             return None
-        step = _decode_lines(buf, starts[a:b], ends[a:b], where, len(header))
+        step = _decode_lines(buf, starts[a:b], ends[a:b], where, len(header), flags)
         if step is None:
             return None
         steps.append(step)
     del data, buf, stops, starts, ends  # the file's bytes are not held with the joined columns
 
-    def joined(name: str) -> Optional[np.ndarray]:
-        return np.concatenate([s[name] for s in steps]) if name in steps[0] else None
-
-    index = joined("index")
+    cols = {name: np.concatenate([step[name] for step in steps]) for name in steps[0]}
+    index = cols.pop("index")
     ranked = np.sort(index)  # np.unique would import numpy.ma, about 1 MiB, on first use
     if (ranked[1:] == ranked[:-1]).any():
         return None
-    return BlockTable(index, joined("time_us"), joined("feature_bytes"), None,
-                      *(joined(name) for name in FLAG_COLUMNS))
+    return _read_table(index, cols.pop("time_us"), cols.pop("feature_bytes"), cols)
+
+
+def _read_table(index, time_us, feature_bytes: np.ndarray, flags: dict) -> BlockTable:
+    """A reader's table from its columns, flags the flag columns by header name."""
+    flags = {name: np.asarray(cells, dtype=bool) for name, cells in flags.items()}
+    return BlockTable(np.asarray(index, dtype=np.int64), np.asarray(time_us, dtype=np.float64),
+                      feature_bytes, None, flags.pop("truth_label", None),
+                      {name[:-len(PRED_SUFFIX)]: col for name, col in flags.items()})
 
 
 def _ascii_lines(handle: BinaryIO) -> Iterator[str]:
@@ -368,9 +368,7 @@ def _read_rows(path: Union[str, Path]) -> Union[BlockTable, str]:
     first fault in file order wins: a bad row that ends before the first
     byte that is not ASCII, else that byte.
     """
-    index, time_us, payloads = [], [], []
-    text = {name: [] for name in FLAG_COLUMNS}  # the cells of the optional columns
-    seen = set()
+    index, time_us, payloads, seen = [], [], [], set()
     try:
         with open(path, "rb") as handle:
             reader = csv.reader(_ascii_lines(handle))
@@ -382,8 +380,8 @@ def _read_rows(path: Union[str, Path]) -> Union[BlockTable, str]:
             where = {name: j for j, name in enumerate(header)}
             time_at, index_at = where["time_us"], where["index"]
             byte_cells = itemgetter(*(where[name] for name in BYTE_COLUMNS))
-            flag_at = [where[name] for name in FLAG_COLUMNS if name in where]
-            optional = [(text[name], where[name]) for name in text if name in where]
+            flags = {name: [] for name in where if _FLAG_COLUMN.fullmatch(name)}
+            flag_at = [(where[name], values) for name, values in flags.items()]
             for row in filter(None, reader):
                 try:
                     if len(row) < len(header):
@@ -394,9 +392,10 @@ def _read_rows(path: Union[str, Path]) -> Union[BlockTable, str]:
                     cell = row[index_at]
                     if not -2**63 <= (block := int(cell)) < 2**63:
                         raise ValueError(f"{cell!r} does not fit in 64 bits")
-                    for j in flag_at:
+                    for j, values in flag_at:  # a row that fails returns, with what it added
                         if (cell := row[j]) not in FLAG_WORDS:
                             raise ValueError(f"expected true/false, got {cell!r}")
+                        values.append(cell == FLAG_WORDS[True])
                     # bytes() takes the map lazily: the first cell that fails, in either way, wins
                     payload = bytes(map(int, byte_cells(row), _BASE_16))
                     if block in seen:
@@ -407,8 +406,6 @@ def _read_rows(path: Union[str, Path]) -> Union[BlockTable, str]:
                 index.append(block)
                 time_us.append(time)
                 payloads.append(payload)
-                for cells, j in optional:
-                    cells.append(row[j])
     except csv.Error as exc:
         return f"line {reader.line_num}: {exc}"
     except UnicodeDecodeError:
@@ -418,18 +415,16 @@ def _read_rows(path: Union[str, Path]) -> Union[BlockTable, str]:
     if not index:
         return "no data rows"
     feature_bytes = np.frombuffer(bytearray().join(payloads), dtype=np.uint8).reshape(-1, 16)
-    flags = (np.array([cell == FLAG_WORDS[True] for cell in text[name]]) if name in where else None
-             for name in FLAG_COLUMNS)
-    return BlockTable(np.array(index, dtype=np.int64), np.array(time_us, dtype=np.float64),
-                      feature_bytes, None, *flags)
+    return _read_table(index, time_us, feature_bytes, flags)
 
 
 def read_blocks_csv(path: Union[str, Path]) -> BlockTable:
     """Parse a per-block CSV into columns.
 
-    index, time_us, and the 16 byte columns are required; truth_label and
-    the prediction columns are optional so externally produced feature
-    tables can be scored too. Any other column, tag included, is passed over,
+    index, time_us, and the 16 byte columns are required; truth_label and the
+    <name>_pred columns, each a flag column that preds holds by its non-empty
+    name in header order, are optional so externally produced feature tables
+    can be scored too. Any other column, tag included, is passed over,
     and the table's tag is None. Blank lines are skipped and fields beyond
     the header's are ignored; where a name repeats in the header, its last
     column counts. A malformed row, a non-finite time_us, an index beyond

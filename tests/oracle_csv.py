@@ -21,8 +21,9 @@ from typing import List, Mapping, Optional, Tuple
 
 BYTE_COLUMNS = [f"b{i}" for i in range(16)]
 
-# (index, time_us, tag, truth_label, threshold_pred, forest_pred, feature_bytes)
-Row = Tuple[int, float, Optional[str], Optional[bool], Optional[bool], Optional[bool], bytes]
+# (index, time_us, tag, truth_label, preds, feature_bytes), where preds holds a
+# (name, flag) pair for each <name>_pred column with a non-empty name, in header order
+Row = Tuple[int, float, Optional[str], Optional[bool], Tuple[Tuple[str, bool], ...], bytes]
 
 
 def _parse_bool(raw: str) -> bool:
@@ -34,9 +35,6 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_row(raw: Mapping[str, Optional[str]], fields: set) -> Row:
-    def optional_bool(name: str) -> Optional[bool]:
-        return _parse_bool(raw[name]) if name in fields else None
-
     if None in raw.values():
         raise ValueError("row has fewer fields than the header")
     time_us = float(raw["time_us"])
@@ -45,13 +43,16 @@ def _parse_row(raw: Mapping[str, Optional[str]], fields: set) -> Row:
     index = int(raw["index"])
     if not -2**63 <= index < 2**63:
         raise ValueError(f"{raw['index']!r} does not fit in 64 bits")
+    # raw holds each name once, in the order of its first column, with its last cell,
+    # and a long row's extra cells under None, which is not in fields
+    flags = {name: _parse_bool(cell) for name, cell in raw.items() if name in fields and (
+        name == "truth_label" or name.endswith("_pred") and name != "_pred")}
     return (
         index,
         time_us,
         raw.get("tag"),
-        optional_bool("truth_label"),
-        optional_bool("threshold_pred"),
-        optional_bool("forest_pred"),
+        flags.pop("truth_label", None),
+        tuple((name[:-len("_pred")], flag) for name, flag in flags.items()),
         bytes(int(raw[c], 16) for c in BYTE_COLUMNS),
     )
 

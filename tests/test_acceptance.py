@@ -142,7 +142,7 @@ def test_criterion_5_forest_dominates_threshold(report):
             input_dist=InputDistribution.ASCII,
         )
         run = run_experiment(cfg, ForestHyperparams(seed=7), KEY, ByteSource.PLAINTEXT, "all")
-        report_t, report_f = run.threshold_report, run.forest_report
+        report_t, report_f = run.reports["threshold"], run.reports["forest"]
         gains[pct] = run.accuracy_gain
 
         assert report_f.f1 >= report_t.f1, (
@@ -152,7 +152,7 @@ def test_criterion_5_forest_dominates_threshold(report):
         test = run.split.test_indices
         fault = np.array(run.table.tag)[test] == AnomalyKind.FAULT.value
         assert fault.any()
-        fault_recall = run.table.forest_pred[test][fault].mean()
+        fault_recall = run.table.preds["forest"][test][fault].mean()
         assert fault_recall >= 0.95, f"fault recall {fault_recall:.4f} at {pct:.0f}%"
     assert gains[80.0] > 0.0, f"accuracy gain at 80% was {gains[80.0]:+.4f}"
     elapsed = time.perf_counter() - start

@@ -371,6 +371,48 @@ def test_run_experiment_refuses_an_unknown_threshold_fit():
                            Key128(bytes(16)), ByteSource.PLAINTEXT, "test")
 
 
+def test_a_third_detector_is_one_entry_in_the_detector_list(tmp_path, capsys, monkeypatch):
+    # a stand-in rule: flag a block whose byte 0 is beyond printable ASCII
+    rules = ("rules", lambda data, split, hyper, threshold_fit: 0x7E,
+             lambda model, X: X[:, 1] > model)
+    monkeypatch.setattr(cli, "DETECTORS", [*cli.DETECTORS, rules])
+    runs = []  # the Experiment that aeslab run exports
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda *a, run=cli.run_experiment: runs.append(run(*a)) or runs[-1])
+    assert main(_run_flags(tmp_path)) == 0
+    (run,) = runs
+    assert list(run.reports) == list(run.models) == ["threshold", "forest", "rules"]
+    assert run.reports["rules"].detector == "rules"
+    assert f"rules: tp={run.reports['rules'].counts.tp} " in capsys.readouterr().out
+    with open(tmp_path / "summary_s7_n64_p30.csv", newline="", encoding="ascii") as handle:
+        assert [row["detector"] for row in csv.DictReader(handle)] == list(run.reports)
+    blocks = tmp_path / "blocks_s7_n64_p30.csv"
+    header = blocks.read_text(encoding="ascii").split("\r\n", 1)[0].split(",")
+    assert header[3:8] == ["truth_label", "threshold_pred", "forest_pred", "rules_pred", "b0"]
+    table = read_blocks_csv(blocks)
+    assert list(table.preds) == ["threshold", "forest", "rules"]
+    assert table.preds["rules"].tolist() == run.table.preds["rules"].tolist()
+
+
+@pytest.mark.parametrize("cell", ["maybe", "true", "false"])
+def test_every_pred_column_is_checked_and_read(saved_model, tmp_path, capsys, cell):
+    # a <name>_pred column the run did not write used to be passed over, "maybe" included
+    model, path = tmp_path / "model.txt", tmp_path / "rules.csv"
+    model.write_bytes(saved_model[0])
+    header = ["index", "time_us", "truth_label", "rules_pred"] + [f"b{i}" for i in range(16)]
+    rows = [f"{i},100.000,false,{c}," + ",".join(["00"] * 16)
+            for i, c in enumerate(["true", cell, "false"])]
+    path.write_text("\n".join([",".join(header), *rows]) + "\n", encoding="ascii")
+    code = main(["predict", "--model", str(model), "--csv", str(path)])
+    captured = capsys.readouterr()
+    if cell == "maybe":
+        assert code == 1
+        assert captured.err == f"error: {path}: line 3: expected true/false, got 'maybe'\n"
+    else:
+        assert code == 0 and captured.err == ""
+        assert read_blocks_csv(path).preds["rules"].tolist() == [True, cell == "true", False]
+
+
 @pytest.mark.parametrize("command", sorted(_MINIMAL_ARGV))
 def test_help_shows_each_default_once(command, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "1000")  # no help text is wrapped

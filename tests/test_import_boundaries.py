@@ -12,6 +12,10 @@ or aeslab bench first needs them.
 
 A config checks itself as it is built, so no module defines or calls a
 validate step that an entry point could forget.
+
+Which detectors a run has is one list in the cli module: no module names
+the threshold's or the forest's prediction column, whose name each
+detector's name makes.
 """
 
 import ast
@@ -67,6 +71,19 @@ def _names_validate(tree):
     return False
 
 
+_PRED_COLUMNS = {"threshold_pred", "forest_pred"}
+
+
+def _names_a_pred_column(tree):
+    """Whether tree holds threshold_pred or forest_pred as a name, an attribute or a string."""
+    return any(
+        isinstance(node, ast.Name) and node.id in _PRED_COLUMNS
+        or isinstance(node, ast.Attribute) and node.attr in _PRED_COLUMNS
+        or isinstance(node, ast.Constant) and node.value in _PRED_COLUMNS
+        for node in ast.walk(tree)
+    )
+
+
 @pytest.mark.parametrize("name", ["detect_forest.py", "detect_threshold.py"])
 def test_detectors_import_nothing_from_the_cipher(name):
     assert not _imports_the_cipher(_tree(PACKAGE / name))
@@ -85,6 +102,12 @@ def test_no_module_defines_or_calls_validate():
     assert [path.name for path in modules if _names_validate(_tree(path))] == []
 
 
+def test_no_module_names_a_detectors_prediction_column():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 2
+    assert [path.name for path in modules if _names_a_pred_column(_tree(path))] == []
+
+
 def test_the_guards_see_what_they_look_for():
     seen = _tree(PACKAGE / "metrics_report.py")
     assert _imports_the_cipher(seen) and _names_block_record(seen)
@@ -97,6 +120,10 @@ def test_the_guards_see_what_they_look_for():
                    "async def validate(): pass"):
         assert _names_validate(ast.parse(source)), source
     assert not _names_validate(ast.parse("def __post_init__(self): check(self.validated)"))
+    for source in ("threshold_pred = 1", "table.forest_pred", "where['threshold_pred']",
+                   "forest_pred", "f(x=table.threshold_pred)", "{'forest_pred': 1}"):
+        assert _names_a_pred_column(ast.parse(source)), source
+    assert not _names_a_pred_column(ast.parse("name + '_pred'; table.preds['forest']"))
 
 
 # in a fresh interpreter: the modules of DEFERRED loaded after start-up and

@@ -152,7 +152,7 @@ def _scored_run(n=100, seed=7):
 
 def _table(records, tp, fp, byte_source=ByteSource.PLAINTEXT):
     return dataclasses.replace(build_dataset(records, byte_source),
-                               threshold_pred=np.array(tp), forest_pred=np.array(fp))
+                               preds={"threshold": np.array(tp), "forest": np.array(fp)})
 
 
 def _export(tmp_path, cfg, records, tp, fp, rt, rf):
@@ -191,8 +191,9 @@ def test_export_round_trip_reproduces_rows(tmp_path):
     # 3-decimal file
     assert table.time_us.tolist() == pytest.approx([rec.time_us for rec in records], abs=5e-4)
     assert table.truth_label.tolist() == [rec.tag.kind is not AnomalyKind.NONE for rec in records]
-    assert table.threshold_pred.tolist() == tp
-    assert table.forest_pred.tolist() == fp
+    assert list(table.preds) == ["threshold", "forest"]
+    assert table.preds["threshold"].tolist() == tp
+    assert table.preds["forest"].tolist() == fp
     assert [bytes(row) for row in table.feature_bytes] == [rec.plaintext for rec in records]
     assert table.tag is None  # the reader passes the tag column over
     with open(blocks_path, newline="", encoding="ascii") as handle:
@@ -202,7 +203,7 @@ def test_export_round_trip_reproduces_rows(tmp_path):
 
 def test_export_rejects_prediction_length_mismatch(tmp_path):
     cfg, records, tp, fp, rt, rf = _scored_run()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="threshold_pred covers 99 of 100 rows"):
         export_csv(
             _table(records, tp[:-1], fp), [rt, rf], compare(rt, rf), tmp_path,
             cfg=cfg, byte_source=ByteSource.PLAINTEXT,
@@ -212,7 +213,7 @@ def test_export_rejects_prediction_length_mismatch(tmp_path):
 
 def test_export_rejects_a_table_without_predictions(tmp_path):
     cfg, records, tp, fp, rt, rf = _scored_run()
-    with pytest.raises(ValueError, match="threshold_pred covers 0 of 100 rows"):
+    with pytest.raises(ValueError, match="the table has no prediction column"):
         export_csv(
             build_dataset(records), [rt, rf], compare(rt, rf), tmp_path,
             cfg=cfg, byte_source=ByteSource.PLAINTEXT,
@@ -221,9 +222,25 @@ def test_export_rejects_a_table_without_predictions(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("named", [["forest", "threshold"], ["threshold"],
+                                   ["threshold", "forest", "rules"], ["threshold", "rules"]])
+def test_export_rejects_reports_that_do_not_name_the_prediction_columns(tmp_path, named):
+    cfg, records, tp, fp, rt, rf = _scored_run()
+    reports = [dataclasses.replace(rt, detector=name) for name in named]
+    with pytest.raises(ValueError, match=re.escape(
+            f"the reports name {named}, the prediction columns ['threshold', 'forest']")):
+        export_csv(
+            _table(records, tp, fp), reports, 0.0, tmp_path,
+            cfg=cfg, byte_source=ByteSource.PLAINTEXT,
+            threshold_fit="all", threshold_us=3000.0,
+        )
+    assert not any(tmp_path.iterdir())
+
+
 def test_export_rejects_an_empty_report_list(tmp_path):
     cfg, records, tp, fp, rt, rf = _scored_run()
-    with pytest.raises(ValueError, match="the summary needs at least one detector report"):
+    with pytest.raises(ValueError, match=re.escape(
+            "the reports name [], the prediction columns ['threshold', 'forest']")):
         export_csv(
             _table(records, tp, fp), [], 0.0, tmp_path,
             cfg=cfg, byte_source=ByteSource.PLAINTEXT,
@@ -452,23 +469,26 @@ def _block_tables(draw):
                                                                   allow_infinity=False)
     index = sorted(draw(st.lists(indices, min_size=1, max_size=64, unique=True)))
     n = len(index)
-    flags = [np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))) for _ in range(3)]
+    names = draw(st.permutations(["threshold", "forest", "rules"]))[:draw(st.integers(1, 3))]
+    flags = [np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+             for _ in range(len(names) + 1)]
     return BlockTable(
         np.array(index, dtype=np.int64),
         np.array(draw(st.lists(times, min_size=n, max_size=n)), dtype=np.float64),
         np.frombuffer(draw(st.binary(min_size=16 * n, max_size=16 * n)), np.uint8).reshape(n, 16),
         tuple(draw(st.lists(st.sampled_from(["none", "delay", "fault"]), min_size=n, max_size=n))),
-        *flags,
+        flags[0],
+        dict(zip(names, flags[1:])),
     )
 
 
 @settings(max_examples=60, deadline=None)
 @given(table=_block_tables())
 def test_export_then_read_gives_back_the_table(table):
-    report = score(table.forest_pred, table.truth_label, "forest")
+    reports = [score(col, table.truth_label, name) for name, col in table.preds.items()]
     with tempfile.TemporaryDirectory() as tmp:
         blocks_path, _ = export_csv(
-            table, [report], 0.0, tmp, cfg=RunConfig(n_blocks=len(table)),
+            table, reports, 0.0, tmp, cfg=RunConfig(n_blocks=len(table)),
             byte_source=ByteSource.PLAINTEXT, threshold_fit="all", threshold_us=1.0,
         )
         # the byte pass takes every file whose numbers are in the form of a run's
@@ -482,8 +502,10 @@ def test_export_then_read_gives_back_the_table(table):
     assert rows.called != run_form
     assert got.index.tolist() == table.index.tolist()
     assert got.tag is None
-    for name in ("truth_label", "threshold_pred", "forest_pred"):
-        assert getattr(got, name).tolist() == getattr(table, name).tolist()
+    assert got.truth_label.tolist() == table.truth_label.tolist()
+    assert list(got.preds) == list(table.preds)
+    for name, col in table.preds.items():
+        assert got.preds[name].tolist() == col.tolist()
     assert got.feature_bytes.tobytes() == table.feature_bytes.tobytes()
     assert got.time_us.tolist() == [float("%.3f" % t) for t in table.time_us.tolist()]
 
@@ -496,6 +518,10 @@ _HEADERS = [
     ["index", "time_us", *_BYTE_NAMES],
     [*_BYTE_NAMES, "truth_label", "time_us", "index"],
     ["index", "time_us", "index", "truth_label", *_BYTE_NAMES],  # the last "index" counts
+    ["index", "time_us", "tag", "truth_label", "threshold_pred", "forest_pred", "rules_pred",
+     *_BYTE_NAMES],
+    # "_pred" names no detector, so the readers pass it over like tag
+    ["forest_pred", "index", "threshold_pred", "_pred", "time_us", "truth_label", *_BYTE_NAMES],
 ]
 _FLAG = st.sampled_from(["true", "false"])
 _VALID = {
@@ -505,6 +531,8 @@ _VALID = {
     "truth_label": _FLAG,
     "threshold_pred": _FLAG,
     "forest_pred": _FLAG,
+    "rules_pred": _FLAG,
+    "_pred": st.sampled_from(["true", "maybe", ""]),
     **{name: st.integers(0, 255).map(lambda b: f"{b:02x}") for name in _BYTE_NAMES},
 }
 # cells the row-at-a-time reader accepted with a twist, or rejected
@@ -526,7 +554,8 @@ _ODD = {
     **{name: ["f", " ff", "0x1f", "FF", "1ff", "-1", "zz", "", "0_f", "+f", "100", "-0"]
        for name in _BYTE_NAMES},
 }
-_ODD["threshold_pred"] = _ODD["forest_pred"] = _ODD["truth_label"]
+_ODD["threshold_pred"] = _ODD["forest_pred"] = _ODD["rules_pred"] = _ODD["truth_label"]
+_ODD["_pred"] = _ODD["tag"]
 _BYTE_POOL = list(b"0f9x,\n\r\" -.e") + [0, 0xFF]
 
 
@@ -579,12 +608,11 @@ def _table_rows(table):
     assert table.tag is None
     n = len(table)
 
-    def optional(col):
-        return [None] * n if col is None else col.tolist()
-
-    return list(zip(table.index.tolist(), table.time_us.tolist(),
-                    optional(table.truth_label), optional(table.threshold_pred),
-                    optional(table.forest_pred), [bytes(r) for r in table.feature_bytes]))
+    truth = [None] * n if table.truth_label is None else table.truth_label.tolist()
+    preds = zip(*([(name, flag) for flag in col.tolist()] for name, col in table.preds.items()))
+    return list(zip(table.index.tolist(), table.time_us.tolist(), truth,
+                    preds if table.preds else [()] * n,
+                    [bytes(r) for r in table.feature_bytes]))
 
 
 def _outcome(read, path):
@@ -667,8 +695,10 @@ def test_read_blocks_csv_agrees_with_the_row_reader(step_rows, content):
 
 
 def _columns(table):
-    return {field.name: None if (column := getattr(table, field.name)) is None
-            else np.asarray(column).tolist() for field in dataclasses.fields(table)}
+    columns = {name: None if (column := getattr(table, name)) is None
+               else np.asarray(column).tolist()
+               for name in (f.name for f in dataclasses.fields(table)) if name != "preds"}
+    return {**columns, "preds": [(name, col.tolist()) for name, col in table.preds.items()]}
 
 
 @pytest.mark.parametrize("tag", [*_ODD["tag"], None])  # None: the tag column dropped

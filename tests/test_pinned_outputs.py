@@ -31,11 +31,20 @@ from aeslab.workload import InputDistribution, Mode, RunConfig
 RUN_FLAGS = ["--blocks", "256", "--inject-pct", "30", "--seed", "7",
              "--mode", "simulated", "--trees", "11"]
 
-# key: byte source, optionally prefixed by "uniform-" for --input-dist uniform
+# key: byte source, optionally prefixed by "uniform-" for --input-dist uniform and
+# suffixed by "+train" for --threshold-fit train
 PINNED = {
     "plaintext": {
         "blocks": "eaae287eae5b2610c97920178aa1d2c3e77bdcbd98c05ac286e1794f0384acb6",
         "summary": "9cff51a2045f99ecb41db5863ecb41f37718d2cf742da8fc5f36a80a20a57d43",
+        "model": "1b09cf0c986649b909525a58269a3dfd05b27c410d5f4557dca7c8ac6a5813e4",
+        "predict": "1017776e5a60e33325ddc0c8f736a04bfe9660064ced60c21d319dc0b8b65cdc",
+    },
+    # the cut moves from 2642.883 to 2870.444 us with no block between them, so only
+    # the summary's threshold_fit and threshold_us cells differ from "plaintext"
+    "plaintext+train": {
+        "blocks": "eaae287eae5b2610c97920178aa1d2c3e77bdcbd98c05ac286e1794f0384acb6",
+        "summary": "093833a3a150c019910c664432b3adf84822f8d2ad5253d48c9fbe54ad4d7741",
         "model": "1b09cf0c986649b909525a58269a3dfd05b27c410d5f4557dca7c8ac6a5813e4",
         "predict": "1017776e5a60e33325ddc0c8f736a04bfe9660064ced60c21d319dc0b8b65cdc",
     },
@@ -65,10 +74,12 @@ def _sha(data: bytes) -> str:
 
 
 def artifact_digests(tmp_path, capsys, key):
-    input_dist, _, byte_source = key.rpartition("-")
+    source, _, threshold_fit = key.partition("+")
+    input_dist, _, byte_source = source.rpartition("-")
     out = tmp_path / key
     assert main(["run", *RUN_FLAGS, "--input-dist", input_dist or "ascii",
-                 "--byte-source", byte_source, "--out-dir", str(out)]) == 0
+                 "--byte-source", byte_source, "--threshold-fit", threshold_fit or "all",
+                 "--out-dir", str(out)]) == 0
     blocks = out / "blocks_s7_n256_p30.csv"
     model = out / "model.txt"
     assert main(["train", "--from-csv", str(blocks), "--model-out", str(model),
