@@ -72,14 +72,14 @@ def measure_run(cfg: RunConfig, key: Key128) -> BenchRecord:
     with process_pool(cfg.workers) if cfg.workers > 1 else nullcontext() as pool:
         run_pipeline(cfg, key, pool)
         start = time.perf_counter()
-        records = run_pipeline(cfg, key, pool)
+        run = run_pipeline(cfg, key, pool)
         wall_s = time.perf_counter() - start
     # read after the pool has shut down, so the children's peak covers its workers
     peak_mb = peak_memory_mb()
     return BenchRecord(
         block_count=cfg.n_blocks,
         workers=cfg.workers,
-        mean_latency_us=math.fsum(r.time_us for r in records) / len(records),
+        mean_latency_us=math.fsum(run.time_us.tolist()) / len(run),
         throughput_bps=cfg.n_blocks / wall_s,
         peak_memory_mb=None if peak_mb is None else peak_mb - start_mb,
         peak_children_mb=peak_memory_mb(children=True),

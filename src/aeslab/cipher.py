@@ -41,21 +41,24 @@ permutation, MixColumns through an xtime table) as numpy gathers over every
 block at once. Real mode times each block and scales across a process pool
 of cfg.workers processes, which take a few contiguous slices of the run each
 as they free up; threads would serialize on the interpreter lock for this
-CPU-bound work. Every pool comes from process_pool, which imports
-concurrent.futures and multiprocessing on its first call, so a command that
-starts no pool (a simulated or one-worker run, train, predict, kat) never
-loads them.
+CPU-bound work. Either way a run comes back as one EncryptedRun, a frozen
+set of columns taken straight from the batch output or from the workers'
+ciphertext and latency buffers, with no per-block Python object. Every pool
+comes from process_pool, which imports concurrent.futures and
+multiprocessing on its first call, so a command that starts no pool (a
+simulated or one-worker run, train, predict, kat) never loads them.
 """
 
 from __future__ import annotations
 
 import struct
 import time
+from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import repeat
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,6 +71,7 @@ from .workload import (
     Blocks,
     Mode,
     RunConfig,
+    _freeze_columns,
     _rng,
     assign_anomalies,
     generate_blocks,
@@ -296,7 +300,8 @@ def run_known_answer_suite() -> List[KatResult]:
 
 
 class BlockRecord(NamedTuple):
-    """One encrypted block: what went in (post-fault), what came out, and when."""
+    """One encrypted block: what went in (post-fault), what came out, and when.
+    Only EncryptedRun's record view builds one."""
 
     index: int
     plaintext: bytes
@@ -305,15 +310,55 @@ class BlockRecord(NamedTuple):
     tag: tuple  # the workload.AnomalyTag of its kind, one of TAGS
 
 
+@dataclass(frozen=True)
+class EncryptedRun:
+    """One encrypted run as read-only columns, in block order: blocks, the
+    run's Blocks (index, pre-fault data, kind and delay_us), and for each block
+    its post-fault plaintext uint8[n, 16], its ciphertext uint8[n, 16] and its
+    latency time_us float64[n] in microseconds. Each column's dtype and shape
+    is checked once, when the run is built.
+
+    Iterating a run yields one BlockRecord per block, built lazily, with
+    Python values and the shared TAGS entry of its kind as tag. That view is
+    kept for the benchmark under perfbench/, which reads records; no module
+    of the package iterates a run.
+    """
+
+    blocks: Blocks
+    plaintext: np.ndarray
+    ciphertext: np.ndarray
+    time_us: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.blocks, Blocks):
+            raise ValueError(f"blocks must be a Blocks, got {type(self.blocks).__name__}")
+        n = len(self.blocks)
+        _freeze_columns(self, "run", ("plaintext", np.uint8, (n, BLOCK_SIZE)),
+                        ("ciphertext", np.uint8, (n, BLOCK_SIZE)), ("time_us", np.float64, (n,)))
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def __iter__(self) -> Iterator[BlockRecord]:
+        block = np.dtype((np.void, BLOCK_SIZE))  # tolist gives one bytes object per block
+        plaintext, ciphertext = (np.frombuffer(column.tobytes(), block).tolist()
+                                 for column in (self.plaintext, self.ciphertext))
+        # tuple.__new__ skips the named tuple's Python-level __new__ frame
+        return map(tuple.__new__, repeat(BlockRecord),
+                   zip(self.blocks.index.tolist(), plaintext, ciphertext, self.time_us.tolist(),
+                       map(TAGS.__getitem__, self.blocks.kind.tolist())))
+
+
 class PipelineError(RuntimeError):
     """The worker pool could not be started or died mid-run."""
 
 
 def encrypt_timed(plain: bytes, delays_us: Sequence[float], key: bytes,
-                  work_amplification: int) -> Tuple[bytes, List[float]]:
+                  work_amplification: int) -> Tuple[bytes, array]:
     """Encrypt 16-byte blocks laid end to end one at a time; return the
-    ciphertexts laid end to end and each block's latency in microseconds: a
-    monotonic span over its sleep (delays_us[j] > 0) and every encryption pass.
+    ciphertexts laid end to end and each block's latency in microseconds, as
+    one array of doubles: a monotonic span over its sleep (delays_us[j] > 0)
+    and every encryption pass.
     Raises ValueError, before any block is timed, unless plain holds exactly
     one block per delay and work_amplification is at least 1."""
     if len(plain) != BLOCK_SIZE * len(delays_us):
@@ -322,7 +367,7 @@ def encrypt_timed(plain: bytes, delays_us: Sequence[float], key: bytes,
     if work_amplification < 1:
         raise ValueError(f"work_amplification must be at least 1, got {work_amplification}")
     schedule = _schedule(key, SBOX)
-    ciphertexts, times = [], []
+    ciphertexts, times = [], array("d")
     for at, delay_us in zip(range(0, len(plain), BLOCK_SIZE), delays_us):
         block = plain[at:at + BLOCK_SIZE]
         start = time.perf_counter()
@@ -358,23 +403,26 @@ _SLICES_PER_WORKER = 4
 
 
 def encrypt_blocks(blocks: Blocks, key: Key128, cfg: RunConfig,
-                   pool: Optional[Executor] = None) -> List[BlockRecord]:
-    """Encrypt tagged blocks into one record per block, in block order.
+                   pool: Optional[Executor] = None) -> EncryptedRun:
+    """Encrypt tagged blocks into one EncryptedRun, in block order; no
+    per-block object is built.
 
     Simulated mode encrypts them all in one batch in this process and models
     block i's latency as (base + U(0, jitter)) + delay, where the jitter is
     draw i of one stream of the run seed, so it depends on (seed, index)
     alone. Real mode times each block across cfg.workers processes: those of
     pool, an executor with cfg.workers processes, or else of a process_pool
-    started and shut down within this call.
+    started and shut down within this call. Each worker returns one
+    ciphertext buffer and one array of latencies per slice, and the run's
+    columns are those buffers joined.
     """
     index, delay_us = blocks.index, blocks.delay_us
     plain = blocks.data.copy()
     plain[blocks.kind == KIND_FAULT, 0] ^= FAULT_MASK
     if cfg.mode is Mode.SIMULATED:
-        cipher = encrypt_batch(plain, key.data).tobytes()
+        cipher = encrypt_batch(plain, key.data)
         jitter = _rng(cfg.seed, _STREAM_TIMING).uniform(0.0, cfg.jitter_us, index[-1] + 1)[index]
-        time_us = ((cfg.base_time_us + jitter) + delay_us).tolist()
+        time_us = (cfg.base_time_us + jitter) + delay_us
     else:  # contiguous slices of the run, handed to workers as they free up
         encrypt = partial(encrypt_timed, key=key.data, work_amplification=cfg.work_amplification)
         n_slices = 1 if cfg.workers == 1 else _SLICES_PER_WORKER * cfg.workers
@@ -390,17 +438,13 @@ def encrypt_blocks(blocks: Blocks, key: Key128, cfg: RunConfig,
                     parts = list(live.map(encrypt, plains, delays))
             except (OSError, BrokenProcessPool) as exc:
                 raise PipelineError(f"worker pool failed: {exc}") from exc
-        cipher = b"".join(c for c, _ in parts)
-        time_us = [t for _, times in parts for t in times]
-    block = np.dtype((np.void, BLOCK_SIZE))  # tolist gives one bytes object per block
-    # tuple.__new__ skips the named tuple's Python-level __new__ frame
-    return list(map(tuple.__new__, repeat(BlockRecord),
-                    zip(index.tolist(), np.frombuffer(plain, block).tolist(),
-                        np.frombuffer(cipher, block).tolist(), time_us,
-                        map(TAGS.__getitem__, blocks.kind.tolist()))))
+        cipher = np.frombuffer(b"".join(c for c, _ in parts), np.uint8).reshape(-1, BLOCK_SIZE)
+        time_us = np.concatenate([np.frombuffer(times) for _, times in parts])
+    return EncryptedRun(blocks, plain, cipher, time_us)
 
 
-def run_pipeline(cfg: RunConfig, key: Key128, pool: Optional[Executor] = None) -> List[BlockRecord]:
-    """Generate, tag, and encrypt one run; records come back sorted by index.
-    A real-mode run with several workers runs on pool when one is given."""
+def run_pipeline(cfg: RunConfig, key: Key128, pool: Optional[Executor] = None) -> EncryptedRun:
+    """Generate, tag, and encrypt one run, returned as one EncryptedRun in
+    index order. A real-mode run with several workers runs on pool when one
+    is given."""
     return encrypt_blocks(assign_anomalies(generate_blocks(cfg), cfg), key, cfg, pool)

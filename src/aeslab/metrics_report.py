@@ -18,16 +18,16 @@ import csv
 import math
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cipher import BlockRecord
+from .cipher import EncryptedRun
 from .detect_forest import N_FEATURES, ByteSource, Dataset
 from .files import atomic_write, digit_runs
-from .workload import AnomalyKind, RunConfig
+from .workload import KIND_NONE, AnomalyKind, RunConfig
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,7 @@ FLAG_WORDS = ("false", "true")  # a flag cell's text, indexed by its value
 BYTE_COLUMNS = tuple(f"b{i}" for i in range(16))
 PRED_SUFFIX = "_pred"  # a detector's prediction column is named <detector>_pred
 _FLAG_COLUMN = re.compile("(?s)truth_label|.+" + PRED_SUFFIX)  # a flag column's name
+_KIND_NAMES = tuple(kind.value for kind in AnomalyKind)  # a tag cell's text, by KIND_* code
 
 
 @dataclass(frozen=True)
@@ -128,24 +129,19 @@ class BlockTable:
 
 
 def build_dataset(
-    records: Sequence[BlockRecord],
+    run: EncryptedRun,
     byte_source: Union[ByteSource, str] = ByteSource.PLAINTEXT,
 ) -> BlockTable:
-    """The table of a run: one row per record, ordered by block index, whose
+    """The table of a run: its columns, one row per block in index order, whose
     feature_bytes are the bytes byte_source, a ByteSource or its value, names."""
     byte_source = ByteSource(byte_source)
-    if not records:
-        raise ValueError("cannot build features from an empty run")
-    # by index alone: a whole-record sort would compare the tags' kinds on a tie
-    index, plaintext, ciphertext, time_us, tags = zip(*sorted(records, key=attrgetter("index")))
-    payload = plaintext if byte_source is ByteSource.PLAINTEXT else ciphertext
-    kinds = tuple(t.kind.value for t in tags)
+    kind = run.blocks.kind
     return BlockTable(
-        np.array(index, dtype=np.int64),
-        np.array(time_us, dtype=np.float64),
-        np.frombuffer(b"".join(payload), dtype=np.uint8).reshape(-1, len(BYTE_COLUMNS)),
-        kinds,
-        np.array(kinds) != AnomalyKind.NONE.value,
+        run.blocks.index,
+        run.time_us,
+        run.plaintext if byte_source is ByteSource.PLAINTEXT else run.ciphertext,
+        tuple(map(_KIND_NAMES.__getitem__, kind.tolist())),
+        kind != KIND_NONE,
     )
 
 

@@ -4,12 +4,13 @@ A run is a fixed-size batch of 16-byte blocks, held as columns (Blocks). Each
 block may carry one anomaly: a timing delay (extra latency before encryption)
 or a bit-flip fault (first plaintext byte XORed with 0xFF just before
 encryption). A block's kind is a KIND_* code and its delay a column of its
-own; the cipher's records tag each block with one of the three shared TAGS,
-so a tag names the kind and nothing else, and a block is anomalous exactly
-when its kind is not NONE. All randomness is drawn from numpy generators
-derived from the run seed. generate_blocks and assign_anomalies take the
-run's RunConfig, which checked every field when it was built, so neither
-checks a field again, and the config alone determines the run.
+own, and a block is anomalous exactly when its kind is not NONE. The
+cipher's run carries the kind column on; only its record view, which
+perfbench reads, tags each block with one of the three shared TAGS, a tag
+that names the kind and nothing else. All randomness is drawn from numpy
+generators derived from the run seed. generate_blocks and assign_anomalies
+take the run's RunConfig, which checked every field when it was built, so
+neither checks a field again, and the config alone determines the run.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -58,6 +59,19 @@ def _check_integers(config: object, *names: str) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _freeze_columns(holder: object, what: str, *columns: Tuple[str, type, Tuple[int, ...]]) -> None:
+    """Check that each (name, dtype, shape) column of the frozen dataclass holder
+    is a numpy array of that dtype and shape, and put a read-only view of it in
+    its place; raise ValueError naming the first column that is not."""
+    for name, dtype, shape in columns:
+        column = getattr(holder, name)
+        if not isinstance(column, np.ndarray) or column.dtype != dtype or column.shape != shape:
+            raise ValueError(f"{what} column {name} must be a {np.dtype(dtype)} array of shape {shape}")
+        view = column.view()
+        view.flags.writeable = False
+        object.__setattr__(holder, name, view)
+
+
 class InputDistribution(enum.Enum):
     UNIFORM = "uniform"
     ASCII = "ascii"
@@ -76,8 +90,9 @@ class AnomalyKind(enum.Enum):
 
 class AnomalyTag(NamedTuple):
     """The anomaly kind of one encrypted block, and nothing else. It stays only
-    because perfbench reads record.tag.kind; a block's delay lives in
-    Blocks.delay_us, and its truth label is derived from the kind."""
+    because perfbench reads record.tag.kind from the cipher run's record view;
+    a block's delay lives in Blocks.delay_us, and its truth label is derived
+    from the kind."""
 
     kind: AnomalyKind = AnomalyKind.NONE
 
@@ -103,14 +118,8 @@ class Blocks:
 
     def __post_init__(self) -> None:
         n = len(self.index)
-        for name, dtype, shape in (("index", np.int64, (n,)), ("data", np.uint8, (n, BLOCK_SIZE)),
-                                   ("kind", np.int8, (n,)), ("delay_us", np.float64, (n,))):
-            column = getattr(self, name)
-            if not isinstance(column, np.ndarray) or column.dtype != dtype or column.shape != shape:
-                raise ValueError(f"blocks column {name} must be a {np.dtype(dtype)} array of shape {shape}")
-            view = column.view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+        _freeze_columns(self, "blocks", ("index", np.int64, (n,)), ("data", np.uint8, (n, BLOCK_SIZE)),
+                        ("kind", np.int8, (n,)), ("delay_us", np.float64, (n,)))
         # jitter is indexed by block number, where a negative index would wrap around
         if n < 1 or self.index[0] < 0 or (np.diff(self.index) <= 0).any():
             raise ValueError("a run needs at least one block, with non-negative, increasing indices")

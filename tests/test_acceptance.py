@@ -24,6 +24,7 @@ from aeslab.detect_forest import ByteSource, ForestHyperparams
 from aeslab.metrics_report import build_dataset, score
 from aeslab.detect_threshold import classify_threshold, fit_threshold
 from aeslab.workload import (
+    KIND_DELAY,
     KIND_FAULT,
     KIND_NONE,
     AnomalyKind,
@@ -100,10 +101,10 @@ def test_criterion_3_threshold_is_blind_to_faults(report):
         blocks, kind=np.where(blocks.kind == KIND_NONE, KIND_NONE, KIND_FAULT).astype(np.int8),
         delay_us=np.zeros(len(blocks)),
     )
-    records = encrypt_blocks(fault_only, KEY, cfg)
-    faults = sum(r.tag.kind is AnomalyKind.FAULT for r in records)
+    run = encrypt_blocks(fault_only, KEY, cfg)
+    faults = int(np.count_nonzero(run.blocks.kind == KIND_FAULT))
     assert faults > 1000  # the 40% schedule really landed
-    times = build_dataset(records).time_us
+    times = build_dataset(run).time_us
     model = fit_threshold(times)
     flagged = sum(classify_threshold(times, model))
     assert flagged == 0
@@ -118,12 +119,12 @@ def test_criterion_4_threshold_catches_delays(report):
         base_time_us=100.0, jitter_us=10.0,
         delay_min_us=5000.0, delay_max_us=20000.0,
     )
-    records = run_pipeline(cfg, KEY)
-    times = build_dataset(records).time_us
+    run = run_pipeline(cfg, KEY)
+    times = build_dataset(run).time_us
     model = fit_threshold(times)
     flags = classify_threshold(times, model)
-    delays = [i for i, r in enumerate(records) if r.tag.kind is AnomalyKind.DELAY]
-    others = [i for i, r in enumerate(records) if r.tag.kind is not AnomalyKind.DELAY]
+    delays = np.flatnonzero(run.blocks.kind == KIND_DELAY).tolist()
+    others = np.flatnonzero(run.blocks.kind != KIND_DELAY).tolist()
     assert delays and others
     recall = sum(flags[i] for i in delays) / len(delays)
     fpr = sum(flags[i] for i in others) / len(others)

@@ -1,17 +1,23 @@
 """The package interface that the benchmark under perfbench/ drives.
 
 perfbench/ is frozen: it wraps functions by their names in aeslab.cli and
-aeslab.cipher, captures run_pipeline's records through the cli module
-global, and recovers the test split from an exported blocks CSV. These
-checks keep that interface working.
+aeslab.cipher, captures run_pipeline's run through the cli module global and
+reads it as records (runner.records_arrays), and recovers the test split
+from an exported blocks CSV. These checks keep that interface working.
 """
 
 import csv
+import importlib.util
 import inspect
+import itertools
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 import aeslab.cipher as cipher
 import aeslab.cli as cli
-from aeslab.workload import Mode, RunConfig
+from aeslab.workload import AnomalyKind, Mode, RunConfig
 from aeslab.detect_forest import load_model, predict_all, split_train_test
 from aeslab.metrics_report import read_blocks_csv, rows_to_vectors
 
@@ -52,6 +58,33 @@ def test_block_counters_count_blocks_and_real_records_carry_latency(monkeypatch)
     assert all(r.time_us > 0 for r in records)
 
 
+def _perfbench_runner():
+    """perfbench/runner.py, loaded by its path as it stands."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "runner.py"
+    spec = importlib.util.spec_from_file_location("perfbench_runner", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("mode, workers", [(Mode.SIMULATED, 1), (Mode.REAL, 1), (Mode.REAL, 2)],
+                         ids=["simulated", "real-1", "real-2"])
+def test_the_benchmarks_record_columns_are_the_runs_own(mode, workers):
+    # the benchmark digests a run through its record view, so that view must
+    # give back each of the run's columns exactly
+    cfg = RunConfig(n_blocks=37, inject_pct=60.0, seed=23, mode=mode, workers=workers,
+                    delay_min_us=1.0, delay_max_us=2.0)
+    run = cipher.run_pipeline(cfg, cipher.Key128(bytes(16)))
+    columns = _perfbench_runner().records_arrays(run)
+    assert np.array_equal(columns["index"], run.blocks.index)
+    assert np.array_equal(columns["plaintext"], run.plaintext)
+    assert np.array_equal(columns["ciphertext"], run.ciphertext)
+    assert np.array_equal(columns["time_us"], run.time_us)
+    names = np.array([kind.value for kind in AnomalyKind])
+    assert np.array_equal(columns["kind"], names[run.blocks.kind])
+    assert set(columns["kind"].tolist()) == set(names.tolist())
+
+
 def test_run_looks_up_pipeline_and_exports_recoverable_split(tmp_path, capsys, monkeypatch):
     # the benchmark captures the records and times each stage by replacing its name in
     # aeslab.cli, so run_experiment must look every stage up there
@@ -73,7 +106,7 @@ def test_run_looks_up_pipeline_and_exports_recoverable_split(tmp_path, capsys, m
     assert [r.index for r in records] == list(range(200))
     # the benchmark joins the records' bytes and reads their attributes
     assert all(type(r.plaintext) is bytes and type(r.ciphertext) is bytes for r in records)
-    for r in records[:3]:
+    for r in itertools.islice(records, 3):
         assert len(r.plaintext) == len(r.ciphertext) == 16
         assert r.time_us > 0
         assert r.tag.kind.value in ("none", "delay", "fault")

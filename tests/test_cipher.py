@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import aeslab.cipher as cipher_mod
 from aeslab.cipher import (
     KAT_VECTORS,
     BlockRecord,
+    EncryptedRun,
     Key128,
     PipelineError,
     _encrypt,
@@ -109,8 +111,8 @@ def test_ecb_is_deterministic_and_chain_free():
     assert aes128_encrypt_block(block, key) == first
     # two equal blocks at different run positions encrypt identically
     cfg = RunConfig(mode=Mode.SIMULATED, jitter_us=0.0)
-    rec_a, rec_b = encrypt_blocks(_blocks([0, 7], [block, block]), key, cfg)
-    assert rec_a.ciphertext == rec_b.ciphertext == first
+    run = encrypt_blocks(_blocks([0, 7], [block, block]), key, cfg)
+    assert run.ciphertext[0].tobytes() == run.ciphertext[1].tobytes() == first
 
 
 # two fixed keys; a plaintext that differs from a base block in one byte only
@@ -159,15 +161,16 @@ def test_fault_tag_changes_ciphertext_and_survives_decryption():
     key = Key128.from_hex("000102030405060708090a0b0c0d0e0f")
     data = bytes(range(16))
     cfg = RunConfig(mode=Mode.SIMULATED, jitter_us=0.0)
-    clean, faulted = encrypt_blocks(
+    run = encrypt_blocks(
         _blocks([0, 1], [data, data], [AnomalyKind.NONE, AnomalyKind.FAULT]), key, cfg
     )
-    assert clean.ciphertext != faulted.ciphertext
-    assert faulted.plaintext[0] == data[0] ^ 0xFF
+    clean, faulted = (row.tobytes() for row in run.ciphertext)
+    assert clean != faulted
+    assert run.plaintext[1, 0] == data[0] ^ 0xFF
     # the corruption is observable end to end through an independent decryption
-    recovered = _library_decrypt(key.data, faulted.ciphertext)
+    recovered = _library_decrypt(key.data, faulted)
     assert recovered == bytes([data[0] ^ 0xFF]) + data[1:]
-    assert clean.time_us == faulted.time_us  # faults leave timing untouched
+    assert run.time_us[0] == run.time_us[1]  # faults leave timing untouched
 
 
 @settings(max_examples=40, deadline=None)
@@ -176,13 +179,15 @@ def test_fault_xor_flips_the_first_byte_of_fault_blocks_only(data, mode):
     key = Key128.from_hex("2b7e151628aed2a6abf7158809cf4f3c")
     kinds = [AnomalyKind.NONE, AnomalyKind.FAULT, AnomalyKind.DELAY]
     blocks = _blocks([0, 1, 2], [data] * 3, kinds, [0.0, 0.0, 1.0])
-    clean, faulted, delayed = encrypt_blocks(blocks, key, RunConfig(mode=mode))
-    for record, code in zip((clean, faulted, delayed), blocks.kind.tolist()):
+    run = encrypt_blocks(blocks, key, RunConfig(mode=mode))
+    assert run.blocks is blocks
+    for record, code in zip(run, blocks.kind.tolist()):
         assert record.tag is TAGS[code]  # one shared tag per kind
-    assert clean.plaintext == delayed.plaintext == data
-    assert faulted.plaintext == bytes([data[0] ^ 0xFF]) + data[1:]
-    for record in (clean, faulted, delayed):
-        assert record.ciphertext == _library_encrypt(key.data, record.plaintext)
+    clean, faulted, delayed = (row.tobytes() for row in run.plaintext)
+    assert clean == delayed == data
+    assert faulted == bytes([data[0] ^ 0xFF]) + data[1:]
+    for plaintext, ciphertext in zip(run.plaintext, run.ciphertext):
+        assert ciphertext.tobytes() == _library_encrypt(key.data, plaintext.tobytes())
     assert blocks.data.tobytes() == data * 3  # the input columns are left alone
 
 
@@ -190,9 +195,9 @@ def test_real_mode_delay_shows_up_in_latency():
     key = Key128(bytes(16))
     cfg = RunConfig(mode=Mode.REAL)
     blocks = _blocks([0], [bytes(16)], [AnomalyKind.DELAY], [5000.0])
-    (record,) = encrypt_blocks(blocks, key, cfg)
-    assert record.time_us >= 5000.0
-    assert record.tag.kind is not AnomalyKind.NONE
+    run = encrypt_blocks(blocks, key, cfg)
+    assert run.time_us.tolist()[0] >= 5000.0
+    assert run.blocks.kind[0] != KIND_NONE
     _, (time_us,) = encrypt_timed(bytes(16), [5000.0], key.data, cfg.work_amplification)
     assert time_us >= 5000.0
 
@@ -200,22 +205,21 @@ def test_real_mode_delay_shows_up_in_latency():
 def test_simulated_time_formula_with_zero_jitter():
     key = Key128(bytes(16))
     cfg = RunConfig(mode=Mode.SIMULATED, base_time_us=100.0, jitter_us=0.0, seed=9)
-    plain, delayed = encrypt_blocks(
+    run = encrypt_blocks(
         _blocks([3, 4], [bytes(16)] * 2, [AnomalyKind.NONE, AnomalyKind.DELAY], [0.0, 7000.0]),
         key, cfg,
     )
-    assert plain.time_us == 100.0
-    assert delayed.time_us == 7100.0
+    assert run.time_us.tolist() == [100.0, 7100.0]
 
 
 def test_simulated_jitter_is_bounded_and_index_keyed():
     key = Key128(bytes(16))
     cfg = RunConfig(mode=Mode.SIMULATED, base_time_us=100.0, jitter_us=10.0, seed=5)
-    records = encrypt_blocks(_blocks(range(32), [bytes(16)] * 32), key, cfg)
-    times = {rec.index: rec.time_us for rec in records}
+    run = encrypt_blocks(_blocks(range(32), [bytes(16)] * 32), key, cfg)
+    times = dict(zip(run.blocks.index.tolist(), run.time_us.tolist()))
     assert all(100.0 <= t <= 110.0 for t in times.values())
-    (again,) = encrypt_blocks(_blocks([17], [bytes(16)]), key, cfg)
-    assert again.time_us == times[17]
+    again = encrypt_blocks(_blocks([17], [bytes(16)]), key, cfg)
+    assert again.time_us.tolist() == [times[17]]
     assert len(set(times.values())) > 1
 
 
@@ -224,35 +228,106 @@ def test_simulated_work_amplification_does_not_change_time():
     base = RunConfig(mode=Mode.SIMULATED, jitter_us=0.0)
     amped = dataclasses.replace(base, work_amplification=50)
     blocks = _blocks([0], [bytes(16)])
-    assert encrypt_blocks(blocks, key, base) == encrypt_blocks(blocks, key, amped)
+    assert _same_columns(encrypt_blocks(blocks, key, base), encrypt_blocks(blocks, key, amped))
 
 
 def test_run_pipeline_returns_sorted_complete_records():
     cfg = RunConfig(n_blocks=64, inject_pct=25.0, seed=13, mode=Mode.SIMULATED)
-    records = run_pipeline(cfg, Key128(bytes(16)))
-    assert [r.index for r in records] == list(range(64))
-    assert all(isinstance(r, BlockRecord) for r in records)
+    run = run_pipeline(cfg, Key128(bytes(16)))
+    assert isinstance(run, EncryptedRun) and len(run) == 64
+    assert run.blocks.index.tolist() == list(range(64))
+    assert all(len(column) == 64 for column in (run.plaintext, run.ciphertext, run.time_us))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_the_record_view_yields_each_block_as_a_record(mode):
+    # the benchmark reads a run as BlockRecords: Python values, one shared tag per kind
+    cfg = RunConfig(n_blocks=30, inject_pct=60.0, seed=4, mode=mode, delay_min_us=1.0,
+                    delay_max_us=2.0)
+    run = run_pipeline(cfg, Key128(bytes(16)))
+    records = list(run)
+    assert len(records) == len(run) == 30
+    assert all(type(r) is BlockRecord for r in records)
+    assert [(type(r.index), type(r.plaintext), type(r.ciphertext), type(r.time_us))
+            for r in records] == [(int, bytes, bytes, float)] * 30
+    assert [r.index for r in records] == run.blocks.index.tolist()
+    assert b"".join(r.plaintext for r in records) == run.plaintext.tobytes()
+    assert b"".join(r.ciphertext for r in records) == run.ciphertext.tobytes()
+    assert [r.time_us for r in records] == run.time_us.tolist()
+    assert all(r.tag is TAGS[code] for r, code in zip(records, run.blocks.kind.tolist()))
+    assert list(run) == records  # each iteration builds the view afresh
+
+
+def test_a_run_checks_and_freezes_its_columns():
+    run = run_pipeline(RunConfig(n_blocks=8, seed=2, mode=Mode.SIMULATED), Key128(bytes(16)))
+    for column in (run.plaintext, run.ciphertext, run.time_us):
+        assert not column.flags.writeable
+    good = {"plaintext": run.plaintext, "ciphertext": run.ciphertext, "time_us": run.time_us}
+    for name, bad in (("plaintext", run.plaintext.astype(np.int16)),
+                      ("ciphertext", run.ciphertext[:7]),
+                      ("time_us", run.time_us.astype(np.float32)),
+                      ("time_us", run.time_us.tolist())):
+        with pytest.raises(ValueError, match=f"run column {name} must be"):
+            EncryptedRun(run.blocks, **{**good, name: bad})
+    with pytest.raises(ValueError, match="blocks must be a Blocks"):
+        EncryptedRun(None, **good)
+
+
+def test_a_simulated_run_sets_off_no_cyclic_collection():
+    # no per-block container object is built, so a run leaves the collector's
+    # allocation count where it found it; 20,000 records used to set off 26
+    # generation-0 and 2 generation-1 collections
+    cfg = RunConfig(n_blocks=20_000, inject_pct=20.0, seed=3, mode=Mode.SIMULATED)
+    key = Key128(bytes(16))
+    run_pipeline(cfg, key)  # the first call builds what later calls reuse
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        run_pipeline(cfg, key)
+    finally:
+        gc.callbacks.remove(count)
+    assert gc.isenabled()
+    assert collections == []
 
 
 def test_run_pipeline_anomaly_count_near_expectation():
     cfg = RunConfig(n_blocks=1024, inject_pct=20.0, seed=21, mode=Mode.SIMULATED)
-    records = run_pipeline(cfg, Key128(bytes(16)))
-    hits = sum(r.tag.kind is not AnomalyKind.NONE for r in records)
+    run = run_pipeline(cfg, Key128(bytes(16)))
+    hits = np.count_nonzero(run.blocks.kind != KIND_NONE)
     sigma = (1024 * 0.2 * 0.8) ** 0.5
     assert abs(hits - 204.8) <= 3 * sigma
 
 
-def _without_time(records):
-    return [r._replace(time_us=0.0) for r in records]
+def _columns(run, timed=True):
+    """A run's columns by name; time_us only if timed, as real-mode latencies
+    differ from run to run."""
+    columns = {name: getattr(run.blocks, name) for name in ("index", "data", "kind", "delay_us")}
+    columns.update(plaintext=run.plaintext, ciphertext=run.ciphertext)
+    if timed:
+        columns["time_us"] = run.time_us
+    return columns
+
+
+def _same_columns(run, reference, timed=True):
+    """Whether each column of run equals the first len(run) rows of reference's."""
+    want = _columns(reference, timed)
+    return all(np.array_equal(column, want[name][:len(run)])
+               for name, column in _columns(run, timed).items())
 
 
 def test_run_pipeline_real_identical_across_worker_counts():
     key = Key128.from_hex("2b7e151628aed2a6abf7158809cf4f3c")
     base = RunConfig(n_blocks=48, inject_pct=0.0, seed=3, mode=Mode.REAL)
-    reference = _without_time(run_pipeline(base, key))
+    reference = run_pipeline(base, key)
     for workers in (2, 3):
         cfg = dataclasses.replace(base, workers=workers)
-        assert _without_time(run_pipeline(cfg, key)) == reference
+        assert _same_columns(run_pipeline(cfg, key), reference, timed=False)
 
 
 def test_records_identical_across_modes_and_worker_counts():
@@ -262,19 +337,18 @@ def test_records_identical_across_modes_and_worker_counts():
                      delay_min_us=1.0, delay_max_us=2.0)
     runs = [run_pipeline(cfg, key) for cfg in (
         base, dataclasses.replace(base, workers=2), dataclasses.replace(base, mode=Mode.SIMULATED))]
-    kinds = {r.tag.kind for r in runs[0]}
-    assert kinds == set(AnomalyKind)
-    reference = _without_time(runs[0])
-    assert [r.index for r in reference] == list(range(37))
-    for records in runs[1:]:
-        assert _without_time(records) == reference
-    delays = assign_anomalies(generate_blocks(base), base).delay_us.tolist()
-    assert [d > 0 for d in delays] == [r.tag.kind is AnomalyKind.DELAY for r in runs[0]]
-    for records in runs[:2]:  # real-mode latencies cover the injected sleep
-        assert all(r.time_us >= d and r.time_us > 0 for r, d in zip(records, delays))
+    reference = runs[0]
+    assert set(reference.blocks.kind.tolist()) == {KIND_NONE, KIND_DELAY, KIND_FAULT}
+    assert reference.blocks.index.tolist() == list(range(37))
+    for run in runs[1:]:
+        assert _same_columns(run, reference, timed=False)
+    delays = assign_anomalies(generate_blocks(base), base).delay_us
+    assert np.array_equal(delays > 0, reference.blocks.kind == KIND_DELAY)
+    for run in runs[:2]:  # real-mode latencies cover the injected sleep
+        assert ((run.time_us >= delays) & (run.time_us > 0)).all()
     # more workers than blocks leaves a worker an empty slice
     one = dataclasses.replace(base, n_blocks=1, workers=2)
-    assert _without_time(run_pipeline(one, key)) == reference[:1]
+    assert _same_columns(run_pipeline(one, key), reference, timed=False)
 
 
 class ExplodingPool:
@@ -294,7 +368,7 @@ def test_simulated_mode_starts_no_pool(monkeypatch):
     base = RunConfig(n_blocks=96, inject_pct=30.0, seed=3, mode=Mode.SIMULATED)
     reference = run_pipeline(base, key)
     monkeypatch.setattr(cipher_mod, "process_pool", ExplodingPool)
-    assert run_pipeline(dataclasses.replace(base, workers=2), key) == reference
+    assert _same_columns(run_pipeline(dataclasses.replace(base, workers=2), key), reference)
 
 
 def test_only_real_mode_builds_the_scalar_tables():
@@ -313,11 +387,11 @@ def test_encrypt_blocks_matches_per_block_calls():
     cfg = RunConfig(n_blocks=24, mode=Mode.REAL, seed=2, inject_pct=0.0, workers=2)  # through the pool
     blocks = generate_blocks(cfg)
     via_pool = encrypt_blocks(blocks, key, cfg)
-    assert [r.index for r in via_pool] == list(range(24))
-    for record, row in zip(via_pool, blocks.data):
-        ciphertext, _ = encrypt_timed(row.tobytes(), [0.0], key.data, cfg.work_amplification)
-        assert (record.plaintext, record.ciphertext) == (row.tobytes(), ciphertext)
-        assert record.tag is TAGS[KIND_NONE]
+    assert via_pool.blocks.index.tolist() == list(range(24))
+    for plaintext, ciphertext, row in zip(via_pool.plaintext, via_pool.ciphertext, blocks.data):
+        expected, _ = encrypt_timed(row.tobytes(), [0.0], key.data, cfg.work_amplification)
+        assert (plaintext.tobytes(), ciphertext.tobytes()) == (row.tobytes(), expected)
+    assert (via_pool.blocks.kind == KIND_NONE).all()
 
 
 class InlinePool:
@@ -338,11 +412,11 @@ def test_real_mode_hands_out_a_few_slices_per_worker_on_a_given_pool():
     blocks = generate_blocks(RunConfig(n_blocks=50, seed=6))
     cfg = RunConfig(mode=Mode.REAL, inject_pct=0.0, workers=3)
     pool = InlinePool()
-    records = encrypt_blocks(blocks, key, cfg, pool)
+    run = encrypt_blocks(blocks, key, cfg, pool)
     assert pool.tasks == [4 * cfg.workers]
     solo = encrypt_blocks(blocks, key, dataclasses.replace(cfg, workers=1), pool)
     assert pool.tasks == [4 * cfg.workers]  # one worker runs in this process
-    assert _without_time(records) == _without_time(solo)
+    assert _same_columns(run, solo, timed=False)
 
 
 # ---------------------------------------------------------------- batched AES

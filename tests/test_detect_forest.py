@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aeslab.detect_forest as detect_forest
-from aeslab.cipher import Key128, run_pipeline
+from aeslab.cipher import EncryptedRun, Key128, run_pipeline
 from aeslab.detect_forest import (
     N_FEATURES,
     ByteSource,
@@ -28,7 +28,7 @@ from aeslab.detect_forest import (
     split_train_test,
 )
 from aeslab.metrics_report import build_dataset, rows_to_vectors
-from aeslab.workload import AnomalyKind, Mode, RunConfig
+from aeslab.workload import KIND_NONE, Blocks, Mode, RunConfig
 
 import oracle_grow
 import oracle_model
@@ -673,33 +673,36 @@ def test_predict_rejects_wrong_shape():
 
 def _tiny_run(byte_source=ByteSource.PLAINTEXT):
     cfg = RunConfig(n_blocks=48, inject_pct=40.0, seed=19, mode=Mode.SIMULATED)
-    records = run_pipeline(cfg, Key128(bytes(16)))
-    return records, rows_to_vectors(build_dataset(records, byte_source))[0]
+    run = run_pipeline(cfg, Key128(bytes(16)))
+    return run, rows_to_vectors(build_dataset(run, byte_source))[0]
 
 
 def test_build_dataset_layout():
-    records, data = _tiny_run()
-    assert len(data) == len(records)
-    assert data.X.shape == (len(records), N_FEATURES)
-    for rec, row, label in zip(records, data.X, data.y):
-        assert row[0] == rec.time_us
-        assert bytes(int(b) for b in row[1:]) == rec.plaintext
-        assert label == (rec.tag.kind is not AnomalyKind.NONE)
+    run, data = _tiny_run()
+    assert len(data) == len(run)
+    assert data.X.shape == (len(run), N_FEATURES)
+    assert data.X[:, 0].tolist() == run.time_us.tolist()
+    assert np.array_equal(data.X[:, 1:], run.plaintext)
+    assert data.y.tolist() == (run.blocks.kind != KIND_NONE).tolist()
 
 
 def test_build_dataset_orders_by_index_and_supports_ciphertext():
-    records, _ = _tiny_run()
-    shuffled = list(reversed(records))
-    table = build_dataset(shuffled, ByteSource.CIPHERTEXT)
-    assert table.index.tolist() == [rec.index for rec in records]
+    run, _ = _tiny_run()
+    table = build_dataset(run, ByteSource.CIPHERTEXT)
+    assert table.index.tolist() == run.blocks.index.tolist() == list(range(len(run)))
     data, _ = rows_to_vectors(table)
-    for rec, row in zip(records, data.X):
-        assert bytes(int(b) for b in row[1:]) == rec.ciphertext
+    assert np.array_equal(data.X[:, 1:], run.ciphertext)
+    # a run is in index order by construction: its blocks refuse any other
+    with pytest.raises(ValueError, match="increasing indices"):
+        dataclasses.replace(run.blocks, index=run.blocks.index[::-1].copy())
 
 
 def test_build_dataset_rejects_empty_input():
-    with pytest.raises(ValueError):
-        build_dataset([])
+    # a run holds at least one block, so no empty table can be built from one
+    with pytest.raises(ValueError, match="at least one block"):
+        EncryptedRun(Blocks(np.zeros(0, np.int64), np.zeros((0, 16), np.uint8),
+                            np.zeros(0, np.int8), np.zeros(0)),
+                     np.zeros((0, 16), np.uint8), np.zeros((0, 16), np.uint8), np.zeros(0))
 
 
 # ---------------------------------------------------------------- Tree

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from aeslab.cipher import Key128, run_pipeline
 from aeslab.detect_threshold import ThresholdModel, classify_threshold, fit_threshold
-from aeslab.workload import AnomalyKind, Mode, RunConfig
+from aeslab.workload import KIND_DELAY, Mode, RunConfig
 
 
 def test_fit_matches_hand_computed_example():
@@ -68,8 +68,8 @@ def test_faults_are_invisible_to_the_threshold():
     cfg = RunConfig(
         n_blocks=128, inject_pct=50.0, seed=31, mode=Mode.SIMULATED, jitter_us=0.0
     )
-    records = run_pipeline(cfg, Key128(bytes(16)))
-    fault_only = np.array([r.time_us for r in records if r.tag.kind is not AnomalyKind.DELAY])
+    run = run_pipeline(cfg, Key128(bytes(16)))
+    fault_only = run.time_us[run.blocks.kind != KIND_DELAY]
     model = fit_threshold(fault_only)
     assert sum(classify_threshold(fault_only, model)) == 0
 

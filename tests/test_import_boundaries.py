@@ -1,10 +1,12 @@
 """Which modules of the package see a run's per-block records, and which
 modules a command loads.
 
-A run reaches the detectors as one columnar BlockTable. Only the cipher,
-which makes the BlockRecord list, and metrics_report, whose build_dataset
-turns it into that table, may name the record type, and neither detector
-imports anything from the cipher.
+A run moves as columns: the cipher returns one EncryptedRun, and
+metrics_report's build_dataset turns its columns into the BlockTable the
+detectors read. Only the cipher, whose run keeps a record view for the
+benchmark, and workload, which defines the records' tags, may name
+BlockRecord, AnomalyTag or TAGS, and neither detector imports anything from
+the cipher.
 
 Start-up loads only what the default commands run: the process pool's
 modules, statistics and the bench module load when a pooled real-mode run
@@ -47,14 +49,18 @@ def _imports_the_cipher(tree):
     return False
 
 
-def _names_block_record(tree):
+_RECORD_TYPES = {"BlockRecord", "AnomalyTag", "TAGS"}
+
+
+def _names_a_record_type(tree):
+    """Whether tree holds BlockRecord, AnomalyTag or TAGS as a name, an attribute or an import."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id == "BlockRecord":
+        if isinstance(node, ast.Name) and node.id in _RECORD_TYPES:
             return True
-        if isinstance(node, ast.Attribute) and node.attr == "BlockRecord":
+        if isinstance(node, ast.Attribute) and node.attr in _RECORD_TYPES:
             return True
         if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
-            a.name == "BlockRecord" for a in node.names
+            a.name in _RECORD_TYPES for a in node.names
         ):
             return True
     return False
@@ -89,11 +95,11 @@ def test_detectors_import_nothing_from_the_cipher(name):
     assert not _imports_the_cipher(_tree(PACKAGE / name))
 
 
-def test_only_the_cipher_and_the_table_builder_name_block_record():
+def test_only_the_cipher_and_workload_name_the_record_types():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 2
-    naming = {path.name for path in modules if _names_block_record(_tree(path))}
-    assert naming == {"cipher.py", "metrics_report.py"}
+    naming = {path.name for path in modules if _names_a_record_type(_tree(path))}
+    assert naming == {"cipher.py", "workload.py"}
 
 
 def test_no_module_defines_or_calls_validate():
@@ -109,12 +115,15 @@ def test_no_module_names_a_detectors_prediction_column():
 
 
 def test_the_guards_see_what_they_look_for():
-    seen = _tree(PACKAGE / "metrics_report.py")
-    assert _imports_the_cipher(seen) and _names_block_record(seen)
+    assert _imports_the_cipher(_tree(PACKAGE / "metrics_report.py"))
+    assert _names_a_record_type(_tree(PACKAGE / "cipher.py"))
     for source in ("from . import cipher", "import aeslab.cipher",
                    "from aeslab.cipher import Key128"):
         assert _imports_the_cipher(ast.parse(source))
-    assert _names_block_record(ast.parse("def f(r: cipher.BlockRecord): pass"))
+    for source in ("def f(r: cipher.BlockRecord): pass", "from .workload import TAGS",
+                   "tag = workload.AnomalyTag()", "TAGS[code]", "from .cipher import BlockRecord"):
+        assert _names_a_record_type(ast.parse(source)), source
+    assert not _names_a_record_type(ast.parse("run.blocks.kind != KIND_NONE; record.tag"))
     assert not _imports_the_cipher(ast.parse("from .files import atomic_write"))
     for source in ("class C:\n    def validate(self): pass", "cfg.validate()", "validate(cfg)",
                    "async def validate(): pass"):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aeslab.metrics_report as metrics_report
-from aeslab.cipher import BlockRecord, Key128, run_pipeline
+from aeslab.cipher import EncryptedRun, Key128, run_pipeline
 from aeslab.detect_forest import ByteSource
 from aeslab.metrics_report import (
     BlockTable,
@@ -26,7 +26,7 @@ from aeslab.metrics_report import (
     run_id,
     score,
 )
-from aeslab.workload import TAGS, AnomalyKind, Mode, RunConfig
+from aeslab.workload import KIND_DELAY, KIND_FAULT, KIND_NONE, AnomalyKind, Blocks, Mode, RunConfig
 
 import oracle_csv
 
@@ -141,31 +141,31 @@ def test_run_id_format():
 
 def _scored_run(n=100, seed=7):
     cfg = RunConfig(n_blocks=n, inject_pct=30.0, seed=seed, mode=Mode.SIMULATED)
-    records = run_pipeline(cfg, Key128(bytes(16)))
-    truths = [r.tag.kind is not AnomalyKind.NONE for r in records]
-    threshold_preds = [r.time_us > 3000.0 for r in records]
+    run = run_pipeline(cfg, Key128(bytes(16)))
+    truths = (run.blocks.kind != KIND_NONE).tolist()
+    threshold_preds = (run.time_us > 3000.0).tolist()
     forest_preds = truths[:]  # stand-in perfect detector
     report_t = score(threshold_preds, truths, "threshold")
     report_f = score(forest_preds, truths, "forest")
-    return cfg, records, threshold_preds, forest_preds, report_t, report_f
+    return cfg, run, threshold_preds, forest_preds, report_t, report_f
 
 
-def _table(records, tp, fp, byte_source=ByteSource.PLAINTEXT):
-    return dataclasses.replace(build_dataset(records, byte_source),
+def _table(run, tp, fp, byte_source=ByteSource.PLAINTEXT):
+    return dataclasses.replace(build_dataset(run, byte_source),
                                preds={"threshold": np.array(tp), "forest": np.array(fp)})
 
 
-def _export(tmp_path, cfg, records, tp, fp, rt, rf):
+def _export(tmp_path, cfg, run, tp, fp, rt, rf):
     return export_csv(
-        _table(records, tp, fp), [rt, rf], compare(rt, rf), tmp_path,
+        _table(run, tp, fp), [rt, rf], compare(rt, rf), tmp_path,
         cfg=cfg, byte_source=ByteSource.PLAINTEXT,
         threshold_fit="all", threshold_us=3000.0,
     )
 
 
 def test_export_row_counts_and_naming(tmp_path):
-    cfg, records, tp, fp, rt, rf = _scored_run()
-    blocks_path, summary_path = _export(tmp_path, cfg, records, tp, fp, rt, rf)
+    cfg, run, tp, fp, rt, rf = _scored_run()
+    blocks_path, summary_path = _export(tmp_path, cfg, run, tp, fp, rt, rf)
     assert blocks_path.name == "blocks_s7_n100_p30.csv"
     assert summary_path.name == "summary_s7_n100_p30.csv"
     block_lines = blocks_path.read_text(encoding="ascii").splitlines()
@@ -175,47 +175,47 @@ def test_export_row_counts_and_naming(tmp_path):
 
 
 def test_export_is_reproducible(tmp_path):
-    cfg, records, tp, fp, rt, rf = _scored_run()
-    first = _export(tmp_path / "a", cfg, records, tp, fp, rt, rf)
-    second = _export(tmp_path / "b", cfg, records, tp, fp, rt, rf)
+    cfg, run, tp, fp, rt, rf = _scored_run()
+    first = _export(tmp_path / "a", cfg, run, tp, fp, rt, rf)
+    second = _export(tmp_path / "b", cfg, run, tp, fp, rt, rf)
     assert first[0].read_bytes() == second[0].read_bytes()
     assert first[1].read_bytes() == second[1].read_bytes()
 
 
 def test_export_round_trip_reproduces_rows(tmp_path):
-    cfg, records, tp, fp, rt, rf = _scored_run()
-    blocks_path, _ = _export(tmp_path, cfg, records, tp, fp, rt, rf)
+    cfg, run, tp, fp, rt, rf = _scored_run()
+    blocks_path, _ = _export(tmp_path, cfg, run, tp, fp, rt, rf)
     table = read_blocks_csv(blocks_path)
-    assert len(table) == len(records)
-    assert table.index.tolist() == [rec.index for rec in records]
+    assert len(table) == len(run)
+    assert table.index.tolist() == run.blocks.index.tolist()
     # 3-decimal file
-    assert table.time_us.tolist() == pytest.approx([rec.time_us for rec in records], abs=5e-4)
-    assert table.truth_label.tolist() == [rec.tag.kind is not AnomalyKind.NONE for rec in records]
+    assert table.time_us.tolist() == pytest.approx(run.time_us.tolist(), abs=5e-4)
+    assert table.truth_label.tolist() == (run.blocks.kind != KIND_NONE).tolist()
     assert list(table.preds) == ["threshold", "forest"]
     assert table.preds["threshold"].tolist() == tp
     assert table.preds["forest"].tolist() == fp
-    assert [bytes(row) for row in table.feature_bytes] == [rec.plaintext for rec in records]
+    assert [bytes(row) for row in table.feature_bytes] == [bytes(row) for row in run.plaintext]
     assert table.tag is None  # the reader passes the tag column over
     with open(blocks_path, newline="", encoding="ascii") as handle:
         tags = [row["tag"] for row in csv.DictReader(handle)]
-    assert tags == [rec.tag.kind.value for rec in records]
+    assert tags == [list(AnomalyKind)[code].value for code in run.blocks.kind.tolist()]
 
 
 def test_export_rejects_prediction_length_mismatch(tmp_path):
-    cfg, records, tp, fp, rt, rf = _scored_run()
+    cfg, run, tp, fp, rt, rf = _scored_run()
     with pytest.raises(ValueError, match="threshold_pred covers 99 of 100 rows"):
         export_csv(
-            _table(records, tp[:-1], fp), [rt, rf], compare(rt, rf), tmp_path,
+            _table(run, tp[:-1], fp), [rt, rf], compare(rt, rf), tmp_path,
             cfg=cfg, byte_source=ByteSource.PLAINTEXT,
             threshold_fit="all", threshold_us=3000.0,
         )
 
 
 def test_export_rejects_a_table_without_predictions(tmp_path):
-    cfg, records, tp, fp, rt, rf = _scored_run()
+    cfg, run, tp, fp, rt, rf = _scored_run()
     with pytest.raises(ValueError, match="the table has no prediction column"):
         export_csv(
-            build_dataset(records), [rt, rf], compare(rt, rf), tmp_path,
+            build_dataset(run), [rt, rf], compare(rt, rf), tmp_path,
             cfg=cfg, byte_source=ByteSource.PLAINTEXT,
             threshold_fit="all", threshold_us=3000.0,
         )
@@ -225,12 +225,12 @@ def test_export_rejects_a_table_without_predictions(tmp_path):
 @pytest.mark.parametrize("named", [["forest", "threshold"], ["threshold"],
                                    ["threshold", "forest", "rules"], ["threshold", "rules"]])
 def test_export_rejects_reports_that_do_not_name_the_prediction_columns(tmp_path, named):
-    cfg, records, tp, fp, rt, rf = _scored_run()
+    cfg, run, tp, fp, rt, rf = _scored_run()
     reports = [dataclasses.replace(rt, detector=name) for name in named]
     with pytest.raises(ValueError, match=re.escape(
             f"the reports name {named}, the prediction columns ['threshold', 'forest']")):
         export_csv(
-            _table(records, tp, fp), reports, 0.0, tmp_path,
+            _table(run, tp, fp), reports, 0.0, tmp_path,
             cfg=cfg, byte_source=ByteSource.PLAINTEXT,
             threshold_fit="all", threshold_us=3000.0,
         )
@@ -238,11 +238,11 @@ def test_export_rejects_reports_that_do_not_name_the_prediction_columns(tmp_path
 
 
 def test_export_rejects_an_empty_report_list(tmp_path):
-    cfg, records, tp, fp, rt, rf = _scored_run()
+    cfg, run, tp, fp, rt, rf = _scored_run()
     with pytest.raises(ValueError, match=re.escape(
             "the reports name [], the prediction columns ['threshold', 'forest']")):
         export_csv(
-            _table(records, tp, fp), [], 0.0, tmp_path,
+            _table(run, tp, fp), [], 0.0, tmp_path,
             cfg=cfg, byte_source=ByteSource.PLAINTEXT,
             threshold_fit="all", threshold_us=3000.0,
         )
@@ -252,32 +252,33 @@ def test_export_rejects_an_empty_report_list(tmp_path):
 def test_byte_source_may_be_given_by_value(tmp_path):
     # "plaintext" used to select the ciphertext bytes in build_dataset, and
     # export_csv raised AttributeError on it
-    cfg, records, tp, fp, rt, rf = _scored_run(n=20)
+    cfg, run, tp, fp, rt, rf = _scored_run(n=20)
     for value in ("plaintext", "ciphertext"):
-        table = build_dataset(records, value)
-        assert [bytes(row) for row in table.feature_bytes] == [getattr(r, value) for r in records]
+        table = build_dataset(run, value)
+        column = getattr(run, value)
+        assert [bytes(row) for row in table.feature_bytes] == [bytes(row) for row in column]
     _, summary_path = export_csv(
-        _table(records, tp, fp), [rt, rf], compare(rt, rf), tmp_path,
+        _table(run, tp, fp), [rt, rf], compare(rt, rf), tmp_path,
         cfg=cfg, byte_source="plaintext", threshold_fit="all", threshold_us=3000.0,
     )
     with open(summary_path, newline="", encoding="ascii") as handle:
         assert {row["byte_source"] for row in csv.DictReader(handle)} == {"plaintext"}
     with pytest.raises(ValueError):
-        build_dataset(records, "Plaintext")
+        build_dataset(run, "Plaintext")
     with pytest.raises(ValueError):
         export_csv(
-            _table(records, tp, fp), [rt, rf], compare(rt, rf), tmp_path / "bad",
+            _table(run, tp, fp), [rt, rf], compare(rt, rf), tmp_path / "bad",
             cfg=cfg, byte_source="bytes", threshold_fit="all", threshold_us=3000.0,
         )
     assert not (tmp_path / "bad").exists()
 
 
 def test_export_unwritable_path_reports_the_path(tmp_path):
-    cfg, records, tp, fp, rt, rf = _scored_run(n=10)
+    cfg, run, tp, fp, rt, rf = _scored_run(n=10)
     blocker = tmp_path / "occupied"
     blocker.write_text("not a directory", encoding="ascii")
     with pytest.raises(OSError) as excinfo:
-        _export(blocker, cfg, records, tp, fp, rt, rf)
+        _export(blocker, cfg, run, tp, fp, rt, rf)
     assert "occupied" in str(excinfo.value)
 
 
@@ -382,12 +383,12 @@ def test_read_blocks_csv_reports_the_first_fault_in_file_order(tmp_path, bad_row
 
 
 def test_rows_to_vectors_with_and_without_labels(tmp_path):
-    cfg, records, tp, fp, rt, rf = _scored_run(n=20)
-    blocks_path, _ = _export(tmp_path, cfg, records, tp, fp, rt, rf)
+    cfg, run, tp, fp, rt, rf = _scored_run(n=20)
+    blocks_path, _ = _export(tmp_path, cfg, run, tp, fp, rt, rf)
     table = read_blocks_csv(blocks_path)
     data, has_labels = rows_to_vectors(table)
     assert has_labels
-    assert data.y.tolist() == [r.tag.kind is not AnomalyKind.NONE for r in records]
+    assert data.y.tolist() == (run.blocks.kind != KIND_NONE).tolist()
     assert data.X.shape == (20, 17)
     assert data.X[:, 0].tolist() == table.time_us.tolist()
     payloads = [bytes(r) for r in table.feature_bytes]
@@ -417,12 +418,12 @@ class _Exploding:
 
 
 def test_export_failing_midway_keeps_the_earlier_files(tmp_path):
-    cfg, records, tp, fp, rt, rf = _scored_run(n=40)
-    paths = _export(tmp_path, cfg, records, tp, fp, rt, rf)
+    cfg, run, tp, fp, rt, rf = _scored_run(n=40)
+    paths = _export(tmp_path, cfg, run, tp, fp, rt, rf)
     before = [p.read_bytes() for p in paths]
     broken = tp[:20] + [_Exploding()] + tp[21:]
     with pytest.raises(RuntimeError):
-        _export(tmp_path, cfg, records, broken, fp, rt, rf)  # fails at block 20
+        _export(tmp_path, cfg, run, broken, fp, rt, rf)  # fails at block 20
     assert [p.read_bytes() for p in paths] == before
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
 
@@ -432,25 +433,31 @@ def test_export_failing_midway_keeps_the_earlier_files(tmp_path):
 def test_export_then_read_gives_back_the_dataset(data):
     n = data.draw(st.integers(2, 40))
     block = st.binary(min_size=16, max_size=16)
-    records = [
-        BlockRecord(i, data.draw(block), data.draw(block),
-                    data.draw(st.floats(0.0, 1e9)), data.draw(st.sampled_from(TAGS)))
-        for i in range(n)
-    ]
+    plaintext, ciphertext, time_us, kind = zip(*(
+        (data.draw(block), data.draw(block), data.draw(st.floats(0.0, 1e9)),
+         data.draw(st.sampled_from((KIND_NONE, KIND_DELAY, KIND_FAULT))))
+        for _ in range(n)
+    ))
+    plaintext, ciphertext = (np.frombuffer(b"".join(col), np.uint8).reshape(n, 16)
+                             for col in (plaintext, ciphertext))
+    kind = np.array(kind, np.int8)
+    run = EncryptedRun(Blocks(np.arange(n, dtype=np.int64), plaintext, kind,
+                              np.where(kind == KIND_DELAY, 1.0, 0.0)),
+                       plaintext, ciphertext, np.array(time_us))
     byte_source = data.draw(st.sampled_from(ByteSource))
-    truths = [r.tag.kind is not AnomalyKind.NONE for r in records]
+    truths = (kind != KIND_NONE).tolist()
     preds = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     rt, rf = score(preds, truths, "threshold"), score(truths, truths, "forest")
     with tempfile.TemporaryDirectory() as tmp:
         blocks_path, _ = export_csv(
-            _table(records, preds, truths, byte_source), [rt, rf], compare(rt, rf), tmp,
+            _table(run, preds, truths, byte_source), [rt, rf], compare(rt, rf), tmp,
             cfg=RunConfig(n_blocks=n), byte_source=byte_source,
             threshold_fit="all", threshold_us=1.0,
         )
         # indices in [0, n) and times below 10**12 us: the byte pass takes the file
         with mock.patch.object(metrics_report, "_read_rows", side_effect=AssertionError):
             got, has_labels = rows_to_vectors(read_blocks_csv(blocks_path))
-    want, _ = rows_to_vectors(build_dataset(records, byte_source))
+    want, _ = rows_to_vectors(build_dataset(run, byte_source))
     assert has_labels
     assert got.X[:, 1:].tobytes() == want.X[:, 1:].tobytes()
     assert got.y.tolist() == want.y.tolist()
@@ -703,8 +710,8 @@ def _columns(table):
 
 @pytest.mark.parametrize("tag", [*_ODD["tag"], None])  # None: the tag column dropped
 def test_read_blocks_csv_passes_over_the_tag_column(tmp_path, tag):
-    cfg, records, tp, fp, rt, rf = _scored_run(n=40)
-    blocks_path, _ = _export(tmp_path, cfg, records, tp, fp, rt, rf)
+    cfg, run, tp, fp, rt, rf = _scored_run(n=40)
+    blocks_path, _ = _export(tmp_path, cfg, run, tp, fp, rt, rf)
     want = read_blocks_csv(blocks_path)
     edited = tmp_path / "edited.csv"
     with open(blocks_path, newline="", encoding="ascii") as src, \

@@ -167,7 +167,7 @@ def test_assign_anomalies_matches_the_scalar_draw_loop(n, inject_pct, delay_min_
 
 
 def _encrypted_plaintexts(data, kinds):
-    """The post-fault plaintexts encrypt_blocks records for one 16-byte
+    """The post-fault plaintexts of encrypt_blocks' run for one 16-byte
     block per kind code, all with the same pre-fault data."""
     n = len(kinds)
     blocks = Blocks(np.arange(n, dtype=np.int64),
@@ -175,9 +175,9 @@ def _encrypted_plaintexts(data, kinds):
                     np.array(kinds, np.int8),
                     np.array([5.0 if k == KIND_DELAY else 0.0 for k in kinds]))
     cfg = RunConfig(mode=Mode.SIMULATED, jitter_us=0.0)
-    records = encrypt_blocks(blocks, Key128(bytes(16)), cfg)
+    run = encrypt_blocks(blocks, Key128(bytes(16)), cfg)
     assert blocks.data.tobytes() == data * n  # the fault goes into a copy
-    return [rec.plaintext for rec in records]
+    return [row.tobytes() for row in run.plaintext]
 
 
 def test_apply_fault_flips_first_byte_only():
