@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aeslab.detect_forest as detect_forest
-from aeslab.cipher import EncryptedRun, Key128, run_pipeline
+from aeslab.cipher import Key128, run_pipeline
 from aeslab.detect_forest import (
     N_FEATURES,
     ByteSource,
@@ -28,7 +28,7 @@ from aeslab.detect_forest import (
     split_train_test,
 )
 from aeslab.metrics_report import build_dataset, rows_to_vectors
-from aeslab.workload import KIND_NONE, Blocks, Mode, RunConfig
+from aeslab.workload import KIND_NONE, Mode, RunConfig
 
 import oracle_grow
 import oracle_model
@@ -692,17 +692,6 @@ def test_build_dataset_orders_by_index_and_supports_ciphertext():
     assert table.index.tolist() == run.blocks.index.tolist() == list(range(len(run)))
     data, _ = rows_to_vectors(table)
     assert np.array_equal(data.X[:, 1:], run.ciphertext)
-    # a run is in index order by construction: its blocks refuse any other
-    with pytest.raises(ValueError, match="increasing indices"):
-        dataclasses.replace(run.blocks, index=run.blocks.index[::-1].copy())
-
-
-def test_build_dataset_rejects_empty_input():
-    # a run holds at least one block, so no empty table can be built from one
-    with pytest.raises(ValueError, match="at least one block"):
-        EncryptedRun(Blocks(np.zeros(0, np.int64), np.zeros((0, 16), np.uint8),
-                            np.zeros(0, np.int8), np.zeros(0)),
-                     np.zeros((0, 16), np.uint8), np.zeros((0, 16), np.uint8), np.zeros(0))
 
 
 # ---------------------------------------------------------------- Tree
