@@ -4,36 +4,38 @@ The scalar cipher runs the 32-bit T-table form of the FIPS-197 rounds
 (Daemen & Rijmen, "The Design of Rijndael", 2002, section 4.2). Each round
 computes the state as four big-endian column words. Four 256-entry word
 tables Te0..Te3, built from the S-box and xtime, fold SubBytes, ShiftRows
-and MixColumns into one lookup per state byte. Each key gets its own copies
-of Te0, one per round and column, with that round key word XORed into every
-entry, so each of rounds 1 to 9 is 16 lookups and 12 XORs and loads no
-round key. The final round, which has no MixColumns, reads four keyed
-tables of sbox[x] << 24 and two shared ones of sbox[x] << 16 and
-sbox[x] << 8: 16 lookups and 12 XORs as well. Between rounds the state is
-carried as its 16 bytes: each round packs its four words and unpacks the
-bytes into 16 locals, one pack per round in place of 12 shifts and 12
-masks. Pure Python keeps the per-block cost measurable (about 13
-microseconds of CPU per block in a real-mode run), which is what the
-real-mode timing experiments need.
+and MixColumns into one lookup per state byte. Each key gets its own
+encryptor, a function with that key's tables bound in: round 1 reads one
+table per plaintext byte, with round keys 0 and 1 folded in, and rounds 2
+to 9 copies of Te0, one per round and column, with that round key word
+XORed into every entry. The final round, which has no MixColumns, reads
+four keyed tables of sbox[x] << 24 and two shared ones of sbox[x] << 16
+and sbox[x] << 8. So every round is 16 lookups and 12 XORs and loads no
+round key. Between rounds the state is carried as its 16 bytes: each round
+packs its four words and unpacks the bytes into 16 locals, one pack per
+round in place of 12 shifts and 12 masks. Pure Python keeps the per-block
+cost measurable (about 12 microseconds of CPU per block in a real-mode
+run), which is what the real-mode timing experiments need.
 
 T-tables are the textbook target of cache-timing attacks (Bernstein 2005,
 "Cache-timing attacks on AES"; Osvik, Shamir & Tromer 2006, "Cache Attacks
 and Countermeasures: the Case of AES"): each lookup's address depends on a
 key-mixed state byte. Folding the round keys into the tables, or carrying
-the state as bytes, changes none of that: the keyed tables are still
-indexed by secret bytes, and the kernel is still not constant-time. The
-byte-wise kernel the T-tables replaced made the same kind of
+the state as bytes, changes none of that. Round 1 indexes its tables by
+the plaintext bytes, but the int object CPython dereferences for each is
+the entry for key ^ plaintext, so its address still depends on the key.
+The byte-wise kernel the T-tables replaced made the same kind of
 secret-indexed S-box and xtime lookups, as any CPython tuple lookup does,
 so the lab gains no new class of leak. Neither kernel is constant-time;
 neither is fit to protect data.
 
-Each key's tables for the scalar kernel, T-tables, round keys and keyed
-tables alike, are built on first use from the S-box the module holds at
-that moment, and cached under the key and that S-box, so nothing derived
-from one S-box is used with another. They take about 0.4 MB and 1 to 2 ms
-to build per key, so the first block under a new key costs that much more;
-only the scalar kernel builds them. The batched kernel expands its key
-afresh on each call, about 9 microseconds per run.
+Each key's encryptor, with its T-tables, round keys and keyed tables, is
+built on first use from the S-box the module holds at that moment, and
+cached under the key and that S-box, so nothing derived from one S-box is
+used with another. Its tables take about 570 KB and about 2 ms to build
+(1.9 ms median on the 2-CPU host), which the first block under a new key
+pays; only the scalar kernel builds one. The batched kernel expands its
+key afresh on each call, about 9 microseconds per run.
 
 Simulated mode measures no latency, so it encrypts a whole run in one batch
 in the calling process: the byte-wise rounds (ShiftRows as a flat 16-element
@@ -58,7 +60,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -149,50 +151,25 @@ def _expand_key(key: bytes, sbox: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(words)
 
 
-class _Schedule(NamedTuple):
-    """One key's tables for the scalar kernel, with each round key folded in.
+# about 570 KB of tables per key; one run encrypts under one key
+@lru_cache(maxsize=4)
+def _schedule(key: bytes, sbox: Tuple[int, ...]) -> Callable[[bytes], bytes]:
+    """Build the scalar kernel for one key under sbox: a function that
+    encrypts one 16-byte block with every table the key needs bound in,
+    about 2 ms of work per new key. Callers pass the module's SBOX as it is
+    at call time.
 
     Te0[x] is the MixColumns image (2s, s, s, 3s) of s = sbox[x] standing in
     row 0 of a column, as one big-endian word; Te1..Te3 are the same column
     for rows 1..3, i.e. Te0 rotated right by 8, 16 and 24 bits.
 
-    first is round key 0, XORed into the state before round 1. rounds holds,
-    for each of rounds 1 to 9, four copies of Te0, one per output column c,
-    each XORed with that round's key word c; Te1..Te3 are shared. last holds
-    sbox[x] << 24 XORed with round key 10's word c, for each column c, and
-    byte16 and byte8 are sbox[x] << 16 and sbox[x] << 8, shared by all four
-    columns. So a round is 16 lookups and 12 XORs, with no round-key loads.
-    """
-
-    first: Tuple[int, ...]
-    rounds: Tuple[Tuple[Tuple[int, ...], ...], ...]
-    te1: Tuple[int, ...]
-    te2: Tuple[int, ...]
-    te3: Tuple[int, ...]
-    last: Tuple[Tuple[int, ...], ...]
-    byte16: Tuple[int, ...]
-    byte8: Tuple[int, ...]
-    sbox: Tuple[int, ...]
-
-
-# about 0.4 MB of tables per key; one run encrypts under one key
-@lru_cache(maxsize=4)
-def _schedule(key: bytes, sbox: Tuple[int, ...]) -> _Schedule:
-    """Build the scalar kernel's tables for one key under sbox, about 1 to 2
-    ms of work per new key. Callers pass the module's SBOX as it is at call
-    time."""
-    w = _expand_key(key, sbox)
-    te0 = tuple(XTIME[s] << 24 | s << 16 | s << 8 | XTIME[s] ^ s for s in sbox)
-    te1, te2, te3 = (tuple((t >> r | t << 32 - r) & 0xFFFFFFFF for t in te0) for r in (8, 16, 24))
-    rounds = tuple(tuple(tuple(t ^ k for t in te0) for k in w[i:i + 4])
-                   for i in range(4, 4 * N_ROUNDS, 4))
-    last = tuple(tuple(s << 24 ^ k for s in sbox) for k in w[40:])
-    return _Schedule(w[:4], rounds, te1, te2, te3, last,
-                     tuple(s << 16 for s in sbox), tuple(s << 8 for s in sbox), sbox)
-
-
-def _encrypt(block: bytes, schedule: _Schedule) -> bytes:
-    """Encrypt one 16-byte block under schedule's tables.
+    Round 1 reads one keyed table per plaintext byte i, which stands in row
+    r = i % 4 of column i // 4: entry p is Te_r[p ^ key[i]], and the row-0
+    tables also carry round key 1's word of their column. For rounds 2 to 9
+    there are four copies of Te0, one per output column c, each XORed with
+    that round's key word c; Te1..Te3 are shared. The last round reads
+    sbox[x] << 24 XORed with round key 10's word c for each column c, and
+    sbox[x] << 16 and sbox[x] << 8, shared by all four columns.
 
     Between rounds the state is carried as its 16 bytes a0..a15, the four
     big-endian column words laid end to end (column c is a[4c] to a[4c + 3],
@@ -201,25 +178,46 @@ def _encrypt(block: bytes, schedule: _Schedule) -> bytes:
     iterating bytes yields small ints, which CPython caches. Taking the
     index bytes out of four words instead costs 12 shifts and 12 masks per
     round, about as long in CPython as the 16 lookups themselves; one pack
-    per round costs far less.
+    per round costs far less. A block unpacks the same way, into round 1's
+    indices, so any 16 ints would encrypt: callers hand it bytes.
     """
-    (k0, k1, k2, k3), rounds, te1, te2, te3, (l0, l1, l2, l3), b16, b8, sbox = schedule
-    s0, s1, s2, s3 = _WORDS.unpack(block)
-    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = _WORDS.pack(
-        s0 ^ k0, s1 ^ k1, s2 ^ k2, s3 ^ k3)
-    for t0, t1, t2, t3 in rounds:
-        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = _WORDS.pack(
-            t0[a0] ^ te1[a5] ^ te2[a10] ^ te3[a15],
-            t1[a4] ^ te1[a9] ^ te2[a14] ^ te3[a3],
-            t2[a8] ^ te1[a13] ^ te2[a2] ^ te3[a7],
-            t3[a12] ^ te1[a1] ^ te2[a6] ^ te3[a11],
+    w = _expand_key(key, sbox)
+    # list comprehensions: tuple() of a generator builds the tables about 10% slower
+    te0 = tuple([XTIME[s] << 24 | s << 16 | s << 8 | XTIME[s] ^ s for s in sbox])
+    te = (te0, *(tuple([(t >> r | t << 32 - r) & 0xFFFFFFFF for t in te0]) for r in (8, 16, 24)))
+    _, te1, te2, te3 = te
+    f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14, f15 = (
+        tuple([te[i % 4][p ^ key[i]] ^ (0 if i % 4 else w[4 + i // 4]) for p in range(256)])
+        for i in range(BLOCK_SIZE))
+    rounds = tuple(tuple(tuple([t ^ k for t in te0]) for k in w[i:i + 4])
+                   for i in range(8, 4 * N_ROUNDS, 4))
+    l0, l1, l2, l3 = (tuple([s << 24 ^ k for s in sbox]) for k in w[40:])
+    b16, b8 = tuple([s << 16 for s in sbox]), tuple([s << 8 for s in sbox])
+    pack = _WORDS.pack
+
+    def encrypt(block: bytes) -> bytes:
+        p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, p15 = block
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = pack(
+            f0[p0] ^ f5[p5] ^ f10[p10] ^ f15[p15],
+            f4[p4] ^ f9[p9] ^ f14[p14] ^ f3[p3],
+            f8[p8] ^ f13[p13] ^ f2[p2] ^ f7[p7],
+            f12[p12] ^ f1[p1] ^ f6[p6] ^ f11[p11],
         )
-    return _WORDS.pack(
-        l0[a0] ^ b16[a5] ^ b8[a10] ^ sbox[a15],
-        l1[a4] ^ b16[a9] ^ b8[a14] ^ sbox[a3],
-        l2[a8] ^ b16[a13] ^ b8[a2] ^ sbox[a7],
-        l3[a12] ^ b16[a1] ^ b8[a6] ^ sbox[a11],
-    )
+        for t0, t1, t2, t3 in rounds:
+            a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 = pack(
+                t0[a0] ^ te1[a5] ^ te2[a10] ^ te3[a15],
+                t1[a4] ^ te1[a9] ^ te2[a14] ^ te3[a3],
+                t2[a8] ^ te1[a13] ^ te2[a2] ^ te3[a7],
+                t3[a12] ^ te1[a1] ^ te2[a6] ^ te3[a11],
+            )
+        return pack(
+            l0[a0] ^ b16[a5] ^ b8[a10] ^ sbox[a15],
+            l1[a4] ^ b16[a9] ^ b8[a14] ^ sbox[a3],
+            l2[a8] ^ b16[a13] ^ b8[a2] ^ sbox[a7],
+            l3[a12] ^ b16[a1] ^ b8[a6] ^ sbox[a11],
+        )
+
+    return encrypt
 
 
 _SBOX_ARRAY = np.array(SBOX, dtype=np.uint8)
@@ -243,12 +241,16 @@ def encrypt_batch(states: np.ndarray, key: bytes) -> np.ndarray:
 
 
 def aes128_encrypt_block(block: bytes, key: Key128) -> bytes:
-    """Encrypt one 16-byte block in ECB mode. The first block under a new key
-    also builds that key's tables, about 1 to 2 ms; the four most recent
-    keys' tables stay cached."""
-    if len(block) != BLOCK_SIZE:
-        raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-    return _encrypt(block, _schedule(key.data, SBOX))
+    """Encrypt one 16-byte block, a bytes, bytearray or memoryview, in ECB
+    mode; raise ValueError for anything else. The first block under a new
+    key also builds that key's encryptor, about 2 ms; the four most recent
+    keys' encryptors stay cached."""
+    if not isinstance(block, (bytes, bytearray, memoryview)):
+        raise ValueError(f"block must be bytes, bytearray or memoryview, got {type(block).__name__}")
+    data = bytes(block)
+    if len(data) != BLOCK_SIZE:
+        raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(data)}")
+    return _schedule(key.data, SBOX)(data)
 
 
 # FIPS-197 appendix B/C example vectors plus NIST SP 800-38A F.1.1 ECB cases
@@ -358,24 +360,28 @@ def encrypt_timed(plain: bytes, delays_us: Sequence[float], key: bytes,
     """Encrypt 16-byte blocks laid end to end one at a time; return the
     ciphertexts laid end to end and each block's latency in microseconds, as
     one array of doubles: a monotonic span over its sleep (delays_us[j] > 0)
-    and every encryption pass.
-    Raises ValueError, before any block is timed, unless plain holds exactly
-    one block per delay and work_amplification is at least 1."""
+    and its work_amplification encryption passes, and nothing else. A key
+    new to this process builds its encryptor (about 2 ms) before any block
+    is timed. Raises ValueError, before any block is timed, unless plain
+    holds exactly one block per delay and work_amplification is at least 1."""
     if len(plain) != BLOCK_SIZE * len(delays_us):
         raise ValueError(f"plain must hold {len(delays_us)} blocks of {BLOCK_SIZE} bytes, "
                          f"one per delay, got {len(plain)} bytes")
     if work_amplification < 1:
         raise ValueError(f"work_amplification must be at least 1, got {work_amplification}")
-    schedule = _schedule(key, SBOX)
+    encrypt = _schedule(key, SBOX)
+    # looked up once, not per block: the timed window holds only the sleep and the passes
+    clock, sleep, extra_passes = time.perf_counter, time.sleep, range(work_amplification - 1)
     ciphertexts, times = [], array("d")
     for at, delay_us in zip(range(0, len(plain), BLOCK_SIZE), delays_us):
         block = plain[at:at + BLOCK_SIZE]
-        start = time.perf_counter()
+        start = clock()
         if delay_us:
-            time.sleep(delay_us / 1e6)
-        for _ in range(work_amplification):
-            ciphertext = _encrypt(block, schedule)
-        times.append((time.perf_counter() - start) * 1e6)
+            sleep(delay_us / 1e6)
+        for _ in extra_passes:
+            encrypt(block)
+        ciphertext = encrypt(block)
+        times.append((clock() - start) * 1e6)
         ciphertexts.append(ciphertext)
     return b"".join(ciphertexts), times
 

@@ -14,7 +14,6 @@ from aeslab.cipher import (
     EncryptedRun,
     Key128,
     PipelineError,
-    _encrypt,
     _schedule,
     aes128_encrypt_block,
     encrypt_batch,
@@ -132,6 +131,19 @@ def test_each_plaintext_byte_alone_matches_independent_library(key_hex, position
     assert out != aes128_encrypt_block(base, key)
 
 
+@pytest.mark.parametrize("key_hex", _WIRING_KEYS, ids=["key-fips197", "key-sp800-38a"])
+@pytest.mark.parametrize("position", range(16), ids=[f"byte{i}" for i in range(16)])
+def test_each_key_byte_alone_matches_independent_library(key_hex, position):
+    # round 1 folds key byte i into the table of plaintext byte i, so a key
+    # that differs from a base key in one byte only checks that table's wiring
+    flipped = bytearray.fromhex(key_hex)
+    flipped[position] ^= 0x5A
+    block = bytes.fromhex("3243f6a8885a308d313198a2e0370734")
+    out = aes128_encrypt_block(block, Key128(bytes(flipped)))
+    assert out == _library_encrypt(bytes(flipped), block)
+    assert out != aes128_encrypt_block(block, Key128.from_hex(key_hex))
+
+
 @pytest.mark.parametrize("plain, delays_us, work_amplification", [
     (bytes(48), [0.0], 1),  # three blocks, one delay
     (bytes(20), [0.0, 0.0], 1),  # not a whole number of blocks
@@ -155,6 +167,15 @@ def test_input_validation():
     for data in ("a" * 16, bytearray(16)):
         with pytest.raises(ValueError, match="key must be 16 bytes"):
             Key128(data)
+    # the kernel indexes its tables by the block's items: 16 ints that are not
+    # a block's bytes, -1 among them, must not encrypt as some other block
+    for block in ("a" * 16, list(range(16)), (-1,) + (0,) * 15):
+        with pytest.raises(ValueError, match="block must be bytes"):
+            aes128_encrypt_block(block, key)
+    # a signed view of a block's bytes encrypts those bytes
+    block = b"\xff" + bytes(15)
+    assert aes128_encrypt_block(memoryview(block).cast("b"), key) == _library_encrypt(key.data, block)
+    assert aes128_encrypt_block(bytearray(block), key) == _library_encrypt(key.data, block)
 
 
 def test_fault_tag_changes_ciphertext_and_survives_decryption():
@@ -372,7 +393,7 @@ def test_simulated_mode_starts_no_pool(monkeypatch):
 
 
 def test_only_real_mode_builds_the_scalar_tables():
-    # the keyed tables cost about 0.4 MB and 1 to 2 ms per key; the batch
+    # the keyed tables cost about 570 KB and 2 ms per key; the batch
     # kernel of simulated mode reads only the round-key words
     key = Key128(bytes(range(16)))
     cipher_mod._schedule.cache_clear()
@@ -432,7 +453,7 @@ def test_batched_aes_matches_scalar_and_library_on_uniform_blocks(n):
     key = rng.bytes(16)
     blocks = [rng.bytes(16) for _ in range(n)]
     got = [row.tobytes() for row in encrypt_batch(_batch(blocks), key)]
-    assert got == [_encrypt(b, _schedule(key, cipher_mod.SBOX)) for b in blocks]
+    assert got == [_schedule(key, cipher_mod.SBOX)(b) for b in blocks]
     assert b"".join(got) == _library_encrypt(key, b"".join(blocks))
 
 

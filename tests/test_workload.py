@@ -166,6 +166,36 @@ def test_assign_anomalies_matches_the_scalar_draw_loop(n, inject_pct, delay_min_
     assert np.array_equal(tagged.index, blocks.index) and np.array_equal(tagged.data, blocks.data)
 
 
+def _next_draw_hits(n, inject_pct, seed, tags):
+    """Whether the schedule draw right after the ones tags took (one per
+    block, one more per anomaly and one more again per delay) is below
+    inject_pct/100: a hit that the walk over n blocks must not read."""
+    taken = sum(1 + (kind != "none") + (kind == "delay") for kind, _ in tags)
+    spawn_key = (oracle_schedule._STREAM_SCHEDULE,)
+    u = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn_key)).random(3 * n)
+    return taken < 3 * n and bool(u[taken] < inject_pct / 100.0)
+
+
+@pytest.mark.parametrize("n, inject_pct, seed, last_kind, next_draw_hits", [
+    (1, 0.0, 5, "none", False),
+    (1, 50.0, 5, "delay", False),
+    (1, 100.0, 5, "delay", False),
+    (2000, 100.0, 7, "delay", True),
+    (8, 30.0, 6, "fault", True),
+    (8, 30.0, 1, "none", True),
+], ids=["one-block-0pct", "one-block-50pct", "one-block-100pct", "every-draw-a-hit",
+        "last-block-anomalous", "hit-past-the-end"])
+def test_assign_anomalies_matches_the_scalar_draw_loop_at_the_walk_edges(
+        n, inject_pct, seed, last_kind, next_draw_hits):
+    # the walk jumps from one draw below p to the next; these runs hold it to
+    # the loop on one block, where every draw is a hit, where the last block
+    # is an anomaly and where a hit lies just past the last block's draws
+    cfg = _uniform(n, inject_pct=inject_pct, seed=seed)
+    want = oracle_schedule.schedule(n, inject_pct, seed, cfg.delay_min_us, cfg.delay_max_us)
+    assert (want[-1][0], _next_draw_hits(n, inject_pct, seed, want)) == (last_kind, next_draw_hits)
+    assert _tags(assign_anomalies(generate_blocks(cfg), cfg)) == want
+
+
 def _encrypted_plaintexts(data, kinds):
     """The post-fault plaintexts of encrypt_blocks' run for one 16-byte
     block per kind code, all with the same pre-fault data."""
